@@ -170,7 +170,8 @@ def check_category(category: PseudoCategory) -> list[Diagnostic]:
     composition table is allowed to be partial)."""
     diagnostics: list[Diagnostic] = []
     zero = Span(1, 1, 0, 0)
-    for m in category.sorted_morphisms():
+    ordered = category.sorted_morphisms()
+    for m in ordered:
         if m.kind not in category.generators:
             diagnostics.append(Diagnostic(
                 ERROR, zero, f"morphism {m.render()} has kind outside the generator set",
@@ -180,10 +181,15 @@ def check_category(category: PseudoCategory) -> list[Diagnostic]:
                 diagnostics.append(Diagnostic(
                     ERROR, zero, f"morphism {m.render()} references unknown object {name!r}",
                     "unknown-object"))
+    # each list keeps sorted order, so every kind pair gets the example a scan
+    # over all morphisms would find first
+    by_src: dict[str, list[Morphism]] = {}
+    for g in ordered:
+        by_src.setdefault(g.src, []).append(g)
     pairs: set[tuple[str, str]] = set()
-    for f in category.sorted_morphisms():
-        for g in category.sorted_morphisms():
-            if f.dst == g.src and (f.kind, g.kind) not in category.table:
+    for f in ordered:
+        for g in by_src.get(f.dst, ()):
+            if (f.kind, g.kind) not in category.table:
                 if (f.kind, g.kind) not in pairs:
                     pairs.add((f.kind, g.kind))
                     diagnostics.append(Diagnostic(

@@ -214,11 +214,8 @@ def protocol_cmd(session: Session, target: str, emit_dfa: bool, sample: int | No
 @click.argument("requirement", metavar="REQUIREMENT_FILE")
 @click.option("--format", "output_format", type=click.Choice(["text", "json"]),
               default="text", help="Report format (default text).")
-@click.option("--no-prefilter", is_flag=True,
-              help="Skip the keyword prefilter and examine every component.")
 @click.pass_obj
-def match(session: Session, requirement: str, output_format: str,
-          no_prefilter: bool) -> None:
+def match(session: Session, requirement: str, output_format: str) -> None:
     """Match a requirement against the repository; exit 0 on USE/ADAPT, 1 on NEW."""
     catalog, model_ = session.require_catalog()
     req, merged, diagnostics = repo.load_requirement(requirement, catalog, model_)
@@ -231,7 +228,6 @@ def match(session: Session, requirement: str, output_format: str,
     lattice = TypeLattice.from_types(merged.types)
     try:
         result = matcher.match_requirement(req, index, lattice,
-                                           use_prefilter=not no_prefilter,
                                            state_limit=session.state_limit)
     except protocol.ProtocolTooLarge as err:
         _input_error(str(err))
@@ -338,9 +334,7 @@ def index_inspect(session: Session) -> None:
     for name in sorted(compiled.entries):
         entry = compiled.entries[name]
         provided_states = len(entry.provided_automaton.states)
-        required = (f", required dfa {len(entry.required_automaton.states)} state(s)"
-                    if entry.required_automaton is not None else "")
-        click.echo(f"  {name}: provided dfa {provided_states} state(s){required}")
+        click.echo(f"  {name}: provided dfa {provided_states} state(s)")
 
 
 if __name__ == "__main__":

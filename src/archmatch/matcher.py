@@ -1,20 +1,20 @@
 """The two-level matching pipeline.
 
 A requirement (a business interface plus an optional call protocol) is run
-against every indexed component: a cheap keyword prefilter, then signature
-matching, then trace inclusion of the renamed requirement protocol in the
-component's provided protocol.  Components are classified USE / adaptation
-candidate / no match and ranked deterministically.
+against every indexed component: a signature-shape prefilter, then signature
+matching, then trace inclusion of the requirement protocol, relabeled through
+the signature map, in the component's provided protocol.  Components are
+classified USE / adaptation candidate / no match and ranked deterministically.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from functools import cache
 
 from . import protocol, sigmatch
 from .model import Interface
-from .protocol import ProtocolExpr
+from .protocol import FiniteAutomaton, ProtocolExpr
 from .sigmatch import ModuleMatch, PartialMatch, TypeLattice
 
 HOLDS = "HOLDS"
@@ -37,32 +37,12 @@ PROTOCOL_WEIGHT = {HOLDS: 1.0, NOT_CHECKED: 0.5, FAILS: 0.0}
 #: coverage needed for a partial signature match to stay an adaptation candidate
 ADAPT_COVERAGE_THRESHOLD = 0.5
 
-_TOKEN_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z0-9])|[A-Z]?[a-z0-9]+|[A-Z]+")
-
-
-def keyword_tokens(*names: str) -> frozenset[str]:
-    """Lowercased camel-case/underscore fragments of the given identifiers."""
-    out: set[str] = set()
-    for name in names:
-        for m in _TOKEN_RE.finditer(name):
-            out.add(m.group(0).lower())
-    return frozenset(out)
-
-
 @dataclass(frozen=True)
 class Requirement:
     """A new business interface to satisfy, with an optional call protocol."""
 
     iface: Interface
     required_protocol: ProtocolExpr | None = None
-    keywords: frozenset[str] = frozenset()
-
-    @classmethod
-    def from_interface(cls, iface: Interface, required_protocol: ProtocolExpr | None = None,
-                       keywords: frozenset[str] | None = None) -> "Requirement":
-        if keywords is None:
-            keywords = keyword_tokens(iface.name, *(m.name for m in iface.all_methods()))
-        return cls(iface, required_protocol, keywords)
 
 
 @dataclass(frozen=True)
@@ -103,19 +83,24 @@ def score(kind: str | None, name_overlap: float, protocol_verdict: str,
                  + 0.2 * PROTOCOL_WEIGHT[protocol_verdict], 6)
 
 
-def prefilter(requirement: Requirement, entries, enabled: bool = True) -> list:
-    """Keep entries sharing a keyword token with the requirement.
+def prefilter(requirement: Requirement, entries, lattice: TypeLattice,
+              enabled: bool = True) -> list:
+    """Keep entries providing a method of the same signature shape as some
+    requirement method.
 
-    Purely an optimization: with no requirement keywords (or when disabled)
-    everything is kept.
+    Every match kind preserves shapes, so no requirement method can match a
+    method of a dropped entry: the filter drops only NO_MATCH reports and
+    never changes a verdict.  A requirement without methods (or a disabled
+    filter) keeps everything.
     """
     entries = sorted(entries, key=lambda e: e.component)
-    if not enabled or not requirement.keywords:
+    wanted = {sigmatch.shape(m, lattice) for m in requirement.iface.all_methods()}
+    if not enabled or not wanted:
         return entries
-    return [e for e in entries if e.keywords & requirement.keywords]
+    return [e for e in entries if any(sigmatch.shape(m, lattice) in wanted for m in e.methods)]
 
 
-def _match_one(requirement: Requirement, entry, lattice: TypeLattice,
+def _match_one(requirement: Requirement, entry, lattice: TypeLattice, required_dfa,
                state_limit: int) -> MatchReport:
     provided_iface = Interface(entry.interface_name, (), entry.methods)
     module_match = sigmatch.match_module(requirement.iface, provided_iface, lattice)
@@ -126,8 +111,7 @@ def _match_one(requirement: Requirement, entry, lattice: TypeLattice,
             verdict, protocol_verdict, counterexample = USE, NOT_CHECKED, None
         else:
             mapping = {q: m.provided_method for q, m in module_match.method_map.items()}
-            renamed = protocol.rename(requirement.required_protocol, mapping)
-            required_auto = protocol.compile(renamed)
+            required_auto = protocol.relabel(required_dfa(), mapping)
             result = protocol.includes(required_auto, entry.provided_automaton, state_limit)
             if result.holds:
                 verdict, protocol_verdict, counterexample = USE, HOLDS, None
@@ -159,8 +143,16 @@ def match_requirement(requirement: Requirement, index, lattice: TypeLattice, *,
     component name to index entries works).  Reports are sorted by verdict,
     then score, then component name, so identical inputs give identical output.
     """
-    candidates = prefilter(requirement, index.entries.values(), use_prefilter)
-    reports = [_match_one(requirement, entry, lattice, state_limit) for entry in candidates]
+    candidates = prefilter(requirement, index.entries.values(), lattice, use_prefilter)
+
+    @cache
+    def required_dfa() -> FiniteAutomaton:
+        # compiled at the first full signature match, then relabeled per candidate
+        return protocol.determinize(protocol.compile(requirement.required_protocol),
+                                    state_limit)
+
+    reports = [_match_one(requirement, entry, lattice, required_dfa, state_limit)
+               for entry in candidates]
     reports.sort(key=MatchReport.sort_key)
     if reports and reports[0].verdict == USE:
         recommendation = Recommendation(USE, reports[0].component)

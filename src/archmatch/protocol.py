@@ -99,21 +99,6 @@ def seq_chain(exprs: list[ProtocolExpr]) -> ProtocolExpr:
     return out
 
 
-def rename(expr: ProtocolExpr, mapping: dict[str, str]) -> ProtocolExpr:
-    """Relabel events through `mapping`; names without an entry are kept."""
-    if isinstance(expr, Ev):
-        return Ev(mapping.get(expr.name, expr.name))
-    if isinstance(expr, Seq):
-        return Seq(rename(expr.left, mapping), rename(expr.right, mapping))
-    if isinstance(expr, Alt):
-        return Alt(rename(expr.left, mapping), rename(expr.right, mapping))
-    if isinstance(expr, Shuffle):
-        return Shuffle(rename(expr.left, mapping), rename(expr.right, mapping))
-    if isinstance(expr, Star):
-        return Star(rename(expr.inner, mapping))
-    return expr
-
-
 def universal_expr(alphabet: frozenset[str] | set[str]) -> ProtocolExpr:
     """An expression for the universal language over `alphabet`.
 
@@ -167,6 +152,18 @@ class FiniteAutomaton:
             return self
         return FiniteAutomaton(self.states, widened, self.transitions, self.start,
                                self.accepting, self.deterministic)
+
+
+def relabel(a: FiniteAutomaton, mapping: dict[str, str]) -> FiniteAutomaton:
+    """Rename symbols through `mapping`; symbols without an entry are kept.
+
+    An injective relabeling of a DFA stays deterministic; otherwise the result
+    is left for determinize to merge.
+    """
+    alphabet = frozenset(mapping.get(sym, sym) for sym in a.alphabet)
+    transitions = frozenset((s, mapping.get(sym, sym), t) for s, sym, t in a.transitions)
+    return FiniteAutomaton(a.states, alphabet, transitions, a.start, a.accepting,
+                           a.deterministic and len(alphabet) == len(a.alphabet))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ content hash to detect staleness.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,11 +17,11 @@ from . import category, dsl, model, protocol
 from .category import FunctorMapping, PseudoCategory
 from .diagnostics import ERROR, Diagnostic, Span, has_errors
 from .dsl import SourceUnit, syntax
-from .matcher import Requirement, keyword_tokens
+from .matcher import Requirement
 from .model import MethodSig, Model, Param
 from .protocol import FiniteAutomaton
 
-CACHE_MAGIC = "ARCHMATCH-IDX v1"
+CACHE_MAGIC = "ARCHMATCH-IDX v2"
 
 
 class CacheError(Exception):
@@ -43,9 +44,7 @@ class IndexEntry:
     component: str
     interface_name: str
     methods: tuple[MethodSig, ...]
-    keywords: frozenset[str]
     provided_automaton: FiniteAutomaton
-    required_automaton: FiniteAutomaton | None = None
 
 
 @dataclass
@@ -199,7 +198,7 @@ def _minimal(auto: FiniteAutomaton, state_limit: int) -> FiniteAutomaton:
 
 def build_index(catalog: Catalog, m: Model,
                 state_limit: int = protocol.DEFAULT_STATE_LIMIT) -> CompiledIndex:
-    """Compile, determinize, and minimize every component's protocols.
+    """Compile, determinize, and minimize every component's provided protocol.
 
     Deterministic: entries are keyed and processed in component-name order,
     and minimized automata are canonically numbered.
@@ -208,7 +207,6 @@ def build_index(catalog: Catalog, m: Model,
     for name in sorted(m.components):
         comp = m.components[name]
         iface = comp.provided_interface
-        methods = iface.all_methods()
         provided_alphabet = iface.method_names()
         try:
             if comp.provided_protocol is None:
@@ -218,15 +216,10 @@ def build_index(catalog: Catalog, m: Model,
                 provided = _minimal(
                     protocol.compile(pub.provided.traces, alphabet=provided_alphabet),
                     state_limit)
-            required = None
-            if comp.required is not None:
-                required_alphabet = comp.required.method_names()
-                required = protocol.minimize(protocol.universal(required_alphabet))
         except protocol.ProtocolTooLarge as err:
             raise protocol.ProtocolTooLarge(
                 f"component {name!r}: {err}") from err
-        keywords = keyword_tokens(name, iface.name, *(s.name for s in methods))
-        entries[name] = IndexEntry(name, iface.name, methods, keywords, provided, required)
+        entries[name] = IndexEntry(name, iface.name, iface.all_methods(), provided)
     return CompiledIndex(entries, catalog.source_hash)
 
 
@@ -262,26 +255,32 @@ def _parse_sig(text: str) -> MethodSig:
 
 
 def save_cache(index: CompiledIndex, path: str | Path) -> None:
-    """Write the index as a versioned, human-inspectable text file."""
+    """Write the index as a versioned, human-inspectable text file.
+
+    The text goes to a temporary file in the same directory that then
+    replaces `path`, so a failed write leaves any previous cache intact.
+    """
     lines = [CACHE_MAGIC, f"hash: {index.source_hash}", f"components: {len(index.entries)}"]
     for name in sorted(index.entries):
         entry = index.entries[name]
+        auto = entry.provided_automaton
         lines.append(f"component: {entry.component}")
         lines.append(f"interface: {entry.interface_name}")
         for sig in entry.methods:
             lines.append(f"method: {_render_sig(sig)}")
-        words = " ".join(sorted(entry.keywords))
-        lines.append(f"keywords: {words}" if words else "keywords:")
-        for label, auto in (("provided", entry.provided_automaton),
-                            ("required", entry.required_automaton)):
-            if auto is None:
-                continue
-            lines.append(f"{label}-alphabet: " + " ".join(sorted(auto.alphabet)))
-            lines.append(f"{label}-dfa:")
-            lines.append(protocol.emit_dfa_text(auto).rstrip("\n"))
-            lines.append("end-dfa")
+        lines.append("provided-alphabet: " + " ".join(sorted(auto.alphabet)))
+        lines.append("provided-dfa:")
+        lines.append(protocol.emit_dfa_text(auto).rstrip("\n"))
+        lines.append("end-dfa")
         lines.append("end-component")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_cache(path: str | Path) -> CompiledIndex:
@@ -292,7 +291,7 @@ def load_cache(path: str | Path) -> CompiledIndex:
         raise CacheError(f"cannot read cache: {err}") from err
     lines = text.splitlines()
     if not lines or lines[0] != CACHE_MAGIC:
-        raise CacheError("unsupported cache version (expected ARCHMATCH-IDX v1)")
+        raise CacheError(f"unsupported cache version (expected {CACHE_MAGIC})")
 
     def take(i: int, prefix: str) -> tuple[str, int]:
         if i >= len(lines) or not lines[i].startswith(prefix):
@@ -315,31 +314,22 @@ def load_cache(path: str | Path) -> CompiledIndex:
         while i < len(lines) and lines[i].startswith("method:"):
             sig_text, i = take(i, "method:")
             methods.append(_parse_sig(sig_text))
-        words, i = take(i, "keywords:")
-        keywords = frozenset(words.split()) if words else frozenset()
-        automata: dict[str, FiniteAutomaton] = {}
-        while i < len(lines) and (lines[i].startswith("provided-alphabet:")
-                                  or lines[i].startswith("required-alphabet:")):
-            label = lines[i].split("-", 1)[0]
-            alphabet_text, i = take(i, f"{label}-alphabet:")
-            _, i = take(i, f"{label}-dfa:")
-            dfa_lines = []
-            while i < len(lines) and lines[i] != "end-dfa":
-                dfa_lines.append(lines[i])
-                i += 1
-            if i >= len(lines):
-                raise CacheError("corrupt cache: unterminated dfa block")
-            i += 1  # end-dfa
-            try:
-                automata[label] = protocol.parse_dfa_text(
-                    "\n".join(dfa_lines), alphabet=frozenset(alphabet_text.split()))
-            except ValueError as err:
-                raise CacheError(f"corrupt cache: {err}") from err
+        alphabet_text, i = take(i, "provided-alphabet:")
+        _, i = take(i, "provided-dfa:")
+        dfa_lines = []
+        while i < len(lines) and lines[i] != "end-dfa":
+            dfa_lines.append(lines[i])
+            i += 1
+        if i >= len(lines):
+            raise CacheError("corrupt cache: unterminated dfa block")
+        i += 1  # end-dfa
+        try:
+            provided = protocol.parse_dfa_text(
+                "\n".join(dfa_lines), alphabet=frozenset(alphabet_text.split()))
+        except ValueError as err:
+            raise CacheError(f"corrupt cache: {err}") from err
         _, i = take(i, "end-component")
-        if "provided" not in automata:
-            raise CacheError(f"corrupt cache: component {name!r} has no provided automaton")
-        entries[name] = IndexEntry(name, iface_name, tuple(methods), keywords,
-                                   automata["provided"], automata.get("required"))
+        entries[name] = IndexEntry(name, iface_name, tuple(methods), provided)
     return CompiledIndex(entries, hash_value)
 
 
@@ -413,4 +403,4 @@ def load_requirement(path: str | Path, catalog: Catalog, m: Model,
     required_protocol = None
     if contracts:
         required_protocol = merged.contracts[contracts[0].name].prot
-    return Requirement.from_interface(iface, required_protocol), merged, diagnostics
+    return Requirement(iface, required_protocol), merged, diagnostics

@@ -58,6 +58,12 @@ class TypeLattice:
             cursor = self.parents.get(cursor)
         return False
 
+    def root(self, name: str) -> str:
+        """The topmost supertype of `name` (`name` itself when it has none)."""
+        while (parent := self.parents.get(name)) is not None:
+            name = parent
+        return name
+
 
 @dataclass(frozen=True)
 class MethodMatch:
@@ -96,6 +102,16 @@ def _return_le(lattice: TypeLattice, sub: str | None, sup: str | None) -> bool:
     if sub is None or sup is None:
         return sub is None and sup is None
     return lattice.le(sub, sup)
+
+
+def shape(m: MethodSig, lattice: TypeLattice) -> tuple:
+    """Sorted parameter-type roots plus the return-type root (or None).
+
+    Every match kind preserves arity and the root of each type, so two methods
+    with different shapes never match.
+    """
+    ret = lattice.root(m.return_type) if m.return_type is not None else None
+    return tuple(sorted(lattice.root(t) for t in m.param_types())), ret
 
 
 def match_method(q: MethodSig, p: MethodSig, lattice: TypeLattice) -> MethodMatch | None:

@@ -135,6 +135,22 @@ def erase_expr(expr: ProtocolExpr, keep) -> ProtocolExpr:
     return expr
 
 
+def rename_expr(expr: ProtocolExpr, mapping: dict[str, str]) -> ProtocolExpr:
+    """Syntactic relabeling: events are renamed through `mapping` (kept when
+    absent), which commutes with every operator like erase_expr."""
+    if isinstance(expr, Ev):
+        return Ev(mapping.get(expr.name, expr.name))
+    if isinstance(expr, Seq):
+        return Seq(rename_expr(expr.left, mapping), rename_expr(expr.right, mapping))
+    if isinstance(expr, Alt):
+        return Alt(rename_expr(expr.left, mapping), rename_expr(expr.right, mapping))
+    if isinstance(expr, Shuffle):
+        return Shuffle(rename_expr(expr.left, mapping), rename_expr(expr.right, mapping))
+    if isinstance(expr, Star):
+        return Star(rename_expr(expr.inner, mapping))
+    return expr
+
+
 def random_expr(rng, alphabet: list[str], depth: int) -> ProtocolExpr:
     """A random protocol expression of operator depth <= `depth`."""
     if depth <= 0:

@@ -317,7 +317,7 @@ def test_criterion_8_desk_scale_performance(tmp_path):
     ok = ok and (tmp_path / "a.idx").read_bytes() == (tmp_path / "b.idx").read_bytes()
 
     target = rng.randrange(500)
-    req = Requirement.from_interface(m.interfaces[f"Ops{target}"])
+    req = Requirement(m.interfaces[f"Ops{target}"])
     lattice = TypeLattice.from_types(m.types)
     start = time.perf_counter()
     result = matcher.match_requirement(req, index, lattice)

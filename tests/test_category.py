@@ -8,6 +8,7 @@ import pytest
 
 from archmatch import category as C
 from archmatch import dsl, model
+from archmatch.diagnostics import ERROR, WARNING, Diagnostic, Span
 from archmatch.dsl import SourceUnit, syntax
 
 
@@ -173,6 +174,63 @@ def test_check_category_rejects_dangling_object():
                            C.BUSINESS_GENERATORS, C.default_table(C.BUSINESS_GENERATORS))
     diags = C.check_category(cat)
     assert any(d.severity == "error" and d.code == "unknown-object" for d in diags)
+
+
+def nested_loop_check_category(category):
+    """check_category as a scan of every morphism pair in sorted order."""
+    zero = Span(1, 1, 0, 0)
+    diagnostics = []
+    ordered = category.sorted_morphisms()
+    for m in ordered:
+        if m.kind not in category.generators:
+            diagnostics.append(Diagnostic(
+                ERROR, zero, f"morphism {m.render()} has kind outside the generator set",
+                "bad-morphism-kind"))
+        for name in (m.src, m.dst):
+            if name not in category.objects:
+                diagnostics.append(Diagnostic(
+                    ERROR, zero, f"morphism {m.render()} references unknown object {name!r}",
+                    "unknown-object"))
+    pairs = set()
+    for f in ordered:
+        for g in ordered:
+            if f.dst == g.src and (f.kind, g.kind) not in category.table:
+                if (f.kind, g.kind) not in pairs:
+                    pairs.add((f.kind, g.kind))
+                    diagnostics.append(Diagnostic(
+                        WARNING, zero,
+                        f"composition undefined for kinds ({f.kind}, {g.kind}), "
+                        f"e.g. {f.render()} then {g.render()}", "composition-undefined"))
+    return diagnostics
+
+
+def test_check_category_matches_nested_loop_on_random_categories():
+    rng = random.Random(211)
+    kinds = ["ext", "cmp", "use"]
+    for _ in range(200):
+        objects = [f"O{i}" for i in range(rng.randint(1, 8))]
+        names = objects + ["Ghost"]
+        morphisms = frozenset(
+            C.Morphism(rng.choice(names), rng.choice(names), rng.choice(kinds))
+            for _ in range(rng.randint(0, 25)))
+        table = {(s, t): rng.choice(kinds) for s in kinds for t in kinds
+                 if rng.random() < 0.5}
+        cat = C.PseudoCategory("business", "t", frozenset(objects), morphisms,
+                               C.BUSINESS_GENERATORS, table)
+        assert C.check_category(cat) == nested_loop_check_category(cat)
+
+
+def test_check_category_matches_nested_loop_on_a_120_object_chain():
+    objects = [f"O{i}" for i in range(120)]
+    steps = [(objects[i], objects[i + 1], "ext") for i in range(119)]
+    steps += [(objects[i], objects[i + 1], "cmp") for i in range(0, 119, 10)]
+    cat = C.close(make_category("business", objects, steps))
+    assert len(cat.morphisms) == 7152
+    diags = C.check_category(cat)
+    assert [d.message for d in diags] == [
+        "composition undefined for kinds (cmp, ext), e.g. O0 -cmp-> O1 then O1 -ext-> O10",
+        "composition undefined for kinds (ext, cmp), e.g. O0 -ext-> O10 then O10 -cmp-> O11"]
+    assert diags == nested_loop_check_category(cat)
 
 
 # --- check_functor ---------------------------------------------------------------

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from archmatch import matcher, repo
 from archmatch.cli import main
+from archmatch.sigmatch import TypeLattice
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -192,11 +194,31 @@ def test_match_json_counterexample(workdir):
 
 
 def test_match_no_prefilter_same_recommendation(workdir):
-    a = run("--quiet", "--catalog", str(workdir / "catalog.txt"),
-            "match", str(workdir / "manage_documents_req.adl"))
-    b = run("--quiet", "--catalog", str(workdir / "catalog.txt"),
-            "match", str(workdir / "manage_documents_req.adl"), "--no-prefilter")
-    assert a.output.splitlines()[0] == b.output.splitlines()[0]
+    catalog, m, _ = repo.load(workdir / "catalog_full.txt")
+    index = repo.build_index(catalog, m)
+    for name in ("manage_documents_req.adl", "manage_documents_view_req.adl",
+                 "manage_portfolio_req.adl"):
+        res = run("--quiet", "--catalog", str(workdir / "catalog_full.txt"),
+                  "match", str(workdir / name))
+        req, merged, _ = repo.load_requirement(workdir / name, catalog, m)
+        unfiltered = matcher.match_requirement(req, index, TypeLattice.from_types(merged.types),
+                                               use_prefilter=False)
+        assert res.output.splitlines()[0] == unfiltered.recommendation.render()
+
+
+def test_match_renamed_provider_is_used(tmp_path):
+    # method names never block a match: only the signature types line up
+    (tmp_path / "archive.adl").write_text(
+        "type String;\ntype Doc;\n"
+        "interface FileStore { fetchFile(path: String): Doc; }\n"
+        "contract FileStoreCtr implements FileStore { }\n"
+        "component Archive { provided contract FileStoreCtr }\n")
+    (tmp_path / "cat.txt").write_text("archive.adl\n")
+    (tmp_path / "req.adl").write_text(
+        "type String;\ntype Doc;\ninterface Records { getRecord(id: String): Doc; }\n")
+    res = run("--quiet", "--catalog", str(tmp_path / "cat.txt"), "match", str(tmp_path / "req.adl"))
+    assert res.exit_code == 0
+    assert res.output.splitlines()[0] == "USE Archive"
 
 
 def test_match_cold_and_warm_cache_identical(workdir):

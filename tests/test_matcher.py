@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archmatch import matcher, model, repo
 from archmatch import protocol as P
-from archmatch.matcher import Requirement, keyword_tokens
-from archmatch.protocol import Alt, Ev, Star
+from archmatch.matcher import Requirement
+from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star
 from archmatch.sigmatch import TypeLattice
+
+from oracles import rename_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -30,44 +33,31 @@ def requirement_from(name, catalog, m):
     return req, merged
 
 
-# --- keywords and prefilter -----------------------------------------------------
+# --- prefilter ----------------------------------------------------------------
 
-def test_keyword_tokens_camel_case():
-    assert keyword_tokens("ManageDocuments") == {"manage", "documents"}
-    assert keyword_tokens("viewDocument", "setPreference") == {
-        "view", "document", "set", "preference"}
-    assert keyword_tokens("HTTPServer2") == {"http", "server2"}
-
-
-def test_requirement_default_keywords_match_use_case():
-    iface = model.Interface("ManageDocuments", (), (
-        model.MethodSig("viewDocument", ()),
-        model.MethodSig("searchDocuments", ()),
-        model.MethodSig("setPreference", ())))
-    req = Requirement.from_interface(iface)
-    assert req.keywords == {"manage", "documents", "view", "document",
-                            "search", "set", "preference"}
+def test_prefilter_keeps_component_sharing_a_shape():
+    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt")
+    index = repo.build_index(catalog, m)
+    req = Requirement(model.Interface("Renamed", (), (
+        model.MethodSig("fetch", (model.Param("key", "String"),)),)))
+    kept = matcher.prefilter(req, index.entries.values(), TypeLattice.from_types(m.types))
+    # CustomerDirectory and InquiryPortal only provide String -> String methods
+    assert [e.component for e in kept] == [
+        "AccountService", "DocumentManager", "PremierAccountService"]
 
 
-def test_prefilter_keeps_component_sharing_token(repo_state):
-    _, m, index = repo_state
-    iface = m.interfaces["ManageDocument"]
-    req = Requirement.from_interface(iface)
-    kept = matcher.prefilter(req, index.entries.values())
-    assert [e.component for e in kept] == ["DocumentManager"]
-
-
-def test_prefilter_empty_keywords_keeps_all(repo_state):
+def test_prefilter_requirement_without_methods_keeps_all(repo_state):
     *_, index = repo_state
-    req = Requirement(model.Interface("X", (), ()), None, frozenset())
-    kept = matcher.prefilter(req, index.entries.values())
+    req = Requirement(model.Interface("X", (), ()))
+    kept = matcher.prefilter(req, index.entries.values(), TypeLattice({}))
     assert len(kept) == len(index.entries)
 
 
-def test_prefilter_disjoint_keywords_drop_everything(repo_state):
-    *_, index = repo_state
-    req = Requirement(model.Interface("X", (), ()), None, frozenset({"portfolio"}))
-    assert matcher.prefilter(req, index.entries.values()) == []
+def test_prefilter_disjoint_shapes_drop_everything(repo_state):
+    _, m, index = repo_state
+    req = Requirement(model.Interface("X", (), (
+        model.MethodSig("viewDocument", (model.Param("documentId", "String"),), "Document"),)))
+    assert matcher.prefilter(req, index.entries.values(), TypeLattice.from_types(m.types)) == []
 
 
 # --- match_requirement ------------------------------------------------------------
@@ -106,8 +96,7 @@ def test_match_view_requirement_adapt_with_counterexample(repo_state):
 
 def test_match_without_protocol_uses_signature_alone(repo_state):
     catalog, m, index = repo_state
-    iface = m.interfaces["ManageDocument"]
-    req = Requirement.from_interface(iface)
+    req = Requirement(m.interfaces["ManageDocument"])
     result = matcher.match_requirement(req, index, TypeLattice.from_types(m.types))
     report = result.reports[0]
     assert report.verdict == matcher.USE
@@ -115,7 +104,7 @@ def test_match_without_protocol_uses_signature_alone(repo_state):
 
 
 def test_match_empty_repository():
-    req = Requirement(model.Interface("X", (), ()), None, frozenset())
+    req = Requirement(model.Interface("X", (), ()))
     empty = repo.CompiledIndex({}, "none")
     result = matcher.match_requirement(req, empty, TypeLattice({}))
     assert result.reports == ()
@@ -129,7 +118,7 @@ def test_use_soundness_sampled_traces(repo_state):
     report = result.reports[0]
     assert report.verdict == matcher.USE
     mapping = {q: mm.provided_method for q, mm in report.module_match.method_map.items()}
-    renamed = P.rename(req.required_protocol, mapping)
+    renamed = rename_expr(req.required_protocol, mapping)
     assert P.events(renamed) <= index.entries["DocumentManager"].provided_automaton.alphabet
     provided = index.entries[report.component].provided_automaton
     for trace in P.sample_traces(P.compile(renamed), 8):
@@ -147,39 +136,93 @@ def test_match_determinism(repo_state):
         [(r.component, r.verdict, r.score, r.counterexample) for r in b.reports]
 
 
-def _synthetic_index(rng, count):
-    """A small repository of single-method components with varied names."""
+TYPES = ["T0", "T1", "T2", "T3", "T4"]
+NAMES = ["get", "put", "find", "drop", "list"]  # drawn independently of the types
+
+_METHODS = st.lists(st.builds(
+    lambda name, params, ret: model.MethodSig(
+        name, tuple(model.Param(f"p{i}", t) for i, t in enumerate(params)), ret),
+    st.sampled_from(NAMES), st.lists(st.sampled_from(TYPES), max_size=3),
+    st.none() | st.sampled_from(TYPES)), min_size=1, max_size=3, unique_by=lambda m: m.name)
+# protocols over placeholder events "0".."2", renamed onto an interface's methods
+_PROTOCOLS = st.recursive(
+    st.sampled_from("012").map(Ev) | st.just(Eps()),
+    lambda inner: st.one_of(st.builds(Seq, inner, inner), st.builds(Alt, inner, inner),
+                            st.builds(Star, inner), st.builds(Shuffle, inner, inner)),
+    max_leaves=5)
+
+
+@st.composite
+def _interfaces(draw, name, protocol_odds):
+    methods = draw(_METHODS)
+    protocol = None
+    if draw(st.sampled_from(protocol_odds)):
+        protocol = rename_expr(draw(_PROTOCOLS),
+                               {str(i): methods[i % len(methods)].name for i in range(3)})
+    return model.Interface(name, (), tuple(methods)), protocol
+
+
+@st.composite
+def _queries(draw):
+    """A random subtype forest, a catalog over it, and a requirement."""
+    lattice = TypeLattice({t: draw(st.sampled_from([None] + TYPES[:i]))
+                           for i, t in enumerate(TYPES)})
     entries = {}
-    names = ["Billing", "Ledger", "DocumentStore", "Search", "Notify", "Archive"]
-    for i in range(count):
-        base = rng.choice(names)
-        name = f"{base}Component{i}"
-        method = model.MethodSig(f"do{base}", (model.Param("x", "String"),))
-        iface_name = f"{base}Ops{i}"
-        auto = P.minimize(P.universal(frozenset({method.name})))
-        entries[name] = repo.IndexEntry(
-            name, iface_name, (method,),
-            keyword_tokens(name, iface_name, method.name), auto, None)
-    return repo.CompiledIndex(entries, "synthetic")
+    for i in range(draw(st.integers(1, 6))):
+        iface, expr = draw(_interfaces(f"Ops{i}", [False, True, True]))
+        names = iface.method_names()
+        auto = (P.universal(names) if expr is None
+                else P.determinize(P.compile(expr, alphabet=names)))
+        entries[f"C{i}"] = repo.IndexEntry(f"C{i}", iface.name, iface.methods, P.minimize(auto))
+    iface, expr = draw(_interfaces("Wanted", [False, True]))
+    return Requirement(iface, expr), repo.CompiledIndex(entries, "random"), lattice
 
 
-def test_prefilter_is_conservative():
-    rng = random.Random(77)
-    lattice = TypeLattice({"String": None})
-    for _ in range(20):
-        index = _synthetic_index(rng, rng.randint(1, 6))
-        base = rng.choice(["Billing", "Search", "Archive"])
-        iface = model.Interface(f"New{base}", (), (
-            model.MethodSig(f"do{base}", (model.Param("y", "String"),)),))
-        req = Requirement.from_interface(iface)
-        with_pf = matcher.match_requirement(req, index, lattice, use_prefilter=True)
-        without = matcher.match_requirement(req, index, lattice, use_prefilter=False)
-        interesting = {matcher.USE, matcher.ADAPT_CANDIDATE}
-        kept = {r.component for r in with_pf.reports if r.verdict in interesting}
-        full = {r.component for r in without.reports if r.verdict in interesting}
-        assert kept <= full
-        if kept:
-            assert with_pf.recommendation == without.recommendation
+def _kept_reports(result):
+    return [(r.component, r.verdict, r.score,
+             (r.module_match or r.partial).method_map, r.counterexample)
+            for r in result.reports if r.verdict != matcher.NO_MATCH]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_queries())
+def test_prefilter_is_conservative(query):
+    req, index, lattice = query
+    with_pf = matcher.match_requirement(req, index, lattice, use_prefilter=True)
+    without = matcher.match_requirement(req, index, lattice, use_prefilter=False)
+    assert with_pf.recommendation == without.recommendation
+    assert _kept_reports(with_pf) == _kept_reports(without)
+    # the relabeled requirement DFA decides inclusion like the renamed expression
+    for r in without.reports:
+        if r.module_match is not None and req.required_protocol is not None:
+            mapping = {q: m.provided_method for q, m in r.module_match.method_map.items()}
+            reference = P.includes(P.compile(rename_expr(req.required_protocol, mapping)),
+                                   index.entries[r.component].provided_automaton)
+            assert reference.counterexample == r.counterexample
+
+
+def test_requirement_protocol_compiled_at_most_once(monkeypatch):
+    calls = []
+    real_compile = P.compile
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real_compile(*args, **kwargs)
+
+    monkeypatch.setattr(P, "compile", counting)
+    methods = (model.MethodSig("a", ()), model.MethodSig("b", (model.Param("x", "T"),)))
+    auto = P.minimize(P.universal(frozenset({"a", "b"})))
+    index = repo.CompiledIndex(
+        {f"C{i}": repo.IndexEntry(f"C{i}", "Ops", methods, auto) for i in range(5)}, "h")
+    lattice = TypeLattice({"T": None, "U": None})
+    req = Requirement(model.Interface("R", (), methods), Star(Alt(Ev("a"), Ev("b"))))
+    result = matcher.match_requirement(req, index, lattice)
+    assert [r.verdict for r in result.reports] == [matcher.USE] * 5
+    assert len(calls) == 1
+    calls.clear()
+    unmatched = Requirement(model.Interface("R", (), (model.MethodSig("a", (), "U"),)), Ev("a"))
+    matcher.match_requirement(unmatched, index, lattice, use_prefilter=False)
+    assert calls == []
 
 
 # --- score -------------------------------------------------------------------------

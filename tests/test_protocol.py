@@ -9,7 +9,8 @@ import pytest
 from archmatch import protocol as P
 from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star
 
-from oracles import OracleBudgetExceeded, all_words, erase_expr, lang_upto, mem, random_expr
+from oracles import (OracleBudgetExceeded, all_words, erase_expr, lang_upto, mem, random_expr,
+                     rename_expr)
 
 # the provided protocol of the DocumentManager publication fixture, with `|`
 # read as interleaving
@@ -158,6 +159,27 @@ def test_includes_counterexample_is_sound_and_shortest():
                 if (len(cand), cand) < (len(w), w):
                     assert not (mem(req, cand) and not mem(prov, cand))
         fails += 1
+
+
+def test_relabeled_dfa_decides_like_renamed_expression():
+    rng = random.Random(31)
+    for _ in range(60):
+        req = random_expr(rng, ["a", "b", "c"], 3)
+        prov = random_expr(rng, ["x", "y", "z", "c"], 3)
+        targets = rng.sample(["x", "y", "z", "c"], 3)
+        mapping = dict(zip(["a", "b", "c"], targets))
+        relabeled = P.relabel(P.determinize(P.compile(req)), mapping)
+        assert relabeled.deterministic
+        renamed = P.compile(rename_expr(req, mapping))
+        assert P.equivalent(relabeled, renamed).holds
+        assert P.includes(relabeled, P.compile(prov)) == P.includes(renamed, P.compile(prov))
+
+
+def test_relabel_merging_symbols_is_nondeterministic():
+    dfa = P.determinize(P.compile(Alt(Seq(Ev("a"), Ev("a")), Ev("b"))))
+    merged = P.relabel(dfa, {"b": "a"})
+    assert not merged.deterministic
+    assert P.sample_traces(merged, 3) == [("a",), ("a", "a")]
 
 
 def test_includes_transitive():

@@ -100,9 +100,6 @@ def test_index_document_manager_accepts_paper_trace():
     entry = index.entries["DocumentManager"]
     assert P.accepts(entry.provided_automaton, ("searchDocuments", "setPreference"))
     assert not P.accepts(entry.provided_automaton, ("viewDocument",))
-    assert entry.required_automaton is not None
-    assert P.accepts(entry.required_automaton, ("getDocument", "getDocuments"))
-    assert "document" in entry.keywords
 
 
 def test_index_component_without_protocol_is_universal(tmp_path):
@@ -122,8 +119,6 @@ def test_index_automata_are_minimize_fixpoints():
     index = repo.build_index(catalog, m)
     for entry in index.entries.values():
         assert P.minimize(entry.provided_automaton) == entry.provided_automaton
-        if entry.required_automaton is not None:
-            assert P.minimize(entry.required_automaton) == entry.required_automaton
 
 
 def test_index_state_limit_names_component(tmp_path):
@@ -157,7 +152,7 @@ def test_cache_header_shape(tmp_path):
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "ARCHMATCH-IDX v1"
+    assert lines[0] == "ARCHMATCH-IDX v2"
     assert lines[1].startswith("hash: ")
     assert lines[2] == "components: 1"
 
@@ -191,9 +186,35 @@ def test_cache_rejects_truncation(tmp_path):
 
 def test_cache_rejects_wrong_version(tmp_path):
     path = tmp_path / "cache.idx"
-    path.write_text("ARCHMATCH-IDX v99\nhash: x\ncomponents: 0\n")
-    with pytest.raises(repo.CacheError, match="version"):
-        repo.load_cache(path)
+    for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1"):
+        path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v2"):
+            repo.load_cache(path)
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_cache_write_failure_keeps_previous_cache(tmp_path, monkeypatch, failing):
+    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt")
+    index = repo.build_index(catalog, m)
+    path = tmp_path / "cache.idx"
+    path.write_text("previous cache\n")
+
+    def half_write(self, text, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as handle:
+            handle.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    def refuse(*args):
+        raise OSError("rename refused")
+
+    if failing == "write":
+        monkeypatch.setattr(Path, "write_text", half_write)
+    else:
+        monkeypatch.setattr(repo.os, "replace", refuse)
+    with pytest.raises(OSError):
+        repo.save_cache(index, path)
+    assert path.read_text() == "previous cache\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.idx"]
 
 
 def test_cache_transparency_for_matching(tmp_path):

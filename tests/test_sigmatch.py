@@ -5,6 +5,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from archmatch import sigmatch as S
 from archmatch.model import Interface, MethodSig, Param
 
@@ -212,6 +215,37 @@ def test_module_match_agrees_with_brute_force():
             assert got is None
         else:
             assert got is not None and got.overall_kind == expected
+
+
+# --- shape ----------------------------------------------------------------------
+
+TYPES = ["T0", "T1", "T2", "T3", "T4", "T5"]
+
+
+@st.composite
+def _forest_and_methods(draw):
+    lattice = S.TypeLattice({t: draw(st.sampled_from([None] + TYPES[:i]))
+                             for i, t in enumerate(TYPES)})
+    methods = st.builds(lambda name, params, ret: sig(name, *params, ret=ret),
+                        st.sampled_from(["f", "g"]),
+                        st.lists(st.sampled_from(TYPES), max_size=3),
+                        st.none() | st.sampled_from(TYPES))
+    return lattice, draw(methods), draw(methods)
+
+
+def test_root_walks_to_the_top_of_the_chain():
+    assert [WITH_SUB.root(t) for t in ("Premium", "Account", "Party", "String", "Unknown")] \
+        == ["Party", "Party", "Party", "String", "Unknown"]
+    assert S.shape(sig("f", "Premium", "String", ret="Account"), WITH_SUB) == \
+        (("Party", "String"), "Party")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_forest_and_methods())
+def test_every_match_kind_preserves_shape(case):
+    lattice, q, p = case
+    if S.match_method(q, p, lattice) is not None:
+        assert S.shape(q, lattice) == S.shape(p, lattice)
 
 
 # --- partial_match ----------------------------------------------------------------
