@@ -2,7 +2,7 @@
 
 Exit codes: 0 for success or a positive analysis verdict, 1 for a negative
 analysis verdict (inclusion fails, no usable component, broken link), 2 for
-usage or input errors.
+usage or input errors, 3 for an internal error (reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -74,7 +74,21 @@ class Session:
         return self._loaded
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps an unexpected exception to one stderr line and exit code 3 (exit code
+    1 is a negative verdict); click's exceptions and SystemExit pass through."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as err:
+            click.echo(f"error: internal error: {type(err).__name__}: {err}", err=True)
+            sys.exit(3)
+
+
+@click.group(cls=_Group)
 @click.option("--catalog", "catalog_path", metavar="PATH",
               help="Catalog file listing the repository's ADL units.")
 @click.option("--cache", "cache_path", metavar="PATH",

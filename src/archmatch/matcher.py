@@ -184,14 +184,11 @@ def explain(report: MatchReport) -> str:
     if report.verdict == USE:
         lines.append("  signature and protocol requirements are met; "
                      "component can be plugged in")
-    elif report.verdict == ADAPT_CANDIDATE:
+    else:
         if report.partial is not None and report.partial.unmatched:
             missing = ", ".join(report.partial.unmatched)
             lines.append(f"  unmatched requirement methods: {missing}")
-        lines.append("  near match; consider adapting this component")
-    else:
-        if report.partial is not None and report.partial.unmatched:
-            first = report.partial.unmatched[0]
-            lines.append(f"  no compatible provided method for {first!r}")
-        lines.append("  not a viable provider for this requirement")
+        lines.append("  near match; consider adapting this component"
+                     if report.verdict == ADAPT_CANDIDATE
+                     else "  not a viable provider for this requirement")
     return "\n".join(lines)

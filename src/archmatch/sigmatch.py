@@ -8,11 +8,7 @@ ranking ingredient upstream).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import Interface, MethodSig, TypeDecl
 
@@ -24,8 +20,6 @@ SPECIALIZED = "specialized"
 #: match kinds, strongest first
 KINDS = (EXACT, PERMUTED, GENERALIZED, SPECIALIZED)
 _STRENGTH = {kind: len(KINDS) - i for i, kind in enumerate(KINDS)}
-
-_FORBIDDEN = 10**6  # assignment cost for an impossible pairing
 
 
 def strength(kind: str) -> int:
@@ -125,10 +119,10 @@ def match_method(q: MethodSig, p: MethodSig, lattice: TypeLattice) -> MethodMatc
         return MethodMatch(q.name, p.name, EXACT, identity)
 
     if sorted(qt) == sorted(pt) and _returns_equal(q, p):
-        # lexicographically smallest permutation of p's parameters matching q
-        for perm in itertools.permutations(range(len(pt))):
-            if tuple(pt[i] for i in perm) == qt:
-                return MethodMatch(q.name, p.name, PERMUTED, perm)
+        # each query position, in order, takes the smallest unused provider
+        # position of its type: the lexicographically smallest permutation
+        pairs = zip(sorted(identity, key=qt.__getitem__), sorted(identity, key=pt.__getitem__))
+        return MethodMatch(q.name, p.name, PERMUTED, tuple(j for _, j in sorted(pairs)))
 
     if (all(lattice.le(qi, pi) for qi, pi in zip(qt, pt))
             and _return_le(lattice, p.return_type, q.return_type)):
@@ -149,42 +143,86 @@ def _match_matrix(q_methods, p_methods, lattice):
     return [[match_method(qm, pm, lattice) for pm in p_methods] for qm in q_methods]
 
 
-def _assign(matrix, q_methods, p_methods, allowed) -> dict[str, MethodMatch] | None:
-    """Complete injective assignment over `allowed` cells, maximizing the
-    number of verbatim name matches; None when no complete assignment exists."""
-    nq, np_ = len(q_methods), len(p_methods)
-    if nq == 0:
-        return {}
-    if nq > np_:
-        return None
-    cost = np.full((nq, np_), float(_FORBIDDEN))
-    for i in range(nq):
-        for j in range(np_):
-            m = matrix[i][j]
-            if m is not None and allowed(m):
-                cost[i, j] = 0.0 if m.names_equal() else 1.0
-    rows, cols = linear_sum_assignment(cost)
-    if cost[rows, cols].sum() >= _FORBIDDEN:
-        return None
-    return {q_methods[i].name: matrix[i][j] for i, j in zip(rows, cols)}
+def _hungarian(cost: list[list[int]]) -> list[int]:
+    """Minimum-cost assignment of every row of an integer matrix with no more
+    rows than columns, by shortest augmenting paths with potentials (Crouse,
+    IEEE TAES 2016); columns are scanned last first and, among equal
+    distances, a free column wins. Returns the column of each row."""
+    nr, nc = len(cost), len(cost[0]) if cost else 0
+    u, v = [0] * nr, [0] * nc
+    col_of, row_of = [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        dist, path = [float("inf")] * nc, [-1] * nc
+        remaining, rows, cols = list(range(nc - 1, -1, -1)), [], []
+        i, low, sink = cur, 0, -1
+        while sink < 0:
+            rows.append(i)
+            index, lowest, row, base = -1, float("inf"), cost[i], low - u[i]
+            for k, j in enumerate(remaining):
+                reduced = base + row[j] - v[j]
+                if reduced < dist[j]:
+                    dist[j], path[j] = reduced, i
+                if dist[j] < lowest or (dist[j] == lowest and row_of[j] < 0):
+                    index, lowest = k, dist[j]
+            low, j = lowest, remaining[index]
+            if row_of[j] < 0:
+                sink = j
+            else:
+                i = row_of[j]
+            cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        for i in rows:
+            u[i] += low - (dist[col_of[i]] if i != cur else 0)
+        for j in cols:
+            v[j] -= low - dist[j]
+        j = sink
+        while True:  # flip the augmenting path back to row `cur`
+            i = path[j]
+            row_of[j], col_of[i], j = i, j, col_of[i]
+            if i == cur:
+                break
+    return col_of
+
+
+def _assign(matrix, level: str) -> dict[str, MethodMatch]:
+    """Injective partial assignment over the cells of a query x provided match
+    matrix whose kind is `level` or stronger, maximizing the number of matched
+    query methods, then the number of verbatim name matches."""
+    floor = strength(level)
+    cells = [[m if m is not None and strength(m.kind) >= floor else None for m in row]
+             for row in matrix]
+    # one more matched method (nq + 1) outweighs every name match (at most nq)
+    bonus = len(cells) + 1
+    cost = [[0 if m is None else -bonus - m.names_equal() for m in row] for row in cells]
+    if len(cells) <= len(cells[0] if cells else ()):
+        pairs = enumerate(_hungarian(cost))
+    else:  # more query than provided methods: assign each provided method
+        pairs = ((i, j) for j, i in enumerate(_hungarian([list(c) for c in zip(*cost)])))
+    chosen = (cells[i][j] for i, j in pairs)
+    return {m.query_method: m for m in chosen if m is not None}
 
 
 def match_module(q: Interface, p: Interface, lattice: TypeLattice) -> ModuleMatch | None:
     """Map every query method injectively onto a provided method.
 
-    The strongest achievable weakest-link kind wins: an all-exact assignment
-    is sought first, then assignments allowing progressively weaker kinds.
-    The provided interface may have extra methods.
+    The strongest achievable weakest-link kind wins: the assignment over the
+    matches of that kind or stronger. The provided interface may have extra
+    methods.
     """
     q_methods = q.all_methods()
-    p_methods = p.all_methods()
-    matrix = _match_matrix(q_methods, p_methods, lattice)
-    for level in KINDS:
-        chosen = _assign(matrix, q_methods, p_methods,
-                         lambda m: strength(m.kind) >= strength(level))
-        if chosen is not None:
-            return ModuleMatch(chosen, weakest(m.kind for m in chosen.values()))
-    return None
+    matrix = _match_matrix(q_methods, p.all_methods(), lattice)
+    kinds = {m.kind for row in matrix for m in row if m is not None}
+    found = None if q_methods else {}
+    # weakest level first: coverage can only drop as the level rises, so the
+    # first level that leaves a query method unmatched ends the search; a kind
+    # no cell has would repeat the cells of the next stronger level
+    for level in (kind for kind in reversed(KINDS) if kind in kinds):
+        chosen = _assign(matrix, level)
+        if len(chosen) < len(q_methods):
+            break
+        found = chosen
+    return None if found is None else ModuleMatch(found, weakest(m.kind for m in found.values()))
 
 
 @dataclass(frozen=True)
@@ -206,22 +244,6 @@ def partial_match(q: Interface, p: Interface, lattice: TypeLattice) -> PartialMa
     """Injective assignment maximizing the number of matched query methods,
     then verbatim name matches."""
     q_methods = q.all_methods()
-    p_methods = p.all_methods()
-    if not q_methods or not p_methods:
-        return PartialMatch({}, tuple(m.name for m in q_methods))
-    matrix = _match_matrix(q_methods, p_methods, lattice)
-    # minimizing -(2 + name bonus) maximizes coverage first, then name matches
-    cost = np.zeros((len(q_methods), len(p_methods)))
-    for i in range(len(q_methods)):
-        for j in range(len(p_methods)):
-            m = matrix[i][j]
-            if m is not None:
-                cost[i, j] = -(2.0 + (1.0 if m.names_equal() else 0.0))
-    if len(q_methods) <= len(p_methods):
-        rows, cols = linear_sum_assignment(cost)
-    else:
-        cols, rows = linear_sum_assignment(cost.T)
-    chosen = {q_methods[i].name: matrix[i][j] for i, j in zip(rows, cols)
-              if matrix[i][j] is not None}
+    chosen = _assign(_match_matrix(q_methods, p.all_methods(), lattice), SPECIALIZED)
     unmatched = tuple(m.name for m in q_methods if m.name not in chosen)
     return PartialMatch(chosen, unmatched)

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,6 +140,15 @@ def test_protocol_component_and_publication(workdir):
 def test_protocol_unknown_name(workdir):
     res = run("--catalog", str(workdir / "catalog.txt"), "protocol", "Ghost")
     assert res.exit_code == 2
+
+
+def test_internal_error_is_one_line_and_exit_three():
+    # the recursive-descent parser overflows the stack on 300 nested parentheses
+    res = runner.invoke(main, ["protocol", "(" * 300 + "?a" + ")" * 300])
+    assert res.exit_code == 3
+    assert "Traceback" not in res.output
+    [line] = res.output.splitlines()
+    assert line.startswith("error: internal error: RecursionError: ")
 
 
 # --- match ------------------------------------------------------------------------
@@ -313,3 +325,15 @@ def test_commands_are_byte_deterministic(workdir):
         second = run(*args)
         assert first.output == second.output
         assert first.exit_code == second.exit_code
+
+
+# --- dependencies ------------------------------------------------------------------
+
+def test_cli_imports_neither_numpy_nor_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, archmatch.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

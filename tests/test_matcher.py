@@ -270,4 +270,22 @@ def test_explain_no_match_lists_first_unmatched(repo_state):
     req, merged = requirement_from("manage_portfolio_req.adl", catalog, m)
     result = matcher.match_requirement(req, index, TypeLattice.from_types(merged.types))
     text = matcher.explain(result.reports[0])
-    assert "no compatible provided method for" in text
+    assert "  unmatched requirement methods: addAccount, deleteAccount, transferAccount" \
+        in text.splitlines()
+    assert text.endswith("not a viable provider for this requirement")
+
+
+def test_explain_no_match_does_not_deny_a_compatible_method():
+    # viewDocument and searchDocuments both match listTransactions exactly; the
+    # partial assignment gives it to one of them, a different one per component
+    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt")
+    index = repo.build_index(catalog, m)
+    req, merged = requirement_from("manage_documents_req.adl", catalog, m)
+    result = matcher.match_requirement(req, index, TypeLattice.from_types(merged.types))
+    reports = {r.component: r for r in result.reports}
+    for name, unmatched in (("AccountService", "viewDocument, setPreference"),
+                            ("PremierAccountService", "searchDocuments, setPreference")):
+        assert reports[name].verdict == matcher.NO_MATCH
+        text = matcher.explain(reports[name])
+        assert "no compatible" not in text
+        assert f"  unmatched requirement methods: {unmatched}" in text.splitlines()

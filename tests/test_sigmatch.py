@@ -67,6 +67,32 @@ def test_generalized_match_via_declared_subtype():
             assert got is None
 
 
+def _first_permutation(qt, pt):
+    """Reference: the lexicographically first permutation of p's parameters
+    that lists q's parameter types."""
+    for perm in itertools.permutations(range(len(pt))):
+        if tuple(pt[i] for i in perm) == qt:
+            return perm
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["String", "Account", "Party"]), max_size=6).flatmap(
+    lambda qt: st.tuples(st.just(tuple(qt)), st.permutations(qt).map(tuple))))
+def test_permuted_match_is_the_first_permutation(types):
+    qt, pt = types
+    m = S.match_method(sig("f", *qt), sig("g", *pt), FLAT)
+    assert m.kind == (S.EXACT if qt == pt else S.PERMUTED)
+    assert m.param_permutation == _first_permutation(qt, pt)
+
+
+def test_permuted_match_on_twelve_reversed_parameters():
+    qt = ("String", "Account", "Party") * 4
+    m = S.match_method(sig("f", *qt), sig("g", *reversed(qt)), FLAT)
+    assert m.kind == S.PERMUTED
+    assert m.param_permutation == (2, 1, 0, 5, 4, 3, 8, 7, 6, 11, 10, 9)
+
+
 def test_return_types_are_unit_when_absent():
     assert S.match_method(sig("f"), sig("g"), FLAT).kind == S.EXACT
     assert S.match_method(sig("f"), sig("g", ret="String"), FLAT) is None
@@ -269,3 +295,61 @@ def test_partial_match_more_queries_than_providers():
     res = S.partial_match(q, p, FLAT)
     assert len(res.method_map) == 1
     assert set(res.unmatched) <= {"a", "b", "c"}
+
+
+def test_partial_match_puts_coverage_before_names():
+    # two name-equal matches (c->c, b->b) must not beat three plain ones
+    lattice = S.TypeLattice({"T0": None, "T1": "T0", "T2": "T0", "T3": "T2", "T4": "T0"})
+    q = iface("Q", sig("a", "T1"), sig("c", "T0"), sig("b", "T2"))
+    p = iface("P", sig("b", "T0"), sig("c", "T2"), sig("a", "T4"))
+    res = S.partial_match(q, p, lattice)
+    assert res.coverage() == 1.0
+    assert {k: m.provided_method for k, m in res.method_map.items()} == \
+        {"a": "b", "c": "a", "b": "c"}
+
+
+def _best_partial(q_methods, p_methods, lattice):
+    """Brute force: the maximal (matched count, verbatim-name count) over all
+    injective partial assignments."""
+    matrix = [[S.match_method(qm, pm, lattice) for pm in p_methods] for qm in q_methods]
+
+    def best(i, used):
+        if i == len(q_methods):
+            return (0, 0)
+        options = [best(i + 1, used)]
+        for j, m in enumerate(matrix[i]):
+            if j not in used and m is not None:
+                count, names = best(i + 1, used | {j})
+                options.append((count + 1, names + m.names_equal()))
+        return max(options)
+    return best(0, frozenset())
+
+
+@st.composite
+def _forest_and_interfaces(draw):
+    lattice = S.TypeLattice({t: draw(st.sampled_from([None] + TYPES[:i]))
+                             for i, t in enumerate(TYPES)})
+
+    def interface(tag):
+        names = draw(st.lists(st.sampled_from("abcdef"), max_size=5, unique=True))
+        return iface(tag, *(sig(name, *draw(st.lists(st.sampled_from(TYPES[:4]), max_size=2)),
+                                ret=draw(st.none() | st.sampled_from(TYPES[:4])))
+                            for name in names))
+    return lattice, interface("Q"), interface("P")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_forest_and_interfaces())
+def test_partial_match_agrees_with_brute_force(case):
+    lattice, q, p = case
+    res = S.partial_match(q, p, lattice)
+    q_by_name = {m.name: m for m in q.all_methods()}
+    p_by_name = {m.name: m for m in p.all_methods()}
+    names = sum(m.names_equal() for m in res.method_map.values())
+    assert (len(res.method_map), names) == _best_partial(q.all_methods(), p.all_methods(),
+                                                         lattice)
+    for name, m in res.method_map.items():
+        assert m == S.match_method(q_by_name[name], p_by_name[m.provided_method], lattice)
+    provided = [m.provided_method for m in res.method_map.values()]
+    assert len(provided) == len(set(provided))
+    assert res.unmatched == tuple(n for n in q_by_name if n not in res.method_map)
