@@ -236,9 +236,12 @@ def match(session: Session, requirement: str, output_format: str) -> None:
     _print_diagnostics(diagnostics, session.base_dir, session.quiet)
     if req is None:
         sys.exit(2)
-    index, origin = repo.load_index(catalog, model_, session.cache_path,
-                                    state_limit=session.state_limit)
-    session.note(f"index: {origin} ({len(index.entries)} component(s))")
+    index, origin, reason = repo.load_index(catalog, model_, session.cache_path,
+                                            state_limit=session.state_limit)
+    note = f"index: {origin} ({len(index.entries)} component(s)"
+    if reason is not None:  # a CacheError message names the cache itself
+        note += f"; cache {reason}" if reason in ("missing", "stale") else f"; {reason}"
+    session.note(note + ")")
     lattice = TypeLattice.from_types(merged.types)
     try:
         result = matcher.match_requirement(req, index, lattice,

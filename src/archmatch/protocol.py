@@ -89,16 +89,6 @@ def alt_chain(exprs: list[ProtocolExpr]) -> ProtocolExpr:
     return out
 
 
-def seq_chain(exprs: list[ProtocolExpr]) -> ProtocolExpr:
-    """Right-associated sequence of `exprs` (Eps for an empty list)."""
-    if not exprs:
-        return Eps()
-    out = exprs[-1]
-    for e in reversed(exprs[:-1]):
-        out = Seq(e, out)
-    return out
-
-
 def universal_expr(alphabet: frozenset[str] | set[str]) -> ProtocolExpr:
     """An expression for the universal language over `alphabet`.
 
@@ -144,14 +134,6 @@ class FiniteAutomaton:
                 if (s, sym) in seen:
                     raise ValueError(f"deterministic automaton has two transitions on ({s}, {sym})")
                 seen.add((s, sym))
-
-    def with_alphabet(self, extra: frozenset[str] | set[str]) -> "FiniteAutomaton":
-        """The same automaton with a widened alphabet."""
-        widened = self.alphabet | frozenset(extra)
-        if widened == self.alphabet:
-            return self
-        return FiniteAutomaton(self.states, widened, self.transitions, self.start,
-                               self.accepting, self.deterministic)
 
 
 def relabel(a: FiniteAutomaton, mapping: dict[str, str]) -> FiniteAutomaton:
@@ -536,36 +518,3 @@ def emit_dfa_text(a: FiniteAutomaton) -> str:
     for s, sym, t in sorted(d.transitions):
         lines.append(f"{s} {sym} {t}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dfa_text(text: str, alphabet: frozenset[str] | set[str] | None = None) -> FiniteAutomaton:
-    """Inverse of emit_dfa_text.  Raises ValueError on malformed input."""
-    start: int | None = None
-    accepting: set[int] = set()
-    transitions: set[tuple[int, str | None, int]] = set()
-    states: set[int] = set()
-    symbols: set[str] = set()
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("start:"):
-            start = int(line[len("start:"):].strip())
-            states.add(start)
-        elif line.startswith("accept:"):
-            accepting = {int(p) for p in line[len("accept:"):].split()}
-            states |= accepting
-        else:
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"malformed DFA line: {line!r}")
-            s, sym, t = int(parts[0]), parts[1], int(parts[2])
-            transitions.add((s, sym, t))
-            states |= {s, t}
-            symbols.add(sym)
-    if start is None:
-        raise ValueError("missing start line in DFA text")
-    alpha = frozenset(alphabet) if alphabet is not None else frozenset(symbols)
-    return FiniteAutomaton(frozenset(states), alpha | frozenset(symbols),
-                           frozenset(transitions), start, frozenset(accepting),
-                           deterministic=True)

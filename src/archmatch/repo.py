@@ -3,12 +3,14 @@ protocol index, and its cache file.
 
 Compiling every component's protocols is the one-time cost paid when the
 architecture changes; the cache file makes it pay once per change, with a
-content hash to detect staleness.
+content hash to detect staleness. The cache file is a magic line, then one
+sorted-key JSON document.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,7 +23,10 @@ from .matcher import Requirement
 from .model import MethodSig, Model, Param
 from .protocol import FiniteAutomaton
 
-CACHE_MAGIC = "ARCHMATCH-IDX v2"
+# The first line of a cache file. Bump it whenever build_index could give
+# different output for the same source (for example after a change to compile,
+# determinize or minimize), so that older caches are rejected and rebuilt.
+CACHE_MAGIC = "ARCHMATCH-IDX v3"
 
 
 class CacheError(Exception):
@@ -225,112 +230,82 @@ def build_index(catalog: Catalog, m: Model,
 
 # --- cache persistence ----------------------------------------------------------
 
-def _render_sig(sig: MethodSig) -> str:
-    params = ",".join(f"{p.name}:{p.type}" for p in sig.params)
-    ret = f":{sig.return_type}" if sig.return_type else ""
-    return f"{sig.name}({params}){ret}"
-
-
-def _parse_sig(text: str) -> MethodSig:
-    open_i = text.find("(")
-    close_i = text.rfind(")")
-    if open_i < 0 or close_i < open_i:
-        raise CacheError(f"corrupt cache: bad method signature {text!r}")
-    name = text[:open_i]
-    params = []
-    body = text[open_i + 1:close_i]
-    if body:
-        for part in body.split(","):
-            pname, _, ptype = part.partition(":")
-            if not pname or not ptype:
-                raise CacheError(f"corrupt cache: bad parameter {part!r}")
-            params.append(Param(pname, ptype))
-    rest = text[close_i + 1:]
-    return_type = None
-    if rest:
-        if not rest.startswith(":"):
-            raise CacheError(f"corrupt cache: bad return type {rest!r}")
-        return_type = rest[1:]
-    return MethodSig(name, tuple(params), return_type)
+def _entry_json(entry: IndexEntry) -> dict:
+    auto = entry.provided_automaton  # minimized, so its states are 0..n-1
+    return {
+        "interface": entry.interface_name,
+        "methods": [[sig.name, [[p.name, p.type] for p in sig.params], sig.return_type]
+                    for sig in entry.methods],
+        "dfa": {"alphabet": sorted(auto.alphabet), "states": len(auto.states),
+                "start": auto.start, "accept": sorted(auto.accepting),
+                "transitions": [list(t) for t in sorted(auto.transitions)]},
+    }
 
 
 def save_cache(index: CompiledIndex, path: str | Path) -> None:
-    """Write the index as a versioned, human-inspectable text file.
-
-    The text goes to a temporary file in the same directory that then
-    replaces `path`, so a failed write leaves any previous cache intact.
-    """
-    lines = [CACHE_MAGIC, f"hash: {index.source_hash}", f"components: {len(index.entries)}"]
-    for name in sorted(index.entries):
-        entry = index.entries[name]
-        auto = entry.provided_automaton
-        lines.append(f"component: {entry.component}")
-        lines.append(f"interface: {entry.interface_name}")
-        for sig in entry.methods:
-            lines.append(f"method: {_render_sig(sig)}")
-        lines.append("provided-alphabet: " + " ".join(sorted(auto.alphabet)))
-        lines.append("provided-dfa:")
-        lines.append(protocol.emit_dfa_text(auto).rstrip("\n"))
-        lines.append("end-dfa")
-        lines.append("end-component")
+    """Write the index to a temporary file in the same directory that then
+    replaces `path`, so a failed write leaves any previous cache intact."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    # json.dumps's text, an entry at a time: the encoder keeps every piece until it joins them
+    components = ",".join(f"{encode(name)}:{encode(_entry_json(index.entries[name]))}"
+                          for name in sorted(index.entries))
+    text = f'{CACHE_MAGIC}\n{{"components":{{{components}}},"hash":{encode(index.source_hash)}}}\n'
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def load_cache(path: str | Path) -> CompiledIndex:
-    """Read a cache file back; raises CacheError on any defect."""
+def _int(value) -> int:
+    if type(value) is not int:  # == would take a JSON true or 1.0 for 1
+        raise TypeError(f"expected an integer, got {type(value).__name__}")
+    return value
+
+
+def _entry_from_json(name: str, comp: dict) -> IndexEntry:
+    dfa = comp["dfa"]
+    transitions = frozenset((_int(s), str(sym), _int(t)) for s, sym, t in dfa["transitions"])
+    count = _int(dfa["states"])
+    if count > len(transitions) + 1:  # a minimized DFA reaches every state
+        raise ValueError(f"{count} states but {len(transitions)} transitions")
+    auto = FiniteAutomaton(frozenset(range(count)), frozenset(map(str, dfa["alphabet"])),
+                           transitions, _int(dfa["start"]), frozenset(map(_int, dfa["accept"])),
+                           deterministic=True)
+    methods = tuple(MethodSig(str(method), tuple(Param(str(p), str(t)) for p, t in params),
+                              None if ret is None else str(ret))
+                    for method, params, ret in comp["methods"])
+    entry = IndexEntry(name, str(comp["interface"]), methods, auto)
+    # str() leaves a value of another type unequal, as are extra or reordered items
+    if _entry_json(entry) != comp:
+        raise ValueError(f"component {name!r} differs from what this version writes")
+    return entry
+
+
+def load_cache(path: str | Path, source_hash: str | None = None) -> CompiledIndex:
+    """Read a cache file; CacheError on any defect, or "stale" if given another source_hash."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise CacheError(f"cannot read cache: {err}") from err
-    lines = text.splitlines()
-    if not lines or lines[0] != CACHE_MAGIC:
+    magic, _, body = text.partition("\n")
+    if magic != CACHE_MAGIC:
         raise CacheError(f"unsupported cache version (expected {CACHE_MAGIC})")
-
-    def take(i: int, prefix: str) -> tuple[str, int]:
-        if i >= len(lines) or not lines[i].startswith(prefix):
-            found = lines[i] if i < len(lines) else "end of file"
-            raise CacheError(f"corrupt cache: expected {prefix!r}, found {found!r}")
-        return lines[i][len(prefix):].strip(), i + 1
-
-    hash_value, i = take(1, "hash:")
-    count_text, i = take(i, "components:")
+    if not body.endswith("\n"):  # save_cache ends the file with a newline
+        raise CacheError("corrupt cache: truncated")
     try:
-        count = int(count_text)
-    except ValueError as err:
-        raise CacheError(f"corrupt cache: bad component count {count_text!r}") from err
-
-    entries: dict[str, IndexEntry] = {}
-    for _ in range(count):
-        name, i = take(i, "component:")
-        iface_name, i = take(i, "interface:")
-        methods = []
-        while i < len(lines) and lines[i].startswith("method:"):
-            sig_text, i = take(i, "method:")
-            methods.append(_parse_sig(sig_text))
-        alphabet_text, i = take(i, "provided-alphabet:")
-        _, i = take(i, "provided-dfa:")
-        dfa_lines = []
-        while i < len(lines) and lines[i] != "end-dfa":
-            dfa_lines.append(lines[i])
-            i += 1
-        if i >= len(lines):
-            raise CacheError("corrupt cache: unterminated dfa block")
-        i += 1  # end-dfa
-        try:
-            provided = protocol.parse_dfa_text(
-                "\n".join(dfa_lines), alphabet=frozenset(alphabet_text.split()))
-        except ValueError as err:
-            raise CacheError(f"corrupt cache: {err}") from err
-        _, i = take(i, "end-component")
-        entries[name] = IndexEntry(name, iface_name, tuple(methods), provided)
-    return CompiledIndex(entries, hash_value)
+        doc = json.loads(body)
+        if type(doc["hash"]) is not str:
+            raise TypeError("the hash is not a string")
+        if source_hash is not None and doc["hash"] != source_hash:
+            raise CacheError("stale")
+        return CompiledIndex({name: _entry_from_json(name, comp)
+                              for name, comp in doc["components"].items()}, doc["hash"])
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as err:
+        raise CacheError(f"corrupt cache: {type(err).__name__}: {err}") from err
 
 
 def default_cache_path(catalog_path: str | Path) -> Path:
@@ -338,27 +313,20 @@ def default_cache_path(catalog_path: str | Path) -> Path:
 
 
 def load_index(catalog: Catalog, m: Model, cache_path: str | Path | None = None,
-               use_cache: bool = True,
                state_limit: int = protocol.DEFAULT_STATE_LIMIT,
-               ) -> tuple[CompiledIndex, str]:
-    """The index for a loaded catalog, from cache when fresh.
-
-    Returns (index, origin) with origin "cache" or "built".  A missing,
-    corrupt, version-mismatched, or stale cache is silently rebuilt and the
-    cache file refreshed.
-    """
+               ) -> tuple[CompiledIndex, str, str | None]:
+    """(index, origin, reason) for a loaded catalog: "cache" and None from a fresh cache,
+    else "built" and why the cache was rebuilt: "missing", "stale" or the CacheError message."""
     path = default_cache_path(catalog.path) if cache_path is None else Path(cache_path)
-    if use_cache and path.is_file():
+    reason = "missing"
+    if path.is_file():
         try:
-            cached = load_cache(path)
-            if cached.source_hash == catalog.source_hash:
-                return cached, "cache"
-        except CacheError:
-            pass
+            return load_cache(path, catalog.source_hash), "cache", None
+        except CacheError as err:
+            reason = str(err)
     index = build_index(catalog, m, state_limit)
-    if use_cache:
-        save_cache(index, path)
-    return index, "built"
+    save_cache(index, path)
+    return index, "built", reason
 
 
 # --- requirement loading ---------------------------------------------------------

@@ -15,6 +15,7 @@ from click.testing import CliRunner
 from archmatch import matcher, repo
 from archmatch.cli import main
 from archmatch.sigmatch import TypeLattice
+from broken_caches import DEFECTS, V2_CACHE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -241,6 +242,45 @@ def test_match_cold_and_warm_cache_identical(workdir):
     warm = run(*args)
     assert cold.output == warm.output
     assert cold.exit_code == warm.exit_code
+
+
+def test_match_note_says_why_the_index_was_rebuilt(workdir):
+    cache = workdir / "catalog.txt.idx"
+    args = ["--catalog", str(workdir / "catalog.txt"),
+            "match", str(workdir / "manage_documents_req.adl")]
+
+    def note():
+        return [line for line in run(*args).stderr.splitlines() if line.startswith("index: ")]
+
+    assert note() == ["index: built (1 component(s); cache missing)"]
+    assert note() == ["index: cache (1 component(s))"]
+    shutil.copy(V2_CACHE, cache)
+    assert note() == ["index: built (1 component(s); "
+                      "unsupported cache version (expected ARCHMATCH-IDX v3))"]
+    cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
+    assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
+    unit = workdir / "document_manager.adl"
+    unit.write_text(unit.read_text() + "\n// touched\n")
+    assert note() == ["index: built (1 component(s); cache stale)"]
+
+
+def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
+    cache = workdir / "catalog_full.txt.idx"
+    match_args = ["--catalog", str(workdir / "catalog_full.txt"),
+                  "match", str(workdir / "manage_documents_req.adl")]
+    clean = run(*match_args)
+    text = cache.read_text()
+    broken = {f"truncated to {n}": text[:n] for n in (0, 10, 17, len(text) // 2, len(text) - 1)}
+    broken.update((name, defect(text)) for name, defect in DEFECTS.items())
+    for name, body in broken.items():
+        cache.write_text(body)
+        inspect = run("--catalog", str(workdir / "catalog_full.txt"), "index", "inspect")
+        assert inspect.exit_code == 2, name
+        assert inspect.stdout == "" and len(inspect.stderr.splitlines()) == 1, name
+        res = run(*match_args)
+        assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code), name
+        assert "index: built " in res.stderr, name
+        assert cache.read_text() == text, name
 
 
 # --- link -------------------------------------------------------------------------

@@ -319,29 +319,11 @@ def test_dfa_membership_agrees_with_oracle():
 
 # --- textual DFA format ------------------------------------------------------
 
-def test_dfa_text_round_trip():
-    rng = random.Random(59)
-    for _ in range(25):
-        e = random_expr(rng, ["a", "b"], 3)
-        m = dfa(e)
-        text = P.emit_dfa_text(m)
-        back = P.parse_dfa_text(text, alphabet=m.alphabet)
-        assert P.equivalent(m, back).holds
-        assert P.emit_dfa_text(back) == text
-
-
 def test_dfa_text_shape():
     text = P.emit_dfa_text(dfa(Seq(Ev("a"), Ev("b"))))
     assert text.splitlines()[0] == "start: 0"
     assert text.splitlines()[1] == "accept: 2"
     assert "0 a 1" in text
-
-
-def test_parse_dfa_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        P.parse_dfa_text("start: 0\n0 a\n")
-    with pytest.raises(ValueError):
-        P.parse_dfa_text("accept: 1\n")
 
 
 # --- universal --------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import shutil
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from archmatch import matcher, repo
 from archmatch import protocol as P
 from archmatch.sigmatch import TypeLattice
+from broken_caches import DEFECTS, V2_CACHE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -151,45 +153,116 @@ def test_cache_header_shape(tmp_path):
     index = repo.build_index(catalog, m)
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "ARCHMATCH-IDX v2"
-    assert lines[1].startswith("hash: ")
-    assert lines[2] == "components: 1"
+    lines = path.read_text().split("\n")
+    assert lines[0] == "ARCHMATCH-IDX v3"
+    assert lines[2:] == [""]
+    doc = json.loads(lines[1])
+    assert lines[1] == json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert doc["hash"] == catalog.source_hash
+    entry = doc["components"]["DocumentManager"]
+    assert entry["interface"] == "ManageDocument"
+    assert entry["methods"][2] == ["setPreference", [["documentType", "String"],
+                                                     ["preference", "String"]], None]
+    assert sorted(entry["dfa"]) == ["accept", "alphabet", "start", "states", "transitions"]
+    assert entry["dfa"]["transitions"] == sorted(entry["dfa"]["transitions"])
 
 
 def test_cache_stale_detection(tmp_path):
     catalog_path = copy_fixtures(tmp_path)
     catalog, m, _ = repo.load(catalog_path)
-    index, origin = repo.load_index(catalog, m)
+    index, origin, _ = repo.load_index(catalog, m)
     assert origin == "built"
-    index2, origin2 = repo.load_index(catalog, m)
-    assert origin2 == "cache"
+    index2, origin2, reason2 = repo.load_index(catalog, m)
+    assert (origin2, reason2) == ("cache", None)
     assert index2.entries == index.entries
     # editing a source unit invalidates the cache
     unit = tmp_path / "document_manager.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
     catalog3, m3, _ = repo.load(catalog_path)
-    index3, origin3 = repo.load_index(catalog3, m3)
+    index3, origin3, _ = repo.load_index(catalog3, m3)
     assert origin3 == "built"
 
 
-def test_cache_rejects_truncation(tmp_path):
+def test_cache_of_another_hash_is_stale(tmp_path):
     catalog, m, _ = repo.load(FIXTURES / "catalog.txt")
     index = repo.build_index(catalog, m)
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
-    text = path.read_text()
-    path.write_text(text[: len(text) // 2])
-    with pytest.raises(repo.CacheError, match="corrupt|unterminated"):
+    assert repo.load_cache(path, index.source_hash).entries == index.entries
+    with pytest.raises(repo.CacheError, match="^stale$"):
+        repo.load_cache(path, "another hash")
+
+
+def _full_cache_text(tmp_path) -> str:
+    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt")
+    path = tmp_path / "clean.idx"
+    repo.save_cache(repo.build_index(catalog, m), path)
+    return path.read_text()
+
+
+def test_cache_rejects_truncation(tmp_path):
+    text = _full_cache_text(tmp_path)
+    path = tmp_path / "cache.idx"
+    for length in range(len(text)):
+        # a cut ending in a newline reaches the JSON decoder too
+        for cut in {text[:length], text[:length] + "\n"} - {text}:
+            path.write_text(cut)
+            with pytest.raises(repo.CacheError):
+                repo.load_cache(path)
+
+
+@pytest.mark.parametrize("defect", list(DEFECTS))
+def test_cache_rejects_defect(tmp_path, defect):
+    path = tmp_path / "cache.idx"
+    path.write_text(DEFECTS[defect](_full_cache_text(tmp_path)))
+    with pytest.raises(repo.CacheError, match="^(corrupt cache: |unsupported cache version)"):
         repo.load_cache(path)
 
 
 def test_cache_rejects_wrong_version(tmp_path):
     path = tmp_path / "cache.idx"
-    for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1"):
+    for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v2"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v3"):
             repo.load_cache(path)
+
+
+def _load_index_reason(tmp_path, setup) -> tuple[str, str | None]:
+    catalog_path = copy_fixtures(tmp_path)
+    catalog, m, _ = repo.load(catalog_path)
+    cache = repo.default_cache_path(catalog_path)
+    setup(cache, catalog, m)
+    _, origin, reason = repo.load_index(catalog, m)
+    assert repo.load_cache(cache).source_hash == catalog.source_hash  # refreshed
+    return origin, reason
+
+
+def test_load_index_reason_missing(tmp_path):
+    assert _load_index_reason(tmp_path, lambda *_: None) == ("built", "missing")
+
+
+def test_load_index_reason_stale(tmp_path):
+    def setup(cache, catalog, m):
+        repo.save_cache(repo.CompiledIndex(repo.build_index(catalog, m).entries, "old"), cache)
+    assert _load_index_reason(tmp_path, setup) == ("built", "stale")
+
+
+def test_load_index_reason_corrupt(tmp_path):
+    origin, reason = _load_index_reason(
+        tmp_path, lambda cache, *_: cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n"))
+    assert (origin, reason) == ("built", "corrupt cache: KeyError: 'hash'")
+
+
+def test_load_index_reason_other_version(tmp_path):
+    origin, reason = _load_index_reason(
+        tmp_path, lambda cache, *_: shutil.copy(V2_CACHE, cache))
+    assert (origin, reason) == ("built", "unsupported cache version (expected ARCHMATCH-IDX v3)")
+
+
+def test_load_index_reason_unreadable(tmp_path):
+    origin, reason = _load_index_reason(
+        tmp_path, lambda cache, *_: cache.write_bytes(b"ARCHMATCH-IDX v3\n\xff\n"))
+    assert origin == "built" and reason.startswith("cannot read cache: ")
 
 
 @pytest.mark.parametrize("failing", ["write", "replace"])

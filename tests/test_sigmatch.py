@@ -338,8 +338,37 @@ def _forest_and_interfaces(draw):
     return lattice, interface("Q"), interface("P")
 
 
+_WORDS = st.text("abcdefgh", min_size=1, max_size=3)
+
+
+@st.composite
+def _planted_crossing(draw):
+    """The crossing of test_partial_match_puts_coverage_before_names under
+    random type and method names, on either side, plus noise methods whose
+    types share no root with it: two name-equal pairs whose types cross, so
+    that only an assignment with no names left equal covers every method."""
+    types = draw(st.lists(_WORDS, min_size=6, max_size=8, unique=True))
+    top, t1, t2, t4 = types[:4]
+    noise_types = types[4:]
+    lattice = S.TypeLattice({top: None, t1: top, t2: top, t4: top} | {
+        t: draw(st.sampled_from([None] + noise_types[:i])) for i, t in enumerate(noise_types)})
+    a, b, c, d, *pool = draw(st.lists(_WORDS, min_size=4, max_size=8, unique=True))
+    q = [sig(a, t1), sig(c, top), sig(b, t2)]
+    p = [sig(b, top), sig(c, t2), sig(draw(st.sampled_from([a, d])), t4)]
+
+    def noise():
+        names = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True)) if pool else []
+        return [sig(name, *draw(st.lists(st.sampled_from(noise_types), max_size=2)))
+                for name in names]
+
+    q, p = q + noise(), p + noise()
+    if draw(st.booleans()):
+        q, p = p, q
+    return lattice, iface("Q", *draw(st.permutations(q))), iface("P", *draw(st.permutations(p)))
+
+
 @settings(max_examples=200, deadline=None)
-@given(_forest_and_interfaces())
+@given(_forest_and_interfaces() | _planted_crossing())
 def test_partial_match_agrees_with_brute_force(case):
     lattice, q, p = case
     res = S.partial_match(q, p, lattice)
