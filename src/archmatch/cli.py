@@ -240,7 +240,7 @@ def match(session: Session, requirement: str, output_format: str) -> None:
                                             state_limit=session.state_limit)
     note = f"index: {origin} ({len(index.entries)} component(s)"
     if reason is not None:  # a CacheError message names the cache itself
-        note += f"; cache {reason}" if reason in ("missing", "stale") else f"; {reason}"
+        note += f"; cache {reason}" if reason.startswith(("missing", "stale")) else f"; {reason}"
     session.note(note + ")")
     lattice = TypeLattice.from_types(merged.types)
     try:
@@ -261,20 +261,13 @@ def match(session: Session, requirement: str, output_format: str) -> None:
 def _result_to_json(req: matcher.Requirement, result: matcher.QueryResult) -> dict:
     reports = []
     for r in result.reports:
-        if r.module_match is not None:
-            kind = r.module_match.overall_kind
-            method_map = {q: m.provided_method
-                          for q, m in sorted(r.module_match.method_map.items())}
-        else:
-            kind = None
-            method_map = {q: m.provided_method
-                          for q, m in sorted(r.partial.method_map.items())} if r.partial else {}
+        sig = r.module_match
         reports.append({
             "component": r.component,
             "verdict": r.verdict,
-            "kind": kind,
+            "kind": None if sig.unmatched else sig.overall_kind,
             "score": r.score,
-            "methodMap": method_map,
+            "methodMap": {q: m.provided_method for q, m in sorted(sig.method_map.items())},
             "counterexample": list(r.counterexample) if r.counterexample is not None else None,
         })
     return {
@@ -321,7 +314,11 @@ def index_build(session: Session) -> None:
         _input_error(str(err))
     path = (repo.default_cache_path(catalog.path) if session.cache_path is None
             else Path(session.cache_path))
-    repo.save_cache(compiled, path)
+    try:
+        repo.save_cache(compiled, path)
+    except OSError as err:
+        _input_error(f"cannot write cache {_display_path(str(path), session.base_dir)}: "
+                     f"{err.strerror or err}")
     click.echo(f"indexed {len(compiled.entries)} component(s)")
     click.echo(f"hash: {compiled.source_hash}")
     click.echo(f"cache: {_display_path(str(path), session.base_dir)}")

@@ -101,7 +101,7 @@ def tokenize(unit: SourceUnit) -> list[Token]:
                     closed = True
                     j += 1
                     break
-                if text[j] == "\\" and j + 1 < n:
+                if text[j] == "\\" and j + 1 < n and text[j + 1] != "\n":  # strings are one line
                     value.append(_ESCAPES.get(text[j + 1], text[j + 1]))
                     j += 2
                     continue

@@ -15,7 +15,7 @@ from functools import cache
 from . import protocol, sigmatch
 from .model import Interface
 from .protocol import FiniteAutomaton, ProtocolExpr
-from .sigmatch import ModuleMatch, PartialMatch, TypeLattice
+from .sigmatch import ModuleMatch, TypeLattice
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -48,8 +48,7 @@ class Requirement:
 @dataclass(frozen=True)
 class MatchReport:
     component: str
-    module_match: ModuleMatch | None
-    partial: PartialMatch | None
+    module_match: ModuleMatch  # its `unmatched` is empty for a full signature match
     protocol_verdict: str  # HOLDS / FAILS / NOT_CHECKED
     counterexample: tuple[str, ...] | None
     verdict: str  # USE / ADAPT_CANDIDATE / NO_MATCH
@@ -74,12 +73,11 @@ class QueryResult:
     recommendation: Recommendation
 
 
-def score(kind: str | None, name_overlap: float, protocol_verdict: str,
+def score(kind: str, name_overlap: float, protocol_verdict: str,
           coverage: float = 1.0) -> float:
     """Deterministic rank in [0, 1]: half signature kind, then name overlap,
     then protocol verdict; partial coverage scales the kind contribution."""
-    kind_weight = KIND_WEIGHT[kind] * coverage if kind is not None else 0.0
-    return round(0.5 * kind_weight + 0.3 * name_overlap
+    return round(0.5 * KIND_WEIGHT[kind] * coverage + 0.3 * name_overlap
                  + 0.2 * PROTOCOL_WEIGHT[protocol_verdict], 6)
 
 
@@ -103,35 +101,23 @@ def prefilter(requirement: Requirement, entries, lattice: TypeLattice,
 def _match_one(requirement: Requirement, entry, lattice: TypeLattice, required_dfa,
                state_limit: int) -> MatchReport:
     provided_iface = Interface(entry.interface_name, (), entry.methods)
-    module_match = sigmatch.match_module(requirement.iface, provided_iface, lattice)
-    total = len(requirement.iface.all_methods())
-
-    if module_match is not None:
-        if requirement.required_protocol is None:
-            verdict, protocol_verdict, counterexample = USE, NOT_CHECKED, None
-        else:
-            mapping = {q: m.provided_method for q, m in module_match.method_map.items()}
-            required_auto = protocol.relabel(required_dfa(), mapping)
-            result = protocol.includes(required_auto, entry.provided_automaton, state_limit)
-            if result.holds:
-                verdict, protocol_verdict, counterexample = USE, HOLDS, None
-            else:
-                verdict, protocol_verdict = ADAPT_CANDIDATE, FAILS
-                counterexample = result.counterexample
-        return MatchReport(entry.component, module_match, None, protocol_verdict,
-                           counterexample, verdict,
-                           score(module_match.overall_kind, module_match.name_overlap(),
-                                 protocol_verdict))
-
-    partial = sigmatch.partial_match(requirement.iface, provided_iface, lattice)
-    name_overlap = (sum(1 for m in partial.method_map.values() if m.names_equal()) / total
-                    if total else 0.0)
-    if partial.coverage() >= ADAPT_COVERAGE_THRESHOLD and partial.method_map:
-        kind = sigmatch.weakest(m.kind for m in partial.method_map.values())
-        return MatchReport(entry.component, None, partial, NOT_CHECKED, None,
-                           ADAPT_CANDIDATE,
-                           score(kind, name_overlap, NOT_CHECKED, partial.coverage()))
-    return MatchReport(entry.component, None, partial, NOT_CHECKED, None, NO_MATCH, 0.0)
+    sig = sigmatch.match_module(requirement.iface, provided_iface, lattice)
+    counterexample = None
+    if sig.unmatched:
+        if sig.coverage() < ADAPT_COVERAGE_THRESHOLD:
+            return MatchReport(entry.component, sig, NOT_CHECKED, None, NO_MATCH, 0.0)
+        verdict, protocol_verdict = ADAPT_CANDIDATE, NOT_CHECKED
+    elif requirement.required_protocol is None:
+        verdict, protocol_verdict = USE, NOT_CHECKED
+    else:
+        mapping = {q: m.provided_method for q, m in sig.method_map.items()}
+        required_auto = protocol.relabel(required_dfa(), mapping)
+        result = protocol.includes(required_auto, entry.provided_automaton, state_limit)
+        verdict, protocol_verdict = (USE, HOLDS) if result.holds else (ADAPT_CANDIDATE, FAILS)
+        counterexample = result.counterexample
+    return MatchReport(entry.component, sig, protocol_verdict, counterexample, verdict,
+                       score(sig.overall_kind, sig.name_overlap(), protocol_verdict,
+                             sig.coverage()))
 
 
 def match_requirement(requirement: Requirement, index, lattice: TypeLattice, *,
@@ -166,17 +152,16 @@ def match_requirement(requirement: Requirement, index, lattice: TypeLattice, *,
 def explain(report: MatchReport) -> str:
     """A human-readable narrative for one match report."""
     lines = [f"component {report.component}: {report.verdict} (score {report.score:.2f})"]
-    if report.module_match is not None:
+    sig = report.module_match
+    if not sig.unmatched:
         lines.append("  method map:")
-        for q, m in sorted(report.module_match.method_map.items()):
-            perm = ""
-            if m.kind == sigmatch.PERMUTED:
-                perm = f" via parameter order {list(m.param_permutation)}"
-            lines.append(f"    {q} -> {m.provided_method} [{m.kind}{perm}]")
-    elif report.partial is not None and report.partial.method_map:
+    elif sig.method_map:
         lines.append("  partial method map:")
-        for q, m in sorted(report.partial.method_map.items()):
-            lines.append(f"    {q} -> {m.provided_method} [{m.kind}]")
+    for q, m in sorted(sig.method_map.items()):
+        perm = ""
+        if m.kind == sigmatch.PERMUTED and not sig.unmatched:
+            perm = f" via parameter order {list(m.param_permutation)}"
+        lines.append(f"    {q} -> {m.provided_method} [{m.kind}{perm}]")
     lines.append(f"  protocol: {report.protocol_verdict}")
     if report.counterexample is not None:
         calls = " ".join(report.counterexample) if report.counterexample else "(empty trace)"
@@ -185,9 +170,8 @@ def explain(report: MatchReport) -> str:
         lines.append("  signature and protocol requirements are met; "
                      "component can be plugged in")
     else:
-        if report.partial is not None and report.partial.unmatched:
-            missing = ", ".join(report.partial.unmatched)
-            lines.append(f"  unmatched requirement methods: {missing}")
+        if sig.unmatched:
+            lines.append(f"  unmatched requirement methods: {', '.join(sig.unmatched)}")
         lines.append("  near match; consider adapting this component"
                      if report.verdict == ADAPT_CANDIDATE
                      else "  not a viable provider for this requirement")

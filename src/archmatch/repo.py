@@ -316,7 +316,8 @@ def load_index(catalog: Catalog, m: Model, cache_path: str | Path | None = None,
                state_limit: int = protocol.DEFAULT_STATE_LIMIT,
                ) -> tuple[CompiledIndex, str, str | None]:
     """(index, origin, reason) for a loaded catalog: "cache" and None from a fresh cache,
-    else "built" and why the cache was rebuilt: "missing", "stale" or the CacheError message."""
+    else "built" and why the cache was rebuilt: "missing", "stale" or the CacheError message,
+    followed by "; cannot write cache: ..." if the new cache could not be saved."""
     path = default_cache_path(catalog.path) if cache_path is None else Path(cache_path)
     reason = "missing"
     if path.is_file():
@@ -325,7 +326,10 @@ def load_index(catalog: Catalog, m: Model, cache_path: str | Path | None = None,
         except CacheError as err:
             reason = str(err)
     index = build_index(catalog, m, state_limit)
-    save_cache(index, path)
+    try:
+        save_cache(index, path)
+    except OSError as err:  # the index is built; only later queries lose the cache
+        reason += f"; cannot write cache: {err.strerror or err}"
     return index, "built", reason
 
 

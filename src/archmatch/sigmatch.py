@@ -72,19 +72,28 @@ class MethodMatch:
 
 @dataclass(frozen=True)
 class ModuleMatch:
-    """An injective map of every query method onto a provided method."""
+    """An injective map of query methods onto provided methods; `unmatched`
+    names the query methods it leaves out, in query order (none for a full match)."""
 
     method_map: dict[str, MethodMatch]
-    overall_kind: str
+    unmatched: tuple[str, ...] = ()
 
     def __hash__(self):
         return id(self)
 
+    @property
+    def overall_kind(self) -> str:
+        return weakest(m.kind for m in self.method_map.values())
+
+    def coverage(self) -> float:
+        total = len(self.method_map) + len(self.unmatched)
+        return len(self.method_map) / total if total else 1.0
+
     def name_overlap(self) -> float:
-        if not self.method_map:
+        total = len(self.method_map) + len(self.unmatched)
+        if not total:
             return 1.0
-        equal = sum(1 for m in self.method_map.values() if m.names_equal())
-        return equal / len(self.method_map)
+        return sum(1 for m in self.method_map.values() if m.names_equal()) / total
 
 
 def _returns_equal(q: MethodSig, p: MethodSig) -> bool:
@@ -203,47 +212,41 @@ def _assign(matrix, level: str) -> dict[str, MethodMatch]:
     return {m.query_method: m for m in chosen if m is not None}
 
 
-def match_module(q: Interface, p: Interface, lattice: TypeLattice) -> ModuleMatch | None:
-    """Map every query method injectively onto a provided method.
+def _widest(q_methods, matrix) -> ModuleMatch:
+    """The assignment over every compatible cell, with the query methods it leaves out."""
+    chosen = _assign(matrix, SPECIALIZED)
+    return ModuleMatch(chosen, tuple(m.name for m in q_methods if m.name not in chosen))
 
-    The strongest achievable weakest-link kind wins: the assignment over the
-    matches of that kind or stronger. The provided interface may have extra
-    methods.
+
+def match_module(q: Interface, p: Interface, lattice: TypeLattice) -> ModuleMatch:
+    """Map as many query methods as possible injectively onto provided methods.
+
+    The first assignment uses every compatible cell, maximizing the number of
+    matched query methods, then verbatim name matches; if it leaves a query
+    method unmatched, that partial map is the answer.  Otherwise the strongest
+    achievable weakest-link kind wins: the assignment over the matches of that
+    kind or stronger.  The provided interface may have extra methods.
     """
     q_methods = q.all_methods()
     matrix = _match_matrix(q_methods, p.all_methods(), lattice)
+    found = _widest(q_methods, matrix)
+    if found.unmatched:
+        return found
+    # coverage can only drop as the level rises, so the first level that leaves
+    # a query method unmatched ends the search; the weakest kind present repeats
+    # the cells of the first assignment, and a kind no cell has those of the
+    # next stronger level
     kinds = {m.kind for row in matrix for m in row if m is not None}
-    found = None if q_methods else {}
-    # weakest level first: coverage can only drop as the level rises, so the
-    # first level that leaves a query method unmatched ends the search; a kind
-    # no cell has would repeat the cells of the next stronger level
-    for level in (kind for kind in reversed(KINDS) if kind in kinds):
+    for level in sorted(kinds, key=strength)[1:]:
         chosen = _assign(matrix, level)
         if len(chosen) < len(q_methods):
             break
-        found = chosen
-    return None if found is None else ModuleMatch(found, weakest(m.kind for m in found.values()))
+        found = ModuleMatch(chosen)
+    return found
 
 
-@dataclass(frozen=True)
-class PartialMatch:
-    """Best-effort coverage when a full module match does not exist."""
-
-    method_map: dict[str, MethodMatch]
-    unmatched: tuple[str, ...]
-
-    def __hash__(self):
-        return id(self)
-
-    def coverage(self) -> float:
-        total = len(self.method_map) + len(self.unmatched)
-        return len(self.method_map) / total if total else 1.0
-
-
-def partial_match(q: Interface, p: Interface, lattice: TypeLattice) -> PartialMatch:
-    """Injective assignment maximizing the number of matched query methods,
-    then verbatim name matches."""
+def partial_match(q: Interface, p: Interface, lattice: TypeLattice) -> ModuleMatch:
+    """match_module's first assignment: every compatible cell, maximizing the
+    number of matched query methods, then verbatim name matches."""
     q_methods = q.all_methods()
-    chosen = _assign(_match_matrix(q_methods, p.all_methods(), lattice), SPECIALIZED)
-    unmatched = tuple(m.name for m in q_methods if m.name not in chosen)
-    return PartialMatch(chosen, unmatched)
+    return _widest(q_methods, _match_matrix(q_methods, p.all_methods(), lattice))

@@ -18,6 +18,10 @@ from archmatch.sigmatch import TypeLattice
 from broken_caches import DEFECTS, V2_CACHE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# `match` stdout for each catalog and requirement, recorded before the signature
+# level was given one result type, and the exit codes in exit_codes.json
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 
 runner = CliRunner()
 
@@ -281,6 +285,41 @@ def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
         assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code), name
         assert "index: built " in res.stderr, name
         assert cache.read_text() == text, name
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_EXIT_CODES))
+def test_match_output_is_the_golden_output(workdir, case):
+    catalog, name = case.split("/")
+    requirement, output_format = name.split(".")
+    res = run("--catalog", str(workdir / f"{catalog}.txt"), "match",
+              str(workdir / f"{requirement}.adl"), "--format", output_format)
+    assert res.stdout_bytes == (GOLDEN / case).read_bytes()
+    assert res.exit_code == GOLDEN_EXIT_CODES[case]
+
+
+@pytest.mark.parametrize("cache", ["missing/x.idx", "directory"])
+def test_match_answers_when_the_cache_cannot_be_written(workdir, cache):
+    (workdir / "directory").mkdir()
+    args = ["match", str(workdir / "manage_documents_req.adl")]
+    clean = run("--catalog", str(workdir / "catalog.txt"), *args)
+    res = run("--catalog", str(workdir / "catalog.txt"), "--cache", str(workdir / cache), *args)
+    assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code)
+    reason = "No such file or directory" if cache.startswith("missing") else "Is a directory"
+    assert [line for line in res.stderr.splitlines() if line.startswith("index: ")] == \
+        [f"index: built (1 component(s); cache missing; cannot write cache: {reason})"]
+    assert not any(".tmp" in p.name for p in workdir.rglob("*"))
+
+
+@pytest.mark.parametrize("cache", ["missing/x.idx", "directory"])
+def test_index_build_reports_an_unwritable_cache(workdir, cache):
+    (workdir / "directory").mkdir()
+    res = run("--catalog", str(workdir / "catalog.txt"), "--cache", str(workdir / cache),
+              "index", "build")
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: cannot write cache ") and \
+        len(res.stderr.splitlines()) == 1
+    assert not any(".tmp" in p.name for p in workdir.rglob("*"))
 
 
 # --- link -------------------------------------------------------------------------

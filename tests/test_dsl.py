@@ -80,6 +80,25 @@ def test_tokenize_spans_are_ordered_and_in_bounds():
             last_end = t.span.offset + t.span.length
 
 
+def test_tokenize_backslash_does_not_escape_a_newline():
+    text = 'type T;\ninterface I {\n  m() [guard: "a\\\nb"];\n  n(x: Nope);\n}\n'
+    toks = tokenize(SourceUnit("t", text))
+    bad = next(t for t in toks if t.kind == ERROR)
+    assert (bad.text, str(bad.span)) == ('"a\\', "3:15")
+    nope = next(t for t in toks if t.text == "Nope")
+    assert str(nope.span) == "5:8"
+
+
+def test_tokenize_line_and_column_agree_with_offset():
+    rng = random.Random(5)
+    for _ in range(300):
+        text = "".join(rng.choice('ab "\\\n/;') for _ in range(rng.randint(0, 40)))
+        for t in tokenize(SourceUnit("t", text)):
+            before = text[:t.span.offset]
+            assert (t.span.line, t.span.column) == \
+                (before.count("\n") + 1, len(before) - before.rfind("\n")), (text, t)
+
+
 # --- parse_unit ---------------------------------------------------------------
 
 def test_parse_portfolio_listing():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archmatch import matcher, model, repo
+from archmatch import matcher, model, repo, sigmatch
 from archmatch import protocol as P
 from archmatch.matcher import Requirement
 from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star
@@ -180,7 +180,7 @@ def _queries(draw):
 
 def _kept_reports(result):
     return [(r.component, r.verdict, r.score,
-             (r.module_match or r.partial).method_map, r.counterexample)
+             r.module_match.method_map, r.counterexample)
             for r in result.reports if r.verdict != matcher.NO_MATCH]
 
 
@@ -194,7 +194,7 @@ def test_prefilter_is_conservative(query):
     assert _kept_reports(with_pf) == _kept_reports(without)
     # the relabeled requirement DFA decides inclusion like the renamed expression
     for r in without.reports:
-        if r.module_match is not None and req.required_protocol is not None:
+        if not r.module_match.unmatched and req.required_protocol is not None:
             mapping = {q: m.provided_method for q, m in r.module_match.method_map.items()}
             reference = P.includes(P.compile(rename_expr(req.required_protocol, mapping)),
                                    index.entries[r.component].provided_automaton)
@@ -223,6 +223,33 @@ def test_requirement_protocol_compiled_at_most_once(monkeypatch):
     unmatched = Requirement(model.Interface("R", (), (model.MethodSig("a", (), "U"),)), Ev("a"))
     matcher.match_requirement(unmatched, index, lattice, use_prefilter=False)
     assert calls == []
+
+
+def test_signature_matrix_is_built_once_per_candidate(monkeypatch):
+    calls = []
+    real_match_method = sigmatch.match_method
+
+    def counting(*args):
+        calls.append(args)
+        return real_match_method(*args)
+
+    monkeypatch.setattr(sigmatch, "match_method", counting)
+    sig = model.MethodSig
+    t, u = (model.Param("x", "T"),), (model.Param("x", "U"),)
+    wanted = (sig("a", t), sig("b", t, "T"), sig("c", u), sig("d", u, "U"))
+    providers = {"Adapt": (sig("p", t), sig("q", t, "T"), sig("r", ())),  # 2 of 4 covered
+                 "Poor": (sig("p", t), sig("r", u, "T")),                 # 1 of 4 covered
+                 "Tiny": (sig("c", u),)}                                  # 1 of 4 covered
+    auto = P.minimize(P.universal(frozenset()))
+    index = repo.CompiledIndex({name: repo.IndexEntry(name, "Ops", methods, auto)
+                                for name, methods in providers.items()}, "h")
+    req = Requirement(model.Interface("R", (), wanted))
+    result = matcher.match_requirement(req, index, TypeLattice({"T": None, "U": None}))
+    assert [(r.component, r.verdict) for r in result.reports] == \
+        [("Adapt", matcher.ADAPT_CANDIDATE), ("Poor", matcher.NO_MATCH),
+         ("Tiny", matcher.NO_MATCH)]
+    assert len(calls) == sum(len(wanted) * len(methods) for methods in providers.values())
+    assert all(r.module_match.unmatched for r in result.reports)
 
 
 # --- score -------------------------------------------------------------------------

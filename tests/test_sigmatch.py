@@ -171,7 +171,7 @@ def test_module_match_self_identity():
 
 
 def test_module_match_portfolio_has_no_provider():
-    assert S.match_module(MANAGE_PORTFOLIO, PROVIDED_DOCUMENT, FLAT) is None
+    assert S.match_module(MANAGE_PORTFOLIO, PROVIDED_DOCUMENT, FLAT).unmatched
 
 
 def test_module_match_injective():
@@ -238,9 +238,12 @@ def test_module_match_agrees_with_brute_force():
         expected = brute_force_best_kind(q, p, WITH_SUB)
         got = S.match_module(q, p, WITH_SUB)
         if expected is None:
-            assert got is None
+            assert got.unmatched
         else:
-            assert got is not None and got.overall_kind == expected
+            assert not got.unmatched and got.overall_kind == expected
+        if got.unmatched:
+            partial = S.partial_match(q, p, WITH_SUB)
+            assert (got.method_map, got.unmatched) == (partial.method_map, partial.unmatched)
 
 
 # --- shape ----------------------------------------------------------------------
