@@ -75,14 +75,17 @@ class Session:
 
 
 class _Group(click.Group):
-    """Maps an unexpected exception to one stderr line and exit code 3 (exit code
-    1 is a negative verdict); click's exceptions and SystemExit pass through."""
+    """Maps a protocol over the state limit to one stderr line and exit code 2, and
+    an unexpected exception to one line and exit code 3 (exit code 1 is a negative
+    verdict); click's exceptions and SystemExit pass through."""
 
     def invoke(self, ctx: click.Context):
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
             raise
+        except protocol.ProtocolTooLarge as err:
+            _input_error(str(err))
         except Exception as err:
             click.echo(f"error: internal error: {type(err).__name__}: {err}", err=True)
             sys.exit(3)
@@ -211,17 +214,14 @@ def protocol_cmd(session: Session, target: str, emit_dfa: bool, sample: int | No
     if emit_dfa and sample is not None:
         _input_error("--emit-dfa and --sample are mutually exclusive")
     auto = _protocol_source(session, target, unit)
-    try:
-        dfa = protocol.minimize(protocol.determinize(auto, session.state_limit))
-        if sample is not None:
-            if sample < 0:
-                _input_error("--sample must be >= 0")
-            for trace in protocol.sample_traces(dfa, sample, session.state_limit):
-                click.echo(" ".join(trace) if trace else "(empty)")
-        else:
-            click.echo(protocol.emit_dfa_text(dfa), nl=False)
-    except protocol.ProtocolTooLarge as err:
-        _input_error(str(err))
+    dfa = protocol.minimize(protocol.determinize(auto, session.state_limit))
+    if sample is not None:
+        if sample < 0:
+            _input_error("--sample must be >= 0")
+        for trace in protocol.sample_traces(dfa, sample, session.state_limit):
+            click.echo(" ".join(trace) if trace else "(empty)")
+    else:
+        click.echo(protocol.emit_dfa_text(dfa), nl=False)
 
 
 @main.command()
@@ -243,11 +243,7 @@ def match(session: Session, requirement: str, output_format: str) -> None:
         note += f"; cache {reason}" if reason.startswith(("missing", "stale")) else f"; {reason}"
     session.note(note + ")")
     lattice = TypeLattice.from_types(merged.types)
-    try:
-        result = matcher.match_requirement(req, index, lattice,
-                                           state_limit=session.state_limit)
-    except protocol.ProtocolTooLarge as err:
-        _input_error(str(err))
+    result = matcher.match_requirement(req, index, lattice, state_limit=session.state_limit)
     if output_format == "json":
         click.echo(json.dumps(_result_to_json(req, result), indent=2))
     else:
@@ -308,10 +304,7 @@ def index() -> None:
 def index_build(session: Session) -> None:
     """Compile all component protocols and write the cache file."""
     catalog, model_ = session.require_catalog()
-    try:
-        compiled = repo.build_index(catalog, model_, session.state_limit)
-    except protocol.ProtocolTooLarge as err:
-        _input_error(str(err))
+    compiled = repo.build_index(catalog, model_, session.state_limit)
     path = (repo.default_cache_path(catalog.path) if session.cache_path is None
             else Path(session.cache_path))
     try:

@@ -100,7 +100,7 @@ def prefilter(requirement: Requirement, entries, lattice: TypeLattice,
 
 def _match_one(requirement: Requirement, entry, lattice: TypeLattice, required_dfa,
                state_limit: int) -> MatchReport:
-    provided_iface = Interface(entry.interface_name, (), entry.methods)
+    provided_iface = Interface(entry.component, (), entry.methods)
     sig = sigmatch.match_module(requirement.iface, provided_iface, lattice)
     counterexample = None
     if sig.unmatched:

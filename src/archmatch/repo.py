@@ -26,7 +26,7 @@ from .protocol import FiniteAutomaton
 # The first line of a cache file. Bump it whenever build_index could give
 # different output for the same source (for example after a change to compile,
 # determinize or minimize), so that older caches are rejected and rebuilt.
-CACHE_MAGIC = "ARCHMATCH-IDX v3"
+CACHE_MAGIC = "ARCHMATCH-IDX v4"
 
 
 class CacheError(Exception):
@@ -47,7 +47,6 @@ class Catalog:
 @dataclass(frozen=True)
 class IndexEntry:
     component: str
-    interface_name: str
     methods: tuple[MethodSig, ...]
     provided_automaton: FiniteAutomaton
 
@@ -129,7 +128,11 @@ def _build_architectures(m: Model) -> tuple[dict[str, PseudoCategory],
 def _validate_publications(m: Model, state_limit: int) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
 
-    def report(name: str, check: model.PublicationCheck) -> None:
+    def report(kind: str, name: str, pub: model.Publication) -> None:
+        try:
+            check = model.validate_publication(pub, state_limit)
+        except protocol.ProtocolTooLarge as err:
+            raise protocol.ProtocolTooLarge(f"{kind} {name!r}: {err}") from err
         for failure in check.failures:
             word = " ".join(failure.witness) if failure.witness else "(empty trace)"
             diagnostics.append(Diagnostic(
@@ -139,7 +142,7 @@ def _validate_publications(m: Model, state_limit: int) -> list[Diagnostic]:
                 "causal-projection"))
 
     for name, pub in sorted(m.publications.items()):
-        report(name, model.validate_publication(pub, state_limit))
+        report("publication", name, pub)
     # components with an explicit causal relation promise the projection
     # condition too; the synthesized default holds by construction
     for name, comp in sorted(m.components.items()):
@@ -150,7 +153,7 @@ def _validate_publications(m: Model, state_limit: int) -> list[Diagnostic]:
         except model.ModelError as err:
             diagnostics.append(Diagnostic(ERROR, _zero_span(), str(err), "missing-protocol"))
             continue
-        report(name, model.validate_publication(pub, state_limit))
+        report("component", name, pub)
     return diagnostics
 
 
@@ -197,10 +200,6 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
 
 # --- compiled index -----------------------------------------------------------
 
-def _minimal(auto: FiniteAutomaton, state_limit: int) -> FiniteAutomaton:
-    return protocol.minimize(protocol.determinize(auto, state_limit))
-
-
 def build_index(catalog: Catalog, m: Model,
                 state_limit: int = protocol.DEFAULT_STATE_LIMIT) -> CompiledIndex:
     """Compile, determinize, and minimize every component's provided protocol.
@@ -217,14 +216,12 @@ def build_index(catalog: Catalog, m: Model,
             if comp.provided_protocol is None:
                 provided = protocol.minimize(protocol.universal(provided_alphabet))
             else:
-                pub = model.publish(comp)
-                provided = _minimal(
-                    protocol.compile(pub.provided.traces, alphabet=provided_alphabet),
-                    state_limit)
+                provided = protocol.minimize(protocol.determinize(
+                    protocol.compile(comp.provided_protocol, alphabet=provided_alphabet),
+                    state_limit))
         except protocol.ProtocolTooLarge as err:
-            raise protocol.ProtocolTooLarge(
-                f"component {name!r}: {err}") from err
-        entries[name] = IndexEntry(name, iface.name, iface.all_methods(), provided)
+            raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
+        entries[name] = IndexEntry(name, iface.all_methods(), provided)
     return CompiledIndex(entries, catalog.source_hash)
 
 
@@ -233,7 +230,6 @@ def build_index(catalog: Catalog, m: Model,
 def _entry_json(entry: IndexEntry) -> dict:
     auto = entry.provided_automaton  # minimized, so its states are 0..n-1
     return {
-        "interface": entry.interface_name,
         "methods": [[sig.name, [[p.name, p.type] for p in sig.params], sig.return_type]
                     for sig in entry.methods],
         "dfa": {"alphabet": sorted(auto.alphabet), "states": len(auto.states),
@@ -278,7 +274,7 @@ def _entry_from_json(name: str, comp: dict) -> IndexEntry:
     methods = tuple(MethodSig(str(method), tuple(Param(str(p), str(t)) for p, t in params),
                               None if ret is None else str(ret))
                     for method, params, ret in comp["methods"])
-    entry = IndexEntry(name, str(comp["interface"]), methods, auto)
+    entry = IndexEntry(name, methods, auto)
     # str() leaves a value of another type unequal, as are extra or reordered items
     if _entry_json(entry) != comp:
         raise ValueError(f"component {name!r} differs from what this version writes")
@@ -320,7 +316,7 @@ def load_index(catalog: Catalog, m: Model, cache_path: str | Path | None = None,
     followed by "; cannot write cache: ..." if the new cache could not be saved."""
     path = default_cache_path(catalog.path) if cache_path is None else Path(cache_path)
     reason = "missing"
-    if path.is_file():
+    if path.exists():
         try:
             return load_cache(path, catalog.source_hash), "cache", None
         except CacheError as err:

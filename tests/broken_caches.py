@@ -52,7 +52,6 @@ DEFECTS = {
     "parameter of three fields": _edited(_METHODS + (0, 1, 0), ["a", "String", "x"]),
     "components as a list": _edited(("components",), []),
     "missing hash": _edited(("hash",), _DELETE),
-    "missing interface": _edited(_COMPONENT + ("interface",), _DELETE),
     "not JSON": lambda text: f"{_magic(text)}\ngarbage\n",
     "two JSON lines": lambda text: text + text.split("\n")[1] + "\n",
     "10,000 nested [": lambda text: f"{_magic(text)}\n{'[' * 10_000}\n",

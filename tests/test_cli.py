@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import shutil
@@ -22,6 +23,10 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # level was given one result type, and the exit codes in exit_codes.json
 GOLDEN = Path(__file__).resolve().parent / "golden"
 GOLDEN_EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+# malformed units with the `check` stderr and exit codes recorded before the
+# lexer became one regular expression
+GOLDEN_CHECK = GOLDEN / "check"
+GOLDEN_CHECK_EXIT_CODES = json.loads((GOLDEN_CHECK / "exit_codes.json").read_text())
 
 runner = CliRunner()
 
@@ -59,6 +64,15 @@ def test_check_broken_unit(tmp_path):
     res = run("check", str(bad))
     assert res.exit_code == 2
     assert "1:1" in res.stderr or "unclosed" in res.stderr
+
+
+@pytest.mark.parametrize("unit", sorted(GOLDEN_CHECK_EXIT_CODES))
+def test_check_diagnostics_are_the_golden_diagnostics(monkeypatch, unit):
+    monkeypatch.chdir(GOLDEN_CHECK)
+    res = run("check", unit)
+    assert res.stdout == ""
+    assert res.stderr_bytes == (GOLDEN_CHECK / unit).with_suffix(".stderr").read_bytes()
+    assert res.exit_code == GOLDEN_CHECK_EXIT_CODES[unit]
 
 
 def test_check_multiple_units(workdir):
@@ -260,7 +274,7 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: cache (1 component(s))"]
     shutil.copy(V2_CACHE, cache)
     assert note() == ["index: built (1 component(s); "
-                      "unsupported cache version (expected ARCHMATCH-IDX v3))"]
+                      "unsupported cache version (expected ARCHMATCH-IDX v4))"]
     cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
     assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
     unit = workdir / "document_manager.adl"
@@ -304,9 +318,13 @@ def test_match_answers_when_the_cache_cannot_be_written(workdir, cache):
     clean = run("--catalog", str(workdir / "catalog.txt"), *args)
     res = run("--catalog", str(workdir / "catalog.txt"), "--cache", str(workdir / cache), *args)
     assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code)
-    reason = "No such file or directory" if cache.startswith("missing") else "Is a directory"
+    if cache.startswith("missing"):
+        read, write = "cache missing", "No such file or directory"
+    else:
+        read = f"cannot read cache: [Errno {errno.EISDIR}] Is a directory: {str(workdir / cache)!r}"
+        write = "Is a directory"
     assert [line for line in res.stderr.splitlines() if line.startswith("index: ")] == \
-        [f"index: built (1 component(s); cache missing; cannot write cache: {reason})"]
+        [f"index: built (1 component(s); {read}; cannot write cache: {write})"]
     assert not any(".tmp" in p.name for p in workdir.rglob("*"))
 
 
@@ -386,6 +404,27 @@ def test_state_limit_env_applies(workdir):
               env={"ARCHMATCH_STATE_LIMIT": "2"})
     assert res.exit_code == 2
     assert "protocol too large" in res.stderr
+
+
+# limit 2 stops the first publication check, limit 4 the index build
+@pytest.mark.parametrize("limit,args", [
+    ("2", ["arch"]),
+    ("2", ["link", "Realization"]),
+    ("2", ["check", "types.adl", "document_manager.adl", "insurance.adl"]),
+    ("2", ["protocol", "DocumentManager"]),
+    ("2", ["index", "build"]),
+    ("4", ["index", "build"]),
+    ("2", ["match", "manage_documents_req.adl"]),
+    ("4", ["match", "manage_documents_req.adl"]),
+])
+def test_state_limit_overflow_while_loading_is_an_input_error(workdir, monkeypatch, limit, args):
+    monkeypatch.chdir(workdir)
+    res = run("--catalog", "catalog_full.txt", *args, env={"ARCHMATCH_STATE_LIMIT": limit})
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    where = {"2": "publication 'AccountServicePub'", "4": "component 'DocumentManager'"}[limit]
+    assert res.stderr == \
+        f"error: {where}: protocol too large: determinization exceeds {limit} states\n"
 
 
 # --- determinism -------------------------------------------------------------------

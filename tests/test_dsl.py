@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import random
+import re
 import string
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archmatch import dsl
 from archmatch.dsl import SourceUnit, syntax
-from archmatch.dsl.tokens import EOF, ERROR, IDENT, tokenize
+from archmatch.dsl.tokens import EOF, ERROR, IDENT, STRING, tokenize
 from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star
 
 from oracles import random_expr
@@ -97,6 +102,70 @@ def test_tokenize_line_and_column_agree_with_offset():
             before = text[:t.span.offset]
             assert (t.span.line, t.span.column) == \
                 (before.count("\n") + 1, len(before) - before.rfind("\n")), (text, t)
+
+
+# Each input's tokens as (kind, text, line:col, value), EOF last.
+LEXER_TABLE = [
+    ('"a\\"b', [(ERROR, '"a\\"b', "1:1", ""), (EOF, "", "1:6", "")]),
+    ('"a\\\\"b', [(STRING, '"a\\\\"', "1:1", "a\\"), (IDENT, "b", "1:6", ""),
+                   (EOF, "", "1:7", "")]),
+    ('"a\\', [(ERROR, '"a\\', "1:1", ""), (EOF, "", "1:4", "")]),
+    ('"a\\\nb', [(ERROR, '"a\\', "1:1", ""), (IDENT, "b", "2:1", ""), (EOF, "", "2:2", "")]),
+    ('"x\\qy" "\\t\\n\\""', [(STRING, '"x\\qy"', "1:1", "xqy"),
+                             (STRING, '"\\t\\n\\""', "1:8", '\t\n"'), (EOF, "", "1:16", "")]),
+    ("a/b<c", [(IDENT, "a", "1:1", ""), (ERROR, "/", "1:2", ""), (IDENT, "b", "1:3", ""),
+               (ERROR, "<", "1:4", ""), (IDENT, "c", "1:5", ""), (EOF, "", "1:6", "")]),
+    ("<<:/// c\n<:", [(ERROR, "<", "1:1", ""), ("<:", "<:", "1:2", ""), ("<:", "<:", "2:1", ""),
+                     (EOF, "", "2:3", "")]),
+    ("9//c\n@<:", [(ERROR, "9", "1:1", ""), (ERROR, "@", "2:1", ""), ("<:", "<:", "2:2", ""),
+                   (EOF, "", "2:4", "")]),
+    ("- -> -->", [("-", "-", "1:1", ""), ("->", "->", "1:3", ""), ("-", "-", "1:6", ""),
+                  ("->", "->", "1:7", ""), (EOF, "", "1:9", "")]),
+    ("x 9\u00e9@/ y9\u00e9", [(IDENT, "x", "1:1", ""), (ERROR, "9\u00e9@/", "1:3", ""),
+                           (IDENT, "y9", "1:8", ""), (ERROR, "\u00e9", "1:10", ""),
+                           (EOF, "", "1:11", "")]),
+    ("\r a\tb\r\n\tc", [(IDENT, "a", "1:3", ""), (IDENT, "b", "1:5", ""), (IDENT, "c", "2:2", ""),
+                       (EOF, "", "2:3", "")]),
+    ("a//b", [(IDENT, "a", "1:1", ""), (EOF, "", "1:5", "")]),
+]
+
+
+@pytest.mark.parametrize("text,expected", LEXER_TABLE)
+def test_tokenize_exact_tokens(text, expected):
+    toks = tokenize(SourceUnit("t", text))
+    assert [(t.kind, t.text, str(t.span), t.value) for t in toks] == expected
+    assert all(text[t.span.offset:t.span.offset + t.span.length] == t.text for t in toks)
+
+
+# characters that start no token on their own, and text between tokens
+_NO_TOKEN = re.compile(r'[^ \t\r\n"A-Za-z_{}()\[\]:;,*+|?-]+')
+_BLANK = re.compile(r"(?:[ \t\r\n]|//[^\n]*)*")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet='ab_Z9 \t\r\n"\\/<-:{}()[];,*+|?\u00e9', max_size=40))
+def test_tokenize_partitions_text_into_tokens_and_blanks(text):
+    toks = tokenize(SourceUnit("t", text))
+    assert toks[-1].kind == EOF and toks[-1].span.offset == len(text)
+    end = 0
+    for t in toks:
+        gap = text[end:t.span.offset]
+        assert _BLANK.fullmatch(gap), (text, t)
+        if "//" in gap.rpartition("\n")[2]:  # a comment runs to the end of its line
+            assert t.kind == EOF
+        assert text[t.span.offset:t.span.offset + t.span.length] == t.text
+        end = t.span.offset + t.span.length
+    for t in toks[:-1]:
+        if t.kind != ERROR:
+            continue
+        follow = text[t.span.offset + t.span.length:]
+        if t.text.startswith('"'):  # an unterminated string runs to the end of its line
+            assert "\n" not in t.text and follow[:1] in ("", "\n")
+            continue
+        assert _NO_TOKEN.fullmatch(t.text), (text, t)
+        assert "//" not in t.text + follow[:1] and "<:" not in t.text + follow[:1], (text, t)
+        # maximal: what follows starts a token, a blank, or a comment
+        assert not _NO_TOKEN.match(follow) or follow.startswith(("//", "<:")), (text, t)
 
 
 # --- parse_unit ---------------------------------------------------------------

@@ -173,7 +173,7 @@ def _queries(draw):
         names = iface.method_names()
         auto = (P.universal(names) if expr is None
                 else P.determinize(P.compile(expr, alphabet=names)))
-        entries[f"C{i}"] = repo.IndexEntry(f"C{i}", iface.name, iface.methods, P.minimize(auto))
+        entries[f"C{i}"] = repo.IndexEntry(f"C{i}", iface.methods, P.minimize(auto))
     iface, expr = draw(_interfaces("Wanted", [False, True]))
     return Requirement(iface, expr), repo.CompiledIndex(entries, "random"), lattice
 
@@ -213,7 +213,7 @@ def test_requirement_protocol_compiled_at_most_once(monkeypatch):
     methods = (model.MethodSig("a", ()), model.MethodSig("b", (model.Param("x", "T"),)))
     auto = P.minimize(P.universal(frozenset({"a", "b"})))
     index = repo.CompiledIndex(
-        {f"C{i}": repo.IndexEntry(f"C{i}", "Ops", methods, auto) for i in range(5)}, "h")
+        {f"C{i}": repo.IndexEntry(f"C{i}", methods, auto) for i in range(5)}, "h")
     lattice = TypeLattice({"T": None, "U": None})
     req = Requirement(model.Interface("R", (), methods), Star(Alt(Ev("a"), Ev("b"))))
     result = matcher.match_requirement(req, index, lattice)
@@ -241,7 +241,7 @@ def test_signature_matrix_is_built_once_per_candidate(monkeypatch):
                  "Poor": (sig("p", t), sig("r", u, "T")),                 # 1 of 4 covered
                  "Tiny": (sig("c", u),)}                                  # 1 of 4 covered
     auto = P.minimize(P.universal(frozenset()))
-    index = repo.CompiledIndex({name: repo.IndexEntry(name, "Ops", methods, auto)
+    index = repo.CompiledIndex({name: repo.IndexEntry(name, methods, auto)
                                 for name, methods in providers.items()}, "h")
     req = Requirement(model.Interface("R", (), wanted))
     result = matcher.match_requirement(req, index, TypeLattice({"T": None, "U": None}))

@@ -83,6 +83,22 @@ def test_load_rejects_bad_causal_relation(tmp_path):
     assert any(d.code == "causal-projection" for d in diags)
 
 
+def test_state_limit_overflow_names_the_component(tmp_path):
+    (tmp_path / "causal.adl").write_text(
+        "interface A { f(); }\n"
+        "interface B { g(); }\n"
+        "contract C implements A { protocol { (?f)* } }\n"
+        "component K {\n"
+        "  provided contract C\n"
+        "  required interface B\n"
+        "  causal { (?f + ?g)* }\n"
+        "}\n")
+    (tmp_path / "cat.txt").write_text("causal.adl\n")
+    assert repo.load(tmp_path / "cat.txt")[0] is not None
+    with pytest.raises(P.ProtocolTooLarge, match="^component 'K': protocol too large"):
+        repo.load(tmp_path / "cat.txt", state_limit=1)
+
+
 def test_load_order_independence(tmp_path):
     a = copy_fixtures(tmp_path)
     (tmp_path / "reordered.txt").write_text("document_manager.adl\ntypes.adl\n")
@@ -154,13 +170,13 @@ def test_cache_header_shape(tmp_path):
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
     lines = path.read_text().split("\n")
-    assert lines[0] == "ARCHMATCH-IDX v3"
+    assert lines[0] == "ARCHMATCH-IDX v4"
     assert lines[2:] == [""]
     doc = json.loads(lines[1])
     assert lines[1] == json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert doc["hash"] == catalog.source_hash
     entry = doc["components"]["DocumentManager"]
-    assert entry["interface"] == "ManageDocument"
+    assert sorted(entry) == ["dfa", "methods"]
     assert entry["methods"][2] == ["setPreference", [["documentType", "String"],
                                                      ["preference", "String"]], None]
     assert sorted(entry["dfa"]) == ["accept", "alphabet", "start", "states", "transitions"]
@@ -221,9 +237,10 @@ def test_cache_rejects_defect(tmp_path, defect):
 
 def test_cache_rejects_wrong_version(tmp_path):
     path = tmp_path / "cache.idx"
-    for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2"):
+    for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2",
+                  "ARCHMATCH-IDX v3"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v3"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v4"):
             repo.load_cache(path)
 
 
@@ -256,12 +273,12 @@ def test_load_index_reason_corrupt(tmp_path):
 def test_load_index_reason_other_version(tmp_path):
     origin, reason = _load_index_reason(
         tmp_path, lambda cache, *_: shutil.copy(V2_CACHE, cache))
-    assert (origin, reason) == ("built", "unsupported cache version (expected ARCHMATCH-IDX v3)")
+    assert (origin, reason) == ("built", "unsupported cache version (expected ARCHMATCH-IDX v4)")
 
 
 def test_load_index_reason_unreadable(tmp_path):
     origin, reason = _load_index_reason(
-        tmp_path, lambda cache, *_: cache.write_bytes(b"ARCHMATCH-IDX v3\n\xff\n"))
+        tmp_path, lambda cache, *_: cache.write_bytes(b"ARCHMATCH-IDX v4\n\xff\n"))
     assert origin == "built" and reason.startswith("cannot read cache: ")
 
 
