@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import category, dsl, matcher, protocol, repo
-from .diagnostics import ERROR, Diagnostic
+from .diagnostics import ERROR, Diagnostic, has_errors
 from .sigmatch import TypeLattice
 
 STATE_LIMIT_ENV = "ARCHMATCH_STATE_LIMIT"
@@ -169,9 +169,12 @@ def _protocol_source(session: Session, target: str, unit: str | None):
             sys.exit(2)
         return protocol.compile(expr)
     if unit is not None:
-        units, trees, diagnostics = repo.parse_units([unit])
-        model_, _, _, analysis_diags = repo.analyze(trees, session.state_limit)
-        _print_diagnostics(diagnostics + analysis_diags, None, session.quiet)
+        _, trees, diagnostics = repo.parse_units([unit])
+        model_ = None
+        if not has_errors(diagnostics):
+            model_, _, _, analysis_diags = repo.analyze(trees, session.state_limit)
+            diagnostics += analysis_diags
+        _print_diagnostics(diagnostics, None, session.quiet)
         if model_ is None:
             sys.exit(2)
     else:

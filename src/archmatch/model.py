@@ -5,6 +5,7 @@ publications, and the publication derivation (guard stripping + causal relation)
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from . import protocol
 from .diagnostics import ERROR, Diagnostic, Span
@@ -40,8 +41,13 @@ class MethodSig:
     params: tuple[Param, ...]
     return_type: str | None = None
 
+    @cached_property
+    def types(self) -> tuple[tuple[str, ...], str | None]:
+        """(parameter types, return type): all that a signature match compares."""
+        return tuple(p.type for p in self.params), self.return_type
+
     def param_types(self) -> tuple[str, ...]:
-        return tuple(p.type for p in self.params)
+        return self.types[0]
 
     def render(self) -> str:
         params = ", ".join(f"{p.name}: {p.type}" for p in self.params)
@@ -157,10 +163,13 @@ def _spec_from_annot(annot: syntax.Annot | None) -> MethodSpec:
 
 
 class _Resolver:
-    def __init__(self) -> None:
+    def __init__(self, base: Model | None = None) -> None:
         self.diagnostics: list[Diagnostic] = []
-        self.model = Model()
-        self.names: dict[str, str] = {}  # declared name -> kind
+        # a base model's tables are copied, and every name in them is claimed
+        tables = vars(base) if base is not None else {}
+        self.model = Model(**{kind: dict(table) for kind, table in tables.items()})
+        self.names: dict[str, str] = {  # declared name -> kind ("types" -> "type", ...)
+            name: kind[:-1] for kind, table in tables.items() for name in table}
 
     def error(self, span: Span | None, message: str, code: str, path: str = "") -> None:
         span = span or Span(1, 1, 0, 0)
@@ -203,7 +212,7 @@ class _Resolver:
         return self.model
 
     def _resolve_types(self, decls) -> None:
-        seen: dict[str, syntax.TypeDecl] = {}
+        seen: dict[str, syntax.TypeDecl | TypeDecl] = dict(self.model.types)
         for decl, path in decls:
             if decl.name in seen:
                 if seen[decl.name].supertype != decl.supertype:
@@ -415,12 +424,15 @@ class _Resolver:
                 decl.name, contract, required, decl.causal)
 
 
-def resolve(trees: list[syntax.SyntaxTree]) -> tuple[Model | None, list[Diagnostic]]:
+def resolve(trees: list[syntax.SyntaxTree], base: Model | None = None,
+            ) -> tuple[Model | None, list[Diagnostic]]:
     """Bind all names across `trees` and check the model invariants.
 
+    With `base`, an already resolved model, `trees` are resolved on top of it:
+    its declarations stay, and every name it declares is already taken.
     Returns (model, diagnostics); the model is None when any error was found.
     """
-    resolver = _Resolver()
+    resolver = _Resolver(base)
     model = resolver.resolve(trees)
     return model, resolver.diagnostics
 

@@ -61,8 +61,20 @@ def _zero_span() -> Span:
     return Span(1, 1, 0, 0)
 
 
-def _file_error(message: str, path: str) -> Diagnostic:
-    return Diagnostic(ERROR, _zero_span(), message, "missing-file", path)
+def _file_error(message: str, path: str, code: str = "missing-file") -> Diagnostic:
+    return Diagnostic(ERROR, _zero_span(), message, code, path)
+
+
+def _read_text(path: Path, what: str) -> tuple[str | None, list[Diagnostic]]:
+    """The text of a UTF-8 file, or None and one error naming it."""
+    if not path.is_file():
+        return None, [_file_error(f"no such {what}: {path}", str(path))]
+    try:
+        return path.read_text(encoding="utf-8"), []
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        return None, [_file_error(f"cannot read {what} {path}: {reason}", str(path),
+                                  "unreadable-file")]
 
 
 def source_hash(units) -> str:
@@ -76,28 +88,18 @@ def source_hash(units) -> str:
     return digest.hexdigest()
 
 
-def read_catalog_file(path: str | Path) -> list[str]:
-    """Unit paths from a catalog file: one per line, `#` comments allowed."""
-    out = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append(line)
-    return out
-
-
 def parse_units(paths: list[str | Path]) -> tuple[tuple[SourceUnit, ...],
                                                   tuple[syntax.SyntaxTree, ...],
                                                   list[Diagnostic]]:
     units: list[SourceUnit] = []
     trees: list[syntax.SyntaxTree] = []
     diagnostics: list[Diagnostic] = []
-    for path in paths:
-        p = Path(path)
-        if not p.is_file():
-            diagnostics.append(_file_error(f"no such unit file: {p}", str(p)))
+    for path in map(Path, paths):
+        text, diags = _read_text(path, "unit file")
+        diagnostics.extend(diags)
+        if text is None:
             continue
-        unit = SourceUnit(str(p), p.read_text(encoding="utf-8"))
+        unit = SourceUnit(str(path), text)
         units.append(unit)
         tree, diags = dsl.parse_unit(unit)
         diagnostics.extend(diags)
@@ -181,10 +183,12 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
     diagnostics list every failure and both results are None.
     """
     catalog_path = Path(catalog_path)
-    if not catalog_path.is_file():
-        return None, None, [_file_error(f"no such catalog: {catalog_path}",
-                                        str(catalog_path))]
-    unit_paths = read_catalog_file(catalog_path)
+    text, diagnostics = _read_text(catalog_path, "catalog")
+    if text is None:
+        return None, None, diagnostics
+    # one unit path per line; blank lines and `#` comments are skipped
+    unit_paths = [line for line in map(str.strip, text.splitlines())
+                  if line and not line.startswith("#")]
     resolved = [catalog_path.parent / p for p in unit_paths]
     units, trees, diagnostics = parse_units(resolved)
     if has_errors(diagnostics):
@@ -333,7 +337,7 @@ def load_index(catalog: Catalog, m: Model, cache_path: str | Path | None = None,
 
 def load_requirement(path: str | Path, catalog: Catalog, m: Model,
                      ) -> tuple[Requirement | None, Model | None, list[Diagnostic]]:
-    """Read a requirement unit and resolve it against the catalog.
+    """Read a requirement unit and resolve it on top of the catalog's model.
 
     The unit must declare exactly one interface; a contract in the same unit
     implementing it contributes the required protocol.  A unit already listed
@@ -341,20 +345,26 @@ def load_requirement(path: str | Path, catalog: Catalog, m: Model,
     double as requirement queries.
     """
     path = Path(path)
-    if not path.is_file():
-        return None, None, [_file_error(f"no such requirement file: {path}", str(path))]
-    text = path.read_text(encoding="utf-8")
+    text, diagnostics = _read_text(path, "requirement file")
+    if text is None:
+        return None, None, diagnostics
     known = {unit.text: tree for unit, tree in zip(catalog.units, catalog.trees)}
     if text in known:
         tree = known[text]
         merged = m
-        diagnostics: list[Diagnostic] = []
     else:
-        unit = SourceUnit(str(path), text)
-        tree, diagnostics = dsl.parse_unit(unit)
+        tree, diagnostics = dsl.parse_unit(SourceUnit(str(path), text))
         if tree is None:
             return None, None, diagnostics
-        merged, diags = model.resolve(list(catalog.trees) + [tree])
+        # names are claimed kind by kind, so a requirement declaration of a name
+        # the catalog gives a non-type may take it from the catalog declaration:
+        # only the whole resolve reports that clash as it is
+        taken = (m.interfaces, m.contracts, m.components, m.publications,
+                 m.architectures, m.links)
+        if any(decl.name in table for decl in tree.declarations for table in taken):
+            merged, diags = model.resolve(list(catalog.trees) + [tree])
+        else:
+            merged, diags = model.resolve([tree], base=m)
         diagnostics = diagnostics + diags
         if merged is None:
             return None, None, diagnostics

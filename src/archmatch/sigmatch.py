@@ -8,7 +8,7 @@ ranking ingredient upstream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .model import Interface, MethodSig, TypeDecl
 
@@ -32,9 +32,14 @@ def weakest(kinds) -> str:
 
 @dataclass(frozen=True)
 class TypeLattice:
-    """Reflexive-transitive subtype order from declared `<:` supertypes."""
+    """Reflexive-transitive subtype order from declared `<:` supertypes.
+
+    `matches` memoises what match_method finds for a pair of signature types
+    under this order, so a lattice serves one query's types and no others.
+    """
 
     parents: dict[str, str | None]
+    matches: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __hash__(self):
         return id(self)
@@ -96,11 +101,6 @@ class ModuleMatch:
         return sum(1 for m in self.method_map.values() if m.names_equal()) / total
 
 
-def _returns_equal(q: MethodSig, p: MethodSig) -> bool:
-    # an absent return type is a unit type equal only to itself
-    return q.return_type == p.return_type
-
-
 def _return_le(lattice: TypeLattice, sub: str | None, sup: str | None) -> bool:
     if sub is None or sup is None:
         return sub is None and sup is None
@@ -117,35 +117,39 @@ def shape(m: MethodSig, lattice: TypeLattice) -> tuple:
     return tuple(sorted(lattice.root(t) for t in m.param_types())), ret
 
 
-def match_method(q: MethodSig, p: MethodSig, lattice: TypeLattice) -> MethodMatch | None:
-    """Strongest applicable signature match between two methods, if any."""
-    qt, pt = q.param_types(), p.param_types()
+def _match_types(q_types, p_types, lattice: TypeLattice) -> tuple[str, tuple[int, ...]] | None:
+    """The strongest kind and parameter permutation matching two signatures'
+    (parameter types, return type), if any."""
+    (qt, qr), (pt, pr) = q_types, p_types
     if len(qt) != len(pt):
         return None
     identity = tuple(range(len(qt)))
 
-    if qt == pt and _returns_equal(q, p):
-        return MethodMatch(q.name, p.name, EXACT, identity)
+    if qr == pr:  # an absent return type is a unit type equal only to itself
+        if qt == pt:
+            return EXACT, identity
+        if sorted(qt) == sorted(pt):
+            # each query position, in order, takes the smallest unused provider
+            # position of its type: the lexicographically smallest permutation
+            pairs = zip(sorted(identity, key=qt.__getitem__),
+                        sorted(identity, key=pt.__getitem__))
+            return PERMUTED, tuple(j for _, j in sorted(pairs))
 
-    if sorted(qt) == sorted(pt) and _returns_equal(q, p):
-        # each query position, in order, takes the smallest unused provider
-        # position of its type: the lexicographically smallest permutation
-        pairs = zip(sorted(identity, key=qt.__getitem__), sorted(identity, key=pt.__getitem__))
-        return MethodMatch(q.name, p.name, PERMUTED, tuple(j for _, j in sorted(pairs)))
-
-    if (all(lattice.le(qi, pi) for qi, pi in zip(qt, pt))
-            and _return_le(lattice, p.return_type, q.return_type)):
-        strict = qt != pt or q.return_type != p.return_type
-        if strict:
-            return MethodMatch(q.name, p.name, GENERALIZED, identity)
-
-    if (all(lattice.le(pi, qi) for qi, pi in zip(qt, pt))
-            and _return_le(lattice, q.return_type, p.return_type)):
-        strict = qt != pt or q.return_type != p.return_type
-        if strict:
-            return MethodMatch(q.name, p.name, SPECIALIZED, identity)
-
+    # not EXACT: the types differ, so a subtype match here is strict
+    if all(lattice.le(qi, pi) for qi, pi in zip(qt, pt)) and _return_le(lattice, pr, qr):
+        return GENERALIZED, identity
+    if all(lattice.le(pi, qi) for qi, pi in zip(qt, pt)) and _return_le(lattice, qr, pr):
+        return SPECIALIZED, identity
     return None
+
+
+def match_method(q: MethodSig, p: MethodSig, lattice: TypeLattice) -> MethodMatch | None:
+    """Strongest applicable signature match between two methods, if any."""
+    key = q.types, p.types
+    if key not in lattice.matches:
+        lattice.matches[key] = _match_types(*key, lattice)
+    found = lattice.matches[key]
+    return None if found is None else MethodMatch(q.name, p.name, *found)
 
 
 def _match_matrix(q_methods, p_methods, lattice):

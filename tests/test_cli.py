@@ -427,6 +427,27 @@ def test_state_limit_overflow_while_loading_is_an_input_error(workdir, monkeypat
         f"error: {where}: protocol too large: determinization exceeds {limit} states\n"
 
 
+@pytest.mark.parametrize("args,bad", [
+    pytest.param(["check", "types.adl"], "types.adl", id="check"),
+    pytest.param(["protocol", "--unit", "document_manager.adl", "ManageDocumentCtr"],
+                 "document_manager.adl", id="protocol-unit"),
+    pytest.param(["arch"], "document_manager.adl", id="arch-catalog-unit"),
+    pytest.param(["match", "manage_documents_req.adl"], "types.adl", id="match-catalog-unit"),
+    pytest.param(["match", "manage_documents_req.adl"], "manage_documents_req.adl",
+                 id="match-requirement"),
+    pytest.param(["arch"], "catalog.txt", id="arch-catalog-file"),
+])
+def test_a_file_that_is_not_utf8_is_an_input_error(workdir, monkeypatch, args, bad):
+    monkeypatch.chdir(workdir)
+    (workdir / bad).write_bytes((workdir / bad).read_bytes() + b"\n# \xff\n")
+    res = run("--catalog", "catalog.txt", *args)
+    assert res.exit_code == 2
+    assert "internal error" not in res.stderr
+    [line] = res.stderr.splitlines()
+    assert line.startswith(f"{bad}:1:1: error: cannot read ")
+    assert "can't decode byte 0xff" in line and line.endswith("[unreadable-file]")
+
+
 # --- determinism -------------------------------------------------------------------
 
 def test_commands_are_byte_deterministic(workdir):

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from archmatch import dsl, model
+from archmatch import dsl, model, repo
 from archmatch import protocol as P
-from archmatch.dsl import SourceUnit
+from archmatch.diagnostics import ERROR, Diagnostic, Span
+from archmatch.dsl import SourceUnit, syntax
+from archmatch.matcher import Requirement
 from archmatch.protocol import Alt, Ev, Seq, Star
 
 from oracles import erase_expr, lang_upto, mem, random_expr
@@ -129,6 +134,135 @@ def test_resolve_deterministic():
     first = resolve_text(*texts)
     second = resolve_text(*texts)
     assert first[0] == second[0]
+
+
+# --- a requirement resolved on top of the catalog ----------------------------------
+
+@functools.cache
+def load_catalog(name):
+    catalog, m, diags = repo.load(FIXTURES / name)
+    assert catalog is not None, diags
+    return catalog, m
+
+
+def full_load_requirement(path, catalog):
+    """repo.load_requirement with the whole catalog resolved again together with
+    the requirement: the oracle for resolving on top of the catalog's model."""
+    tree, diagnostics = dsl.parse_unit(SourceUnit(str(path), path.read_text()))
+    if tree is None:
+        return None, None, diagnostics
+    merged, diags = model.resolve(list(catalog.trees) + [tree])
+    diagnostics = diagnostics + diags
+    if merged is None:
+        return None, None, diagnostics
+    interfaces = [d for d in tree.declarations if isinstance(d, syntax.InterfaceDecl)]
+    if len(interfaces) != 1:
+        return None, None, diagnostics + [Diagnostic(
+            ERROR, Span(1, 1, 0, 0),
+            f"a requirement unit must declare exactly one interface, found {len(interfaces)}",
+            "bad-requirement", str(path))]
+    iface = merged.interfaces[interfaces[0].name]
+    contracts = [d for d in tree.declarations
+                 if isinstance(d, syntax.ContractDecl) and d.implements == iface.name]
+    required_protocol = merged.contracts[contracts[0].name].prot if contracts else None
+    return Requirement(iface, required_protocol), merged, diagnostics
+
+
+def assert_resolves_as_the_whole_catalog(catalog_name, text, directory):
+    catalog, m = load_catalog(catalog_name)
+    path = directory / "requirement.adl"
+    path.write_text(text)
+    req, merged, diags = repo.load_requirement(path, catalog, m)
+    ref, ref_merged, ref_diags = full_load_requirement(path, catalog)
+    assert (req is None) == (ref is None)
+    assert diags == ref_diags
+    if req is not None:
+        assert req.iface == ref.iface
+        assert req.required_protocol == ref.required_protocol
+        assert merged == ref_merged
+    return diags
+
+
+REQUIREMENTS = {
+    "verbatim type repeat": "type String;\ninterface R { f(x: String); }",
+    "type with another supertype": "type Document <: String;\ninterface R { f(x: Document); }",
+    "extends a catalog interface": (
+        "type String;\ninterface R extends ManageDocument { more(x: String): String; }\n"
+        "contract RSpec implements R { protocol { ?searchDocuments ?more* } }"),
+    "unknown type": "interface R { f(x: Money); }",
+    "same-kind clash": "interface ManageDocument { f(x: String); }",
+    "cross-kind cascade": "interface ManageDocumentCtr { f(x: String); }",
+    "type named like a catalog interface": "type ManageDocument;\ninterface R { f(x: ManageDocument); }",
+    "interface named like a catalog type": "interface Document { f(x: String); }",
+    "new supertype cycle": "type A <: B;\ntype B <: A;\ninterface R { f(x: A); }",
+    "contract of a catalog interface": (
+        "interface R { f(x: String); }\n"
+        "contract Other implements ManageDocument { protocol { ?viewDocument* } }"),
+}
+
+
+@pytest.mark.parametrize("catalog_name", ["catalog.txt", "catalog_full.txt"])
+@pytest.mark.parametrize("case", sorted(REQUIREMENTS))
+def test_requirement_resolves_as_with_the_whole_catalog(tmp_path, catalog_name, case):
+    assert_resolves_as_the_whole_catalog(catalog_name, REQUIREMENTS[case], tmp_path)
+
+
+def test_a_cross_kind_clash_blames_the_catalog_declaration(tmp_path):
+    # the requirement's interface claims the name before the catalog's contract
+    diags = assert_resolves_as_the_whole_catalog(
+        "catalog.txt", REQUIREMENTS["cross-kind cascade"], tmp_path)
+    assert [(Path(d.path).name, str(d.span), d.code) for d in diags] == [
+        ("document_manager.adl", "20:1", "duplicate-declaration"),
+        ("document_manager.adl", "28:1", "unbound-name")]
+
+
+# a name of every kind the catalogs declare, or a name they do not declare
+_name = st.sampled_from(["R", "S", "T"]) | st.sampled_from([
+    "String", "Document", "ManageDocument", "AccountInquiry", "ManageDocumentCtr",
+    "DocumentManager", "AccountServicePub", "CustomerService", "Realization"])
+# mostly names that resolve, so that some units resolve
+_type = st.sampled_from(["String", "Document", "R", "ManageDocument"])
+_base = st.sampled_from([None, None, "ManageDocument", "AccountInquiry", "S", "DocumentManager"])
+_method = st.sampled_from(["f", "viewDocument", "getBalance"])
+
+
+def _method_decl(name, params, ret):
+    args = ", ".join(f"x{i}: {t}" for i, t in enumerate(params))
+    return f"{name}({args})" + (f": {ret}" if ret else "") + ";"
+
+
+_interface = st.builds(
+    lambda n, base, methods: f"interface {n}" + (f" extends {base}" if base else "")
+    + " { " + " ".join(methods) + " }",
+    _name, _base,
+    st.lists(st.builds(_method_decl, _method, st.lists(_type, max_size=2), st.none() | _type),
+             max_size=2))
+_declaration = st.one_of(
+    st.builds(lambda n, sup: f"type {n}" + (f" <: {sup}" if sup else "") + ";",
+              _type, st.none() | _type),
+    _interface,
+    st.builds(lambda n, iface, events: f"contract {n} implements {iface} {{ protocol {{ "
+              + " ".join(f"?{e}" for e in events) + "* } }",
+              _name, _name, st.lists(_method, min_size=1, max_size=2)),
+    st.builds(lambda n, contract: f"component {n} {{ provided contract {contract} }}",
+              _name, _name),
+)
+# an interface and up to two more declarations, in any order
+_unit = st.tuples(_interface, st.lists(_declaration, max_size=2)).flatmap(
+    lambda t: st.permutations([t[0], *t[1]]))
+
+
+@pytest.fixture(scope="module")
+def requirement_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("requirements")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["catalog.txt", "catalog_full.txt"]), _unit)
+def test_random_requirements_resolve_as_with_the_whole_catalog(requirement_dir, catalog_name,
+                                                               declarations):
+    assert_resolves_as_the_whole_catalog(catalog_name, "\n".join(declarations),
+                                         requirement_dir)
 
 
 # --- publish ---------------------------------------------------------------------

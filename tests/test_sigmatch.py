@@ -251,10 +251,14 @@ def test_module_match_agrees_with_brute_force():
 TYPES = ["T0", "T1", "T2", "T3", "T4", "T5"]
 
 
+def _forest(draw):
+    return S.TypeLattice({t: draw(st.sampled_from([None] + TYPES[:i]))
+                          for i, t in enumerate(TYPES)})
+
+
 @st.composite
 def _forest_and_methods(draw):
-    lattice = S.TypeLattice({t: draw(st.sampled_from([None] + TYPES[:i]))
-                             for i, t in enumerate(TYPES)})
+    lattice = _forest(draw)
     methods = st.builds(lambda name, params, ret: sig(name, *params, ret=ret),
                         st.sampled_from(["f", "g"]),
                         st.lists(st.sampled_from(TYPES), max_size=3),
@@ -330,8 +334,7 @@ def _best_partial(q_methods, p_methods, lattice):
 
 @st.composite
 def _forest_and_interfaces(draw):
-    lattice = S.TypeLattice({t: draw(st.sampled_from([None] + TYPES[:i]))
-                             for i, t in enumerate(TYPES)})
+    lattice = _forest(draw)
 
     def interface(tag):
         names = draw(st.lists(st.sampled_from("abcdef"), max_size=5, unique=True))
@@ -385,3 +388,88 @@ def test_partial_match_agrees_with_brute_force(case):
     provided = [m.provided_method for m in res.method_map.values()]
     assert len(provided) == len(set(provided))
     assert res.unmatched == tuple(n for n in q_by_name if n not in res.method_map)
+
+
+# --- the per-lattice memo of match_method ---------------------------------------
+
+def unmemoised_match_method(q, p, lattice):
+    """match_method without the memo, each pair compared afresh: the reference."""
+    qt, pt = q.param_types(), p.param_types()
+    if len(qt) != len(pt):
+        return None
+    identity = tuple(range(len(qt)))
+    returns_equal = q.return_type == p.return_type
+
+    if qt == pt and returns_equal:
+        return S.MethodMatch(q.name, p.name, S.EXACT, identity)
+
+    if sorted(qt) == sorted(pt) and returns_equal:
+        pairs = zip(sorted(identity, key=qt.__getitem__), sorted(identity, key=pt.__getitem__))
+        return S.MethodMatch(q.name, p.name, S.PERMUTED, tuple(j for _, j in sorted(pairs)))
+
+    if (all(lattice.le(qi, pi) for qi, pi in zip(qt, pt))
+            and S._return_le(lattice, p.return_type, q.return_type)):
+        strict = qt != pt or q.return_type != p.return_type
+        if strict:
+            return S.MethodMatch(q.name, p.name, S.GENERALIZED, identity)
+
+    if (all(lattice.le(pi, qi) for qi, pi in zip(qt, pt))
+            and S._return_le(lattice, q.return_type, p.return_type)):
+        strict = qt != pt or q.return_type != p.return_type
+        if strict:
+            return S.MethodMatch(q.name, p.name, S.SPECIALIZED, identity)
+
+    return None
+
+
+@st.composite
+def _two_forests_and_methods(draw):
+    # few types and names, so that many pairs repeat a signature under another name
+    methods = st.builds(lambda name, params, ret: sig(name, *params, ret=ret),
+                        st.sampled_from(["f", "g", "h"]),
+                        st.lists(st.sampled_from(TYPES[:3]), max_size=3),
+                        st.none() | st.sampled_from(TYPES[:3]))
+    return _forest(draw), _forest(draw), draw(st.lists(methods, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_two_forests_and_methods())
+def test_memoised_match_method_agrees_with_the_unmemoised_one(case):
+    first, second, methods = case
+    # both lattices, interleaved, and every pair twice: the second time from the memo
+    for q, p in itertools.product(methods, repeat=2):
+        for lattice in (first, second, first, second):
+            assert S.match_method(q, p, lattice) == unmemoised_match_method(q, p, lattice)
+
+
+def test_lattices_with_different_orders_share_no_memo_entry():
+    ordered = S.TypeLattice({"A": None, "B": "A"})
+    flat = S.TypeLattice({"A": None, "B": None})
+    q, p = sig("f", "A"), sig("g", "B")
+    for _ in range(2):
+        assert S.match_method(q, p, ordered).kind == S.SPECIALIZED
+        assert S.match_method(q, p, flat) is None
+        assert S.match_method(p, q, flat) is None
+        assert S.match_method(p, q, ordered).kind == S.GENERALIZED
+
+
+def test_each_pair_of_signatures_is_compared_once_per_lattice(monkeypatch):
+    compared = []
+    match_types = S._match_types
+
+    def counted(q_types, p_types, lattice):
+        compared.append((q_types, p_types))
+        return match_types(q_types, p_types, lattice)
+
+    monkeypatch.setattr(S, "_match_types", counted)
+    signatures = [("String",), ("Account",), ("String", "Account"), ("Account", "String"),
+                  ("Party", "String")]
+    rng = random.Random(3)
+    candidates = [iface(f"P{i}", *(sig(f"m{i}_{j}", *rng.choice(signatures)) for j in range(3)))
+                  for i in range(300)]
+    for lattice in (S.TypeLattice(dict(FLAT.parents)), S.TypeLattice(dict(WITH_SUB.parents))):
+        compared.clear()
+        for candidate in candidates:
+            S.match_module(MANAGE_PORTFOLIO, candidate, lattice)
+        query = {m.types for m in MANAGE_PORTFOLIO.all_methods()}
+        assert len(compared) == len(set(compared)) <= len(query) * len(signatures)
