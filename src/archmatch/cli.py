@@ -179,22 +179,16 @@ def _protocol_source(session: Session, target: str, unit: str | None):
             sys.exit(2)
     else:
         _, model_ = session.require_catalog()
-    contract = model_.contracts.get(target)
-    if contract is not None:
-        alphabet = contract.iface.method_names()
-        if contract.prot is None:
-            return protocol.universal(alphabet)
-        return protocol.compile(contract.prot, alphabet=alphabet)
     publication = model_.publications.get(target)
     if publication is not None:
         return protocol.compile(publication.provided.traces,
                                 alphabet=publication.provided.iface.method_names())
     component = model_.components.get(target)
-    if component is not None:
-        alphabet = component.provided_interface.method_names()
-        if component.provided_protocol is None:
-            return protocol.universal(alphabet)
-        return protocol.compile(component.provided_protocol, alphabet=alphabet)
+    contract = component.provided.base if component is not None else model_.contracts.get(target)
+    if contract is not None:
+        alphabet = contract.iface.method_names()
+        expr = contract.prot if contract.prot is not None else protocol.universal_expr(alphabet)
+        return protocol.compile(expr, alphabet=alphabet)
     _input_error(f"unknown contract, publication, or component {target!r}")
 
 

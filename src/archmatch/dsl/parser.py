@@ -1,4 +1,4 @@
-"""Recursive-descent parser for ADL units and protocol expressions.
+"""Parser for ADL units and protocol expressions.
 
 The parser is total: any input yields either a syntax tree or a list of
 error diagnostics (often both ends of a unit are salvageable; on error inside
@@ -8,7 +8,7 @@ one declaration it resynchronizes at the next top-level declaration keyword).
 from __future__ import annotations
 
 from ..diagnostics import ERROR, WARNING, Diagnostic, Span, attach_path
-from ..protocol import Alt, Eps, Ev, ProtocolExpr, Seq, Shuffle, Star, events
+from ..protocol import Alt, Eps, Ev, ProtocolExpr, Seq, Shuffle, Star, chain, events
 from . import syntax
 from .tokens import DECL_KEYWORDS, EOF, ERROR as T_ERROR, IDENT, STRING, SourceUnit, Token, tokenize
 
@@ -79,68 +79,49 @@ def _extent(start: Span, end: Span) -> Span:
 
 # --- protocol expressions ----------------------------------------------------
 
-def _starts_atom(r: _Reader) -> bool:
-    return r.at("?", "(")
+_CHAINS = ((Seq, ";"), (Alt, "+"), (Shuffle, "|"))  # binary operators, tightest first
 
 
-def _parse_atom(r: _Reader) -> ProtocolExpr:
-    if r.at("?"):
-        r.advance()
-        name = r.expect_ident("event name")
-        return Ev(name.text)
-    r.expect("(", 'event "?name" or "("')
-    if r.at(")"):
-        r.advance()
-        return Eps()
-    inner = _parse_shuffle(r)
-    r.expect(")")
-    return inner
+def _parse_expr(r: _Reader) -> ProtocolExpr:
+    """protoExpr: postfix `*` binds tightest, then `;` (or juxtaposition), `+`
+    and `|`; binary operators associate to the right.
 
-
-def _parse_rep(r: _Reader) -> ProtocolExpr:
-    e = _parse_atom(r)
-    while r.at("*"):
-        r.advance()
-        e = Star(e)
-    return e
-
-
-def _parse_seq(r: _Reader) -> ProtocolExpr:
-    parts = [_parse_rep(r)]
+    One loop reads an atom, then closes what ends after it.  Open parentheses
+    wait on a stack, so nesting depth costs no Python recursion.
+    """
+    groups: list[tuple[list[ProtocolExpr], ...]] = []  # enclosing open parentheses
+    operands: tuple[list[ProtocolExpr], ...] = ([], [], [])  # of the open ;, + and | chains
     while True:
-        if r.at(";"):
+        if r.at("?"):
             r.advance()
-            parts.append(_parse_rep(r))
-        elif _starts_atom(r):
-            parts.append(_parse_rep(r))
+            e: ProtocolExpr = Ev(r.expect_ident("event name").text)
         else:
+            r.expect("(", 'event "?name" or "("')
+            if not r.at(")"):
+                groups.append(operands)
+                operands = ([], [], [])
+                continue
+            r.advance()
+            e = Eps()
+        while True:  # `e` is a whole atom
+            while r.at("*"):
+                r.advance()
+                e = Star(e)
+            for (cls, op), parts in zip(_CHAINS, operands):
+                parts.append(e)
+                if r.at(op) or (cls is Seq and r.at("?", "(")):
+                    break
+                e = chain(cls, parts)
+                parts.clear()
+            else:  # the group ends here
+                if not groups:
+                    return e
+                r.expect(")")
+                operands = groups.pop()
+                continue
+            if r.at(op):
+                r.advance()
             break
-    out = parts[-1]
-    for e in reversed(parts[:-1]):
-        out = Seq(e, out)
-    return out
-
-
-def _parse_alt(r: _Reader) -> ProtocolExpr:
-    parts = [_parse_seq(r)]
-    while r.at("+"):
-        r.advance()
-        parts.append(_parse_seq(r))
-    out = parts[-1]
-    for e in reversed(parts[:-1]):
-        out = Alt(e, out)
-    return out
-
-
-def _parse_shuffle(r: _Reader) -> ProtocolExpr:
-    parts = [_parse_alt(r)]
-    while r.at("|"):
-        r.advance()
-        parts.append(_parse_alt(r))
-    out = parts[-1]
-    for e in reversed(parts[:-1]):
-        out = Shuffle(e, out)
-    return out
 
 
 def _parse_protocol_block(r: _Reader) -> tuple[ProtocolExpr, Span]:
@@ -149,7 +130,7 @@ def _parse_protocol_block(r: _Reader) -> tuple[ProtocolExpr, Span]:
     if r.at("}"):
         close = r.advance()
         return Eps(), _extent(open_tok.span, close.span)
-    expr = _parse_shuffle(r)
+    expr = _parse_expr(r)
     close = r.expect("}")
     return expr, _extent(open_tok.span, close.span)
 
@@ -166,7 +147,7 @@ def parse_protocol(text: str, alphabet: set[str] | frozenset[str] | None = None,
         if reader.at(EOF):
             expr: ProtocolExpr = Eps()
         else:
-            expr = _parse_shuffle(reader)
+            expr = _parse_expr(reader)
             if not reader.at(EOF):
                 tok = reader.current
                 raise _ParseError(Diagnostic(

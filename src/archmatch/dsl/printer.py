@@ -5,7 +5,7 @@ parse(format(tree)) reproduces tree structurally; see the round-trip tests.
 
 from __future__ import annotations
 
-from ..protocol import Alt, Eps, Ev, ProtocolExpr, Seq, Shuffle, Star
+from ..protocol import Alt, Eps, Ev, ProtocolExpr, Seq, Star, fold
 from . import syntax
 
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
@@ -15,30 +15,32 @@ def _string(value: str) -> str:
     return '"' + "".join(_STRING_ESCAPES.get(c, c) for c in value) + '"'
 
 
+def _render(e: ProtocolExpr, operands: list[tuple[str, int]]) -> tuple[str, int]:
+    """(text, precedence) of `e`; an operand binding looser than its place is parenthesized."""
+    def place(i: int, level: int) -> str:
+        text, own = operands[i]
+        return f"({text})" if own < level else text
+
+    if isinstance(e, Ev):
+        return "?" + e.name, 3
+    if isinstance(e, Eps):
+        return "()", 3
+    if isinstance(e, Star):
+        return place(0, 3) + "*", 3
+    if isinstance(e, Seq):
+        return place(0, 3) + " " + place(1, 2), 2
+    if isinstance(e, Alt):
+        return place(0, 2) + " + " + place(1, 1), 1
+    return place(0, 1) + " | " + place(1, 0), 0  # Shuffle
+
+
 def format_protocol(expr: ProtocolExpr) -> str:
     """Render a protocol expression with minimal parentheses.
 
     Binary operators associate to the right, so a left-nested operand of the
     same operator is parenthesized to survive reparsing.
     """
-    def go(e: ProtocolExpr, level: int) -> str:
-        if isinstance(e, Ev):
-            text, own = "?" + e.name, 3
-        elif isinstance(e, Eps):
-            text, own = "()", 3
-        elif isinstance(e, Star):
-            text, own = go(e.inner, 3) + "*", 3
-        elif isinstance(e, Seq):
-            text, own = go(e.left, 3) + " " + go(e.right, 2), 2
-        elif isinstance(e, Alt):
-            text, own = go(e.left, 2) + " + " + go(e.right, 1), 1
-        elif isinstance(e, Shuffle):
-            text, own = go(e.left, 1) + " | " + go(e.right, 0), 0
-        else:
-            raise TypeError(f"not a protocol expression: {e!r}")
-        return f"({text})" if own < level else text
-
-    return go(expr, 0)
+    return fold(expr, _render)[0]
 
 
 def _annot(annot: syntax.Annot | None) -> str:

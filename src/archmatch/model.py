@@ -77,9 +77,10 @@ class Interface:
 
     def all_methods(self) -> tuple[MethodSig, ...]:
         """Own plus inherited methods, base-first."""
-        if self.extends is None:
-            return self.methods
-        return self.extends.all_methods() + self.methods
+        out, base = self.methods, self.extends
+        while base is not None:
+            out, base = base.methods + out, base.extends
+        return out
 
     def method_names(self) -> frozenset[str]:
         return frozenset(m.name for m in self.all_methods())
@@ -251,62 +252,58 @@ class _Resolver:
             if self.claim_name(decl, "interface", path):
                 nodes[decl.name] = (decl, path)
 
-        resolving: set[str] = set()
-
-        def build(name: str) -> Interface | None:
-            if name in self.model.interfaces:
-                return self.model.interfaces[name]
-            if name not in nodes:
-                return None
-            decl, path = nodes[name]
-            if name in resolving:
-                self.error(decl.span, f"cyclic extends chain through {name!r}",
-                           "cyclic-declaration", path)
-                return None
-            resolving.add(name)
-            base: Interface | None = None
-            if decl.extends is not None:
-                base = build(decl.extends)
-                if base is None and decl.extends not in nodes:
-                    self.error(decl.span, f"unknown base interface {decl.extends!r}",
-                               "unbound-name", path)
-            resolving.discard(name)
-
-            fields: list[Field] = []
-            field_names: set[str] = set()
-            for f in decl.fields:
-                if f.name in field_names:
-                    self.error(f.span, f"duplicate field {f.name!r}", "duplicate-member", path)
-                    continue
-                field_names.add(f.name)
-                self._check_type_ref(f.type, f.span, path)
-                fields.append(Field(f.name, f.type))
-
-            methods: list[MethodSig] = []
-            inherited = set(base.method_names()) if base else set()
-            method_names: set[str] = set()
-            for m in decl.methods:
-                if m.name in method_names or m.name in inherited:
-                    self.error(m.span, f"duplicate method {m.name!r}", "duplicate-member", path)
-                    continue
-                method_names.add(m.name)
-                param_names = set()
-                for p in m.params:
-                    if p.name in param_names:
-                        self.error(p.span, f"duplicate parameter {p.name!r}",
-                                   "duplicate-member", path)
-                    param_names.add(p.name)
-                    self._check_type_ref(p.type, p.span, path)
-                if m.return_type is not None:
-                    self._check_type_ref(m.return_type, m.span, path)
-                methods.append(_sig_from_decl(m))
-
-            iface = Interface(name, tuple(fields), tuple(methods), base)
-            self.model.interfaces[name] = iface
-            return iface
-
         for name in nodes:
-            build(name)
+            # the unbuilt interfaces down the extends links from `name`, built base-first
+            chain: dict[str, None] = {}
+            cursor = name
+            while cursor in nodes and cursor not in self.model.interfaces and cursor not in chain:
+                chain[cursor] = None
+                cursor = nodes[cursor][0].extends
+            base = self.model.interfaces.get(cursor)
+            if cursor in chain:
+                decl, path = nodes[cursor]
+                self.error(decl.span, f"cyclic extends chain through {cursor!r}",
+                           "cyclic-declaration", path)
+            elif cursor is not None and base is None:
+                decl, path = nodes[next(reversed(chain))]
+                self.error(decl.span, f"unknown base interface {cursor!r}", "unbound-name", path)
+            for link in reversed(chain):
+                base = self._build_interface(*nodes[link], base)
+
+    def _build_interface(self, decl: syntax.InterfaceDecl, path: str,
+                         base: Interface | None) -> Interface:
+        fields: list[Field] = []
+        field_names: set[str] = set()
+        for f in decl.fields:
+            if f.name in field_names:
+                self.error(f.span, f"duplicate field {f.name!r}", "duplicate-member", path)
+                continue
+            field_names.add(f.name)
+            self._check_type_ref(f.type, f.span, path)
+            fields.append(Field(f.name, f.type))
+
+        methods: list[MethodSig] = []
+        inherited = set(base.method_names()) if base else set()
+        method_names: set[str] = set()
+        for m in decl.methods:
+            if m.name in method_names or m.name in inherited:
+                self.error(m.span, f"duplicate method {m.name!r}", "duplicate-member", path)
+                continue
+            method_names.add(m.name)
+            param_names = set()
+            for p in m.params:
+                if p.name in param_names:
+                    self.error(p.span, f"duplicate parameter {p.name!r}",
+                               "duplicate-member", path)
+                param_names.add(p.name)
+                self._check_type_ref(p.type, p.span, path)
+            if m.return_type is not None:
+                self._check_type_ref(m.return_type, m.span, path)
+            methods.append(_sig_from_decl(m))
+
+        iface = Interface(decl.name, tuple(fields), tuple(methods), base)
+        self.model.interfaces[decl.name] = iface
+        return iface
 
     def _resolve_contracts(self, decls) -> None:
         for decl, path in decls:

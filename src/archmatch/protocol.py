@@ -12,8 +12,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 DEFAULT_STATE_LIMIT = 10**6
+
+_T = TypeVar("_T")
 
 
 class ProtocolTooLarge(Exception):
@@ -63,29 +66,55 @@ class Shuffle(ProtocolExpr):
     right: ProtocolExpr
 
 
-def events(expr: ProtocolExpr) -> frozenset[str]:
-    """The set of event names occurring in `expr`."""
-    out: set[str] = set()
+def _operands(e: ProtocolExpr) -> tuple[ProtocolExpr, ...]:
+    if isinstance(e, (Seq, Alt, Shuffle)):
+        return e.left, e.right
+    if isinstance(e, Star):
+        return (e.inner,)
+    if isinstance(e, (Eps, Ev)):
+        return ()
+    raise TypeError(f"not a protocol expression: {e!r}")
+
+
+def _preorder(expr: ProtocolExpr) -> list[tuple[ProtocolExpr, int]]:
+    """Every node of `expr` with its number of operands: each node before its
+    operands, its right operand's subtree before its left one's.
+
+    The walk keeps its own stack, so an expression of any depth is walked
+    without Python recursion.
+    """
+    out: list[tuple[ProtocolExpr, int]] = []
     stack = [expr]
     while stack:
         e = stack.pop()
-        if isinstance(e, Ev):
-            out.add(e.name)
-        elif isinstance(e, (Seq, Alt, Shuffle)):
-            stack.append(e.left)
-            stack.append(e.right)
-        elif isinstance(e, Star):
-            stack.append(e.inner)
-    return frozenset(out)
+        operands = _operands(e)
+        out.append((e, len(operands)))
+        stack.extend(operands)
+    return out
 
 
-def alt_chain(exprs: list[ProtocolExpr]) -> ProtocolExpr:
-    """Right-associated alternative of `exprs` (Eps for an empty list)."""
-    if not exprs:
-        return Eps()
-    out = exprs[-1]
-    for e in reversed(exprs[:-1]):
-        out = Alt(e, out)
+def fold(expr: ProtocolExpr, visit: Callable[[ProtocolExpr, list[_T]], _T]) -> _T:
+    """Postorder fold: `visit(node, values of its operands)` runs on every node
+    after its operands, left before right; the root's value is returned."""
+    values: list[_T] = []
+    for e, arity in reversed(_preorder(expr)):
+        split = len(values) - arity
+        operand_values = values[split:]
+        del values[split:]
+        values.append(visit(e, operand_values))
+    return values[0]
+
+
+def events(expr: ProtocolExpr) -> frozenset[str]:
+    """The set of event names occurring in `expr`."""
+    return frozenset(e.name for e, _ in _preorder(expr) if isinstance(e, Ev))
+
+
+def chain(cls: type[ProtocolExpr], parts: list[ProtocolExpr]) -> ProtocolExpr:
+    """`parts` joined by the binary operator `cls`, associating to the right."""
+    out = parts[-1]
+    for e in reversed(parts[:-1]):
+        out = cls(e, out)
     return out
 
 
@@ -98,7 +127,7 @@ def universal_expr(alphabet: frozenset[str] | set[str]) -> ProtocolExpr:
     names = sorted(alphabet)
     if not names:
         return Eps()
-    return Star(alt_chain([Ev(n) for n in names]))
+    return Star(chain(Alt, [Ev(n) for n in names]))
 
 
 @dataclass(frozen=True)
@@ -163,49 +192,45 @@ class EquivalenceResult:
 
 # --- compilation -----------------------------------------------------------
 
-def _build(expr: ProtocolExpr) -> tuple[int, list[tuple[int, str | None, int]], int, frozenset[int]]:
+_Nfa = tuple[int, list[tuple[int, str | None, int]], int, frozenset[int]]
+
+
+def _thompson(expr: ProtocolExpr, operands: list[_Nfa]) -> _Nfa:
     """Thompson-style construction: (state count, transitions, start, accepting)."""
     if isinstance(expr, Eps):
         return 1, [], 0, frozenset({0})
     if isinstance(expr, Ev):
         return 2, [(0, expr.name, 1)], 0, frozenset({1})
+    if isinstance(expr, Star):
+        [(n, t, s, a)] = operands
+        trans = [(p + 1, sym, q + 1) for p, sym, q in t]
+        trans.append((0, None, s + 1))
+        trans += [(q + 1, None, s + 1) for q in sorted(a)]
+        return n + 1, trans, 0, frozenset(q + 1 for q in a) | frozenset({0})
+    (ln, lt, ls, la), (rn, rt, rs, ra) = operands
     if isinstance(expr, Seq):
-        ln, lt, ls, la = _build(expr.left)
-        rn, rt, rs, ra = _build(expr.right)
         shifted = [(s + ln, sym, t + ln) for s, sym, t in rt]
         glue = [(a, None, rs + ln) for a in sorted(la)]
         return ln + rn, lt + shifted + glue, ls, frozenset(a + ln for a in ra)
     if isinstance(expr, Alt):
-        ln, lt, ls, la = _build(expr.left)
-        rn, rt, rs, ra = _build(expr.right)
         # new start is state 0; both operands shift up
         trans = [(s + 1, sym, t + 1) for s, sym, t in lt]
         trans += [(s + 1 + ln, sym, t + 1 + ln) for s, sym, t in rt]
         trans += [(0, None, ls + 1), (0, None, rs + 1 + ln)]
         acc = frozenset(a + 1 for a in la) | frozenset(a + 1 + ln for a in ra)
         return 1 + ln + rn, trans, 0, acc
-    if isinstance(expr, Star):
-        n, t, s, a = _build(expr.inner)
-        trans = [(p + 1, sym, q + 1) for p, sym, q in t]
-        trans.append((0, None, s + 1))
-        trans += [(q + 1, None, s + 1) for q in sorted(a)]
-        return n + 1, trans, 0, frozenset(q + 1 for q in a) | frozenset({0})
-    if isinstance(expr, Shuffle):
-        ln, lt, ls, la = _build(expr.left)
-        rn, rt, rs, ra = _build(expr.right)
-        # product automaton: either component may step while the other waits
-        def pid(p: int, q: int) -> int:
-            return p * rn + q
-        trans = []
-        for s, sym, t in lt:
-            for q in range(rn):
-                trans.append((pid(s, q), sym, pid(t, q)))
-        for s, sym, t in rt:
-            for p in range(ln):
-                trans.append((pid(p, s), sym, pid(p, t)))
-        acc = frozenset(pid(p, q) for p in la for q in ra)
-        return ln * rn, trans, pid(ls, rs), acc
-    raise TypeError(f"not a protocol expression: {expr!r}")
+    # Shuffle: product automaton, either component may step while the other waits
+    def pid(p: int, q: int) -> int:
+        return p * rn + q
+    trans = []
+    for s, sym, t in lt:
+        for q in range(rn):
+            trans.append((pid(s, q), sym, pid(t, q)))
+    for s, sym, t in rt:
+        for p in range(ln):
+            trans.append((pid(p, s), sym, pid(p, t)))
+    acc = frozenset(pid(p, q) for p in la for q in ra)
+    return ln * rn, trans, pid(ls, rs), acc
 
 
 def compile(expr: ProtocolExpr, alphabet: frozenset[str] | set[str] | None = None) -> FiniteAutomaton:
@@ -214,7 +239,7 @@ def compile(expr: ProtocolExpr, alphabet: frozenset[str] | set[str] | None = Non
     `alphabet` widens the automaton's alphabet beyond the events occurring in
     the expression (needed when projecting over a larger method set).
     """
-    n, trans, start, acc = _build(expr)
+    n, trans, start, acc = fold(expr, _thompson)
     alpha = events(expr)
     if alphabet is not None:
         alpha = alpha | frozenset(alphabet)
@@ -317,60 +342,38 @@ def minimize(a: FiniteAutomaton) -> FiniteAutomaton:
     if not a.deterministic:
         raise ValueError("minimize requires a deterministic automaton")
     a = _renumber_bfs(a)  # drops unreachable states
-    symbols = sorted(a.alphabet)
-    n = len(a.states)
-    sink = n  # implicit completion target
-    delta = _delta(a)
-
-    def step(s: int, label: str) -> int:
-        if s == sink:
-            return sink
-        return delta.get((s, label), sink)
-
-    # Moore partition refinement over the completed automaton
-    cls = {s: (1 if s in a.accepting else 0) for s in range(n)}
-    cls[sink] = 0
-    while True:
-        signatures: dict[tuple, int] = {}
-        new_cls: dict[int, int] = {}
-        for s in sorted(cls):
-            sig = (cls[s], tuple(cls[step(s, label)] for label in symbols))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_cls[s] = signatures[sig]
-        if len(set(new_cls.values())) == len(set(cls.values())):
-            cls = new_cls
-            break
-        cls = new_cls
-
-    # quotient automaton over classes
-    q_trans: dict[tuple[int, str], int] = {}
-    for s in range(n):
-        for label in symbols:
-            t = step(s, label)
-            q_trans[(cls[s], label)] = cls[t]
-    q_accepting = {cls[s] for s in a.accepting}
-    q_start = cls[a.start]
-
-    # drop dead classes (cannot reach an accepting class) and every transition
-    # touching one; the start state survives even when dead so the automaton
-    # stays well-formed (empty language = one bare state)
-    reverse: dict[int, set[int]] = {}
-    for (s, _), t in q_trans.items():
-        reverse.setdefault(t, set()).add(s)
-    alive = set(q_accepting)
+    reverse: dict[int, list[int]] = {}
+    for s, _, t in a.transitions:
+        reverse.setdefault(t, []).append(s)
+    alive = set(a.accepting)
     stack = list(alive)
     while stack:
-        s = stack.pop()
-        for p in reverse.get(s, ()):
+        for p in reverse.get(stack.pop(), ()):
             if p not in alive:
                 alive.add(p)
                 stack.append(p)
-    transitions = frozenset((s, label, t) for (s, label), t in q_trans.items()
-                            if s in alive and t in alive)
-    trimmed = FiniteAutomaton(frozenset(alive | {q_start}), a.alphabet, transitions,
-                              q_start, frozenset(q_accepting), deterministic=True)
-    return _renumber_bfs(trimmed)
+    # the start stays even when dead, so the empty language is one bare state
+    edges: dict[int, list[tuple[str, int]]] = {s: [] for s in alive | {a.start}}
+    for s, label, t in sorted(a.transitions):
+        if t in alive:
+            edges[s].append((label, t))
+
+    # Moore partition refinement over the transitions present: a missing one
+    # leads to the empty language, which no other state has once the dead are gone
+    cls = {s: int(s in a.accepting) for s in edges}
+    while True:
+        signatures: dict[tuple, int] = {}
+        refined = {s: signatures.setdefault(
+                       (cls[s], tuple((label, cls[t]) for label, t in moves)), len(signatures))
+                   for s, moves in edges.items()}
+        if len(signatures) == len(set(cls.values())):
+            break
+        cls = refined
+    transitions = frozenset((cls[s], label, cls[t]) for s, moves in edges.items()
+                            for label, t in moves)
+    quotient = FiniteAutomaton(frozenset(cls.values()), a.alphabet, transitions, cls[a.start],
+                               frozenset(cls[s] for s in a.accepting), deterministic=True)
+    return _renumber_bfs(quotient)
 
 
 # --- decision procedures ----------------------------------------------------
@@ -491,14 +494,6 @@ def sample_traces(a: FiniteAutomaton, max_len: int,
                     nxt.append((word + (label,), t))
         frontier = nxt
     return out
-
-
-def universal(alphabet: frozenset[str] | set[str]) -> FiniteAutomaton:
-    """The one-state DFA accepting every word over `alphabet`."""
-    alpha = frozenset(alphabet)
-    transitions = frozenset((0, sym, 0) for sym in alpha)
-    return FiniteAutomaton(frozenset({0}), alpha, transitions, 0, frozenset({0}),
-                           deterministic=True)
 
 
 # --- textual DFA format ------------------------------------------------------

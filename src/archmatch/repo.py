@@ -216,13 +216,12 @@ def build_index(catalog: Catalog, m: Model,
         comp = m.components[name]
         iface = comp.provided_interface
         provided_alphabet = iface.method_names()
+        expr = comp.provided_protocol
+        if expr is None:
+            expr = protocol.universal_expr(provided_alphabet)
         try:
-            if comp.provided_protocol is None:
-                provided = protocol.minimize(protocol.universal(provided_alphabet))
-            else:
-                provided = protocol.minimize(protocol.determinize(
-                    protocol.compile(comp.provided_protocol, alphabet=provided_alphabet),
-                    state_limit))
+            provided = protocol.minimize(protocol.determinize(
+                protocol.compile(expr, alphabet=provided_alphabet), state_limit))
         except protocol.ProtocolTooLarge as err:
             raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
         entries[name] = IndexEntry(name, iface.all_methods(), provided)

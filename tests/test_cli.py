@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from archmatch import matcher, repo
+from archmatch import matcher, protocol, repo
 from archmatch.cli import main
 from archmatch.sigmatch import TypeLattice
 from broken_caches import DEFECTS, V2_CACHE
@@ -161,13 +161,72 @@ def test_protocol_unknown_name(workdir):
     assert res.exit_code == 2
 
 
-def test_internal_error_is_one_line_and_exit_three():
-    # the recursive-descent parser overflows the stack on 300 nested parentheses
-    res = runner.invoke(main, ["protocol", "(" * 300 + "?a" + ")" * 300])
+def test_internal_error_is_one_line_and_exit_three(monkeypatch):
+    def broken(*_):
+        raise RuntimeError("minimize failed")
+
+    monkeypatch.setattr(protocol, "minimize", broken)
+    res = runner.invoke(main, ["protocol", "?a"])
     assert res.exit_code == 3
     assert "Traceback" not in res.output
     [line] = res.output.splitlines()
-    assert line.startswith("error: internal error: RecursionError: ")
+    assert line.startswith("error: internal error: RuntimeError: ")
+
+
+def _fresh_cli(*args, cwd=None):
+    """Run archmatch in a new interpreter, at its default recursion limit."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "archmatch.cli", *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def _dfa_states(text):
+    states = {0}
+    for line in text.splitlines()[2:]:
+        s, _, t = line.split()
+        states |= {int(s), int(t)}
+    return len(states)
+
+
+@pytest.mark.parametrize("expr,states", [
+    ("(" * 300 + "?a" + ")" * 300, 2),
+    (" ".join(f"?e{i}" for i in range(1200)), 1201),
+    (" + ".join(f"?e{i}" for i in range(1200)), 2),
+], ids=["300-nested-parentheses", "1200-event-sequence", "1200-way-alternative"])
+def test_deep_protocols_compile(expr, states):
+    res = _fresh_cli("protocol", expr, "--emit-dfa")
+    assert (res.returncode, res.stderr) == (0, "")
+    assert _dfa_states(res.stdout) == states
+
+
+def test_match_on_a_component_with_a_1200_event_protocol(tmp_path):
+    events = " ".join(["?a ?b"] * 600)
+    (tmp_path / "long.adl").write_text(
+        "interface Ops { a(); b(); }\n"
+        f"contract OpsCtr implements Ops {{ protocol {{ {events} }} }}\n"
+        "component Long { provided contract OpsCtr }\n")
+    (tmp_path / "catalog.txt").write_text("long.adl\n")
+    (tmp_path / "req.adl").write_text(
+        "interface Need { a(); b(); }\n"
+        f"contract NeedSpec implements Need {{ protocol {{ {events} }} }}\n")
+    res = _fresh_cli("--quiet", "--catalog", "catalog.txt", "match", "req.adl", cwd=tmp_path)
+    assert (res.returncode, res.stderr) == (0, "")
+    assert res.stdout.splitlines()[0] == "USE Long"
+
+
+def test_check_a_1200_interface_extends_chain(tmp_path):
+    unit = tmp_path / "chain.adl"
+    unit.write_text("interface I0 { m0(); }\n" + "".join(
+        f"interface I{i} extends I{i - 1} {{ m{i}(); }}\n" for i in range(1, 1200)))
+    res = _fresh_cli("check", str(unit))
+    assert (res.returncode, res.stderr) == (0, "checked 1 unit(s): ok\n")
+
+
+def test_no_recursion_limit_is_raised():
+    src = Path(__file__).resolve().parent.parent / "src" / "archmatch"
+    assert not [p for p in src.rglob("*.py") if "setrecursionlimit" in p.read_text()]
 
 
 # --- match ------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from archmatch import dsl
 from archmatch.dsl import SourceUnit, syntax
 from archmatch.dsl.tokens import EOF, ERROR, IDENT, STRING, tokenize
-from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star
+from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star, chain
 
 from oracles import random_expr
 
@@ -310,6 +310,100 @@ def test_parse_protocol_empty_is_epsilon():
     assert expr == Eps()
     expr, _ = dsl.parse_protocol("()")
     assert expr == Eps()
+
+
+_EXPECTED_EVENT = 'expected event "?name" or "(", found '
+
+# Each malformed protocol with the one diagnostic it gets, or a tree it parses to:
+# (line:column, length, message, code) of a standalone protocol or of a unit.
+PROTOCOL_TABLE = [
+    ("?", ("1:2", 0, "expected event name, found 'end of file'", "unexpected-token")),
+    ("(?a", ("1:4", 0, "expected \")\", found 'end of file'", "unexpected-token")),
+    ("?a)", ("1:3", 1, "unexpected ')' after protocol expression", "unexpected-token")),
+    ("?a ;", ("1:5", 0, _EXPECTED_EVENT + "'end of file'", "unexpected-token")),
+    ("| ?a", ("1:1", 1, _EXPECTED_EVENT + "'|'", "unexpected-token")),
+    ("?a **", Star(Star(Ev("a")))),
+    ("?a + + ?b", ("1:6", 1, _EXPECTED_EVENT + "'+'", "unexpected-token")),
+    ("(", ("1:2", 0, _EXPECTED_EVENT + "'end of file'", "unexpected-token")),
+    (")", ("1:1", 1, _EXPECTED_EVENT + "')'", "unexpected-token")),
+    ("*", ("1:1", 1, _EXPECTED_EVENT + "'*'", "unexpected-token")),
+    ("?a |", ("1:5", 0, _EXPECTED_EVENT + "'end of file'", "unexpected-token")),
+    ("?a ;; ?b", ("1:5", 1, _EXPECTED_EVENT + "';'", "unexpected-token")),
+    ("((?a)", ("1:6", 0, "expected \")\", found 'end of file'", "unexpected-token")),
+    ("?a (?b", ("1:7", 0, "expected \")\", found 'end of file'", "unexpected-token")),
+    ("?1", ("1:2", 1, "expected event name, found '1'", "unexpected-token")),
+    ("? protocol", ("1:3", 8, "expected event name, found 'protocol'", "unexpected-token")),
+    ("?a ; )", ("1:6", 1, _EXPECTED_EVENT + "')'", "unexpected-token")),
+    ("()*", Star(Eps())),
+    ("?a ?b | ?c + ()", Shuffle(Seq(Ev("a"), Ev("b")), Alt(Ev("c"), Eps()))),
+]
+
+UNIT_PROTOCOL_TABLE = [
+    ("contract C implements I {\n  protocol { ?a",
+     ("2:16", 0, 'unclosed block: expected "}" before end of file', "unclosed-block")),
+    ("contract C implements I { protocol { ?a + } }",
+     ("1:43", 1, _EXPECTED_EVENT + "'}'", "unexpected-token")),
+    ("contract C implements I { protocol { (?a } }",
+     ("1:42", 1, "expected \")\", found '}'", "unexpected-token")),
+    ("contract C implements I { protocol { (?a",
+     ("1:41", 0, 'unclosed block: expected ")" before end of file', "unclosed-block")),
+    ("contract C implements I { protocol {",
+     ("1:37", 0, 'unclosed block: expected "(" before end of file', "unclosed-block")),
+    ("component K { provided contract C causal { ?a | } }",
+     ("1:49", 1, _EXPECTED_EVENT + "'}'", "unexpected-token")),
+    ("contract C implements I { protocol { ?a } ?b }",
+     ("1:43", 1, "expected \"}\", found '?'", "unexpected-token")),
+]
+
+
+def _diagnostic_row(d):
+    return str(d.span), d.span.length, d.message, d.code
+
+
+@pytest.mark.parametrize("text,expected", PROTOCOL_TABLE)
+def test_parse_protocol_table(text, expected):
+    expr, diags = dsl.parse_protocol(text)
+    if isinstance(expected, tuple):
+        assert expr is None
+        assert [_diagnostic_row(d) for d in diags] == [expected]
+    else:
+        assert (expr, diags) == (expected, [])
+
+
+@pytest.mark.parametrize("text,expected", UNIT_PROTOCOL_TABLE)
+def test_parse_unit_protocol_table(text, expected):
+    tree, diags = dsl.parse_unit(SourceUnit("u.adl", text))
+    assert tree is None
+    assert [_diagnostic_row(d) for d in diags] == [expected]
+
+
+_PROTOCOL_EXPRS = st.recursive(
+    st.one_of(st.just(Eps()), st.sampled_from("abc").map(Ev)),
+    lambda inner: st.one_of(
+        inner.map(Star),
+        *(st.tuples(inner, inner).map(lambda pair, cls=cls: cls(*pair))
+          for cls in (Seq, Alt, Shuffle))),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PROTOCOL_EXPRS)
+def test_parse_protocol_inverts_format_protocol(expr):
+    assert dsl.parse_protocol(dsl.format_protocol(expr)) == (expr, [])
+
+
+@pytest.mark.parametrize("cls", [Seq, Alt, Shuffle])
+def test_deep_chains_round_trip(cls):
+    # trees this deep are compared by their text: dataclass == would recurse
+    events = [Ev(f"e{i}") for i in range(2000)]
+    left_nested = events[0]
+    for e in events[1:]:
+        left_nested = cls(left_nested, e)
+    for expr in (chain(cls, events), left_nested):
+        text = dsl.format_protocol(expr)
+        again, diags = dsl.parse_protocol(text)
+        assert diags == []
+        assert dsl.format_protocol(again) == text
 
 
 # --- format -------------------------------------------------------------------

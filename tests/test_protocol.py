@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from archmatch import protocol as P
 from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star
@@ -115,6 +118,46 @@ def test_minimize_preserves_language_random():
         m = dfa(e)
         assert set(P.sample_traces(m, 8)) == expected
         checked += 1
+
+
+@st.composite
+def _partial_dfas(draw):
+    """Any partial DFA over at most 7 states: dead, unreachable and dead-start
+    states and an empty alphabet all occur."""
+    n = draw(st.integers(1, 7))
+    state = st.integers(0, n - 1)
+    alphabet = sorted(draw(st.sets(st.sampled_from("abc"))))
+    slots = list(product(range(n), alphabet))
+    targets = draw(st.lists(st.none() | state, min_size=len(slots), max_size=len(slots)))
+    return P.FiniteAutomaton(frozenset(range(n)), frozenset(alphabet),
+                             frozenset((s, sym, t) for (s, sym), t in zip(slots, targets)
+                                       if t is not None),
+                             draw(state), draw(st.frozensets(state)), deterministic=True)
+
+
+def _started_at(a, s):
+    return P.FiniteAutomaton(a.states, a.alphabet, a.transitions, s, a.accepting,
+                             deterministic=True)
+
+
+@settings(max_examples=250, deadline=None)
+@given(_partial_dfas())
+def test_minimize_gives_the_minimal_trim_dfa(d):
+    m = P.minimize(d)
+    assert P.equivalent(m, d).holds
+    assert P.minimize(m) == m
+    reached = {m.start}
+    for _ in m.states:
+        reached |= {t for s, _, t in m.transitions if s in reached}
+    assert reached == m.states
+    at = {s: _started_at(m, s) for s in m.states}
+    for p, q in combinations(sorted(m.states), 2):
+        assert not P.equivalent(at[p], at[q]).holds
+    # trim: only a start without transitions may accept nothing
+    empty = P.FiniteAutomaton(frozenset({0}), m.alphabet, frozenset(), 0, frozenset(),
+                              deterministic=True)
+    dead = [s for s in m.states if P.equivalent(at[s], empty).holds]
+    assert dead in ([], [m.start]) and not (dead and m.transitions)
 
 
 # --- includes ---------------------------------------------------------------
@@ -329,9 +372,9 @@ def test_dfa_text_shape():
 # --- universal --------------------------------------------------------------
 
 def test_universal_language():
-    u = P.universal({"a", "b"})
+    u = dfa(P.universal_expr({"a", "b"}))
     assert set(P.sample_traces(u, 2)) == set(all_words(["a", "b"], 2))
-    assert P.equivalent(u, P.compile(P.universal_expr({"a", "b"}))).holds
+    assert (u.states, u.accepting) == ({0}, {0})
 
 
 def test_universal_expr_empty_alphabet():
