@@ -19,6 +19,7 @@ from .diagnostics import ERROR, Diagnostic, has_errors
 from .sigmatch import TypeLattice
 
 STATE_LIMIT_ENV = "ARCHMATCH_STATE_LIMIT"
+NEEDS_CATALOG = "this command needs a catalog (pass --catalog PATH)"
 
 
 def _display_path(path: str, base: Path | None) -> str:
@@ -62,11 +63,12 @@ class Session:
         if not self.quiet:
             click.echo(message, err=True)
 
-    def require_catalog(self) -> tuple[repo.Catalog, object]:
+    def require_catalog(self, texts: dict[Path, str] | None = None,
+                        ) -> tuple[repo.Catalog, object]:
         if self.catalog_path is None:
-            _input_error("this command needs a catalog (pass --catalog PATH)")
+            _input_error(NEEDS_CATALOG)
         if self._loaded is None:
-            catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit)
+            catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit, texts)
             _print_diagnostics(diagnostics, self.base_dir, self.quiet)
             if catalog is None:
                 sys.exit(2)
@@ -228,13 +230,21 @@ def protocol_cmd(session: Session, target: str, emit_dfa: bool, sample: int | No
 @click.pass_obj
 def match(session: Session, requirement: str, output_format: str) -> None:
     """Match a requirement against the repository; exit 0 on USE/ADAPT, 1 on NEW."""
-    catalog, model_ = session.require_catalog()
-    req, merged, diagnostics = repo.load_requirement(requirement, catalog, model_)
+    if session.catalog_path is None:
+        _input_error(NEEDS_CATALOG)
+    warm = repo.load_warm(session.catalog_path, requirement, session.cache_path,
+                          session.state_limit)
+    if warm.requirement is None:  # the full load, on the files load_warm read
+        catalog, model_ = session.require_catalog(warm.texts)
+        req, merged, diagnostics = repo.load_requirement(requirement, catalog, model_, warm.texts)
+    else:
+        _print_diagnostics(warm.warnings, session.base_dir, session.quiet)
+        req, merged, diagnostics = warm.requirement
     _print_diagnostics(diagnostics, session.base_dir, session.quiet)
     if req is None:
         sys.exit(2)
-    index, origin, reason = repo.load_index(catalog, model_, session.cache_path,
-                                            state_limit=session.state_limit)
+    index, origin, reason = (warm.index, "cache", None) if warm.requirement else \
+        repo.load_index(catalog, model_, session.cache_path, state_limit=session.state_limit)
     note = f"index: {origin} ({len(index.entries)} component(s)"
     if reason is not None:  # a CacheError message names the cache itself
         note += f"; cache {reason}" if reason.startswith(("missing", "stale")) else f"; {reason}"

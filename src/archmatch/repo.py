@@ -3,8 +3,18 @@ protocol index, and its cache file.
 
 Compiling every component's protocols is the one-time cost paid when the
 architecture changes; the cache file makes it pay once per change, with a
-content hash to detect staleness. The cache file is a magic line, then one
-sorted-key JSON document.
+content hash of the unit texts to detect staleness. The cache file is a magic
+line, then one sorted-key JSON document. Besides the compiled components it
+holds what a query needs of the catalog: its types, every non-type name it
+declares, the state limit its load and build succeeded under, and the warnings
+the load returned, each with its unit's position in the catalog. So `load_warm`
+answers `match` on a fresh cache without lexing, parsing or resolving a catalog
+unit, closing an architecture or checking a publication. It leaves the answer to
+the full load when the cache is missing, stale, corrupt or of another version
+(`v1` to `v4`) or was built under a higher state limit, when a unit cannot be
+read, and when the requirement is a catalog unit, declares anything but types,
+interfaces and contracts, extends or implements an interface it does not
+declare, or redeclares a name the catalog gives a non-type.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import category, dsl, model, protocol
@@ -20,13 +30,16 @@ from .category import FunctorMapping, PseudoCategory
 from .diagnostics import ERROR, Diagnostic, Span, has_errors
 from .dsl import SourceUnit, syntax
 from .matcher import Requirement
-from .model import MethodSig, Model, Param
+from .model import MethodSig, Model, Param, TypeDecl
 from .protocol import FiniteAutomaton
 
 # The first line of a cache file. Bump it whenever build_index could give
 # different output for the same source (for example after a change to compile,
 # determinize or minimize), so that older caches are rejected and rebuilt.
-CACHE_MAGIC = "ARCHMATCH-IDX v4"
+CACHE_MAGIC = "ARCHMATCH-IDX v5"
+
+# the Model tables whose names a requirement may not redeclare
+_NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
 
 
 class CacheError(Exception):
@@ -42,6 +55,7 @@ class Catalog:
     architectures: dict[str, PseudoCategory] = field(default_factory=dict)
     links: dict[str, FunctorMapping] = field(default_factory=dict)
     source_hash: str = ""
+    warnings: list[Diagnostic] = field(default_factory=list)  # what the load returned
 
 
 @dataclass(frozen=True)
@@ -55,6 +69,10 @@ class IndexEntry:
 class CompiledIndex:
     entries: dict[str, IndexEntry]
     source_hash: str
+    types: dict[str, TypeDecl]
+    names: tuple[str, ...]  # every non-type name the catalog declares, sorted
+    state_limit: int  # the load and the build succeeded under it
+    warnings: tuple[tuple[int | None, Diagnostic], ...]  # (unit position, pathless copy)
 
 
 def _zero_span() -> Span:
@@ -65,37 +83,49 @@ def _file_error(message: str, path: str, code: str = "missing-file") -> Diagnost
     return Diagnostic(ERROR, _zero_span(), message, code, path)
 
 
-def _read_text(path: Path, what: str) -> tuple[str | None, list[Diagnostic]]:
-    """The text of a UTF-8 file, or None and one error naming it."""
+def _read_text(path: Path, what: str, texts: dict[Path, str] | None = None,
+               ) -> tuple[str | None, list[Diagnostic]]:
+    """The text of a UTF-8 file, or None and one error naming it.  `texts`
+    keeps the texts read, by path, and answers a path it already holds."""
+    texts = {} if texts is None else texts
+    if path in texts:
+        return texts[path], []
     if not path.is_file():
         return None, [_file_error(f"no such {what}: {path}", str(path))]
     try:
-        return path.read_text(encoding="utf-8"), []
+        texts[path] = path.read_text(encoding="utf-8")
+        return texts[path], []
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err
         return None, [_file_error(f"cannot read {what} {path}: {reason}", str(path),
                                   "unreadable-file")]
 
 
-def source_hash(units) -> str:
+def _unit_paths(catalog_text: str) -> list[str]:
+    # one unit path per line; blank lines and `#` comments are skipped
+    return [line for line in map(str.strip, catalog_text.splitlines())
+            if line and not line.startswith("#")]
+
+
+def source_hash(texts) -> str:
     """Stable content hash over the unit texts, in catalog order."""
     digest = hashlib.sha256()
-    for unit in units:
-        blob = unit.text.encode("utf-8")
+    for text in texts:
+        blob = text.encode("utf-8")
         digest.update(str(len(blob)).encode("ascii"))
         digest.update(b"\n")
         digest.update(blob)
     return digest.hexdigest()
 
 
-def parse_units(paths: list[str | Path]) -> tuple[tuple[SourceUnit, ...],
-                                                  tuple[syntax.SyntaxTree, ...],
-                                                  list[Diagnostic]]:
+def parse_units(paths: list[str | Path], texts: dict[Path, str] | None = None,
+                ) -> tuple[tuple[SourceUnit, ...], tuple[syntax.SyntaxTree, ...],
+                           list[Diagnostic]]:
     units: list[SourceUnit] = []
     trees: list[syntax.SyntaxTree] = []
     diagnostics: list[Diagnostic] = []
     for path in map(Path, paths):
-        text, diags = _read_text(path, "unit file")
+        text, diags = _read_text(path, "unit file", texts)
         diagnostics.extend(diags)
         if text is None:
             continue
@@ -175,30 +205,30 @@ def analyze(trees, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
 
 
 def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
+         texts: dict[Path, str] | None = None,
          ) -> tuple[Catalog | None, Model | None, list[Diagnostic]]:
-    """Load a catalog file and everything it references.
+    """Load a catalog file and everything it references; a file whose path is
+    in `texts` is taken from there instead of read.
 
     All units must parse and resolve, architectures must build, and every
     publication must satisfy the causal projection condition; otherwise the
     diagnostics list every failure and both results are None.
     """
     catalog_path = Path(catalog_path)
-    text, diagnostics = _read_text(catalog_path, "catalog")
+    text, diagnostics = _read_text(catalog_path, "catalog", texts)
     if text is None:
         return None, None, diagnostics
-    # one unit path per line; blank lines and `#` comments are skipped
-    unit_paths = [line for line in map(str.strip, text.splitlines())
-                  if line and not line.startswith("#")]
+    unit_paths = _unit_paths(text)
     resolved = [catalog_path.parent / p for p in unit_paths]
-    units, trees, diagnostics = parse_units(resolved)
+    units, trees, diagnostics = parse_units(resolved, texts)
     if has_errors(diagnostics):
         return None, None, diagnostics
     m, architectures, links, diags = analyze(trees, state_limit)
     diagnostics.extend(diags)
     if m is None:
         return None, None, diagnostics
-    catalog = Catalog(str(catalog_path), unit_paths, units, trees,
-                      architectures, links, source_hash(units))
+    catalog = Catalog(str(catalog_path), unit_paths, units, trees, architectures, links,
+                      source_hash(unit.text for unit in units), diagnostics)
     return catalog, m, diagnostics
 
 
@@ -225,7 +255,11 @@ def build_index(catalog: Catalog, m: Model,
         except protocol.ProtocolTooLarge as err:
             raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
         entries[name] = IndexEntry(name, iface.all_methods(), provided)
-    return CompiledIndex(entries, catalog.source_hash)
+    position = {unit.path: i for i, unit in enumerate(catalog.units)}
+    return CompiledIndex(entries, catalog.source_hash, dict(m.types),
+                         tuple(sorted(name for kind in _NON_TYPES for name in vars(m)[kind])),
+                         state_limit, tuple((position.get(d.path), replace(d, path=""))
+                                            for d in catalog.warnings))
 
 
 # --- cache persistence ----------------------------------------------------------
@@ -241,6 +275,13 @@ def _entry_json(entry: IndexEntry) -> dict:
     }
 
 
+def _catalog_json(index: CompiledIndex) -> dict:
+    return {"types": [[t.name, t.supertype] for t in index.types.values()],
+            "names": list(index.names), "state_limit": index.state_limit,
+            "warnings": [[unit, d.severity, d.span.line, d.span.column, d.span.offset,
+                          d.span.length, d.message, d.code] for unit, d in index.warnings]}
+
+
 def save_cache(index: CompiledIndex, path: str | Path) -> None:
     """Write the index to a temporary file in the same directory that then
     replaces `path`, so a failed write leaves any previous cache intact."""
@@ -248,7 +289,9 @@ def save_cache(index: CompiledIndex, path: str | Path) -> None:
     # json.dumps's text, an entry at a time: the encoder keeps every piece until it joins them
     components = ",".join(f"{encode(name)}:{encode(_entry_json(index.entries[name]))}"
                           for name in sorted(index.entries))
-    text = f'{CACHE_MAGIC}\n{{"components":{{{components}}},"hash":{encode(index.source_hash)}}}\n'
+    # the catalog fields' keys all sort after "hash"
+    text = (f'{CACHE_MAGIC}\n{{"components":{{{components}}},"hash":{encode(index.source_hash)},'
+            f'{encode(_catalog_json(index))[1:]}\n')
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -284,6 +327,22 @@ def _entry_from_json(name: str, comp: dict) -> IndexEntry:
     return entry
 
 
+def _catalog_from_json(doc: dict) -> dict:
+    """The CompiledIndex fields besides entries and hash, from a cache document."""
+    fields = {
+        "types": {str(n): TypeDecl(str(n), s if s is None else str(s)) for n, s in doc["types"]},
+        "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"]),
+        "warnings": tuple((unit if unit is None else _int(unit),
+                           Diagnostic(str(sev), Span(*map(_int, span)), str(message), str(code)))
+                          for unit, sev, *span, message, code in doc["warnings"])}
+    written = _catalog_json(CompiledIndex({}, "", **fields))
+    if written != {key: doc[key] for key in written} or fields["state_limit"] < 1 or \
+            written["names"] != sorted(set(written["names"])) or \
+            any(unit is not None and unit < 0 for unit, _ in fields["warnings"]):
+        raise ValueError("the catalog fields differ from what this version writes")
+    return fields
+
+
 def load_cache(path: str | Path, source_hash: str | None = None) -> CompiledIndex:
     """Read a cache file; CacheError on any defect, or "stale" if given another source_hash."""
     try:
@@ -302,7 +361,8 @@ def load_cache(path: str | Path, source_hash: str | None = None) -> CompiledInde
         if source_hash is not None and doc["hash"] != source_hash:
             raise CacheError("stale")
         return CompiledIndex({name: _entry_from_json(name, comp)
-                              for name, comp in doc["components"].items()}, doc["hash"])
+                              for name, comp in doc["components"].items()}, doc["hash"],
+                             **_catalog_from_json(doc))
     except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as err:
         raise CacheError(f"corrupt cache: {type(err).__name__}: {err}") from err
 
@@ -335,8 +395,10 @@ def load_index(catalog: Catalog, m: Model, cache_path: str | Path | None = None,
 # --- requirement loading ---------------------------------------------------------
 
 def load_requirement(path: str | Path, catalog: Catalog, m: Model,
+                     texts: dict[Path, str] | None = None,
                      ) -> tuple[Requirement | None, Model | None, list[Diagnostic]]:
-    """Read a requirement unit and resolve it on top of the catalog's model.
+    """Read a requirement unit (from `texts` if its path is there) and resolve it
+    on top of the catalog's model.
 
     The unit must declare exactly one interface; a contract in the same unit
     implementing it contributes the required protocol.  A unit already listed
@@ -344,30 +406,87 @@ def load_requirement(path: str | Path, catalog: Catalog, m: Model,
     double as requirement queries.
     """
     path = Path(path)
-    text, diagnostics = _read_text(path, "requirement file")
+    text, diagnostics = _read_text(path, "requirement file", texts)
     if text is None:
         return None, None, diagnostics
     known = {unit.text: tree for unit, tree in zip(catalog.units, catalog.trees)}
     if text in known:
-        tree = known[text]
-        merged = m
+        return _requirement(path, known[text], m, diagnostics)
+    tree, diagnostics = dsl.parse_unit(SourceUnit(str(path), text))
+    if tree is None:
+        return None, None, diagnostics
+    # names are claimed kind by kind, so a requirement declaration of a name
+    # the catalog gives a non-type may take it from the catalog declaration:
+    # only the whole resolve reports that clash as it is
+    if any(decl.name in vars(m)[kind] for decl in tree.declarations for kind in _NON_TYPES):
+        merged, diags = model.resolve(list(catalog.trees) + [tree])
     else:
-        tree, diagnostics = dsl.parse_unit(SourceUnit(str(path), text))
-        if tree is None:
-            return None, None, diagnostics
-        # names are claimed kind by kind, so a requirement declaration of a name
-        # the catalog gives a non-type may take it from the catalog declaration:
-        # only the whole resolve reports that clash as it is
-        taken = (m.interfaces, m.contracts, m.components, m.publications,
-                 m.architectures, m.links)
-        if any(decl.name in table for decl in tree.declarations for table in taken):
-            merged, diags = model.resolve(list(catalog.trees) + [tree])
-        else:
-            merged, diags = model.resolve([tree], base=m)
-        diagnostics = diagnostics + diags
-        if merged is None:
-            return None, None, diagnostics
+        merged, diags = model.resolve([tree], base=m)
+    return _requirement(path, tree, merged, diagnostics + diags)
 
+
+@dataclass
+class Warm:
+    """What load_warm read, and what it loaded when the cache alone answers."""
+    texts: dict[Path, str]  # every catalog, unit and requirement file read, by path
+    index: CompiledIndex | None = None  # the rest is set on a hit only
+    warnings: list[Diagnostic] = field(default_factory=list)  # what the load returned
+    requirement: tuple[Requirement | None, Model | None, list[Diagnostic]] | None = None
+
+
+def load_warm(catalog_path: str | Path, requirement_path: str | Path,
+              cache_path: str | Path | None = None,
+              state_limit: int = protocol.DEFAULT_STATE_LIMIT) -> Warm:
+    """What `match` loads, from the cache alone when it can answer (see the
+    module docstring): the requirement is then resolved on the cached types
+    alone, which gives what load_requirement gives on the whole catalog.
+    Otherwise `requirement` is None, and load and load_requirement on `texts`,
+    then load_index, give the answer without reading a unit again."""
+    catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
+    warm = Warm({})
+    text, _ = _read_text(catalog_path, "catalog", warm.texts)
+    unit_paths = [] if text is None else _unit_paths(text)
+    units = [_read_text(catalog_path.parent / p, "unit file", warm.texts)[0] for p in unit_paths]
+    req_text, _ = _read_text(requirement_path, "requirement file", warm.texts)
+    if text is None or req_text is None or None in units:
+        return warm
+    path = default_cache_path(catalog_path) if cache_path is None else Path(cache_path)
+    digest = source_hash(units)
+    try:
+        # a cache without this hash is stale or broken; it is left to load_index,
+        # which decodes it after the full load (decoding it first made a
+        # stale-cache `match` measurably slower)
+        fresh = f'"hash":"{digest}"'.encode() in path.read_bytes()
+        index = load_cache(path, digest) if fresh else None
+    except (OSError, CacheError):
+        return warm
+    if index is None or index.state_limit > state_limit or req_text in units or \
+            any(unit is not None and unit >= len(units) for unit, _ in index.warnings):
+        return warm
+    tree, diagnostics = dsl.parse_unit(SourceUnit(str(requirement_path), req_text))
+    merged, diags = None, []
+    if tree is not None:
+        own = {None} | {d.name for d in tree.declarations if isinstance(d, syntax.InterfaceDecl)}
+        taken = frozenset(index.names)
+        if not all(isinstance(d, (syntax.TypeDecl, syntax.InterfaceDecl, syntax.ContractDecl))
+                   and getattr(d, "extends", None) in own and getattr(d, "implements", None) in own
+                   and d.name not in taken for d in tree.declarations):
+            return warm
+        merged, diags = model.resolve([tree], base=Model(types=dict(index.types)))
+    warm.warnings = [d if unit is None else
+                     replace(d, path=str(catalog_path.parent / unit_paths[unit]))
+                     for unit, d in index.warnings]
+    warm.index, warm.requirement = index, _requirement(requirement_path, tree, merged,
+                                                       diagnostics + diags)
+    return warm
+
+
+def _requirement(path: Path, tree: syntax.SyntaxTree | None, merged: Model | None,
+                 diagnostics: list[Diagnostic],
+                 ) -> tuple[Requirement | None, Model | None, list[Diagnostic]]:
+    """The requirement `tree` declares, resolved into `merged` (None: it failed)."""
+    if merged is None:
+        return None, None, diagnostics
     interfaces = [d for d in tree.declarations if isinstance(d, syntax.InterfaceDecl)]
     if len(interfaces) != 1:
         return None, None, diagnostics + [Diagnostic(

@@ -6,7 +6,10 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-V2_CACHE = Path(__file__).resolve().parent.parent / "fixtures" / "catalog_full_v2_cache.txt"
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+# caches of fixtures/catalog_full.txt written by earlier versions
+V2_CACHE = FIXTURES / "catalog_full_v2_cache.txt"
+V4_CACHE = FIXTURES / "catalog_full_v4_cache.txt"
 
 _DELETE = object()
 _COMPONENT = ("components", "AccountService")
@@ -15,8 +18,9 @@ _METHODS = _COMPONENT + ("methods",)
 
 
 def _edited(path: tuple, value):
-    """An edit of a cache text that sets the JSON field at `path` to `value`
-    (or deletes it)."""
+    """An edit of a cache text that sets the JSON field at `path` to `value`,
+    deletes it, or, for a callable `value`, replaces it by `value(field)`; the
+    document is written back as save_cache writes it."""
     def edit(text: str) -> str:
         magic, body, _ = text.split("\n")
         doc = json.loads(body)
@@ -25,10 +29,22 @@ def _edited(path: tuple, value):
             target = target[key]
         if value is _DELETE:
             del target[path[-1]]
+        elif callable(value):
+            target[path[-1]] = value(target[path[-1]])
         else:
             target[path[-1]] = value
-        return f"{magic}\n{json.dumps(doc)}\n"
+        return f"{magic}\n{json.dumps(doc, sort_keys=True, separators=(',', ':'))}\n"
     return edit
+
+
+def warning(unit) -> list:
+    """A cache's record of an `unknown-event` warning in the unit at position `unit`."""
+    return [unit, "warning", 3, 5, 40, 6, "event 'ghost' is not a known method", "unknown-event"]
+
+
+def with_warnings(*warnings):
+    """An edit of a cache text that makes `warnings` its load warnings."""
+    return _edited(("warnings",), list(warnings))
 
 
 def _magic(text: str) -> str:
@@ -56,4 +72,19 @@ DEFECTS = {
     "two JSON lines": lambda text: text + text.split("\n")[1] + "\n",
     "10,000 nested [": lambda text: f"{_magic(text)}\n{'[' * 10_000}\n",
     "v2 text cache": lambda text: V2_CACHE.read_text(encoding="utf-8"),
+    "v4 cache": lambda text: V4_CACHE.read_text(encoding="utf-8"),
+    "integer type name": _edited(("types", 0, 0), 7),
+    "supertype as a list": _edited(("types", 0, 1), ["Account"]),
+    "type of three fields": _edited(("types", 0), ["String", None, None]),
+    "unsorted names": _edited(("names",), lambda names: names[::-1]),
+    "duplicated name": _edited(("names",), lambda names: names + names[-1:]),
+    "integer name": _edited(("names",), lambda names: [0] + names),
+    "state limit true": _edited(("state_limit",), True),
+    "state limit 0": _edited(("state_limit",), 0),
+    "state limit as a string": _edited(("state_limit",), "100"),
+    "missing warnings": _edited(("warnings",), _DELETE),
+    "warning of seven fields": with_warnings(warning(0)[:7]),
+    "warning with a string line": with_warnings(warning(0)[:2] + ["3"] + warning(0)[3:]),
+    "warning as a string": with_warnings("warning"),
+    "negative warning unit": with_warnings(warning(-1)),
 }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import errno
 import json
+from collections import Counter
 import os
 import shutil
 import subprocess
@@ -13,10 +14,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from archmatch import matcher, protocol, repo
+from archmatch import category, dsl, matcher, model, protocol, repo
 from archmatch.cli import main
 from archmatch.sigmatch import TypeLattice
-from broken_caches import DEFECTS, V2_CACHE
+from broken_caches import DEFECTS, V2_CACHE, warning, with_warnings
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # `match` stdout for each catalog and requirement, recorded before the signature
@@ -333,7 +334,7 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: cache (1 component(s))"]
     shutil.copy(V2_CACHE, cache)
     assert note() == ["index: built (1 component(s); "
-                      "unsupported cache version (expected ARCHMATCH-IDX v4))"]
+                      "unsupported cache version (expected ARCHMATCH-IDX v5))"]
     cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
     assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
     unit = workdir / "document_manager.adl"
@@ -360,14 +361,137 @@ def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
         assert cache.read_text() == text, name
 
 
+def _without_index_note(stderr: str) -> list[str]:
+    return [line for line in stderr.splitlines() if not line.startswith("index: ")]
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_EXIT_CODES))
 def test_match_output_is_the_golden_output(workdir, case):
     catalog, name = case.split("/")
     requirement, output_format = name.split(".")
-    res = run("--catalog", str(workdir / f"{catalog}.txt"), "match",
-              str(workdir / f"{requirement}.adl"), "--format", output_format)
-    assert res.stdout_bytes == (GOLDEN / case).read_bytes()
-    assert res.exit_code == GOLDEN_EXIT_CODES[case]
+    args = ["--catalog", str(workdir / f"{catalog}.txt"), "match",
+            str(workdir / f"{requirement}.adl"), "--format", output_format]
+    cold = run(*args)  # builds the cache
+    warm = run(*args)  # answered from it
+    assert "index: built " in cold.stderr and "index: cache " in warm.stderr
+    for res in (cold, warm):
+        assert res.stdout_bytes == (GOLDEN / case).read_bytes()
+        assert res.exit_code == GOLDEN_EXIT_CODES[case]
+    assert _without_index_note(cold.stderr) == _without_index_note(warm.stderr)
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Count the calls of the loading layers a warm `match` can skip."""
+    calls: Counter = Counter()
+    for module, name in ((dsl, "parse_unit"), (model, "validate_publication"),
+                         (category, "close")):
+        def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_a_warm_match_parses_only_the_requirement(workdir, monkeypatch):
+    calls = _count_calls(monkeypatch)
+    args = ["--catalog", str(workdir / "catalog_full.txt"),
+            "match", str(workdir / "manage_documents_req.adl")]
+    run(*args)
+    assert calls["parse_unit"] == 4  # three catalog units and the requirement
+    assert calls["validate_publication"] > 0 and calls["close"] > 0
+    calls.clear()
+    assert "index: cache " in run(*args).stderr
+    assert [calls[name] for name in ("parse_unit", "validate_publication", "close")] == [1, 0, 0]
+
+
+# requirements the cache cannot answer alone: the text of `req.adl` (None: the
+# catalog lists `manage_documents_req.adl` and it is the requirement), and the
+# exit code, first stdout line and stderr of a warm `match`, recorded before a
+# warm `match` could skip the catalog
+FALLBACKS = {
+    "extends a catalog interface": (
+        "type String;\ninterface R extends ManageDocument { extra(x: String); }\n",
+        0, "ADAPT DocumentManager", "index: cache (5 component(s))\n"),
+    "implements a catalog interface": (
+        "type String;\ninterface R { viewDocument(documentId: String); }\n"
+        "contract RC implements ManageDocument { }\n",
+        0, "USE DocumentManager", "index: cache (5 component(s))\n"),
+    "declares a component": (
+        "type String;\ninterface R { viewDocument(documentId: String); }\n"
+        "contract RC implements R { }\ncomponent RK { provided contract RC }\n",
+        0, "USE DocumentManager", "index: cache (5 component(s))\n"),
+    "interface named like a catalog contract": (
+        "type String;\ninterface ManageDocumentCtr { viewDocument(documentId: String); }\n",
+        2, None, "document_manager.adl:20:1: error: duplicate declaration of "
+                 "'ManageDocumentCtr' [duplicate-declaration]\n"
+                 "document_manager.adl:28:1: error: unknown contract 'ManageDocumentCtr' "
+                 "[unbound-name]\n"),
+    "a catalog unit": (None, 0, "USE DocumentManager", "index: cache (1 component(s))\n"),
+    "an unreadable unit": (
+        None, 2, None, "document_manager.adl:1:1: error: cannot read unit file "
+                       "document_manager.adl: 'utf-8' codec can't decode byte 0xff in position "
+                       "1114: invalid start byte [unreadable-file]\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(FALLBACKS))
+def test_a_warm_match_falls_back_to_the_whole_catalog(workdir, monkeypatch, case):
+    text, code, first_line, stderr = FALLBACKS[case]
+    monkeypatch.chdir(workdir)
+    (workdir / "cat.txt").write_text("types.adl\ndocument_manager.adl\nmanage_documents_req.adl\n")
+    catalog, requirement = ("catalog_full.txt", "req.adl") if text else \
+        ("cat.txt", "manage_documents_req.adl")
+    if text:
+        (workdir / requirement).write_text(text)
+    cold = run("--catalog", catalog, "match", requirement)
+    if case == "an unreadable unit":
+        unit = workdir / "document_manager.adl"
+        unit.write_bytes(unit.read_bytes() + b"\n# \xff\n")
+    calls = _count_calls(monkeypatch)
+    res = run("--catalog", catalog, "match", requirement)
+    assert calls["parse_unit"] > 1  # the catalog was parsed
+    assert (res.exit_code, res.stderr) == (code, stderr)
+    assert res.stdout.splitlines()[:1] == ([first_line] if first_line else [])
+    if code == 0:
+        assert res.stdout == cold.stdout
+
+
+def test_a_warm_match_replays_the_load_warnings(workdir, monkeypatch):
+    # no catalog loads with a warning at this version, so the cache is given one
+    run("--catalog", str(workdir / "catalog_full.txt"), "index", "build")
+    cache = workdir / "catalog_full.txt.idx"
+    cache.write_text(with_warnings(warning(1))(cache.read_text()))
+    message = "3:5: warning: event 'ghost' is not a known method [unknown-event]"
+    golden = (GOLDEN / "catalog_full" / "manage_documents_req.text").read_bytes()
+    for cwd, catalog, unit in (
+            (workdir, "catalog_full.txt", "document_manager.adl"),
+            (workdir.parent, f"{workdir.name}/catalog_full.txt",
+             f"{workdir.name}/document_manager.adl"),
+            (workdir, str(workdir / "catalog_full.txt"), "document_manager.adl")):
+        monkeypatch.chdir(cwd)
+        res = run("--catalog", catalog, "match", str(workdir / "manage_documents_req.adl"))
+        assert res.stderr == f"{unit}:{message}\nindex: cache (5 component(s))\n"
+        assert res.stdout_bytes == golden
+    res = run("--quiet", "--catalog", catalog, "match", str(workdir / "manage_documents_req.adl"))
+    assert res.stderr == ""
+    unit = workdir / "document_manager.adl"
+    # a stale cache replays nothing: the load of the edited catalog warns of nothing
+    unit.write_text(unit.read_text() + "\n// touched\n")
+    res = run("--catalog", catalog, "match", str(workdir / "manage_documents_req.adl"))
+    assert res.stderr == "index: built (5 component(s); cache stale)\n"
+
+
+def test_a_warning_of_no_catalog_unit_is_not_replayed(workdir, monkeypatch):
+    args = ["--catalog", str(workdir / "catalog_full.txt"),
+            "match", str(workdir / "manage_documents_req.adl")]
+    clean = run(*args)
+    cache = workdir / "catalog_full.txt.idx"
+    cache.write_text(with_warnings(warning(3))(cache.read_text()))  # the catalog has 3 units
+    calls = _count_calls(monkeypatch)
+    res = run(*args)
+    assert calls["parse_unit"] == 4  # the whole catalog is loaded instead
+    assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code)
+    assert res.stderr == "index: cache (5 component(s))\n"
 
 
 @pytest.mark.parametrize("cache", ["missing/x.idx", "directory"])
@@ -484,6 +608,29 @@ def test_state_limit_overflow_while_loading_is_an_input_error(workdir, monkeypat
     where = {"2": "publication 'AccountServicePub'", "4": "component 'DocumentManager'"}[limit]
     assert res.stderr == \
         f"error: {where}: protocol too large: determinization exceeds {limit} states\n"
+
+
+def test_a_lowered_state_limit_reloads_a_warm_cache(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    args = ["--catalog", "catalog_full.txt", "match", "manage_documents_req.adl"]
+    run(*args)  # builds the cache at the default limit
+    res = run(*args, env={"ARCHMATCH_STATE_LIMIT": "2"})
+    assert (res.exit_code, res.stdout, res.stderr) == (
+        2, "", "error: publication 'AccountServicePub': protocol too large: "
+               "determinization exceeds 2 states\n")
+
+
+def test_a_warm_cache_answers_under_a_limit_at_least_the_recorded_one(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    args = ["--catalog", "catalog_full.txt", "match", "manage_documents_req.adl"]
+    built = run(*args, env={"ARCHMATCH_STATE_LIMIT": "50"})
+    calls = _count_calls(monkeypatch)
+    for limit, parsed in (("50", 1), ("1000", 1), ("49", 4)):
+        calls.clear()
+        res = run(*args, env={"ARCHMATCH_STATE_LIMIT": limit})
+        assert calls["parse_unit"] == parsed, limit
+        assert (res.stdout, res.exit_code) == (built.stdout, built.exit_code)
+        assert res.stderr == "index: cache (5 component(s))\n"
 
 
 @pytest.mark.parametrize("args,bad", [

@@ -19,6 +19,11 @@ from oracles import rename_expr
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def _index(entries):
+    """An index of `entries` alone, with no catalog behind it."""
+    return repo.CompiledIndex(entries, "h", {}, (), P.DEFAULT_STATE_LIMIT, ())
+
+
 @pytest.fixture(scope="module")
 def repo_state():
     catalog, m, diags = repo.load(FIXTURES / "catalog.txt")
@@ -105,7 +110,7 @@ def test_match_without_protocol_uses_signature_alone(repo_state):
 
 def test_match_empty_repository():
     req = Requirement(model.Interface("X", (), ()))
-    empty = repo.CompiledIndex({}, "none")
+    empty = _index({})
     result = matcher.match_requirement(req, empty, TypeLattice({}))
     assert result.reports == ()
     assert result.recommendation == matcher.Recommendation("NEW")
@@ -176,7 +181,7 @@ def _queries(draw):
         auto = P.determinize(P.compile(expr, alphabet=names))
         entries[f"C{i}"] = repo.IndexEntry(f"C{i}", iface.methods, P.minimize(auto))
     iface, expr = draw(_interfaces("Wanted", [False, True]))
-    return Requirement(iface, expr), repo.CompiledIndex(entries, "random"), lattice
+    return Requirement(iface, expr), _index(entries), lattice
 
 
 def _kept_reports(result):
@@ -213,8 +218,7 @@ def test_requirement_protocol_compiled_at_most_once(monkeypatch):
 
     monkeypatch.setattr(P, "compile", counting)
     methods = (model.MethodSig("a", ()), model.MethodSig("b", (model.Param("x", "T"),)))
-    index = repo.CompiledIndex(
-        {f"C{i}": repo.IndexEntry(f"C{i}", methods, auto) for i in range(5)}, "h")
+    index = _index({f"C{i}": repo.IndexEntry(f"C{i}", methods, auto) for i in range(5)})
     lattice = TypeLattice({"T": None, "U": None})
     req = Requirement(model.Interface("R", (), methods), Star(Alt(Ev("a"), Ev("b"))))
     result = matcher.match_requirement(req, index, lattice)
@@ -242,8 +246,8 @@ def test_signature_matrix_is_built_once_per_candidate(monkeypatch):
                  "Poor": (sig("p", t), sig("r", u, "T")),                 # 1 of 4 covered
                  "Tiny": (sig("c", u),)}                                  # 1 of 4 covered
     auto = P.minimize(P.determinize(P.compile(P.universal_expr(frozenset()))))
-    index = repo.CompiledIndex({name: repo.IndexEntry(name, methods, auto)
-                                for name, methods in providers.items()}, "h")
+    index = _index({name: repo.IndexEntry(name, methods, auto)
+                    for name, methods in providers.items()})
     req = Requirement(model.Interface("R", (), wanted))
     result = matcher.match_requirement(req, index, TypeLattice({"T": None, "U": None}))
     assert [(r.component, r.verdict) for r in result.reports] == \

@@ -4,14 +4,18 @@ from __future__ import annotations
 
 import json
 import shutil
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from archmatch import matcher, repo
 from archmatch import protocol as P
 from archmatch.sigmatch import TypeLattice
-from broken_caches import DEFECTS, V2_CACHE
+from broken_caches import DEFECTS, V2_CACHE, V4_CACHE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -160,8 +164,12 @@ def test_cache_round_trip(tmp_path):
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
     loaded = repo.load_cache(path)
-    assert loaded.source_hash == index.source_hash
-    assert loaded.entries == index.entries
+    assert loaded == index
+    text = path.read_bytes()
+    repo.save_cache(repo.build_index(*repo.load(FIXTURES / "catalog_full.txt")[:2]), path)
+    assert path.read_bytes() == text  # a second build writes the same bytes
+    repo.save_cache(loaded, path)
+    assert path.read_bytes() == text
 
 
 def test_cache_header_shape(tmp_path):
@@ -170,7 +178,7 @@ def test_cache_header_shape(tmp_path):
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
     lines = path.read_text().split("\n")
-    assert lines[0] == "ARCHMATCH-IDX v4"
+    assert lines[0] == "ARCHMATCH-IDX v5"
     assert lines[2:] == [""]
     doc = json.loads(lines[1])
     assert lines[1] == json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -240,8 +248,11 @@ def test_cache_rejects_wrong_version(tmp_path):
     for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2",
                   "ARCHMATCH-IDX v3"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v4"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v5"):
             repo.load_cache(path)
+    shutil.copy(V4_CACHE, path)  # a real cache of fixtures/catalog_full.txt
+    with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v5"):
+        repo.load_cache(path)
 
 
 def _load_index_reason(tmp_path, setup) -> tuple[str, str | None]:
@@ -260,7 +271,7 @@ def test_load_index_reason_missing(tmp_path):
 
 def test_load_index_reason_stale(tmp_path):
     def setup(cache, catalog, m):
-        repo.save_cache(repo.CompiledIndex(repo.build_index(catalog, m).entries, "old"), cache)
+        repo.save_cache(replace(repo.build_index(catalog, m), source_hash="old"), cache)
     assert _load_index_reason(tmp_path, setup) == ("built", "stale")
 
 
@@ -273,12 +284,12 @@ def test_load_index_reason_corrupt(tmp_path):
 def test_load_index_reason_other_version(tmp_path):
     origin, reason = _load_index_reason(
         tmp_path, lambda cache, *_: shutil.copy(V2_CACHE, cache))
-    assert (origin, reason) == ("built", "unsupported cache version (expected ARCHMATCH-IDX v4)")
+    assert (origin, reason) == ("built", "unsupported cache version (expected ARCHMATCH-IDX v5)")
 
 
 def test_load_index_reason_unreadable(tmp_path):
     origin, reason = _load_index_reason(
-        tmp_path, lambda cache, *_: cache.write_bytes(b"ARCHMATCH-IDX v4\n\xff\n"))
+        tmp_path, lambda cache, *_: cache.write_bytes(b"ARCHMATCH-IDX v5\n\xff\n"))
     assert origin == "built" and reason.startswith("cannot read cache: ")
 
 
@@ -361,3 +372,87 @@ def test_load_requirement_missing_file():
     req, merged, diags = repo.load_requirement(FIXTURES / "nothere.adl", catalog, m)
     assert req is None
     assert any("nothere" in d.message for d in diags)
+
+
+# --- load_warm ------------------------------------------------------------------
+
+# one pool of names for every kind of declaration, so that requirements reuse,
+# extend, implement and clash with catalog declarations often
+_NAMES = ["Alpha", "Beta", "Gamma", "Delta", "Omega"]
+_METHOD_NAMES = ["get", "put", "list"]
+
+
+@st.composite
+def _catalog_and_requirement(draw):
+    """The unit texts of a small valid catalog, and a requirement's text."""
+    types = [f"T{i}" for i in range(draw(st.integers(2, 4)))]
+    units = ["".join(f"type {t}" + (f" <: {s};\n" if (s := draw(st.sampled_from(
+        [None] + types[:i]))) else ";\n") for i, t in enumerate(types))]
+    names = draw(st.permutations(_NAMES))
+    interfaces: dict[str, list[str]] = {}
+
+    def interface(name, bases):
+        base = draw(st.sampled_from([None] + bases))
+        inherited = interfaces.get(base, [])
+        methods = [m for m in draw(st.lists(st.sampled_from(_METHOD_NAMES), min_size=1,
+                                            max_size=3, unique=True)) if m not in inherited]
+        sigs = "".join(f"  {m}(x: {draw(st.sampled_from(types))})"
+                       f"{draw(st.sampled_from(['', ': ' + types[0]]))};\n" for m in methods)
+        interfaces[name] = inherited + methods
+        return f"interface {name}{f' extends {base}' if base else ''} {{\n{sigs}}}\n"
+
+    def contract(name, iface):
+        events = interfaces[iface]
+        body = draw(st.sampled_from(["", " ; ".join(f"?{m}" for m in events),
+                                     f"({' + '.join(f'?{m}' for m in events)})*"]))
+        return f"contract {name} implements {iface} {{ {body and f'protocol {{ {body} }}'} }}\n"
+
+    catalog_ifaces = names[:2]
+    units.append(interface(catalog_ifaces[0], []) + interface(catalog_ifaces[1], names[:1]))
+    units.append(contract(names[2], catalog_ifaces[0]) + contract(names[3], catalog_ifaces[1])
+                 + f"component {names[4]} {{ provided contract {names[2]} }}\n")
+    # the requirement: types, one interface, maybe a contract and a component;
+    # each name or reference is its own three times in four, else the catalog's
+    def own_or(own, others):
+        return draw(st.sampled_from([own, own, own, None])) or draw(st.sampled_from(others))
+
+    req = "".join(f"type {own_or(t, _NAMES)};\n"
+                  for t in draw(st.lists(st.sampled_from(types + ["Fresh"]), max_size=2)))
+    name = own_or("Want", _NAMES + types)
+    req += interface(name, [None, None] + list(catalog_ifaces))
+    if draw(st.booleans()):
+        req += contract(own_or("Spec", _NAMES), own_or(name, catalog_ifaces))
+    if draw(st.integers(0, 5)) == 5:
+        req += f"component {own_or('Kit', _NAMES)} {{ provided contract {names[2]} }}\n"
+    return units, req
+
+
+def _answer(requirement, index):
+    req, merged, diagnostics = requirement
+    if req is None:
+        return None, diagnostics
+    result = matcher.match_requirement(req, index, TypeLattice.from_types(merged.types))
+    return (req, list(merged.types.items()), result.recommendation, result.reports), diagnostics
+
+
+@settings(max_examples=120, deadline=None)
+@given(_catalog_and_requirement())
+def test_a_warm_hit_answers_as_the_whole_catalog(case):
+    units, requirement = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for i, text in enumerate(units):
+            (root / f"u{i}.adl").write_text(text)
+        (root / "cat.txt").write_text("".join(f"u{i}.adl\n" for i in range(len(units))))
+        (root / "req.adl").write_text(requirement)
+        assert repo.load_warm(root / "cat.txt", root / "req.adl").requirement is None  # cold
+        catalog, m, diagnostics = repo.load(root / "cat.txt")
+        assert catalog is not None, [str(d) for d in diagnostics]
+        index, _, _ = repo.load_index(catalog, m)
+        warm = repo.load_warm(root / "cat.txt", root / "req.adl")
+        event(f"hit: {warm.requirement is not None}")
+        if warm.requirement is None:
+            return
+        assert warm.warnings == diagnostics
+        assert _answer(warm.requirement, warm.index) == \
+            _answer(repo.load_requirement(root / "req.adl", catalog, m), index)
