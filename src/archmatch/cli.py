@@ -163,7 +163,7 @@ def arch(session: Session, name: str | None, closure: bool, run_check: bool) -> 
 
 
 def _protocol_source(session: Session, target: str, unit: str | None):
-    """The automaton named by `target`, or compiled from it as an expression."""
+    """The protocol named by `target`, or `target` read as an expression, compiled."""
     if any(c in target for c in "?()*+|; "):
         expr, diags = dsl.parse_protocol(target)
         if expr is None:

@@ -34,6 +34,10 @@ class _Reader:
     def at(self, *kinds: str) -> bool:
         return self.current.kind in kinds
 
+    def accept(self, kind: str) -> Token | None:
+        """Consume the current token if it is `kind`."""
+        return self.advance() if self.tokens[self.pos].kind == kind else None
+
     def advance(self) -> Token:
         tok = self.current
         if tok.kind != EOF:
@@ -92,20 +96,17 @@ def _parse_expr(r: _Reader) -> ProtocolExpr:
     groups: list[tuple[list[ProtocolExpr], ...]] = []  # enclosing open parentheses
     operands: tuple[list[ProtocolExpr], ...] = ([], [], [])  # of the open ;, + and | chains
     while True:
-        if r.at("?"):
-            r.advance()
+        if r.accept("?"):
             e: ProtocolExpr = Ev(r.expect_ident("event name").text)
         else:
             r.expect("(", 'event "?name" or "("')
-            if not r.at(")"):
+            if not r.accept(")"):
                 groups.append(operands)
                 operands = ([], [], [])
                 continue
-            r.advance()
             e = Eps()
         while True:  # `e` is a whole atom
-            while r.at("*"):
-                r.advance()
+            while r.accept("*"):
                 e = Star(e)
             for (cls, op), parts in zip(_CHAINS, operands):
                 parts.append(e)
@@ -119,20 +120,16 @@ def _parse_expr(r: _Reader) -> ProtocolExpr:
                 r.expect(")")
                 operands = groups.pop()
                 continue
-            if r.at(op):
-                r.advance()
+            r.accept(op)
             break
 
 
 def _parse_protocol_block(r: _Reader) -> tuple[ProtocolExpr, Span]:
     """Parse `{ protoExpr }`; an empty block denotes the empty word."""
     open_tok = r.expect("{")
-    if r.at("}"):
-        close = r.advance()
-        return Eps(), _extent(open_tok.span, close.span)
-    expr = _parse_expr(r)
-    close = r.expect("}")
-    return expr, _extent(open_tok.span, close.span)
+    close = r.accept("}")
+    expr = Eps() if close else _parse_expr(r)
+    return expr, _extent(open_tok.span, (close or r.expect("}")).span)
 
 
 def parse_protocol(text: str, alphabet: set[str] | frozenset[str] | None = None,
@@ -167,9 +164,8 @@ def parse_protocol(text: str, alphabet: set[str] | frozenset[str] | None = None,
 # --- declarations ------------------------------------------------------------
 
 def _parse_annot(r: _Reader) -> syntax.Annot | None:
-    if not r.at("["):
+    if not r.accept("["):
         return None
-    r.advance()
     values: dict[str, str] = {}
     while not r.at("]"):
         key = r.expect_ident("annotation key (guard, pre, post, design)")
@@ -199,15 +195,10 @@ def _parse_method(r: _Reader) -> syntax.MethodDecl:
             ptype = r.expect_ident("parameter type")
             params.append(syntax.ParamDecl(pname.text, ptype.text,
                                            _extent(pname.span, ptype.span)))
-            if r.at(","):
-                r.advance()
-            else:
+            if not r.accept(","):
                 break
     r.expect(")")
-    return_type = None
-    if r.at(":"):
-        r.advance()
-        return_type = r.expect_ident("return type").text
+    return_type = r.expect_ident("return type").text if r.accept(":") else None
     annot = _parse_annot(r)
     semi = r.expect(";")
     return syntax.MethodDecl(name.text, tuple(params), return_type, annot,
@@ -217,10 +208,7 @@ def _parse_method(r: _Reader) -> syntax.MethodDecl:
 def _parse_type(r: _Reader) -> syntax.TypeDecl:
     kw = r.expect("type")
     name = r.expect_ident("type name")
-    supertype = None
-    if r.at("<:"):
-        r.advance()
-        supertype = r.expect_ident("supertype name").text
+    supertype = r.expect_ident("supertype name").text if r.accept("<:") else None
     semi = r.expect(";")
     return syntax.TypeDecl(name.text, supertype, _extent(kw.span, semi.span))
 
@@ -228,16 +216,12 @@ def _parse_type(r: _Reader) -> syntax.TypeDecl:
 def _parse_interface(r: _Reader) -> syntax.InterfaceDecl:
     kw = r.expect("interface")
     name = r.expect_ident("interface name")
-    extends = None
-    if r.at("extends"):
-        r.advance()
-        extends = r.expect_ident("base interface name").text
+    extends = r.expect_ident("base interface name").text if r.accept("extends") else None
     r.expect("{")
     fields: list[syntax.FieldDecl] = []
     methods: list[syntax.MethodDecl] = []
     while not r.at("}"):
-        if r.at("field"):
-            fkw = r.advance()
+        if fkw := r.accept("field"):
             fname = r.expect_ident("field name")
             r.expect(":")
             ftype = r.expect_ident("field type")
@@ -258,26 +242,18 @@ def _parse_contract(r: _Reader) -> syntax.ContractDecl:
     r.expect("implements")
     implements = r.expect_ident("interface name")
     r.expect("{")
-    incomplete = False
-    if r.at("incomplete"):
-        r.advance()
+    incomplete = r.accept("incomplete") is not None
+    if incomplete:
         r.expect(";")
-        incomplete = True
     init = None
-    if r.at("init"):
-        r.advance()
+    if r.accept("init"):
         r.expect("{")
         init = r.expect(STRING, "string").value
         r.expect("}")
     methods: list[syntax.MethodDecl] = []
-    while r.at("method"):
-        r.advance()
+    while r.accept("method"):
         methods.append(_parse_method(r))
-    protocol = None
-    protocol_span = None
-    if r.at("protocol"):
-        r.advance()
-        protocol, protocol_span = _parse_protocol_block(r)
+    protocol, protocol_span = _parse_protocol_block(r) if r.accept("protocol") else (None, None)
     close = r.expect("}")
     return syntax.ContractDecl(name.text, implements.text, incomplete, init,
                                tuple(methods), protocol,
@@ -289,21 +265,14 @@ def _parse_component_body(r: _Reader, kw: Token, name: Token, node_cls):
     r.expect("provided")
     r.expect("contract")
     provided = r.expect_ident("contract name")
-    internal = None
-    required = None
-    if r.at("internal"):
-        r.advance()
+    internal = required = None
+    if r.accept("internal"):
         r.expect("interface")
         internal = r.expect_ident("interface name").text
-    if r.at("required"):
-        r.advance()
+    if r.accept("required"):
         r.expect("interface")
         required = r.expect_ident("interface name").text
-    causal = None
-    causal_span = None
-    if r.at("causal"):
-        r.advance()
-        causal, causal_span = _parse_protocol_block(r)
+    causal, causal_span = _parse_protocol_block(r) if r.accept("causal") else (None, None)
     close = r.expect("}")
     return node_cls(name.text, provided.text, internal, required, causal,
                     _extent(kw.span, close.span), causal_span)
@@ -311,27 +280,21 @@ def _parse_component_body(r: _Reader, kw: Token, name: Token, node_cls):
 
 def _parse_architecture(r: _Reader) -> syntax.ArchitectureDecl:
     kw = r.expect("architecture")
-    if r.at(syntax.BUSINESS):
-        kind = syntax.BUSINESS
-    elif r.at(syntax.APPLICATION):
-        kind = syntax.APPLICATION
-    else:
+    if not r.at(syntax.BUSINESS, syntax.APPLICATION):
         tok = r.current
         raise _ParseError(Diagnostic(
             ERROR, tok.span, f'expected "business" or "application", found {tok.text!r}',
             "unexpected-token"))
-    r.advance()
+    kind = r.advance().kind
     name = r.expect_ident("architecture name")
     r.expect("{")
     objects: list[syntax.ObjectRef] = []
-    while r.at("object"):
-        r.advance()
+    while r.accept("object"):
         oname = r.expect_ident("object name")
         r.expect(";")
         objects.append(syntax.ObjectRef(oname.text, oname.span))
     morphisms: list[syntax.MorphismDecl] = []
-    while r.at("morphism"):
-        mkw = r.advance()
+    while mkw := r.accept("morphism"):
         src = r.expect_ident("object name")
         r.expect("-")
         mkind = r.expect_ident("morphism kind")
@@ -354,16 +317,14 @@ def _parse_link(r: _Reader) -> syntax.LinkDecl:
     target = r.expect_ident("architecture name")
     r.expect("{")
     object_map: list[syntax.MapEntry] = []
-    while r.at("map"):
-        mkw = r.advance()
+    while mkw := r.accept("map"):
         src = r.expect_ident("object name")
         r.expect("->")
         dst = r.expect_ident("object name")
         semi = r.expect(";")
         object_map.append(syntax.MapEntry(src.text, dst.text, _extent(mkw.span, semi.span)))
     generator_map: list[syntax.GeneratorEntry] = []
-    while r.at("generator"):
-        gkw = r.advance()
+    while gkw := r.accept("generator"):
         src = r.expect_ident("morphism kind")
         r.expect("->")
         dst = r.expect_ident("morphism kind")

@@ -112,7 +112,10 @@ def _match_one(requirement: Requirement, entry, lattice: TypeLattice, required_d
     else:
         mapping = {q: m.provided_method for q, m in sig.method_map.items()}
         required_auto = protocol.relabel(required_dfa(), mapping)
-        result = protocol.includes(required_auto, entry.provided_automaton, state_limit)
+        try:
+            result = protocol.includes(required_auto, entry.provided_automaton, state_limit)
+        except protocol.ProtocolTooLarge as err:
+            raise protocol.ProtocolTooLarge(f"component {entry.component!r}: {err}") from err
         verdict, protocol_verdict = (USE, HOLDS) if result.holds else (ADAPT_CANDIDATE, FAILS)
         counterexample = result.counterexample
     return MatchReport(entry.component, sig, protocol_verdict, counterexample, verdict,

@@ -495,12 +495,11 @@ def validate_publication(pub: Publication,
     """
     meth_i = pub.provided.iface.method_names()
     meth_j = pub.required.iface.method_names() if pub.required else frozenset()
-    alphabet = meth_i | meth_j | events(pub.causal)
-    causal_auto = protocol.compile(pub.causal, alphabet=alphabet)
+    causal = protocol.compile(pub.causal, alphabet=meth_i | meth_j)
     failures: list[ProjectionFailure] = []
 
     def check(condition: str, keep: frozenset[str], traces: ProtocolExpr) -> None:
-        projected = protocol.project(causal_auto, keep, state_limit)
+        projected = protocol.project(causal, keep, state_limit)
         declared = protocol.compile(traces, alphabet=keep)
         res = protocol.equivalent(projected, declared, state_limit)
         if not res.holds:

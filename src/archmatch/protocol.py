@@ -1,11 +1,14 @@
 """Protocol expressions and their finite-automaton semantics.
 
-A protocol denotes a regular language of method-call events.  Expressions are
-compiled to NFAs (Thompson construction, product construction for
-interleaving), determinized by subset construction and minimized to a
-canonical trim DFA.  Inclusion and equivalence questions are answered on the
-product automaton and always come with a shortest, lexicographically smallest
-witness trace when they fail.
+A protocol denotes a regular language of method-call events.  `compile`
+interns an expression into a table of hash-consed, normalised terms, and
+`determinize` builds its DFA directly from the terms' derivatives
+(Brzozowski, JACM 1964; Owens, Reppy and Turon, JFP 2009): one state per
+distinct derivative, numbered in BFS order and counted against the state
+limit as it is found.  `minimize` gives the canonical trim DFA.  Inclusion
+and equivalence questions are answered on the product automaton and always
+come with a shortest, lexicographically smallest witness trace when they
+fail.
 """
 
 from __future__ import annotations
@@ -132,49 +135,34 @@ def universal_expr(alphabet: frozenset[str] | set[str]) -> ProtocolExpr:
 
 @dataclass(frozen=True)
 class FiniteAutomaton:
-    """A finite automaton over method-name symbols.
-
-    Epsilon transitions are encoded with symbol None.  When `deterministic`
-    is set the automaton has no epsilon transitions and at most one successor
-    per (state, symbol).
-    """
+    """A DFA over method-name symbols; a missing transition rejects."""
 
     states: frozenset[int]
     alphabet: frozenset[str]
-    transitions: frozenset[tuple[int, str | None, int]]
+    transitions: frozenset[tuple[int, str, int]]
     start: int
     accepting: frozenset[int]
-    deterministic: bool = False
 
     def __post_init__(self) -> None:
-        if self.start not in self.states:
-            raise ValueError(f"start state {self.start} not in states")
-        if not self.accepting <= self.states:
-            raise ValueError("accepting states not a subset of states")
-        seen: set[tuple[int, str | None]] = set()
+        if self.start not in self.states or not self.accepting <= self.states:
+            raise ValueError("start or accepting state not in states")
+        seen: set[tuple[int, str]] = set()
         for s, sym, t in self.transitions:
-            if s not in self.states or t not in self.states:
-                raise ValueError(f"transition ({s}, {sym}, {t}) uses unknown state")
-            if sym is not None and sym not in self.alphabet:
-                raise ValueError(f"transition symbol {sym!r} not in alphabet")
-            if self.deterministic:
-                if sym is None:
-                    raise ValueError("deterministic automaton has an epsilon transition")
-                if (s, sym) in seen:
-                    raise ValueError(f"deterministic automaton has two transitions on ({s}, {sym})")
-                seen.add((s, sym))
+            if s not in self.states or t not in self.states or sym not in self.alphabet:
+                raise ValueError(f"transition ({s}, {sym!r}, {t}) leaves the states or alphabet")
+            if (s, sym) in seen:
+                raise ValueError(f"two transitions on ({s}, {sym!r})")
+            seen.add((s, sym))
 
 
 def relabel(a: FiniteAutomaton, mapping: dict[str, str]) -> FiniteAutomaton:
-    """Rename symbols through `mapping`; symbols without an entry are kept.
-
-    An injective relabeling of a DFA stays deterministic; otherwise the result
-    is left for determinize to merge.
-    """
+    """Rename symbols through `mapping`, which must be injective on the alphabet
+    so that the result stays a DFA; symbols without an entry are kept."""
     alphabet = frozenset(mapping.get(sym, sym) for sym in a.alphabet)
+    if len(alphabet) != len(a.alphabet):
+        raise ValueError("relabel needs a map that is injective on the alphabet")
     transitions = frozenset((s, mapping.get(sym, sym), t) for s, sym, t in a.transitions)
-    return FiniteAutomaton(a.states, alphabet, transitions, a.start, a.accepting,
-                           a.deterministic and len(alphabet) == len(a.alphabet))
+    return FiniteAutomaton(a.states, alphabet, transitions, a.start, a.accepting)
 
 
 @dataclass(frozen=True)
@@ -192,121 +180,191 @@ class EquivalenceResult:
 
 # --- compilation -----------------------------------------------------------
 
-_Nfa = tuple[int, list[tuple[int, str | None, int]], int, frozenset[int]]
+# term operators; a term is the node (operator, x, y) of its table
+_EPS, _EV, _SEQ, _ALT, _STAR, _SHUF = range(6)
+_OPERATOR = {Seq: _SEQ, Alt: _ALT, Star: _STAR, Shuffle: _SHUF}
+_UNIT = 0  # the id of `()` in every table
 
 
-def _thompson(expr: ProtocolExpr, operands: list[_Nfa]) -> _Nfa:
-    """Thompson-style construction: (state count, transitions, start, accepting)."""
-    if isinstance(expr, Eps):
-        return 1, [], 0, frozenset({0})
-    if isinstance(expr, Ev):
-        return 2, [(0, expr.name, 1)], 0, frozenset({1})
-    if isinstance(expr, Star):
-        [(n, t, s, a)] = operands
-        trans = [(p + 1, sym, q + 1) for p, sym, q in t]
-        trans.append((0, None, s + 1))
-        trans += [(q + 1, None, s + 1) for q in sorted(a)]
-        return n + 1, trans, 0, frozenset(q + 1 for q in a) | frozenset({0})
-    (ln, lt, ls, la), (rn, rt, rs, ra) = operands
-    if isinstance(expr, Seq):
-        shifted = [(s + ln, sym, t + ln) for s, sym, t in rt]
-        glue = [(a, None, rs + ln) for a in sorted(la)]
-        return ln + rn, lt + shifted + glue, ls, frozenset(a + ln for a in ra)
-    if isinstance(expr, Alt):
-        # new start is state 0; both operands shift up
-        trans = [(s + 1, sym, t + 1) for s, sym, t in lt]
-        trans += [(s + 1 + ln, sym, t + 1 + ln) for s, sym, t in rt]
-        trans += [(0, None, ls + 1), (0, None, rs + 1 + ln)]
-        acc = frozenset(a + 1 for a in la) | frozenset(a + 1 + ln for a in ra)
-        return 1 + ln + rn, trans, 0, acc
-    # Shuffle: product automaton, either component may step while the other waits
-    def pid(p: int, q: int) -> int:
-        return p * rn + q
-    trans = []
-    for s, sym, t in lt:
-        for q in range(rn):
-            trans.append((pid(s, q), sym, pid(t, q)))
-    for s, sym, t in rt:
-        for p in range(ln):
-            trans.append((pid(p, s), sym, pid(p, t)))
-    acc = frozenset(pid(p, q) for p in la for q in ra)
-    return ln * rn, trans, pid(ls, rs), acc
+class _Terms:
+    """A table of hash-consed terms, with their nullability and, once asked
+    for, their derivatives.
 
-
-def compile(expr: ProtocolExpr, alphabet: frozenset[str] | set[str] | None = None) -> FiniteAutomaton:
-    """Compile `expr` to an NFA accepting exactly its language.
-
-    `alphabet` widens the automaton's alphabet beyond the events occurring in
-    the expression (needed when projecting over a larger method set).
+    `make` normalises: `+` is a flat set of at least two terms, `;`
+    associates to the right with `()` as unit, `|` orders its operands by id
+    with `()` as unit, and `(e*)*` is `e*`.  A term's operands are made before
+    it, so they have smaller ids.  No term denotes the empty language (the
+    syntax cannot say it), so every derivative that exists is a DFA state.
     """
-    n, trans, start, acc = fold(expr, _thompson)
-    alpha = events(expr)
-    if alphabet is not None:
-        alpha = alpha | frozenset(alphabet)
-    return FiniteAutomaton(frozenset(range(n)), alpha, frozenset(trans), start, acc)
+
+    def __init__(self) -> None:
+        self.nodes: list[tuple] = []
+        self.ids: dict[tuple, int] = {}
+        self.nullable: list[bool] = []
+        self.derivs: list[dict[str, int] | None] = []
+        self._intern(_EPS, None, None)
+
+    def _intern(self, op: int, x, y) -> int:
+        tid = self.ids.get((op, x, y))
+        if tid is None:
+            n = self.nullable
+            n.append(op in (_EPS, _STAR) or (op == _ALT and any(n[t] for t in x))
+                     or (op in (_SEQ, _SHUF) and n[x] and n[y]))
+            tid = self.ids[op, x, y] = len(self.nodes)
+            self.nodes.append((op, x, y))
+            self.derivs.append(None)
+        return tid
+
+    def make(self, op: int, x=None, y=None) -> int:
+        """The normalised term `op(x, y)`: `x` is an event's name, or any
+        iterable of the operands of `+`."""
+        nodes = self.nodes
+        if op == _ALT:
+            members: set[int] = set()
+            for t in x:
+                members.update(nodes[t][1] if nodes[t][0] == _ALT else (t,))
+            if len(members) == 1:
+                return members.pop()
+            x = frozenset(members)
+        elif op == _STAR and (x == _UNIT or nodes[x][0] == _STAR):
+            return x
+        elif op in (_SEQ, _SHUF) and _UNIT in (x, y):
+            return y if x == _UNIT else x
+        elif op == _SHUF and x > y:
+            x, y = y, x
+        elif op == _SEQ and nodes[x][0] == _SEQ:  # re-associate to the right
+            heads = []
+            while nodes[x][0] == _SEQ:
+                _, head, x = nodes[x]
+                heads.append(head)
+            for head in [x, *reversed(heads)]:
+                y = self._intern(_SEQ, head, y)
+            return y
+        return self._intern(op, x, y)
+
+    def operands(self, t: int):
+        op, x, y = self.nodes[t]
+        return x if op == _ALT else (x, y) if op in (_SEQ, _SHUF) else (x,) if op == _STAR else ()
+
+    def derivatives(self, t: int) -> dict[str, int]:
+        """{symbol: derivative of `t` by it} over the symbols that begin a word
+        of `t`, computed once per term, operands first, on an explicit stack."""
+        derivs = self.derivs
+        stack = [t]
+        while stack:
+            u = stack[-1]
+            if derivs[u] is None:
+                missing = [v for v in self.operands(u) if derivs[v] is None]
+                if missing:
+                    stack.extend(missing)
+                    continue
+                derivs[u] = self._derive(u)
+            stack.pop()
+        return derivs[t]
+
+    def _derive(self, t: int) -> dict[str, int]:
+        op, x, y = self.nodes[t]
+        d = self.derivs
+        if op == _EV:
+            return {x: _UNIT}
+        if op in (_SEQ, _STAR):  # d(e;f) = d(e);f + (d(f) if e is nullable), d(e*) = d(e);e*
+            tail = t if op == _STAR else y
+            parts = [{s: self.make(_SEQ, e, tail) for s, e in d[x].items()}]
+            if op == _SEQ and self.nullable[x]:
+                parts.append(d[y])
+        elif op == _SHUF:  # d(e|f) = d(e)|f + e|d(f), Sulzmann and Thiemann, JCSS 2016
+            parts = [{s: self.make(_SHUF, e, y) for s, e in d[x].items()},
+                     {s: self.make(_SHUF, x, e) for s, e in d[y].items()}]
+        else:
+            parts = [d[u] for u in self.operands(t)]
+        grouped: dict[str, list[int]] = {}
+        for part in parts:
+            for s, e in part.items():
+                grouped.setdefault(s, []).append(e)
+        return {s: es[0] if len(es) == 1 else self.make(_ALT, es) for s, es in grouped.items()}
+
+    def intern(self, expr: ProtocolExpr, keep: frozenset[str] | None = None) -> int:
+        """The term of `expr`, with every event outside `keep` (if given) made `()`."""
+        def term(value) -> int:
+            # a `;` stays the pair of its operands' values until its term is
+            # needed, then is made from the right, each head in constant time
+            heads, stack = [], [value]
+            while stack:
+                v = stack.pop()
+                if isinstance(v, tuple):
+                    stack += reversed(v)
+                else:
+                    heads.append(v)
+            t = heads.pop()
+            for head in reversed(heads):
+                t = self.make(_SEQ, head, t)
+            return t
+
+        def visit(e: ProtocolExpr, operands: list) -> int | tuple:
+            if isinstance(e, Seq):
+                return tuple(operands)
+            if isinstance(e, Ev) and (keep is None or e.name in keep):
+                return self.make(_EV, e.name)
+            if isinstance(e, (Ev, Eps)):
+                return _UNIT
+            op, operands = _OPERATOR[type(e)], [term(v) for v in operands]
+            return self.make(op, operands) if op == _ALT else self.make(op, *operands)
+
+        return term(fold(expr, visit))
+
+
+@dataclass(frozen=True, eq=False)
+class Term:
+    """`expr` interned in its own term table, to be determinized over `alphabet`."""
+
+    expr: ProtocolExpr
+    table: _Terms
+    id: int
+    alphabet: frozenset[str]
+
+
+def compile(expr: ProtocolExpr, alphabet: frozenset[str] | set[str] | None = None) -> Term:
+    """Intern `expr` into a new term table (no automaton yet); `alphabet` widens
+    the events of `expr` (needed when projecting over a larger method set)."""
+    table = _Terms()
+    return Term(expr, table, table.intern(expr), events(expr) | frozenset(alphabet or ()))
 
 
 # --- determinization and minimization --------------------------------------
 
-def _adjacency(a: FiniteAutomaton):
-    eps: dict[int, list[int]] = {}
-    sym: dict[tuple[int, str], set[int]] = {}
-    for s, label, t in a.transitions:
-        if label is None:
-            eps.setdefault(s, []).append(t)
-        else:
-            sym.setdefault((s, label), set()).add(t)
-    return eps, sym
-
-
-def _eps_closure(states: set[int], eps: dict[int, list[int]]) -> frozenset[int]:
-    out = set(states)
-    stack = list(states)
-    while stack:
-        s = stack.pop()
-        for t in eps.get(s, ()):
-            if t not in out:
-                out.add(t)
-                stack.append(t)
-    return frozenset(out)
-
-
-def determinize(a: FiniteAutomaton, state_limit: int = DEFAULT_STATE_LIMIT) -> FiniteAutomaton:
-    """Subset construction.  Output states are numbered in BFS discovery order."""
-    if a.deterministic:
+def determinize(a: Term | FiniteAutomaton,
+                state_limit: int = DEFAULT_STATE_LIMIT) -> FiniteAutomaton:
+    """The DFA of a compiled term, one state per distinct derivative: BFS order,
+    symbols sorted, each new state counted against `state_limit` as it is
+    found.  A DFA is returned unchanged."""
+    if isinstance(a, FiniteAutomaton):
         return a
-    eps, sym = _adjacency(a)
-    symbols = sorted(a.alphabet)
-    start = _eps_closure({a.start}, eps)
-    ids: dict[frozenset[int], int] = {start: 0}
-    queue: deque[frozenset[int]] = deque([start])
-    transitions: list[tuple[int, str | None, int]] = []
-    accepting: set[int] = set()
-    while queue:
-        subset = queue.popleft()
-        sid = ids[subset]
-        if subset & a.accepting:
-            accepting.add(sid)
-        for label in symbols:
-            move: set[int] = set()
-            for s in subset:
-                move |= sym.get((s, label), set())
-            if not move:
-                continue
-            target = _eps_closure(move, eps)
-            if target not in ids:
-                if len(ids) >= state_limit:
+    table = a.table
+    order = [a.id]
+    ids = {a.id: 0}
+    transitions: list[tuple[int, str, int]] = []
+    for sid, term in enumerate(order):  # `order` grows as states are found
+        derivs = table.derivatives(term)
+        for label in sorted(derivs):
+            target = ids.get(derivs[label])
+            if target is None:
+                if len(order) >= state_limit:
                     raise ProtocolTooLarge(
                         f"protocol too large: determinization exceeds {state_limit} states")
-                ids[target] = len(ids)
-                queue.append(target)
-            transitions.append((sid, label, ids[target]))
-    return FiniteAutomaton(frozenset(range(len(ids))), a.alphabet, frozenset(transitions),
-                           0, frozenset(accepting), deterministic=True)
+                target = ids[derivs[label]] = len(order)
+                order.append(derivs[label])
+            transitions.append((sid, label, target))
+    accepting = frozenset(sid for sid, term in enumerate(order) if table.nullable[term])
+    return FiniteAutomaton(frozenset(range(len(order))), a.alphabet, frozenset(transitions),
+                           0, accepting)
 
 
-def _delta(a: FiniteAutomaton) -> dict[tuple[int, str], int]:
-    return {(s, sym): t for s, sym, t in a.transitions}
+def _edges(a: FiniteAutomaton) -> dict[int, dict[str, int]]:
+    """Each state's transitions as {symbol: target}, symbols in sorted order."""
+    edges: dict[int, dict[str, int]] = {}
+    for s, sym, t in sorted(a.transitions):
+        edges.setdefault(s, {})[sym] = t
+    return edges
 
 
 def _renumber_bfs(a: FiniteAutomaton) -> FiniteAutomaton:
@@ -314,22 +372,18 @@ def _renumber_bfs(a: FiniteAutomaton) -> FiniteAutomaton:
 
     Unreachable states are dropped.
     """
-    delta = _delta(a)
-    symbols = sorted(a.alphabet)
+    edges = _edges(a)
     order: dict[int, int] = {a.start: 0}
     queue = deque([a.start])
     while queue:
-        s = queue.popleft()
-        for label in symbols:
-            t = delta.get((s, label))
-            if t is not None and t not in order:
+        for t in edges.get(queue.popleft(), {}).values():
+            if t not in order:
                 order[t] = len(order)
                 queue.append(t)
-    transitions = frozenset((order[s], sym, order[t]) for (s, sym), t in delta.items()
-                            if s in order and t in order)
+    transitions = frozenset((order[s], sym, order[t]) for s, sym, t in a.transitions
+                            if s in order)
     accepting = frozenset(order[s] for s in a.accepting if s in order)
-    return FiniteAutomaton(frozenset(range(len(order))), a.alphabet, transitions,
-                           0, accepting, deterministic=True)
+    return FiniteAutomaton(frozenset(range(len(order))), a.alphabet, transitions, 0, accepting)
 
 
 def minimize(a: FiniteAutomaton) -> FiniteAutomaton:
@@ -339,8 +393,8 @@ def minimize(a: FiniteAutomaton) -> FiniteAutomaton:
     accepting state) are removed rather than kept as an explicit sink, so the
     result is canonical up to nothing at all once renumbered.
     """
-    if not a.deterministic:
-        raise ValueError("minimize requires a deterministic automaton")
+    if not isinstance(a, FiniteAutomaton):
+        raise ValueError("minimize requires a DFA: determinize the compiled term first")
     a = _renumber_bfs(a)  # drops unreachable states
     reverse: dict[int, list[int]] = {}
     for s, _, t in a.transitions:
@@ -353,10 +407,9 @@ def minimize(a: FiniteAutomaton) -> FiniteAutomaton:
                 alive.add(p)
                 stack.append(p)
     # the start stays even when dead, so the empty language is one bare state
-    edges: dict[int, list[tuple[str, int]]] = {s: [] for s in alive | {a.start}}
-    for s, label, t in sorted(a.transitions):
-        if t in alive:
-            edges[s].append((label, t))
+    out = _edges(a)
+    edges = {s: [(label, t) for label, t in out.get(s, {}).items() if t in alive]
+             for s in alive | {a.start}}
 
     # Moore partition refinement over the transitions present: a missing one
     # leads to the empty language, which no other state has once the dead are gone
@@ -372,7 +425,7 @@ def minimize(a: FiniteAutomaton) -> FiniteAutomaton:
     transitions = frozenset((cls[s], label, cls[t]) for s, moves in edges.items()
                             for label, t in moves)
     quotient = FiniteAutomaton(frozenset(cls.values()), a.alphabet, transitions, cls[a.start],
-                               frozenset(cls[s] for s in a.accepting), deterministic=True)
+                               frozenset(cls[s] for s in a.accepting))
     return _renumber_bfs(quotient)
 
 
@@ -382,29 +435,21 @@ def _product_search(left: FiniteAutomaton, right: FiniteAutomaton, bad,
                     state_limit: int) -> tuple[str, ...] | None:
     """Shortest, lex-smallest word reaching a product state satisfying `bad`.
 
-    Both automata must be deterministic; missing transitions go to an implicit
-    dead state (encoded as None).  `bad` takes (left-accepting, right-accepting)
-    booleans.  Returns None when no reachable product state is bad.
+    Missing transitions go to an implicit dead state (encoded as None).  `bad`
+    takes (left-accepting, right-accepting) booleans.  Returns None when no
+    reachable product state is bad.
     """
-    dl, dr = _delta(left), _delta(right)
-    symbols = sorted(left.alphabet | right.alphabet)
-
-    def accepts(side: FiniteAutomaton, s: int | None) -> bool:
-        return s is not None and s in side.accepting
-
+    el, er = _edges(left), _edges(right)
     start = (left.start, right.start)
     seen = {start}
     queue: deque[tuple[tuple[int | None, int | None], tuple[str, ...]]] = deque([(start, ())])
     while queue:
         (l, r), word = queue.popleft()
-        if bad(accepts(left, l), accepts(right, r)):
+        if bad(l in left.accepting, r in right.accepting):
             return word
-        for label in symbols:
-            nl = dl.get((l, label)) if l is not None else None
-            nr = dr.get((r, label)) if r is not None else None
-            if nl is None and nr is None:
-                continue
-            nxt = (nl, nr)
+        ml, mr = el.get(l, {}), er.get(r, {})
+        for label in sorted(ml.keys() | mr.keys()):
+            nxt = (ml.get(label), mr.get(label))
             if nxt not in seen:
                 if len(seen) >= state_limit:
                     raise ProtocolTooLarge(
@@ -414,7 +459,7 @@ def _product_search(left: FiniteAutomaton, right: FiniteAutomaton, bad,
     return None
 
 
-def includes(required: FiniteAutomaton, provided: FiniteAutomaton,
+def includes(required: Term | FiniteAutomaton, provided: Term | FiniteAutomaton,
              state_limit: int = DEFAULT_STATE_LIMIT) -> InclusionResult:
     """Does the provider allow every trace the requirement may produce?
 
@@ -431,7 +476,7 @@ def includes(required: FiniteAutomaton, provided: FiniteAutomaton,
     return InclusionResult(False, word)
 
 
-def equivalent(a: FiniteAutomaton, b: FiniteAutomaton,
+def equivalent(a: Term | FiniteAutomaton, b: Term | FiniteAutomaton,
                state_limit: int = DEFAULT_STATE_LIMIT) -> EquivalenceResult:
     """Language equality with a shortest separating trace on failure."""
     da = determinize(a, state_limit)
@@ -443,44 +488,38 @@ def equivalent(a: FiniteAutomaton, b: FiniteAutomaton,
     return EquivalenceResult(False, word, side)
 
 
-def project(a: FiniteAutomaton, keep: frozenset[str] | set[str],
+def project(a: Term, keep: frozenset[str] | set[str],
             state_limit: int = DEFAULT_STATE_LIMIT) -> FiniteAutomaton:
     """Erase all symbols outside `keep` from the language of `a`.
 
-    Symbols outside `keep` become epsilon transitions; the result is
-    determinized over the `keep` alphabet.
+    The events outside `keep` become `()` in the expression, whose term is
+    then determinized over the `keep` alphabet.
     """
     keep = frozenset(keep)
     if not keep <= a.alphabet:
         missing = sorted(keep - a.alphabet)
         raise ValueError(f"projection symbols not in alphabet: {', '.join(missing)}")
-    transitions = frozenset((s, sym if sym in keep else None, t) for s, sym, t in a.transitions)
-    nfa = FiniteAutomaton(a.states, keep, transitions, a.start, a.accepting)
-    return determinize(nfa, state_limit)
+    return determinize(Term(a.expr, a.table, a.table.intern(a.expr, keep), keep), state_limit)
 
 
 def accepts(a: FiniteAutomaton, word) -> bool:
-    """Direct simulation of `a` on `word` (epsilon transitions allowed)."""
-    eps, sym = _adjacency(a)
-    current = _eps_closure({a.start}, eps)
+    """Does the DFA `a` accept `word`?"""
+    edges = _edges(a)
+    s: int | None = a.start
     for label in word:
-        move: set[int] = set()
-        for s in current:
-            move |= sym.get((s, label), set())
-        if not move:
+        s = edges.get(s, {}).get(label)
+        if s is None:
             return False
-        current = _eps_closure(move, eps)
-    return bool(current & a.accepting)
+    return s in a.accepting
 
 
-def sample_traces(a: FiniteAutomaton, max_len: int,
+def sample_traces(a: Term | FiniteAutomaton, max_len: int,
                   state_limit: int = DEFAULT_STATE_LIMIT) -> list[tuple[str, ...]]:
     """All accepted words of length <= max_len, in length-then-lex order."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     d = determinize(a, state_limit)
-    delta = _delta(d)
-    symbols = sorted(d.alphabet)
+    edges = _edges(d)
     out: list[tuple[str, ...]] = []
     frontier: list[tuple[tuple[str, ...], int]] = [((), d.start)]
     for _ in range(max_len + 1):
@@ -488,10 +527,7 @@ def sample_traces(a: FiniteAutomaton, max_len: int,
         for word, s in frontier:
             if s in d.accepting:
                 out.append(word)
-            for label in symbols:
-                t = delta.get((s, label))
-                if t is not None:
-                    nxt.append((word + (label,), t))
+            nxt.extend((word + (label,), t) for label, t in edges.get(s, {}).items())
         frontier = nxt
     return out
 
@@ -504,12 +540,8 @@ def emit_dfa_text(a: FiniteAutomaton) -> str:
     States are renumbered from 0 in BFS order from the start state so the
     output is bit-exact for identical languages coming out of minimize().
     """
-    if not a.deterministic:
-        raise ValueError("DFA format requires a deterministic automaton")
     d = _renumber_bfs(a)
-    lines = [f"start: {d.start}"]
-    accept = " ".join(str(s) for s in sorted(d.accepting))
-    lines.append(f"accept: {accept}" if accept else "accept:")
-    for s, sym, t in sorted(d.transitions):
-        lines.append(f"{s} {sym} {t}")
+    accept = "".join(f" {s}" for s in sorted(d.accepting))
+    lines = [f"start: {d.start}", f"accept:{accept}"]
+    lines += (f"{s} {sym} {t}" for s, sym, t in sorted(d.transitions))
     return "\n".join(lines) + "\n"

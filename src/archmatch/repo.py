@@ -3,16 +3,17 @@ protocol index, and its cache file.
 
 Compiling every component's protocols is the one-time cost paid when the
 architecture changes; the cache file makes it pay once per change, with a
-content hash of the unit texts to detect staleness. The cache file is a magic
-line, then one sorted-key JSON document. Besides the compiled components it
-holds what a query needs of the catalog: its types, every non-type name it
-declares, the state limit its load and build succeeded under, and the warnings
-the load returned, each with its unit's position in the catalog. So `load_warm`
-answers `match` on a fresh cache without lexing, parsing or resolving a catalog
-unit, closing an architecture or checking a publication. It leaves the answer to
-the full load when the cache is missing, stale, corrupt or of another version
-(`v1` to `v4`) or was built under a higher state limit, when a unit cannot be
-read, and when the requirement is a catalog unit, declares anything but types,
+content hash of the unit texts to detect staleness. The cache file is the magic
+line `ARCHMATCH-IDX v6`, then one sorted-key JSON document. Besides the compiled
+components it holds what a query needs of the catalog: its types, every
+non-type name it declares, the state limit its load and build succeeded under,
+and the warnings the load returned, each with its unit's position in the
+catalog. So `load_warm` answers `match` on a fresh cache without lexing,
+parsing or resolving a catalog unit, closing an architecture or checking a
+publication. It leaves the answer to the full load when the cache is missing,
+stale, corrupt, of another version (`v1` to `v5`: `load_index` rebuilds these)
+or built under a higher state limit (rebuilt too), when a unit cannot be read,
+and when the requirement is a catalog unit, declares anything but types,
 interfaces and contracts, extends or implements an interface it does not
 declare, or redeclares a name the catalog gives a non-type.
 """
@@ -35,8 +36,9 @@ from .protocol import FiniteAutomaton
 
 # The first line of a cache file. Bump it whenever build_index could give
 # different output for the same source (for example after a change to compile,
-# determinize or minimize), so that older caches are rejected and rebuilt.
-CACHE_MAGIC = "ARCHMATCH-IDX v5"
+# determinize or minimize), or its recorded state_limit could mean something
+# else, so that older caches are rejected and rebuilt.
+CACHE_MAGIC = "ARCHMATCH-IDX v6"
 
 # the Model tables whose names a requirement may not redeclare
 _NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
@@ -315,8 +317,7 @@ def _entry_from_json(name: str, comp: dict) -> IndexEntry:
     if count > len(transitions) + 1:  # a minimized DFA reaches every state
         raise ValueError(f"{count} states but {len(transitions)} transitions")
     auto = FiniteAutomaton(frozenset(range(count)), frozenset(map(str, dfa["alphabet"])),
-                           transitions, _int(dfa["start"]), frozenset(map(_int, dfa["accept"])),
-                           deterministic=True)
+                           transitions, _int(dfa["start"]), frozenset(map(_int, dfa["accept"])))
     methods = tuple(MethodSig(str(method), tuple(Param(str(p), str(t)) for p, t in params),
                               None if ret is None else str(ret))
                     for method, params, ret in comp["methods"])
@@ -375,13 +376,17 @@ def load_index(catalog: Catalog, m: Model, cache_path: str | Path | None = None,
                state_limit: int = protocol.DEFAULT_STATE_LIMIT,
                ) -> tuple[CompiledIndex, str, str | None]:
     """(index, origin, reason) for a loaded catalog: "cache" and None from a fresh cache,
-    else "built" and why the cache was rebuilt: "missing", "stale" or the CacheError message,
-    followed by "; cannot write cache: ..." if the new cache could not be saved."""
+    else "built" and why the cache was rebuilt: "missing", "stale", the CacheError message or
+    that the cache was built under a higher state limit, followed by "; cannot write cache:
+    ..." if the new cache could not be saved."""
     path = default_cache_path(catalog.path) if cache_path is None else Path(cache_path)
     reason = "missing"
     if path.exists():
         try:
-            return load_cache(path, catalog.source_hash), "cache", None
+            index = load_cache(path, catalog.source_hash)
+            if index.state_limit <= state_limit:
+                return index, "cache", None
+            reason = f"cache built under a higher state limit ({index.state_limit})"
         except CacheError as err:
             reason = str(err)
     index = build_index(catalog, m, state_limit)

@@ -10,6 +10,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # caches of fixtures/catalog_full.txt written by earlier versions
 V2_CACHE = FIXTURES / "catalog_full_v2_cache.txt"
 V4_CACHE = FIXTURES / "catalog_full_v4_cache.txt"
+V5_CACHE = FIXTURES / "catalog_full_v5_cache.txt"
 
 _DELETE = object()
 _COMPONENT = ("components", "AccountService")
@@ -73,6 +74,7 @@ DEFECTS = {
     "10,000 nested [": lambda text: f"{_magic(text)}\n{'[' * 10_000}\n",
     "v2 text cache": lambda text: V2_CACHE.read_text(encoding="utf-8"),
     "v4 cache": lambda text: V4_CACHE.read_text(encoding="utf-8"),
+    "v5 cache": lambda text: V5_CACHE.read_text(encoding="utf-8"),
     "integer type name": _edited(("types", 0, 0), 7),
     "supertype as a list": _edited(("types", 0, 1), ["Account"]),
     "type of three fields": _edited(("types", 0), ["String", None, None]),

@@ -1,6 +1,7 @@
 """The benchmark's tracer wraps archmatch functions by module and attribute
 name; a rename here would silently drop a layer from `perfbench/run.py
---trace 1`, so every hook it names must exist."""
+--trace 1`, so every hook it names must exist, and a call moved between the
+protocol stages would skew its per-stage counts."""
 
 from __future__ import annotations
 
@@ -8,6 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from archmatch import protocol, repo
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
@@ -24,3 +28,23 @@ def test_every_traced_function_exists():
     for module_name, attribute, span, _ in targets:
         assert module_name.startswith("archmatch."), span
         assert callable(getattr(importlib.import_module(module_name), attribute, None)), span
+
+
+def test_the_trace_counts_each_index_construction_once():
+    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt")
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        repo.build_index(catalog, m)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    for stage in ("compile", "determinize", "minimize"):
+        assert counts[f"protocol.{stage}.calls"] == len(m.components), stage
+    states = 0
+    for comp in m.components.values():
+        alphabet = comp.provided_interface.method_names()
+        expr = comp.provided_protocol
+        expr = protocol.universal_expr(alphabet) if expr is None else expr
+        states += len(protocol.determinize(protocol.compile(expr, alphabet=alphabet)).states)
+    assert counts["protocol.determinize.states"] == states

@@ -334,7 +334,7 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: cache (1 component(s))"]
     shutil.copy(V2_CACHE, cache)
     assert note() == ["index: built (1 component(s); "
-                      "unsupported cache version (expected ARCHMATCH-IDX v5))"]
+                      "unsupported cache version (expected ARCHMATCH-IDX v6))"]
     cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
     assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
     unit = workdir / "document_manager.adl"
@@ -583,10 +583,22 @@ def test_state_limit_env_rejected_when_invalid(workdir):
 
 
 def test_state_limit_env_applies(workdir):
-    res = run("--quiet", "protocol", "(?a + ?b)* | (?c + ?d)*",
+    res = run("--quiet", "protocol", "(?a ?b)* | (?c ?d)*",
               env={"ARCHMATCH_STATE_LIMIT": "2"})
     assert res.exit_code == 2
     assert "protocol too large" in res.stderr
+
+
+def _grow_fixture_protocols(workdir):
+    """Prefix two events to the provided protocols of AccountServicePub and of
+    DocumentManager, so that their derivative DFAs have 3 and 15 states: a limit
+    of 2 then stops the first publication check, and a limit of 4 the index
+    build (at 1 and 3 states, the fixtures stop neither)."""
+    for unit, protocol in (("insurance.adl", "(?getBalance + ?listTransactions)*"),
+                           ("document_manager.adl", "(?searchDocuments + ?setPreference)*")):
+        path = workdir / unit
+        first = protocol.split()[0].lstrip("(")
+        path.write_text(path.read_text().replace(protocol, f"{first} {first} {protocol}", 1))
 
 
 # limit 2 stops the first publication check, limit 4 the index build
@@ -602,6 +614,7 @@ def test_state_limit_env_applies(workdir):
 ])
 def test_state_limit_overflow_while_loading_is_an_input_error(workdir, monkeypatch, limit, args):
     monkeypatch.chdir(workdir)
+    _grow_fixture_protocols(workdir)
     res = run("--catalog", "catalog_full.txt", *args, env={"ARCHMATCH_STATE_LIMIT": limit})
     assert res.exit_code == 2
     assert res.stdout == ""
@@ -612,6 +625,7 @@ def test_state_limit_overflow_while_loading_is_an_input_error(workdir, monkeypat
 
 def test_a_lowered_state_limit_reloads_a_warm_cache(workdir, monkeypatch):
     monkeypatch.chdir(workdir)
+    _grow_fixture_protocols(workdir)
     args = ["--catalog", "catalog_full.txt", "match", "manage_documents_req.adl"]
     run(*args)  # builds the cache at the default limit
     res = run(*args, env={"ARCHMATCH_STATE_LIMIT": "2"})
@@ -620,17 +634,33 @@ def test_a_lowered_state_limit_reloads_a_warm_cache(workdir, monkeypatch):
                "determinization exceeds 2 states\n")
 
 
+def test_a_warm_cache_gives_the_cold_answer_under_a_lowered_limit(workdir, monkeypatch):
+    # limit 2 passes every publication check but not the index build
+    monkeypatch.chdir(workdir)
+    args = ["--catalog", "catalog_full.txt", "match", "manage_documents_req.adl"]
+    cold = run(*args, env={"ARCHMATCH_STATE_LIMIT": "2"})
+    assert not (workdir / "catalog_full.txt.idx").exists()
+    run(*args)  # builds the cache at the default limit
+    warm = run(*args, env={"ARCHMATCH_STATE_LIMIT": "2"})
+    assert (warm.exit_code, warm.stdout, warm.stderr) == (cold.exit_code, cold.stdout, cold.stderr)
+    assert cold.stderr == ("error: component 'DocumentManager': protocol too large: "
+                           "determinization exceeds 2 states\n")
+
+
 def test_a_warm_cache_answers_under_a_limit_at_least_the_recorded_one(workdir, monkeypatch):
     monkeypatch.chdir(workdir)
     args = ["--catalog", "catalog_full.txt", "match", "manage_documents_req.adl"]
     built = run(*args, env={"ARCHMATCH_STATE_LIMIT": "50"})
     calls = _count_calls(monkeypatch)
-    for limit, parsed in (("50", 1), ("1000", 1), ("49", 4)):
+    hit = "cache (5 component(s))"
+    for limit, parsed, note in (
+            ("50", 1, hit), ("1000", 1, hit),
+            ("49", 4, "built (5 component(s); cache built under a higher state limit (50))")):
         calls.clear()
         res = run(*args, env={"ARCHMATCH_STATE_LIMIT": limit})
         assert calls["parse_unit"] == parsed, limit
         assert (res.stdout, res.exit_code) == (built.stdout, built.exit_code)
-        assert res.stderr == "index: cache (5 component(s))\n"
+        assert res.stderr == f"index: {note}\n"
 
 
 @pytest.mark.parametrize("args,bad", [

@@ -38,6 +38,16 @@ def requirement_from(name, catalog, m):
     return req, merged
 
 
+def test_an_inclusion_overflow_names_the_component():
+    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt")
+    index = repo.build_index(catalog, m)
+    req, merged = requirement_from("manage_documents_req.adl", catalog, m)
+    lattice = TypeLattice.from_types(merged.types)
+    with pytest.raises(P.ProtocolTooLarge, match="^component 'DocumentManager': protocol too "
+                                                 "large: product exceeds 2 states$"):
+        matcher.match_requirement(req, index, lattice, state_limit=2)
+
+
 # --- prefilter ----------------------------------------------------------------
 
 def test_prefilter_keeps_component_sharing_a_shape():

@@ -6,7 +6,7 @@ import random
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from archmatch import protocol as P
@@ -68,12 +68,10 @@ def test_determinize_merges_common_prefix():
     assert len(m.states) == 3  # shared a-prefix, merged accepting state
 
 
-def test_determinize_epsilon_only_automaton():
-    nfa = P.FiniteAutomaton(frozenset({0, 1}), frozenset({"a"}),
-                            frozenset({(0, None, 1)}), 0, frozenset({1}))
-    d = P.determinize(nfa)
-    assert d.deterministic
-    assert P.sample_traces(d, 3) == [()]
+def test_determinize_epsilon_only_term():
+    d = P.determinize(P.compile(Star(Eps()), alphabet={"a"}))
+    assert (d.states, d.alphabet, d.transitions, d.accepting) == ({0}, {"a"}, set(), {0})
+    assert P.determinize(d) is d
 
 
 # --- minimize ---------------------------------------------------------------
@@ -93,7 +91,7 @@ def test_minimize_keeps_minimal_input_size():
 def test_minimize_drops_unreachable_states():
     d = P.FiniteAutomaton(frozenset({0, 1, 9}), frozenset({"a"}),
                           frozenset({(0, "a", 1), (9, "a", 9)}),
-                          0, frozenset({1, 9}), deterministic=True)
+                          0, frozenset({1, 9}))
     m = P.minimize(d)
     assert len(m.states) == 2
 
@@ -132,12 +130,11 @@ def _partial_dfas(draw):
     return P.FiniteAutomaton(frozenset(range(n)), frozenset(alphabet),
                              frozenset((s, sym, t) for (s, sym), t in zip(slots, targets)
                                        if t is not None),
-                             draw(state), draw(st.frozensets(state)), deterministic=True)
+                             draw(state), draw(st.frozensets(state)))
 
 
 def _started_at(a, s):
-    return P.FiniteAutomaton(a.states, a.alphabet, a.transitions, s, a.accepting,
-                             deterministic=True)
+    return P.FiniteAutomaton(a.states, a.alphabet, a.transitions, s, a.accepting)
 
 
 @settings(max_examples=250, deadline=None)
@@ -154,8 +151,7 @@ def test_minimize_gives_the_minimal_trim_dfa(d):
     for p, q in combinations(sorted(m.states), 2):
         assert not P.equivalent(at[p], at[q]).holds
     # trim: only a start without transitions may accept nothing
-    empty = P.FiniteAutomaton(frozenset({0}), m.alphabet, frozenset(), 0, frozenset(),
-                              deterministic=True)
+    empty = P.FiniteAutomaton(frozenset({0}), m.alphabet, frozenset(), 0, frozenset())
     dead = [s for s in m.states if P.equivalent(at[s], empty).holds]
     assert dead in ([], [m.start]) and not (dead and m.transitions)
 
@@ -212,17 +208,15 @@ def test_relabeled_dfa_decides_like_renamed_expression():
         targets = rng.sample(["x", "y", "z", "c"], 3)
         mapping = dict(zip(["a", "b", "c"], targets))
         relabeled = P.relabel(P.determinize(P.compile(req)), mapping)
-        assert relabeled.deterministic
         renamed = P.compile(rename_expr(req, mapping))
         assert P.equivalent(relabeled, renamed).holds
         assert P.includes(relabeled, P.compile(prov)) == P.includes(renamed, P.compile(prov))
 
 
-def test_relabel_merging_symbols_is_nondeterministic():
+def test_relabel_rejects_a_merging_map():
     dfa = P.determinize(P.compile(Alt(Seq(Ev("a"), Ev("a")), Ev("b"))))
-    merged = P.relabel(dfa, {"b": "a"})
-    assert not merged.deterministic
-    assert P.sample_traces(merged, 3) == [("a",), ("a", "a")]
+    with pytest.raises(ValueError, match="injective"):
+        P.relabel(dfa, {"b": "a"})
 
 
 def test_includes_transitive():
@@ -251,7 +245,8 @@ def test_includes_transitive():
 def test_includes_state_limit():
     big = Star(Alt(Ev("a"), Alt(Ev("b"), Ev("c"))))
     with pytest.raises(P.ProtocolTooLarge):
-        P.includes(P.compile(Shuffle(big, big)), P.compile(big), state_limit=2)
+        P.includes(P.compile(Shuffle(big, Seq(Ev("a"), Ev("b")))), P.compile(big),
+                   state_limit=2)
 
 
 # --- equivalent -------------------------------------------------------------
@@ -333,8 +328,7 @@ def test_sample_traces_provided_protocol():
 
 
 def test_sample_traces_empty_language():
-    empty = P.FiniteAutomaton(frozenset({0}), frozenset({"a"}), frozenset(),
-                              0, frozenset(), deterministic=True)
+    empty = P.FiniteAutomaton(frozenset({0}), frozenset({"a"}), frozenset(), 0, frozenset())
     assert P.sample_traces(empty, 3) == []
 
 
@@ -379,3 +373,77 @@ def test_universal_language():
 
 def test_universal_expr_empty_alphabet():
     assert P.equivalent(P.compile(P.universal_expr(set())), P.compile(Eps())).holds
+
+
+# --- derivative construction --------------------------------------------------
+
+# every operator, over few events, so that derivatives often meet again
+_EXPRS = st.recursive(
+    st.sampled_from([Ev("a"), Ev("b"), Ev("c"), Eps()]),
+    lambda sub: st.one_of(st.builds(Seq, sub, sub), st.builds(Alt, sub, sub),
+                          st.builds(Shuffle, sub, sub), st.builds(Star, sub)),
+    max_leaves=10)
+_ORACLE = settings(max_examples=500, deadline=None, derandomize=True, database=None)
+
+
+def _length_lex(words):
+    return sorted(words, key=lambda w: (len(w), w))
+
+
+def _oracle_language(e, max_len):
+    try:
+        return _length_lex(lang_upto(e, max_len, budget=200_000))
+    except OracleBudgetExceeded:
+        assume(False)
+
+
+@_ORACLE
+@given(_EXPRS)
+def test_derivative_dfa_has_the_language_of_the_expression(e):
+    assert P.sample_traces(dfa(e), 5) == _oracle_language(e, 5)
+
+
+@_ORACLE
+@given(_EXPRS, st.frozensets(st.sampled_from("abc")))
+def test_projection_has_the_language_of_the_erased_expression(e, keep):
+    projected = P.project(P.compile(e, alphabet={"a", "b", "c"}), keep)
+    assert projected.alphabet == keep
+    assert P.sample_traces(projected, 5) == _oracle_language(erase_expr(e, keep), 5)
+
+
+def _interleaved_pairs(k):
+    return P.chain(Shuffle, [Seq(Ev(f"a{i}"), Ev(f"b{i}")) for i in range(k)])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_interleaved_pairs_have_three_states_each(k):
+    d = P.determinize(P.compile(_interleaved_pairs(k)))
+    assert len(d.states) == len(P.minimize(d).states) == 3 ** k
+
+
+def test_interleaved_pairs_stop_at_the_state_limit(monkeypatch):
+    explored = []
+    derivatives = P._Terms.derivatives
+    monkeypatch.setattr(P._Terms, "derivatives",
+                        lambda table, t: explored.append(t) or derivatives(table, t))
+    with pytest.raises(P.ProtocolTooLarge,
+                       match="^protocol too large: determinization exceeds 100 states$"):
+        P.determinize(P.compile(_interleaved_pairs(8)), 100)
+    assert len(explored) <= 100  # 3^8 = 6,561 states in full
+
+
+def _stars(n):
+    e = Ev("a")
+    for _ in range(n):
+        e = Star(e)
+    return e
+
+
+@pytest.mark.parametrize("expr,states", [
+    (_stars(300), 1),
+    (P.chain(Seq, [Ev(f"e{i}") for i in range(1200)]), 1201),
+    (P.chain(Alt, [Ev(f"e{i}") for i in range(1200)]), 2),
+], ids=["300-stars", "1200-event-sequence", "1200-way-alternative"])
+def test_deep_shapes_have_their_minimal_state_count(expr, states):
+    d = P.determinize(P.compile(expr))
+    assert len(d.states) == len(P.minimize(d).states) == states

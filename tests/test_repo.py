@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from archmatch import matcher, repo
 from archmatch import protocol as P
 from archmatch.sigmatch import TypeLattice
-from broken_caches import DEFECTS, V2_CACHE, V4_CACHE
+from broken_caches import DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -95,7 +95,7 @@ def test_state_limit_overflow_names_the_component(tmp_path):
         "component K {\n"
         "  provided contract C\n"
         "  required interface B\n"
-        "  causal { (?f + ?g)* }\n"
+        "  causal { (?f ?f + ?f + ?g)* }\n"  # its projection on {f} has two states
         "}\n")
     (tmp_path / "cat.txt").write_text("causal.adl\n")
     assert repo.load(tmp_path / "cat.txt")[0] is not None
@@ -145,7 +145,7 @@ def test_index_automata_are_minimize_fixpoints():
 
 def test_index_state_limit_names_component(tmp_path):
     methods = " ".join(f"m{i}();" for i in range(4))
-    proto = " | ".join(f"(?m{i})*" for i in range(4))
+    proto = " | ".join(f"?m{i}" for i in range(4))
     (tmp_path / "big.adl").write_text(
         f"interface A {{ {methods} }}\n"
         f"contract C implements A {{ protocol {{ {proto} }} }}\n"
@@ -178,7 +178,7 @@ def test_cache_header_shape(tmp_path):
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
     lines = path.read_text().split("\n")
-    assert lines[0] == "ARCHMATCH-IDX v5"
+    assert lines[0] == "ARCHMATCH-IDX v6"
     assert lines[2:] == [""]
     doc = json.loads(lines[1])
     assert lines[1] == json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -248,11 +248,12 @@ def test_cache_rejects_wrong_version(tmp_path):
     for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2",
                   "ARCHMATCH-IDX v3"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v5"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v6"):
             repo.load_cache(path)
-    shutil.copy(V4_CACHE, path)  # a real cache of fixtures/catalog_full.txt
-    with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v5"):
-        repo.load_cache(path)
+    for cache in (V4_CACHE, V5_CACHE):  # real caches of fixtures/catalog_full.txt
+        shutil.copy(cache, path)
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v6"):
+            repo.load_cache(path)
 
 
 def _load_index_reason(tmp_path, setup) -> tuple[str, str | None]:
@@ -284,12 +285,24 @@ def test_load_index_reason_corrupt(tmp_path):
 def test_load_index_reason_other_version(tmp_path):
     origin, reason = _load_index_reason(
         tmp_path, lambda cache, *_: shutil.copy(V2_CACHE, cache))
-    assert (origin, reason) == ("built", "unsupported cache version (expected ARCHMATCH-IDX v5)")
+    assert (origin, reason) == ("built", "unsupported cache version (expected ARCHMATCH-IDX v6)")
+
+
+def test_load_index_rebuilds_a_cache_built_under_a_higher_state_limit(tmp_path):
+    catalog_path = copy_fixtures(tmp_path)
+    catalog, m, _ = repo.load(catalog_path)
+    repo.load_index(catalog, m)  # at the default limit
+    _, origin, reason = repo.load_index(catalog, m, state_limit=50)
+    assert (origin, reason) == (
+        "built", f"cache built under a higher state limit ({P.DEFAULT_STATE_LIMIT})")
+    assert repo.load_cache(repo.default_cache_path(catalog_path)).state_limit == 50
+    assert repo.load_index(catalog, m, state_limit=50)[1:] == ("cache", None)
+    assert repo.load_index(catalog, m)[1:] == ("cache", None)
 
 
 def test_load_index_reason_unreadable(tmp_path):
     origin, reason = _load_index_reason(
-        tmp_path, lambda cache, *_: cache.write_bytes(b"ARCHMATCH-IDX v5\n\xff\n"))
+        tmp_path, lambda cache, *_: cache.write_bytes(b"ARCHMATCH-IDX v6\n\xff\n"))
     assert origin == "built" and reason.startswith("cannot read cache: ")
 
 
