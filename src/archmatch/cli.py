@@ -32,11 +32,8 @@ def _display_path(path: str, base: Path | None) -> str:
     return path
 
 
-def _print_diagnostics(diagnostics: list[Diagnostic], base: Path | None,
-                       quiet: bool) -> None:
+def _print_diagnostics(diagnostics: list[Diagnostic], base: Path | None) -> None:
     for d in sorted(diagnostics, key=lambda d: (d.path, d.span.offset, d.message)):
-        if quiet and d.severity != ERROR:
-            continue
         where = _display_path(d.path, base) if d.path else "<input>"
         click.echo(f"{where}:{d.span}: {d.severity}: {d.message} [{d.code}]", err=True)
 
@@ -63,13 +60,12 @@ class Session:
         if not self.quiet:
             click.echo(message, err=True)
 
-    def require_catalog(self, texts: dict[Path, str] | None = None,
-                        ) -> tuple[repo.Catalog, object]:
+    def require_catalog(self) -> tuple[repo.Catalog, object]:
         if self.catalog_path is None:
             _input_error(NEEDS_CATALOG)
         if self._loaded is None:
-            catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit, texts)
-            _print_diagnostics(diagnostics, self.base_dir, self.quiet)
+            catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit)
+            _print_diagnostics(diagnostics, self.base_dir)
             if catalog is None:
                 sys.exit(2)
             self._loaded = (catalog, model_)
@@ -98,7 +94,7 @@ class _Group(click.Group):
               help="Catalog file listing the repository's ADL units.")
 @click.option("--cache", "cache_path", metavar="PATH",
               help="Compiled-index cache file (default: <catalog>.idx).")
-@click.option("--quiet", is_flag=True, help="Suppress warnings and progress notes.")
+@click.option("--quiet", is_flag=True, help="Suppress progress notes.")
 @click.pass_context
 def main(ctx: click.Context, catalog_path: str | None, cache_path: str | None,
          quiet: bool) -> None:
@@ -124,7 +120,7 @@ def check(session: Session, paths: tuple[str, ...]) -> None:
     if not any(d.severity == ERROR for d in diagnostics):
         _, _, _, analysis_diags = repo.analyze(trees, session.state_limit)
         diagnostics = diagnostics + analysis_diags
-    _print_diagnostics(diagnostics, session.base_dir, session.quiet)
+    _print_diagnostics(diagnostics, session.base_dir)
     errors = sum(1 for d in diagnostics if d.severity == ERROR)
     if errors:
         sys.exit(2)
@@ -167,7 +163,7 @@ def _protocol_source(session: Session, target: str, unit: str | None):
     if any(c in target for c in "?()*+|; "):
         expr, diags = dsl.parse_protocol(target)
         if expr is None:
-            _print_diagnostics(diags, None, session.quiet)
+            _print_diagnostics(diags, None)
             sys.exit(2)
         return protocol.compile(expr)
     if unit is not None:
@@ -176,7 +172,7 @@ def _protocol_source(session: Session, target: str, unit: str | None):
         if not has_errors(diagnostics):
             model_, _, _, analysis_diags = repo.analyze(trees, session.state_limit)
             diagnostics += analysis_diags
-        _print_diagnostics(diagnostics, None, session.quiet)
+        _print_diagnostics(diagnostics, None)
         if model_ is None:
             sys.exit(2)
     else:
@@ -232,19 +228,11 @@ def match(session: Session, requirement: str, output_format: str) -> None:
     """Match a requirement against the repository; exit 0 on USE/ADAPT, 1 on NEW."""
     if session.catalog_path is None:
         _input_error(NEEDS_CATALOG)
-    warm = repo.load_warm(session.catalog_path, requirement, session.cache_path,
-                          session.state_limit)
-    if warm.requirement is None:  # the full load, on the files load_warm read
-        catalog, model_ = session.require_catalog(warm.texts)
-        req, merged, diagnostics = repo.load_requirement(requirement, catalog, model_, warm.texts)
-    else:
-        _print_diagnostics(warm.warnings, session.base_dir, session.quiet)
-        req, merged, diagnostics = warm.requirement
-    _print_diagnostics(diagnostics, session.base_dir, session.quiet)
+    req, merged, index, origin, reason, diagnostics = repo.load_match(
+        session.catalog_path, requirement, session.cache_path, session.state_limit)
+    _print_diagnostics(diagnostics, session.base_dir)
     if req is None:
         sys.exit(2)
-    index, origin, reason = (warm.index, "cache", None) if warm.requirement else \
-        repo.load_index(catalog, model_, session.cache_path, state_limit=session.state_limit)
     note = f"index: {origin} ({len(index.entries)} component(s)"
     if reason is not None:  # a CacheError message names the cache itself
         note += f"; cache {reason}" if reason.startswith(("missing", "stale")) else f"; {reason}"

@@ -7,8 +7,8 @@ one declaration it resynchronizes at the next top-level declaration keyword).
 
 from __future__ import annotations
 
-from ..diagnostics import ERROR, WARNING, Diagnostic, Span, attach_path
-from ..protocol import Alt, Eps, Ev, ProtocolExpr, Seq, Shuffle, Star, chain, events
+from ..diagnostics import ERROR, Diagnostic, Span, attach_path
+from ..protocol import Alt, Eps, Ev, ProtocolExpr, Seq, Shuffle, Star, chain
 from . import syntax
 from .tokens import DECL_KEYWORDS, EOF, ERROR as T_ERROR, IDENT, STRING, SourceUnit, Token, tokenize
 
@@ -132,13 +132,8 @@ def _parse_protocol_block(r: _Reader) -> tuple[ProtocolExpr, Span]:
     return expr, _extent(open_tok.span, (close or r.expect("}")).span)
 
 
-def parse_protocol(text: str, alphabet: set[str] | frozenset[str] | None = None,
-                   ) -> tuple[ProtocolExpr | None, list[Diagnostic]]:
-    """Parse a standalone protocol expression.
-
-    Event names outside `alphabet` (when given) yield warning diagnostics,
-    not errors: units are routinely parsed before name resolution.
-    """
+def parse_protocol(text: str) -> tuple[ProtocolExpr | None, list[Diagnostic]]:
+    """Parse a standalone protocol expression."""
     reader = _Reader(tokenize(SourceUnit("<protocol>", text)))
     try:
         if reader.at(EOF):
@@ -152,13 +147,7 @@ def parse_protocol(text: str, alphabet: set[str] | frozenset[str] | None = None,
                     "unexpected-token"))
     except _ParseError as err:
         return None, [err.diagnostic]
-    diagnostics: list[Diagnostic] = []
-    if alphabet is not None:
-        zero = Span(1, 1, 0, max(len(text), 1))
-        for name in sorted(events(expr) - frozenset(alphabet)):
-            diagnostics.append(Diagnostic(
-                WARNING, zero, f"event {name!r} is not a known method", "unknown-event"))
-    return expr, diagnostics
+    return expr, []
 
 
 # --- declarations ------------------------------------------------------------

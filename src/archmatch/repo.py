@@ -4,16 +4,16 @@ protocol index, and its cache file.
 Compiling every component's protocols is the one-time cost paid when the
 architecture changes; the cache file makes it pay once per change, with a
 content hash of the unit texts to detect staleness. The cache file is the magic
-line `ARCHMATCH-IDX v6`, then one sorted-key JSON document. Besides the compiled
+line `ARCHMATCH-IDX v7`, then one sorted-key JSON document. Besides the compiled
 components it holds what a query needs of the catalog: its types, every
-non-type name it declares, the state limit its load and build succeeded under,
-and the warnings the load returned, each with its unit's position in the
-catalog. So `load_warm` answers `match` on a fresh cache without lexing,
-parsing or resolving a catalog unit, closing an architecture or checking a
-publication. It leaves the answer to the full load when the cache is missing,
-stale, corrupt, of another version (`v1` to `v5`: `load_index` rebuilds these)
-or built under a higher state limit (rebuilt too), when a unit cannot be read,
-and when the requirement is a catalog unit, declares anything but types,
+non-type name it declares, and the state limit its load and build succeeded
+under. `load_match` reads the catalog, its units, the requirement and the cache
+once, and decodes the cache at most once. A fresh cache then answers `match`
+alone, without lexing, parsing or resolving a catalog unit, closing an
+architecture or checking a publication. The catalog is loaded instead when the
+cache is missing, stale, corrupt, of another version (`v1` to `v6`) or built
+under a higher state limit (these three are rebuilt), when a file cannot be
+read, and when the requirement is a catalog unit, declares anything but types,
 interfaces and contracts, extends or implements an interface it does not
 declare, or redeclares a name the catalog gives a non-type.
 """
@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import category, dsl, model, protocol
@@ -38,7 +38,7 @@ from .protocol import FiniteAutomaton
 # different output for the same source (for example after a change to compile,
 # determinize or minimize), or its recorded state_limit could mean something
 # else, so that older caches are rejected and rebuilt.
-CACHE_MAGIC = "ARCHMATCH-IDX v6"
+CACHE_MAGIC = "ARCHMATCH-IDX v7"
 
 # the Model tables whose names a requirement may not redeclare
 _NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
@@ -51,13 +51,11 @@ class CacheError(Exception):
 @dataclass
 class Catalog:
     path: str
-    unit_paths: list[str]  # as written in the catalog file
     units: tuple[SourceUnit, ...]
     trees: tuple[syntax.SyntaxTree, ...]
     architectures: dict[str, PseudoCategory] = field(default_factory=dict)
     links: dict[str, FunctorMapping] = field(default_factory=dict)
     source_hash: str = ""
-    warnings: list[Diagnostic] = field(default_factory=list)  # what the load returned
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,6 @@ class CompiledIndex:
     types: dict[str, TypeDecl]
     names: tuple[str, ...]  # every non-type name the catalog declares, sorted
     state_limit: int  # the load and the build succeeded under it
-    warnings: tuple[tuple[int | None, Diagnostic], ...]  # (unit position, pathless copy)
 
 
 def _zero_span() -> Span:
@@ -220,8 +217,7 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
     text, diagnostics = _read_text(catalog_path, "catalog", texts)
     if text is None:
         return None, None, diagnostics
-    unit_paths = _unit_paths(text)
-    resolved = [catalog_path.parent / p for p in unit_paths]
+    resolved = [catalog_path.parent / p for p in _unit_paths(text)]
     units, trees, diagnostics = parse_units(resolved, texts)
     if has_errors(diagnostics):
         return None, None, diagnostics
@@ -229,8 +225,8 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
     diagnostics.extend(diags)
     if m is None:
         return None, None, diagnostics
-    catalog = Catalog(str(catalog_path), unit_paths, units, trees, architectures, links,
-                      source_hash(unit.text for unit in units), diagnostics)
+    catalog = Catalog(str(catalog_path), units, trees, architectures, links,
+                      source_hash(unit.text for unit in units))
     return catalog, m, diagnostics
 
 
@@ -257,11 +253,9 @@ def build_index(catalog: Catalog, m: Model,
         except protocol.ProtocolTooLarge as err:
             raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
         entries[name] = IndexEntry(name, iface.all_methods(), provided)
-    position = {unit.path: i for i, unit in enumerate(catalog.units)}
     return CompiledIndex(entries, catalog.source_hash, dict(m.types),
                          tuple(sorted(name for kind in _NON_TYPES for name in vars(m)[kind])),
-                         state_limit, tuple((position.get(d.path), replace(d, path=""))
-                                            for d in catalog.warnings))
+                         state_limit)
 
 
 # --- cache persistence ----------------------------------------------------------
@@ -279,9 +273,7 @@ def _entry_json(entry: IndexEntry) -> dict:
 
 def _catalog_json(index: CompiledIndex) -> dict:
     return {"types": [[t.name, t.supertype] for t in index.types.values()],
-            "names": list(index.names), "state_limit": index.state_limit,
-            "warnings": [[unit, d.severity, d.span.line, d.span.column, d.span.offset,
-                          d.span.length, d.message, d.code] for unit, d in index.warnings]}
+            "names": list(index.names), "state_limit": index.state_limit}
 
 
 def save_cache(index: CompiledIndex, path: str | Path) -> None:
@@ -332,15 +324,12 @@ def _catalog_from_json(doc: dict) -> dict:
     """The CompiledIndex fields besides entries and hash, from a cache document."""
     fields = {
         "types": {str(n): TypeDecl(str(n), s if s is None else str(s)) for n, s in doc["types"]},
-        "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"]),
-        "warnings": tuple((unit if unit is None else _int(unit),
-                           Diagnostic(str(sev), Span(*map(_int, span)), str(message), str(code)))
-                          for unit, sev, *span, message, code in doc["warnings"])}
+        "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"])}
     written = _catalog_json(CompiledIndex({}, "", **fields))
-    if written != {key: doc[key] for key in written} or fields["state_limit"] < 1 or \
-            written["names"] != sorted(set(written["names"])) or \
-            any(unit is not None and unit < 0 for unit, _ in fields["warnings"]):
-        raise ValueError("the catalog fields differ from what this version writes")
+    if set(doc) != {"components", "hash", *written} or \
+            written != {key: doc[key] for key in written} or fields["state_limit"] < 1 or \
+            written["names"] != sorted(set(written["names"])):
+        raise ValueError("the top-level fields differ from what this version writes")
     return fields
 
 
@@ -370,31 +359,6 @@ def load_cache(path: str | Path, source_hash: str | None = None) -> CompiledInde
 
 def default_cache_path(catalog_path: str | Path) -> Path:
     return Path(str(catalog_path) + ".idx")
-
-
-def load_index(catalog: Catalog, m: Model, cache_path: str | Path | None = None,
-               state_limit: int = protocol.DEFAULT_STATE_LIMIT,
-               ) -> tuple[CompiledIndex, str, str | None]:
-    """(index, origin, reason) for a loaded catalog: "cache" and None from a fresh cache,
-    else "built" and why the cache was rebuilt: "missing", "stale", the CacheError message or
-    that the cache was built under a higher state limit, followed by "; cannot write cache:
-    ..." if the new cache could not be saved."""
-    path = default_cache_path(catalog.path) if cache_path is None else Path(cache_path)
-    reason = "missing"
-    if path.exists():
-        try:
-            index = load_cache(path, catalog.source_hash)
-            if index.state_limit <= state_limit:
-                return index, "cache", None
-            reason = f"cache built under a higher state limit ({index.state_limit})"
-        except CacheError as err:
-            reason = str(err)
-    index = build_index(catalog, m, state_limit)
-    try:
-        save_cache(index, path)
-    except OSError as err:  # the index is built; only later queries lose the cache
-        reason += f"; cannot write cache: {err.strerror or err}"
-    return index, "built", reason
 
 
 # --- requirement loading ---------------------------------------------------------
@@ -430,45 +394,12 @@ def load_requirement(path: str | Path, catalog: Catalog, m: Model,
     return _requirement(path, tree, merged, diagnostics + diags)
 
 
-@dataclass
-class Warm:
-    """What load_warm read, and what it loaded when the cache alone answers."""
-    texts: dict[Path, str]  # every catalog, unit and requirement file read, by path
-    index: CompiledIndex | None = None  # the rest is set on a hit only
-    warnings: list[Diagnostic] = field(default_factory=list)  # what the load returned
-    requirement: tuple[Requirement | None, Model | None, list[Diagnostic]] | None = None
-
-
-def load_warm(catalog_path: str | Path, requirement_path: str | Path,
-              cache_path: str | Path | None = None,
-              state_limit: int = protocol.DEFAULT_STATE_LIMIT) -> Warm:
-    """What `match` loads, from the cache alone when it can answer (see the
-    module docstring): the requirement is then resolved on the cached types
-    alone, which gives what load_requirement gives on the whole catalog.
-    Otherwise `requirement` is None, and load and load_requirement on `texts`,
-    then load_index, give the answer without reading a unit again."""
-    catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
-    warm = Warm({})
-    text, _ = _read_text(catalog_path, "catalog", warm.texts)
-    unit_paths = [] if text is None else _unit_paths(text)
-    units = [_read_text(catalog_path.parent / p, "unit file", warm.texts)[0] for p in unit_paths]
-    req_text, _ = _read_text(requirement_path, "requirement file", warm.texts)
-    if text is None or req_text is None or None in units:
-        return warm
-    path = default_cache_path(catalog_path) if cache_path is None else Path(cache_path)
-    digest = source_hash(units)
-    try:
-        # a cache without this hash is stale or broken; it is left to load_index,
-        # which decodes it after the full load (decoding it first made a
-        # stale-cache `match` measurably slower)
-        fresh = f'"hash":"{digest}"'.encode() in path.read_bytes()
-        index = load_cache(path, digest) if fresh else None
-    except (OSError, CacheError):
-        return warm
-    if index is None or index.state_limit > state_limit or req_text in units or \
-            any(unit is not None and unit >= len(units) for unit, _ in index.warnings):
-        return warm
-    tree, diagnostics = dsl.parse_unit(SourceUnit(str(requirement_path), req_text))
+def _cached_requirement(path: Path, text: str, index: CompiledIndex,
+                        ) -> tuple[Requirement | None, Model | None, list[Diagnostic]] | None:
+    """What load_requirement gives on the whole catalog, from the requirement
+    resolved on the cached types alone; None when the catalog is needed (see
+    the module docstring)."""
+    tree, diagnostics = dsl.parse_unit(SourceUnit(str(path), text))
     merged, diags = None, []
     if tree is not None:
         own = {None} | {d.name for d in tree.declarations if isinstance(d, syntax.InterfaceDecl)}
@@ -476,14 +407,62 @@ def load_warm(catalog_path: str | Path, requirement_path: str | Path,
         if not all(isinstance(d, (syntax.TypeDecl, syntax.InterfaceDecl, syntax.ContractDecl))
                    and getattr(d, "extends", None) in own and getattr(d, "implements", None) in own
                    and d.name not in taken for d in tree.declarations):
-            return warm
+            return None
         merged, diags = model.resolve([tree], base=Model(types=dict(index.types)))
-    warm.warnings = [d if unit is None else
-                     replace(d, path=str(catalog_path.parent / unit_paths[unit]))
-                     for unit, d in index.warnings]
-    warm.index, warm.requirement = index, _requirement(requirement_path, tree, merged,
-                                                       diagnostics + diags)
-    return warm
+    return _requirement(path, tree, merged, diagnostics + diags)
+
+
+def load_match(catalog_path: str | Path, requirement_path: str | Path,
+               cache_path: str | Path | None = None,
+               state_limit: int = protocol.DEFAULT_STATE_LIMIT,
+               ) -> tuple[Requirement | None, Model | None, CompiledIndex | None, str | None,
+                          str | None, list[Diagnostic]]:
+    """(requirement, merged model, index, origin, reason, diagnostics): what
+    `match` loads, reading each file once and decoding the cache at most once.
+
+    A fresh cache answers alone when it can (see the module docstring);
+    otherwise the catalog is loaded from the texts already read and the
+    requirement resolved on it. The index is the cache when it is usable, with
+    origin "cache" and reason None. Else it is built and saved, with origin
+    "built" and the reason: "missing", "stale", the CacheError message or that
+    the cache was built under a higher state limit, followed by "; cannot write
+    cache: ..." if the new cache could not be saved. When the catalog or the
+    requirement fails to load, all but the diagnostics are None.
+    """
+    catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
+    texts: dict[Path, str] = {}
+    text, _ = _read_text(catalog_path, "catalog", texts)
+    units = [] if text is None else [_read_text(catalog_path.parent / p, "unit file", texts)[0]
+                                     for p in _unit_paths(text)]
+    req_text, _ = _read_text(requirement_path, "requirement file", texts)
+    path = default_cache_path(catalog_path) if cache_path is None else Path(cache_path)
+    index, reason = None, "missing"
+    if text is not None and req_text is not None and None not in units and path.exists():
+        try:
+            index = load_cache(path, source_hash(units))
+        except CacheError as err:
+            reason = str(err)
+        if index is not None and index.state_limit > state_limit:
+            index, reason = None, f"cache built under a higher state limit ({index.state_limit})"
+    loaded = None
+    if index is not None and req_text not in units:
+        loaded = _cached_requirement(requirement_path, req_text, index)
+    if loaded is None:  # the full load, on the texts read
+        catalog, m, diagnostics = load(catalog_path, state_limit, texts)
+        if catalog is None:  # else there are no diagnostics
+            return None, None, None, None, None, diagnostics
+        loaded = load_requirement(requirement_path, catalog, m, texts)
+    req, merged, diagnostics = loaded
+    if req is None:
+        return None, None, None, None, None, diagnostics
+    if index is not None:
+        return req, merged, index, "cache", None, diagnostics
+    index = build_index(catalog, m, state_limit)  # an unusable cache took the full load
+    try:
+        save_cache(index, path)
+    except OSError as err:  # the index is built; only later queries lose the cache
+        reason += f"; cannot write cache: {err.strerror or err}"
+    return req, merged, index, "built", reason, diagnostics
 
 
 def _requirement(path: Path, tree: syntax.SyntaxTree | None, merged: Model | None,

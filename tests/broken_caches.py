@@ -11,6 +11,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 V2_CACHE = FIXTURES / "catalog_full_v2_cache.txt"
 V4_CACHE = FIXTURES / "catalog_full_v4_cache.txt"
 V5_CACHE = FIXTURES / "catalog_full_v5_cache.txt"
+V6_CACHE = FIXTURES / "catalog_full_v6_cache.txt"
 
 _DELETE = object()
 _COMPONENT = ("components", "AccountService")
@@ -36,16 +37,6 @@ def _edited(path: tuple, value):
             target[path[-1]] = value
         return f"{magic}\n{json.dumps(doc, sort_keys=True, separators=(',', ':'))}\n"
     return edit
-
-
-def warning(unit) -> list:
-    """A cache's record of an `unknown-event` warning in the unit at position `unit`."""
-    return [unit, "warning", 3, 5, 40, 6, "event 'ghost' is not a known method", "unknown-event"]
-
-
-def with_warnings(*warnings):
-    """An edit of a cache text that makes `warnings` its load warnings."""
-    return _edited(("warnings",), list(warnings))
 
 
 def _magic(text: str) -> str:
@@ -75,6 +66,7 @@ DEFECTS = {
     "v2 text cache": lambda text: V2_CACHE.read_text(encoding="utf-8"),
     "v4 cache": lambda text: V4_CACHE.read_text(encoding="utf-8"),
     "v5 cache": lambda text: V5_CACHE.read_text(encoding="utf-8"),
+    "v6 cache": lambda text: V6_CACHE.read_text(encoding="utf-8"),
     "integer type name": _edited(("types", 0, 0), 7),
     "supertype as a list": _edited(("types", 0, 1), ["Account"]),
     "type of three fields": _edited(("types", 0), ["String", None, None]),
@@ -84,9 +76,5 @@ DEFECTS = {
     "state limit true": _edited(("state_limit",), True),
     "state limit 0": _edited(("state_limit",), 0),
     "state limit as a string": _edited(("state_limit",), "100"),
-    "missing warnings": _edited(("warnings",), _DELETE),
-    "warning of seven fields": with_warnings(warning(0)[:7]),
-    "warning with a string line": with_warnings(warning(0)[:2] + ["3"] + warning(0)[3:]),
-    "warning as a string": with_warnings("warning"),
-    "negative warning unit": with_warnings(warning(-1)),
+    "unknown top-level field": _edited(("zzz",), [1, 2, 3]),
 }

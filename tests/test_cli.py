@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from archmatch import category, dsl, matcher, model, protocol, repo
 from archmatch.cli import main
 from archmatch.sigmatch import TypeLattice
-from broken_caches import DEFECTS, V2_CACHE, warning, with_warnings
+from broken_caches import DEFECTS, V2_CACHE, V6_CACHE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # `match` stdout for each catalog and requirement, recorded before the signature
@@ -334,7 +334,7 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: cache (1 component(s))"]
     shutil.copy(V2_CACHE, cache)
     assert note() == ["index: built (1 component(s); "
-                      "unsupported cache version (expected ARCHMATCH-IDX v6))"]
+                      "unsupported cache version (expected ARCHMATCH-IDX v7))"]
     cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
     assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
     unit = workdir / "document_manager.adl"
@@ -456,42 +456,48 @@ def test_a_warm_match_falls_back_to_the_whole_catalog(workdir, monkeypatch, case
         assert res.stdout == cold.stdout
 
 
-def test_a_warm_match_replays_the_load_warnings(workdir, monkeypatch):
-    # no catalog loads with a warning at this version, so the cache is given one
-    run("--catalog", str(workdir / "catalog_full.txt"), "index", "build")
-    cache = workdir / "catalog_full.txt.idx"
-    cache.write_text(with_warnings(warning(1))(cache.read_text()))
-    message = "3:5: warning: event 'ghost' is not a known method [unknown-event]"
-    golden = (GOLDEN / "catalog_full" / "manage_documents_req.text").read_bytes()
-    for cwd, catalog, unit in (
-            (workdir, "catalog_full.txt", "document_manager.adl"),
-            (workdir.parent, f"{workdir.name}/catalog_full.txt",
-             f"{workdir.name}/document_manager.adl"),
-            (workdir, str(workdir / "catalog_full.txt"), "document_manager.adl")):
-        monkeypatch.chdir(cwd)
-        res = run("--catalog", catalog, "match", str(workdir / "manage_documents_req.adl"))
-        assert res.stderr == f"{unit}:{message}\nindex: cache (5 component(s))\n"
-        assert res.stdout_bytes == golden
-    res = run("--quiet", "--catalog", catalog, "match", str(workdir / "manage_documents_req.adl"))
-    assert res.stderr == ""
-    unit = workdir / "document_manager.adl"
-    # a stale cache replays nothing: the load of the edited catalog warns of nothing
-    unit.write_text(unit.read_text() + "\n// touched\n")
-    res = run("--catalog", catalog, "match", str(workdir / "manage_documents_req.adl"))
-    assert res.stderr == "index: built (5 component(s); cache stale)\n"
+# how each case leaves the cache before a `match`, and that match's index note
+CACHE_LOADS = {
+    "missing": (None, "built (5 component(s); cache missing)"),
+    "fresh": (lambda cache: None, "cache (5 component(s))"),
+    "stale": (lambda cache: (cache.parent / "insurance.adl").write_text(
+        (cache.parent / "insurance.adl").read_text() + "\n// touched\n"),
+        "built (5 component(s); cache stale)"),
+    "corrupt": (lambda cache: cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n"),
+                "built (5 component(s); corrupt cache: KeyError: 'hash')"),
+    "v6 cache": (lambda cache: shutil.copy(V6_CACHE, cache),
+                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v7))"),
+    "lowered limit": (lambda cache: None, "built (5 component(s); cache built under a higher "
+                                          f"state limit ({protocol.DEFAULT_STATE_LIMIT}))"),
+    "a catalog unit": (lambda cache: None, "cache (1 component(s))"),
+    "declares a component": (lambda cache: None, "cache (5 component(s))"),
+}
 
 
-def test_a_warning_of_no_catalog_unit_is_not_replayed(workdir, monkeypatch):
-    args = ["--catalog", str(workdir / "catalog_full.txt"),
-            "match", str(workdir / "manage_documents_req.adl")]
-    clean = run(*args)
-    cache = workdir / "catalog_full.txt.idx"
-    cache.write_text(with_warnings(warning(3))(cache.read_text()))  # the catalog has 3 units
-    calls = _count_calls(monkeypatch)
-    res = run(*args)
-    assert calls["parse_unit"] == 4  # the whole catalog is loaded instead
-    assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code)
-    assert res.stderr == "index: cache (5 component(s))\n"
+@pytest.mark.parametrize("case", list(CACHE_LOADS))
+def test_a_match_decodes_the_cache_at_most_once(workdir, monkeypatch, case):
+    setup, note = CACHE_LOADS[case]
+    monkeypatch.chdir(workdir)
+    (workdir / "cat.txt").write_text("types.adl\ndocument_manager.adl\nmanage_documents_req.adl\n")
+    catalog, requirement = ("cat.txt", "manage_documents_req.adl") if case == "a catalog unit" \
+        else ("catalog_full.txt", "req.adl")
+    text = FALLBACKS[case][0] if case == "declares a component" else \
+        (workdir / "manage_documents_req.adl").read_text()
+    (workdir / "req.adl").write_text(text)
+    args = ["--catalog", catalog, "match", requirement]
+    if setup is not None:
+        run(*args)  # builds the cache
+        setup(workdir / f"{catalog}.idx")
+    loads = []
+
+    def load_cache(*args, _real=repo.load_cache):
+        loads.append(args)
+        return _real(*args)
+
+    monkeypatch.setattr(repo, "load_cache", load_cache)
+    res = run(*args, env={"ARCHMATCH_STATE_LIMIT": "50"} if case == "lowered limit" else {})
+    assert res.exit_code == 0 and res.stderr == f"index: {note}\n"
+    assert len(loads) == (setup is not None)
 
 
 @pytest.mark.parametrize("cache", ["missing/x.idx", "directory"])

@@ -290,13 +290,6 @@ def test_parse_protocol_precedence():
     assert shuffled == Shuffle(Ev("a"), Alt(Ev("b"), Ev("c")))
 
 
-def test_parse_protocol_unknown_event_warns():
-    expr, diags = dsl.parse_protocol("?ghost", alphabet={"real"})
-    assert expr == Ev("ghost")
-    assert [d.severity for d in diags] == ["warning"]
-    assert diags[0].code == "unknown-event"
-
-
 def test_parse_protocol_malformed():
     expr, diags = dsl.parse_protocol("?a + ")
     assert expr is None

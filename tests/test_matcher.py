@@ -21,7 +21,7 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def _index(entries):
     """An index of `entries` alone, with no catalog behind it."""
-    return repo.CompiledIndex(entries, "h", {}, (), P.DEFAULT_STATE_LIMIT, ())
+    return repo.CompiledIndex(entries, "h", {}, (), P.DEFAULT_STATE_LIMIT)
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,7 @@ import shutil
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import event, given, settings
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from archmatch import matcher, repo
 from archmatch import protocol as P
 from archmatch.sigmatch import TypeLattice
-from broken_caches import DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE
+from broken_caches import DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -32,7 +33,8 @@ def copy_fixtures(tmp_path, catalog_name="catalog.txt"):
 def test_load_sample_catalog():
     catalog, m, diags = repo.load(FIXTURES / "catalog.txt")
     assert catalog is not None, [str(d) for d in diags]
-    assert catalog.unit_paths == ["types.adl", "document_manager.adl"]
+    assert [unit.path for unit in catalog.units] == [
+        str(FIXTURES / "types.adl"), str(FIXTURES / "document_manager.adl")]
     assert set(m.components) == {"DocumentManager"}
     assert m.interfaces["ManageDocument"].method_names() == {
         "viewDocument", "searchDocuments", "setPreference"}
@@ -47,6 +49,12 @@ def test_load_full_catalog_builds_architectures_and_links():
     assert catalog.architectures["CustomerService"].kind == "business"
     # explicit publication got validated and resolved
     assert "AccountServicePub" in m.publications
+
+
+@pytest.mark.parametrize("name", ["catalog.txt", "catalog_full.txt"])
+def test_the_fixture_catalogs_load_without_diagnostics(name):
+    catalog, _, diagnostics = repo.load(FIXTURES / name)
+    assert catalog is not None and diagnostics == []
 
 
 def test_load_empty_catalog(tmp_path):
@@ -178,9 +186,10 @@ def test_cache_header_shape(tmp_path):
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
     lines = path.read_text().split("\n")
-    assert lines[0] == "ARCHMATCH-IDX v6"
+    assert lines[0] == "ARCHMATCH-IDX v7"
     assert lines[2:] == [""]
     doc = json.loads(lines[1])
+    assert sorted(doc) == ["components", "hash", "names", "state_limit", "types"]
     assert lines[1] == json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert doc["hash"] == catalog.source_hash
     entry = doc["components"]["DocumentManager"]
@@ -191,20 +200,25 @@ def test_cache_header_shape(tmp_path):
     assert entry["dfa"]["transitions"] == sorted(entry["dfa"]["transitions"])
 
 
+def _load_index(catalog_path, state_limit=P.DEFAULT_STATE_LIMIT):
+    """(index, origin, reason) of load_match on the catalog and the fixture requirement."""
+    req, _, index, origin, reason, diags = repo.load_match(
+        catalog_path, catalog_path.parent / "manage_documents_req.adl", state_limit=state_limit)
+    assert req is not None, diags
+    return index, origin, reason
+
+
 def test_cache_stale_detection(tmp_path):
     catalog_path = copy_fixtures(tmp_path)
-    catalog, m, _ = repo.load(catalog_path)
-    index, origin, _ = repo.load_index(catalog, m)
+    index, origin, _ = _load_index(catalog_path)
     assert origin == "built"
-    index2, origin2, reason2 = repo.load_index(catalog, m)
+    index2, origin2, reason2 = _load_index(catalog_path)
     assert (origin2, reason2) == ("cache", None)
-    assert index2.entries == index.entries
+    assert index2 == index
     # editing a source unit invalidates the cache
     unit = tmp_path / "document_manager.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
-    catalog3, m3, _ = repo.load(catalog_path)
-    index3, origin3, _ = repo.load_index(catalog3, m3)
-    assert origin3 == "built"
+    assert _load_index(catalog_path)[1:] == ("built", "stale")
 
 
 def test_cache_of_another_hash_is_stale(tmp_path):
@@ -248,11 +262,11 @@ def test_cache_rejects_wrong_version(tmp_path):
     for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2",
                   "ARCHMATCH-IDX v3"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v6"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v7"):
             repo.load_cache(path)
-    for cache in (V4_CACHE, V5_CACHE):  # real caches of fixtures/catalog_full.txt
+    for cache in (V4_CACHE, V5_CACHE, V6_CACHE):  # real caches of fixtures/catalog_full.txt
         shutil.copy(cache, path)
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v6"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v7"):
             repo.load_cache(path)
 
 
@@ -261,7 +275,7 @@ def _load_index_reason(tmp_path, setup) -> tuple[str, str | None]:
     catalog, m, _ = repo.load(catalog_path)
     cache = repo.default_cache_path(catalog_path)
     setup(cache, catalog, m)
-    _, origin, reason = repo.load_index(catalog, m)
+    _, origin, reason = _load_index(catalog_path)
     assert repo.load_cache(cache).source_hash == catalog.source_hash  # refreshed
     return origin, reason
 
@@ -283,26 +297,27 @@ def test_load_index_reason_corrupt(tmp_path):
 
 
 def test_load_index_reason_other_version(tmp_path):
-    origin, reason = _load_index_reason(
-        tmp_path, lambda cache, *_: shutil.copy(V2_CACHE, cache))
-    assert (origin, reason) == ("built", "unsupported cache version (expected ARCHMATCH-IDX v6)")
+    for old in (V2_CACHE, V6_CACHE):
+        origin, reason = _load_index_reason(
+            tmp_path, lambda cache, *_, old=old: shutil.copy(old, cache))
+        assert (origin, reason) == (
+            "built", "unsupported cache version (expected ARCHMATCH-IDX v7)")
 
 
 def test_load_index_rebuilds_a_cache_built_under_a_higher_state_limit(tmp_path):
     catalog_path = copy_fixtures(tmp_path)
-    catalog, m, _ = repo.load(catalog_path)
-    repo.load_index(catalog, m)  # at the default limit
-    _, origin, reason = repo.load_index(catalog, m, state_limit=50)
+    _load_index(catalog_path)  # at the default limit
+    _, origin, reason = _load_index(catalog_path, state_limit=50)
     assert (origin, reason) == (
         "built", f"cache built under a higher state limit ({P.DEFAULT_STATE_LIMIT})")
     assert repo.load_cache(repo.default_cache_path(catalog_path)).state_limit == 50
-    assert repo.load_index(catalog, m, state_limit=50)[1:] == ("cache", None)
-    assert repo.load_index(catalog, m)[1:] == ("cache", None)
+    assert _load_index(catalog_path, state_limit=50)[1:] == ("cache", None)
+    assert _load_index(catalog_path)[1:] == ("cache", None)
 
 
 def test_load_index_reason_unreadable(tmp_path):
     origin, reason = _load_index_reason(
-        tmp_path, lambda cache, *_: cache.write_bytes(b"ARCHMATCH-IDX v6\n\xff\n"))
+        tmp_path, lambda cache, *_: cache.write_bytes(f"{repo.CACHE_MAGIC}\n".encode() + b"\xff\n"))
     assert origin == "built" and reason.startswith("cannot read cache: ")
 
 
@@ -387,7 +402,7 @@ def test_load_requirement_missing_file():
     assert any("nothere" in d.message for d in diags)
 
 
-# --- load_warm ------------------------------------------------------------------
+# --- load_match -----------------------------------------------------------------
 
 # one pool of names for every kind of declaration, so that requirements reuse,
 # extend, implement and clash with catalog declarations often
@@ -448,24 +463,43 @@ def _answer(requirement, index):
     return (req, list(merged.types.items()), result.recommendation, result.reports), diagnostics
 
 
+def _write_catalog(root: Path, units: list[str]) -> Path:
+    for i, text in enumerate(units):
+        (root / f"u{i}.adl").write_text(text)
+    (root / "cat.txt").write_text("".join(f"u{i}.adl\n" for i in range(len(units))))
+    return root / "cat.txt"
+
+
+@settings(max_examples=120, deadline=None)
+@given(_catalog_and_requirement())
+def test_a_catalog_that_loads_has_no_diagnostics(case):
+    # the requirement as a catalog unit too, so that some catalogs fail to load
+    units, requirement = case
+    with tempfile.TemporaryDirectory() as tmp:
+        catalog, _, diagnostics = repo.load(_write_catalog(Path(tmp), units + [requirement]))
+    event(f"loaded: {catalog is not None}")
+    assert diagnostics == [] if catalog is not None else diagnostics
+
+
 @settings(max_examples=120, deadline=None)
 @given(_catalog_and_requirement())
 def test_a_warm_hit_answers_as_the_whole_catalog(case):
+    # load_match answers as load, load_requirement and build_index do, cold and warm
     units, requirement = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for i, text in enumerate(units):
-            (root / f"u{i}.adl").write_text(text)
-        (root / "cat.txt").write_text("".join(f"u{i}.adl\n" for i in range(len(units))))
+        catalog_path = _write_catalog(root, units)
         (root / "req.adl").write_text(requirement)
-        assert repo.load_warm(root / "cat.txt", root / "req.adl").requirement is None  # cold
-        catalog, m, diagnostics = repo.load(root / "cat.txt")
-        assert catalog is not None, [str(d) for d in diagnostics]
-        index, _, _ = repo.load_index(catalog, m)
-        warm = repo.load_warm(root / "cat.txt", root / "req.adl")
-        event(f"hit: {warm.requirement is not None}")
-        if warm.requirement is None:
-            return
-        assert warm.warnings == diagnostics
-        assert _answer(warm.requirement, warm.index) == \
-            _answer(repo.load_requirement(root / "req.adl", catalog, m), index)
+        catalog, m, diagnostics = repo.load(catalog_path)
+        assert catalog is not None and diagnostics == [], [str(d) for d in diagnostics]
+        expected = _answer(repo.load_requirement(root / "req.adl", catalog, m),
+                           repo.build_index(catalog, m))
+        for origin in ("built", "cache"):
+            with mock.patch.object(repo.dsl, "parse_unit", wraps=repo.dsl.parse_unit) as parse:
+                req, merged, index, got, reason, diags = repo.load_match(catalog_path,
+                                                                        root / "req.adl")
+            assert _answer((req, merged, diags), index) == expected
+            assert (got, reason) == ((None, None) if req is None else
+                                     (origin, "missing" if origin == "built" else None))
+        parsed = {call.args[0].path for call in parse.call_args_list}
+        event(f"warm: catalog parsed: {parsed != {str(root / 'req.adl')}}")
