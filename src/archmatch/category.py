@@ -211,7 +211,9 @@ def check_functor(mapping: FunctorMapping) -> FunctorCheck:
     Checks that the generator map is a homomorphism with respect to both
     composition tables, that the image of every source morphism exists in the
     target, and (by construction, asserted anyway) that identities map to
-    identities.  Raises ValueError when the maps are not total.
+    identities.  Raises ValueError when the maps are not total.  The callers
+    pass closed categories: `link` closes the mapping's source and target
+    first, and nothing here closes them.
     """
     source, target = mapping.source, mapping.target
     missing_objects = sorted(source.objects - set(mapping.object_map))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -139,7 +140,7 @@ def arch(session: Session, name: str | None, closure: bool, run_check: bool) -> 
         _input_error(f"unknown architecture {name!r}")
     names = [name] if name else sorted(catalog.architectures)
     for arch_name in names:
-        cat = catalog.architectures[arch_name]
+        cat = category.close(catalog.architectures[arch_name])
         click.echo(f"architecture {cat.kind} {arch_name}")
         for obj in sorted(cat.objects):
             click.echo(f"  object {obj}")
@@ -213,7 +214,7 @@ def protocol_cmd(session: Session, target: str, emit_dfa: bool, sample: int | No
     if sample is not None:
         if sample < 0:
             _input_error("--sample must be >= 0")
-        for trace in protocol.sample_traces(dfa, sample, session.state_limit):
+        for trace in protocol.sample_traces(dfa, sample):
             click.echo(" ".join(trace) if trace else "(empty)")
     else:
         click.echo(protocol.emit_dfa_text(dfa), nl=False)
@@ -279,7 +280,8 @@ def link(session: Session, name: str) -> None:
     mapping = catalog.links.get(name)
     if mapping is None:
         _input_error(f"unknown link {name!r}")
-    result = category.check_functor(mapping)
+    result = category.check_functor(replace(mapping, source=category.close(mapping.source),
+                                            target=category.close(mapping.target)))
     if result.ok:
         click.echo(f"link {name}: PASS")
         return
@@ -328,15 +330,13 @@ def index_inspect(session: Session) -> None:
         _input_error(str(err))
     click.echo(f"hash: {compiled.source_hash}")
     click.echo(f"components: {len(compiled.entries)}")
-    if session.catalog_path is not None and Path(session.catalog_path).is_file():
-        catalog, _, diags = repo.load(session.catalog_path, session.state_limit)
-        if catalog is not None:
-            fresh = catalog.source_hash == compiled.source_hash
-            click.echo(f"freshness: {'fresh' if fresh else 'stale'}")
-    for name in sorted(compiled.entries):
-        entry = compiled.entries[name]
-        provided_states = len(entry.provided_automaton.states)
-        click.echo(f"  {name}: provided dfa {provided_states} state(s)")
+    catalog_path = session.catalog_path
+    units = None if catalog_path is None else repo.read_unit_texts(Path(catalog_path))
+    if units is not None:
+        fresh = repo.source_hash(units) == compiled.source_hash
+        click.echo(f"freshness: {'fresh' if fresh else 'stale'}")
+    for name, entry in sorted(compiled.entries.items()):
+        click.echo(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s)")
 
 
 if __name__ == "__main__":

@@ -500,7 +500,7 @@ def validate_publication(pub: Publication,
 
     def check(condition: str, keep: frozenset[str], traces: ProtocolExpr) -> None:
         projected = protocol.project(causal, keep, state_limit)
-        declared = protocol.compile(traces, alphabet=keep)
+        declared = protocol.determinize(protocol.compile(traces, alphabet=keep), state_limit)
         res = protocol.equivalent(projected, declared, state_limit)
         if not res.holds:
             side = "causal-projection" if res.side == "left" else "declared-protocol"

@@ -5,10 +5,10 @@ interns an expression into a table of hash-consed, normalised terms, and
 `determinize` builds its DFA directly from the terms' derivatives
 (Brzozowski, JACM 1964; Owens, Reppy and Turon, JFP 2009): one state per
 distinct derivative, numbered in BFS order and counted against the state
-limit as it is found.  `minimize` gives the canonical trim DFA.  Inclusion
-and equivalence questions are answered on the product automaton and always
-come with a shortest, lexicographically smallest witness trace when they
-fail.
+limit as it is found.  `minimize` gives the canonical trim DFA.  `includes`,
+`equivalent` and `sample_traces` take DFAs; the first two answer on the
+product automaton, with a shortest, lexicographically smallest witness trace
+when they fail.
 """
 
 from __future__ import annotations
@@ -332,13 +332,10 @@ def compile(expr: ProtocolExpr, alphabet: frozenset[str] | set[str] | None = Non
 
 # --- determinization and minimization --------------------------------------
 
-def determinize(a: Term | FiniteAutomaton,
-                state_limit: int = DEFAULT_STATE_LIMIT) -> FiniteAutomaton:
+def determinize(a: Term, state_limit: int = DEFAULT_STATE_LIMIT) -> FiniteAutomaton:
     """The DFA of a compiled term, one state per distinct derivative: BFS order,
     symbols sorted, each new state counted against `state_limit` as it is
-    found.  A DFA is returned unchanged."""
-    if isinstance(a, FiniteAutomaton):
-        return a
+    found."""
     table = a.table
     order = [a.id]
     ids = {a.id: 0}
@@ -393,8 +390,6 @@ def minimize(a: FiniteAutomaton) -> FiniteAutomaton:
     accepting state) are removed rather than kept as an explicit sink, so the
     result is canonical up to nothing at all once renumbered.
     """
-    if not isinstance(a, FiniteAutomaton):
-        raise ValueError("minimize requires a DFA: determinize the compiled term first")
     a = _renumber_bfs(a)  # drops unreachable states
     reverse: dict[int, list[int]] = {}
     for s, _, t in a.transitions:
@@ -459,7 +454,7 @@ def _product_search(left: FiniteAutomaton, right: FiniteAutomaton, bad,
     return None
 
 
-def includes(required: Term | FiniteAutomaton, provided: Term | FiniteAutomaton,
+def includes(required: FiniteAutomaton, provided: FiniteAutomaton,
              state_limit: int = DEFAULT_STATE_LIMIT) -> InclusionResult:
     """Does the provider allow every trace the requirement may produce?
 
@@ -468,23 +463,17 @@ def includes(required: Term | FiniteAutomaton, provided: Term | FiniteAutomaton,
     inclusion.  On failure the counterexample is the shortest trace accepted
     by `required` and rejected by `provided`, ties broken lexicographically.
     """
-    dr = determinize(required, state_limit)
-    dp = determinize(provided, state_limit)
-    word = _product_search(dr, dp, lambda racc, pacc: racc and not pacc, state_limit)
-    if word is None:
-        return InclusionResult(True)
-    return InclusionResult(False, word)
+    word = _product_search(required, provided, lambda racc, pacc: racc and not pacc, state_limit)
+    return InclusionResult(word is None, word)
 
 
-def equivalent(a: Term | FiniteAutomaton, b: Term | FiniteAutomaton,
+def equivalent(a: FiniteAutomaton, b: FiniteAutomaton,
                state_limit: int = DEFAULT_STATE_LIMIT) -> EquivalenceResult:
     """Language equality with a shortest separating trace on failure."""
-    da = determinize(a, state_limit)
-    db = determinize(b, state_limit)
-    word = _product_search(da, db, lambda x, y: x != y, state_limit)
+    word = _product_search(a, b, lambda x, y: x != y, state_limit)
     if word is None:
         return EquivalenceResult(True)
-    side = "left" if accepts(da, word) else "right"
+    side = "left" if accepts(a, word) else "right"
     return EquivalenceResult(False, word, side)
 
 
@@ -513,19 +502,17 @@ def accepts(a: FiniteAutomaton, word) -> bool:
     return s in a.accepting
 
 
-def sample_traces(a: Term | FiniteAutomaton, max_len: int,
-                  state_limit: int = DEFAULT_STATE_LIMIT) -> list[tuple[str, ...]]:
+def sample_traces(a: FiniteAutomaton, max_len: int) -> list[tuple[str, ...]]:
     """All accepted words of length <= max_len, in length-then-lex order."""
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    d = determinize(a, state_limit)
-    edges = _edges(d)
+    edges = _edges(a)
     out: list[tuple[str, ...]] = []
-    frontier: list[tuple[tuple[str, ...], int]] = [((), d.start)]
+    frontier: list[tuple[tuple[str, ...], int]] = [((), a.start)]
     for _ in range(max_len + 1):
         nxt: list[tuple[tuple[str, ...], int]] = []
         for word, s in frontier:
-            if s in d.accepting:
+            if s in a.accepting:
                 out.append(word)
             nxt.extend((word + (label,), t) for label, t in edges.get(s, {}).items())
         frontier = nxt

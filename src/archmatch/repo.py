@@ -9,13 +9,13 @@ components it holds what a query needs of the catalog: its types, every
 non-type name it declares, and the state limit its load and build succeeded
 under. `load_match` reads the catalog, its units, the requirement and the cache
 once, and decodes the cache at most once. A fresh cache then answers `match`
-alone, without lexing, parsing or resolving a catalog unit, closing an
-architecture or checking a publication. The catalog is loaded instead when the
-cache is missing, stale, corrupt, of another version (`v1` to `v6`) or built
-under a higher state limit (these three are rebuilt), when a file cannot be
-read, and when the requirement is a catalog unit, declares anything but types,
-interfaces and contracts, extends or implements an interface it does not
-declare, or redeclares a name the catalog gives a non-type.
+alone, without lexing, parsing or resolving a catalog unit or checking a
+publication. The catalog is loaded instead when the cache is missing, stale,
+corrupt, of another version (`v1` to `v6`) or built under a higher state limit
+(these three are rebuilt), when a file cannot be read, and when the requirement
+is a catalog unit, declares anything but types, interfaces and contracts,
+extends or implements an interface it does not declare, or redeclares a name
+the catalog gives a non-type.
 """
 
 from __future__ import annotations
@@ -106,6 +106,16 @@ def _unit_paths(catalog_text: str) -> list[str]:
             if line and not line.startswith("#")]
 
 
+def read_unit_texts(catalog_path: Path, texts: dict[Path, str] | None = None,
+                    ) -> list[str] | None:
+    """The catalog's unit texts in catalog order, or None when the catalog or a
+    unit cannot be read; each text read is kept in `texts`."""
+    text, _ = _read_text(catalog_path, "catalog", texts)
+    units = None if text is None else [
+        _read_text(catalog_path.parent / p, "unit file", texts)[0] for p in _unit_paths(text)]
+    return None if units is None or None in units else units
+
+
 def source_hash(texts) -> str:
     """Stable content hash over the unit texts, in catalog order."""
     digest = hashlib.sha256()
@@ -146,7 +156,7 @@ def _build_architectures(m: Model) -> tuple[dict[str, PseudoCategory],
         cat, diags = category.build(decl, m)
         diagnostics.extend(diags)
         if cat is not None:
-            architectures[name] = category.close(cat)
+            architectures[name] = cat
     links: dict[str, FunctorMapping] = {}
     for name, decl in sorted(m.links.items()):
         mapping, diags = category.build_functor(decl, architectures)
@@ -191,7 +201,7 @@ def _validate_publications(m: Model, state_limit: int) -> list[Diagnostic]:
 def analyze(trees, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
             ) -> tuple[Model | None, dict[str, PseudoCategory], dict[str, FunctorMapping],
                        list[Diagnostic]]:
-    """Resolve trees, build and close architectures, validate publications."""
+    """Resolve trees, build architectures, validate publications."""
     m, diagnostics = model.resolve(list(trees))
     if m is None:
         return None, {}, {}, diagnostics
@@ -365,9 +375,10 @@ def default_cache_path(catalog_path: str | Path) -> Path:
 
 def load_requirement(path: str | Path, catalog: Catalog, m: Model,
                      texts: dict[Path, str] | None = None,
+                     tree: syntax.SyntaxTree | None = None,
                      ) -> tuple[Requirement | None, Model | None, list[Diagnostic]]:
-    """Read a requirement unit (from `texts` if its path is there) and resolve it
-    on top of the catalog's model.
+    """Read a requirement unit (from `texts` if its path is there, already
+    parsed into `tree` if given) and resolve it on top of the catalog's model.
 
     The unit must declare exactly one interface; a contract in the same unit
     implementing it contributes the required protocol.  A unit already listed
@@ -378,12 +389,13 @@ def load_requirement(path: str | Path, catalog: Catalog, m: Model,
     text, diagnostics = _read_text(path, "requirement file", texts)
     if text is None:
         return None, None, diagnostics
-    known = {unit.text: tree for unit, tree in zip(catalog.units, catalog.trees)}
+    known = {unit.text: t for unit, t in zip(catalog.units, catalog.trees)}
     if text in known:
         return _requirement(path, known[text], m, diagnostics)
-    tree, diagnostics = dsl.parse_unit(SourceUnit(str(path), text))
     if tree is None:
-        return None, None, diagnostics
+        tree, diagnostics = dsl.parse_unit(SourceUnit(str(path), text))
+        if tree is None:
+            return None, None, diagnostics
     # names are claimed kind by kind, so a requirement declaration of a name
     # the catalog gives a non-type may take it from the catalog declaration:
     # only the whole resolve reports that clash as it is
@@ -394,22 +406,19 @@ def load_requirement(path: str | Path, catalog: Catalog, m: Model,
     return _requirement(path, tree, merged, diagnostics + diags)
 
 
-def _cached_requirement(path: Path, text: str, index: CompiledIndex,
+def _cached_requirement(path: Path, tree: syntax.SyntaxTree, index: CompiledIndex,
                         ) -> tuple[Requirement | None, Model | None, list[Diagnostic]] | None:
-    """What load_requirement gives on the whole catalog, from the requirement
-    resolved on the cached types alone; None when the catalog is needed (see
-    the module docstring)."""
-    tree, diagnostics = dsl.parse_unit(SourceUnit(str(path), text))
-    merged, diags = None, []
-    if tree is not None:
-        own = {None} | {d.name for d in tree.declarations if isinstance(d, syntax.InterfaceDecl)}
-        taken = frozenset(index.names)
-        if not all(isinstance(d, (syntax.TypeDecl, syntax.InterfaceDecl, syntax.ContractDecl))
-                   and getattr(d, "extends", None) in own and getattr(d, "implements", None) in own
-                   and d.name not in taken for d in tree.declarations):
-            return None
-        merged, diags = model.resolve([tree], base=Model(types=dict(index.types)))
-    return _requirement(path, tree, merged, diagnostics + diags)
+    """What load_requirement gives on the whole catalog, from the requirement's
+    `tree` resolved on the cached types alone; None when the catalog is needed
+    (see the module docstring)."""
+    own = {None} | {d.name for d in tree.declarations if isinstance(d, syntax.InterfaceDecl)}
+    taken = frozenset(index.names)
+    if not all(isinstance(d, (syntax.TypeDecl, syntax.InterfaceDecl, syntax.ContractDecl))
+               and getattr(d, "extends", None) in own and getattr(d, "implements", None) in own
+               and d.name not in taken for d in tree.declarations):
+        return None
+    merged, diagnostics = model.resolve([tree], base=Model(types=dict(index.types)))
+    return _requirement(path, tree, merged, diagnostics)
 
 
 def load_match(catalog_path: str | Path, requirement_path: str | Path,
@@ -431,27 +440,27 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     """
     catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
     texts: dict[Path, str] = {}
-    text, _ = _read_text(catalog_path, "catalog", texts)
-    units = [] if text is None else [_read_text(catalog_path.parent / p, "unit file", texts)[0]
-                                     for p in _unit_paths(text)]
+    units = read_unit_texts(catalog_path, texts)
     req_text, _ = _read_text(requirement_path, "requirement file", texts)
     path = default_cache_path(catalog_path) if cache_path is None else Path(cache_path)
     index, reason = None, "missing"
-    if text is not None and req_text is not None and None not in units and path.exists():
+    if units is not None and req_text is not None and path.exists():
         try:
             index = load_cache(path, source_hash(units))
         except CacheError as err:
             reason = str(err)
         if index is not None and index.state_limit > state_limit:
             index, reason = None, f"cache built under a higher state limit ({index.state_limit})"
-    loaded = None
+    loaded, tree = None, None
     if index is not None and req_text not in units:
-        loaded = _cached_requirement(requirement_path, req_text, index)
+        tree, diagnostics = dsl.parse_unit(SourceUnit(str(requirement_path), req_text))
+        loaded = (None, None, diagnostics) if tree is None else \
+            _cached_requirement(requirement_path, tree, index)
     if loaded is None:  # the full load, on the texts read
         catalog, m, diagnostics = load(catalog_path, state_limit, texts)
         if catalog is None:  # else there are no diagnostics
             return None, None, None, None, None, diagnostics
-        loaded = load_requirement(requirement_path, catalog, m, texts)
+        loaded = load_requirement(requirement_path, catalog, m, texts, tree)
     req, merged, diagnostics = loaded
     if req is None:
         return None, None, None, None, None, diagnostics

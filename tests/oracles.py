@@ -3,11 +3,13 @@
 Everything in here is deliberately definitional: membership and language
 enumeration are computed straight from the protocol-expression semantics,
 with no automata involved, so they can serve as an independent check of the
-compiled automaton path.
+compiled automaton path.  The one exception is `dfa_of`, the product's DFA of
+an expression, in the form the decision procedures take.
 """
 
 from __future__ import annotations
 
+from archmatch import protocol
 from archmatch.protocol import Alt, Eps, Ev, ProtocolExpr, Seq, Shuffle, Star
 
 
@@ -167,6 +169,11 @@ def random_expr(rng, alphabet: list[str], depth: int) -> ProtocolExpr:
     if roll < 0.97:
         return Shuffle(random_expr(rng, alphabet, depth - 1), random_expr(rng, alphabet, depth - 1))
     return Eps()
+
+
+def dfa_of(expr: ProtocolExpr, **kw) -> protocol.FiniteAutomaton:
+    """The DFA of `expr`, compiled with the keyword arguments `kw`."""
+    return protocol.determinize(protocol.compile(expr, **kw))
 
 
 def all_words(alphabet: list[str], max_len: int):

@@ -23,7 +23,7 @@ from archmatch.matcher import Requirement
 from archmatch.protocol import Alt, Ev, Eps, Seq, Shuffle, Star
 from archmatch.sigmatch import TypeLattice
 
-from oracles import OracleBudgetExceeded, all_words, lang_upto, mem, random_expr
+from oracles import OracleBudgetExceeded, all_words, dfa_of, lang_upto, mem, random_expr
 from test_category import brute_force_two_step_reachability
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -95,7 +95,7 @@ def test_criterion_3_inclusion_counterexample_soundness():
     while verified < 100 and ok:
         required = random_expr(rng, alphabet, 3)
         provided = random_expr(rng, alphabet, 3)
-        result = P.includes(P.compile(required), P.compile(provided))
+        result = P.includes(dfa_of(required), dfa_of(provided))
         if result.holds:
             continue
         trace = result.counterexample
@@ -119,7 +119,7 @@ def test_criterion_4_negative_paper_protocol():
     provided_expr = m.contracts["ManageDocumentCtr"].prot
     required_expr, diags = dsl.parse_protocol("(?viewDocument)")
     assert required_expr is not None, diags
-    result = P.includes(P.compile(required_expr), P.compile(provided_expr))
+    result = P.includes(dfa_of(required_expr), dfa_of(provided_expr))
     report("4 negative-paper-protocol-check",
            not result.holds and result.counterexample == ("viewDocument",))
 

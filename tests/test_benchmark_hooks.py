@@ -1,7 +1,8 @@
 """The benchmark's tracer wraps archmatch functions by module and attribute
 name; a rename here would silently drop a layer from `perfbench/run.py
 --trace 1`, so every hook it names must exist, and a call moved between the
-protocol stages would skew its per-stage counts."""
+protocol stages would skew its per-stage counts: `protocol.determinize.calls`
+and `.states` count constructions only if every call builds a DFA."""
 
 from __future__ import annotations
 
@@ -9,7 +10,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from archmatch import protocol, repo
+from archmatch import matcher, protocol, repo
+from archmatch.sigmatch import TypeLattice
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -28,6 +30,23 @@ def test_every_traced_function_exists():
     for module_name, attribute, span, _ in targets:
         assert module_name.startswith("archmatch."), span
         assert callable(getattr(importlib.import_module(module_name), attribute, None)), span
+
+
+def test_every_determinize_call_is_a_construction(monkeypatch):
+    passed_through: list[bool] = []
+
+    def recording(a, *args, _real=protocol.determinize, **kwargs):
+        result = _real(a, *args, **kwargs)
+        passed_through.append(result is a)
+        return result
+    monkeypatch.setattr(protocol, "determinize", recording)
+    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt")
+    index = repo.build_index(catalog, m)
+    for name in ("manage_documents_req.adl", "manage_documents_view_req.adl",
+                 "manage_portfolio_req.adl"):
+        req, merged, _ = repo.load_requirement(FIXTURES / name, catalog, m)
+        matcher.match_requirement(req, index, TypeLattice.from_types(merged.types))
+    assert passed_through and not any(passed_through), passed_through
 
 
 def test_the_trace_counts_each_index_construction_once():

@@ -126,6 +126,20 @@ def test_arch_check_warns_on_mixed_composition(tmp_path):
     assert "composition undefined" in res.output
 
 
+def test_arch_check_names_a_derived_morphism(tmp_path):
+    (tmp_path / "mix.adl").write_text(
+        "interface I1 { }\ninterface I2 { }\ninterface I3 { }\ninterface I4 { }\n"
+        "architecture business BA {\n"
+        "  object I1;\n  object I2;\n  object I3;\n  object I4;\n"
+        "  morphism I1 -ext-> I2;\n  morphism I2 -ext-> I3;\n  morphism I3 -cmp-> I4;\n}\n")
+    (tmp_path / "cat.txt").write_text("mix.adl\n")
+    res = run("--catalog", str(tmp_path / "cat.txt"), "arch", "--check")
+    assert res.exit_code == 0
+    # the first composable pair in sorted order starts with the derived I1 -ext-> I3
+    assert "  warning: composition undefined for kinds (ext, cmp), " \
+           "e.g. I1 -ext-> I3 then I3 -cmp-> I4\n" in res.output
+
+
 def test_arch_unknown_name(workdir):
     res = run("--catalog", str(workdir / "catalog_full.txt"), "arch", "Nope")
     assert res.exit_code == 2
@@ -398,10 +412,41 @@ def test_a_warm_match_parses_only_the_requirement(workdir, monkeypatch):
             "match", str(workdir / "manage_documents_req.adl")]
     run(*args)
     assert calls["parse_unit"] == 4  # three catalog units and the requirement
-    assert calls["validate_publication"] > 0 and calls["close"] > 0
+    assert calls["validate_publication"] > 0 and calls["close"] == 0
     calls.clear()
     assert "index: cache " in run(*args).stderr
     assert [calls[name] for name in ("parse_unit", "validate_publication", "close")] == [1, 0, 0]
+
+
+def test_only_arch_and_link_close_architectures(workdir, monkeypatch):
+    catalog = str(workdir / "catalog_full.txt")
+    units = [str(workdir / name) for name in ("types.adl", "document_manager.adl",
+                                              "insurance.adl")]
+    calls = _count_calls(monkeypatch)
+    for args in (["match", str(workdir / "manage_documents_req.adl")],
+                 ["match", str(workdir / "manage_documents_req.adl")],
+                 ["check", *units], ["index", "build"]):
+        assert run("--catalog", catalog, *args).exit_code == 0, args
+    assert calls["close"] == 0
+    run("--catalog", catalog, "arch")  # CustomerService and BackOffice
+    assert calls["close"] == 2
+    run("--catalog", catalog, "link", "Realization")  # its source and target
+    assert calls["close"] == 4
+
+
+def test_a_warm_match_parses_the_requirement_once(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    (workdir / "req.adl").write_text(FALLBACKS["declares a component"][0])
+    run("--catalog", "catalog_full.txt", "match", "req.adl")  # builds the cache
+    parsed: Counter = Counter()
+
+    def counting(unit, _real=dsl.parse_unit):
+        parsed[unit.path] += 1
+        return _real(unit)
+    monkeypatch.setattr(dsl, "parse_unit", counting)
+    res = run("--catalog", "catalog_full.txt", "match", "req.adl")
+    assert "index: cache " in res.stderr
+    assert parsed["req.adl"] == 1 and parsed["insurance.adl"] == 1
 
 
 # requirements the cache cannot answer alone: the text of `req.adl` (None: the
@@ -558,6 +603,29 @@ def test_link_broken(tmp_path):
     assert "K1 -use-> K2" in res.output
 
 
+def test_link_passes_through_a_derived_target_morphism(tmp_path):
+    (tmp_path / "chain.adl").write_text(
+        "interface I1 { }\ninterface I3 { }\n"
+        "interface J1 { }\ninterface J2 { }\ninterface J3 { }\n"
+        "contract C1 implements J1 { }\ncontract C2 implements J2 { }\n"
+        "contract C3 implements J3 { }\n"
+        "component K1 { provided contract C1 }\n"
+        "component K2 { provided contract C2 }\n"
+        "component K3 { provided contract C3 }\n"
+        "architecture business BA {\n"
+        "  object I1;\n  object I3;\n  morphism I1 -ext-> I3;\n}\n"
+        "architecture application AA {\n"
+        "  object K1;\n  object K2;\n  object K3;\n"
+        "  morphism K1 -use-> K2;\n  morphism K2 -use-> K3;\n}\n"
+        "link L from BA to AA {\n"
+        "  map I1 -> K1;\n  map I3 -> K3;\n"
+        "  generator ext -> use;\n  generator cmp -> cmp;\n}\n")
+    (tmp_path / "cat.txt").write_text("chain.adl\n")
+    res = run("--quiet", "--catalog", str(tmp_path / "cat.txt"), "link", "L")
+    # K1 -use-> K3 exists only in the closure of AA
+    assert (res.exit_code, res.output) == (0, "link L: PASS\n")
+
+
 def test_link_unknown(workdir):
     res = run("--quiet", "--catalog", str(workdir / "catalog_full.txt"), "link", "Nope")
     assert res.exit_code == 2
@@ -574,6 +642,22 @@ def test_index_build_and_inspect(workdir):
     assert "components: 5" in res.output
     assert "freshness: fresh" in res.output
     assert "DocumentManager" in res.output
+
+
+def test_index_inspect_reads_freshness_from_the_unit_texts(workdir, monkeypatch):
+    catalog = str(workdir / "catalog_full.txt")
+    run("--catalog", catalog, "index", "build")
+    calls = _count_calls(monkeypatch)
+    res = run("--catalog", catalog, "index", "inspect")
+    assert "freshness: fresh\n" in res.output
+    assert [calls[name] for name in ("parse_unit", "validate_publication")] == [0, 0]
+    # a unit that no longer parses is still read, so the cache reads as stale
+    (workdir / "insurance.adl").write_text("interface {\n")
+    res = run("--catalog", catalog, "index", "inspect")
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert "freshness: stale\n" in res.output
+    (workdir / "insurance.adl").unlink()
+    assert "freshness:" not in run("--catalog", catalog, "index", "inspect").output
 
 
 def test_index_inspect_corrupt(workdir):

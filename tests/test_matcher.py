@@ -14,7 +14,7 @@ from archmatch.matcher import Requirement
 from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star
 from archmatch.sigmatch import TypeLattice
 
-from oracles import rename_expr
+from oracles import dfa_of, rename_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -136,7 +136,7 @@ def test_use_soundness_sampled_traces(repo_state):
     renamed = rename_expr(req.required_protocol, mapping)
     assert P.events(renamed) <= index.entries["DocumentManager"].provided_automaton.alphabet
     provided = index.entries[report.component].provided_automaton
-    for trace in P.sample_traces(P.compile(renamed), 8):
+    for trace in P.sample_traces(dfa_of(renamed), 8):
         assert P.accepts(provided, trace)
 
 
@@ -212,7 +212,7 @@ def test_prefilter_is_conservative(query):
     for r in without.reports:
         if not r.module_match.unmatched and req.required_protocol is not None:
             mapping = {q: m.provided_method for q, m in r.module_match.method_map.items()}
-            reference = P.includes(P.compile(rename_expr(req.required_protocol, mapping)),
+            reference = P.includes(dfa_of(rename_expr(req.required_protocol, mapping)),
                                    index.entries[r.component].provided_automaton)
             assert reference.counterexample == r.counterexample
 
