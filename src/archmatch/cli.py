@@ -2,18 +2,18 @@
 
 Exit codes: 0 for success or a positive analysis verdict, 1 for a negative
 analysis verdict (inclusion fails, no usable component, broken link), 2 for
-usage or input errors, 3 for an internal error (reported on one stderr line).
+usage or input errors, 3 for an internal error (reported on one stderr line),
+130 when interrupted by Ctrl-C (reported as `error: interrupted`).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import click
 
 from . import category, dsl, matcher, protocol, repo
 from .diagnostics import ERROR, Diagnostic, has_errors
@@ -36,11 +36,11 @@ def _display_path(path: str, base: Path | None) -> str:
 def _print_diagnostics(diagnostics: list[Diagnostic], base: Path | None) -> None:
     for d in sorted(diagnostics, key=lambda d: (d.path, d.span.offset, d.message)):
         where = _display_path(d.path, base) if d.path else "<input>"
-        click.echo(f"{where}:{d.span}: {d.severity}: {d.message} [{d.code}]", err=True)
+        print(f"{where}:{d.span}: {d.severity}: {d.message} [{d.code}]", file=sys.stderr)
 
 
 def _input_error(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
+    print(f"error: {message}", file=sys.stderr)
     sys.exit(2)
 
 
@@ -51,7 +51,6 @@ class Session:
         self.cache_path = cache_path
         self.quiet = quiet
         self.state_limit = state_limit
-        self._loaded: tuple[repo.Catalog, object] | None = None
 
     @property
     def base_dir(self) -> Path | None:
@@ -59,65 +58,21 @@ class Session:
 
     def note(self, message: str) -> None:
         if not self.quiet:
-            click.echo(message, err=True)
+            print(message, file=sys.stderr)
 
     def require_catalog(self) -> tuple[repo.Catalog, object]:
         if self.catalog_path is None:
             _input_error(NEEDS_CATALOG)
-        if self._loaded is None:
-            catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit)
-            _print_diagnostics(diagnostics, self.base_dir)
-            if catalog is None:
-                sys.exit(2)
-            self._loaded = (catalog, model_)
-        return self._loaded
+        catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit)
+        _print_diagnostics(diagnostics, self.base_dir)
+        if catalog is None:
+            sys.exit(2)
+        return catalog, model_
 
 
-class _Group(click.Group):
-    """Maps a protocol over the state limit to one stderr line and exit code 2, and
-    an unexpected exception to one line and exit code 3 (exit code 1 is a negative
-    verdict); click's exceptions and SystemExit pass through."""
-
-    def invoke(self, ctx: click.Context):
-        try:
-            return super().invoke(ctx)
-        except (click.ClickException, click.exceptions.Exit, click.Abort):
-            raise
-        except protocol.ProtocolTooLarge as err:
-            _input_error(str(err))
-        except Exception as err:
-            click.echo(f"error: internal error: {type(err).__name__}: {err}", err=True)
-            sys.exit(3)
-
-
-@click.group(cls=_Group)
-@click.option("--catalog", "catalog_path", metavar="PATH",
-              help="Catalog file listing the repository's ADL units.")
-@click.option("--cache", "cache_path", metavar="PATH",
-              help="Compiled-index cache file (default: <catalog>.idx).")
-@click.option("--quiet", is_flag=True, help="Suppress progress notes.")
-@click.pass_context
-def main(ctx: click.Context, catalog_path: str | None, cache_path: str | None,
-         quiet: bool) -> None:
-    """Architecture repository analysis and component matching."""
-    state_limit = protocol.DEFAULT_STATE_LIMIT
-    raw = os.environ.get(STATE_LIMIT_ENV)
-    if raw is not None:
-        try:
-            state_limit = int(raw)
-            if state_limit <= 0:
-                raise ValueError
-        except ValueError:
-            _input_error(f"{STATE_LIMIT_ENV} must be a positive integer, got {raw!r}")
-    ctx.obj = Session(catalog_path, cache_path, quiet, state_limit)
-
-
-@main.command()
-@click.argument("paths", nargs=-1, required=True, metavar="UNIT...")
-@click.pass_obj
-def check(session: Session, paths: tuple[str, ...]) -> None:
+def check(session: Session, paths: list[str]) -> None:
     """Parse and resolve ADL units; exit 0 iff there are no errors."""
-    units, trees, diagnostics = repo.parse_units(list(paths))
+    units, trees, diagnostics = repo.parse_units(paths)
     if not any(d.severity == ERROR for d in diagnostics):
         _, _, _, analysis_diags = repo.analyze(trees, session.state_limit)
         diagnostics = diagnostics + analysis_diags
@@ -128,11 +83,6 @@ def check(session: Session, paths: tuple[str, ...]) -> None:
     session.note(f"checked {len(units)} unit(s): ok")
 
 
-@main.command()
-@click.argument("name", required=False)
-@click.option("--closure", is_flag=True, help="List derived morphisms as well.")
-@click.option("--check", "run_check", is_flag=True, help="Report category diagnostics.")
-@click.pass_obj
 def arch(session: Session, name: str | None, closure: bool, run_check: bool) -> None:
     """Print the objects and morphisms of the catalog's architectures."""
     catalog, _ = session.require_catalog()
@@ -141,22 +91,22 @@ def arch(session: Session, name: str | None, closure: bool, run_check: bool) -> 
     names = [name] if name else sorted(catalog.architectures)
     for arch_name in names:
         cat = category.close(catalog.architectures[arch_name])
-        click.echo(f"architecture {cat.kind} {arch_name}")
+        print(f"architecture {cat.kind} {arch_name}")
         for obj in sorted(cat.objects):
-            click.echo(f"  object {obj}")
+            print(f"  object {obj}")
         declared = [m for m in cat.sorted_morphisms() if not m.derived]
         derived = [m for m in cat.sorted_morphisms() if m.derived]
         for m in declared:
-            click.echo(f"  morphism {m.render()}")
+            print(f"  morphism {m.render()}")
         if closure:
             for m in derived:
-                click.echo(f"  morphism {m.render()} (derived)")
-            click.echo(f"  {len(declared)} declared, {len(derived)} derived")
+                print(f"  morphism {m.render()} (derived)")
+            print(f"  {len(declared)} declared, {len(derived)} derived")
         else:
-            click.echo(f"  {len(declared)} declared")
+            print(f"  {len(declared)} declared")
         if run_check:
             for d in category.check_category(cat):
-                click.echo(f"  {d.severity}: {d.message}")
+                print(f"  {d.severity}: {d.message}")
 
 
 def _protocol_source(session: Session, target: str, unit: str | None):
@@ -191,15 +141,6 @@ def _protocol_source(session: Session, target: str, unit: str | None):
     _input_error(f"unknown contract, publication, or component {target!r}")
 
 
-@main.command(name="protocol")
-@click.argument("target", metavar="NAME_OR_EXPR")
-@click.option("--emit-dfa", is_flag=True,
-              help="Emit the minimal DFA in the textual transition-list format (default).")
-@click.option("--sample", type=int, metavar="N",
-              help="List all accepted traces of length <= N instead.")
-@click.option("--unit", metavar="FILE",
-              help="Resolve NAME in this unit file instead of the catalog.")
-@click.pass_obj
 def protocol_cmd(session: Session, target: str, emit_dfa: bool, sample: int | None,
                  unit: str | None) -> None:
     """Compile a protocol to a DFA, or enumerate its accepted traces.
@@ -215,16 +156,11 @@ def protocol_cmd(session: Session, target: str, emit_dfa: bool, sample: int | No
         if sample < 0:
             _input_error("--sample must be >= 0")
         for trace in protocol.sample_traces(dfa, sample):
-            click.echo(" ".join(trace) if trace else "(empty)")
+            print(" ".join(trace) if trace else "(empty)")
     else:
-        click.echo(protocol.emit_dfa_text(dfa), nl=False)
+        print(protocol.emit_dfa_text(dfa), end="")
 
 
-@main.command()
-@click.argument("requirement", metavar="REQUIREMENT_FILE")
-@click.option("--format", "output_format", type=click.Choice(["text", "json"]),
-              default="text", help="Report format (default text).")
-@click.pass_obj
 def match(session: Session, requirement: str, output_format: str) -> None:
     """Match a requirement against the repository; exit 0 on USE/ADAPT, 1 on NEW."""
     if session.catalog_path is None:
@@ -241,12 +177,12 @@ def match(session: Session, requirement: str, output_format: str) -> None:
     lattice = TypeLattice.from_types(merged.types)
     result = matcher.match_requirement(req, index, lattice, state_limit=session.state_limit)
     if output_format == "json":
-        click.echo(json.dumps(_result_to_json(req, result), indent=2))
+        print(json.dumps(_result_to_json(req, result), indent=2))
     else:
-        click.echo(result.recommendation.render())
+        print(result.recommendation.render())
         for report in result.reports:
-            click.echo("")
-            click.echo(matcher.explain(report))
+            print("")
+            print(matcher.explain(report))
     sys.exit(0 if result.recommendation.action in (matcher.USE, matcher.ADAPT) else 1)
 
 
@@ -271,9 +207,6 @@ def _result_to_json(req: matcher.Requirement, result: matcher.QueryResult) -> di
     }
 
 
-@main.command()
-@click.argument("name")
-@click.pass_obj
 def link(session: Session, name: str) -> None:
     """Validate a declared business-to-application linkage; exit 0 iff it holds."""
     catalog, _ = session.require_catalog()
@@ -283,21 +216,14 @@ def link(session: Session, name: str) -> None:
     result = category.check_functor(replace(mapping, source=category.close(mapping.source),
                                             target=category.close(mapping.target)))
     if result.ok:
-        click.echo(f"link {name}: PASS")
+        print(f"link {name}: PASS")
         return
-    click.echo(f"link {name}: FAIL")
+    print(f"link {name}: FAIL")
     for violation in result.violations:
-        click.echo(f"  {violation}")
+        print(f"  {violation}")
     sys.exit(1)
 
 
-@main.group()
-def index() -> None:
-    """Build or inspect the compiled-index cache."""
-
-
-@index.command(name="build")
-@click.pass_obj
 def index_build(session: Session) -> None:
     """Compile all component protocols and write the cache file."""
     catalog, model_ = session.require_catalog()
@@ -309,13 +235,11 @@ def index_build(session: Session) -> None:
     except OSError as err:
         _input_error(f"cannot write cache {_display_path(str(path), session.base_dir)}: "
                      f"{err.strerror or err}")
-    click.echo(f"indexed {len(compiled.entries)} component(s)")
-    click.echo(f"hash: {compiled.source_hash}")
-    click.echo(f"cache: {_display_path(str(path), session.base_dir)}")
+    print(f"indexed {len(compiled.entries)} component(s)")
+    print(f"hash: {compiled.source_hash}")
+    print(f"cache: {_display_path(str(path), session.base_dir)}")
 
 
-@index.command(name="inspect")
-@click.pass_obj
 def index_inspect(session: Session) -> None:
     """Summarize an existing cache file."""
     if session.cache_path is not None:
@@ -328,15 +252,89 @@ def index_inspect(session: Session) -> None:
         compiled = repo.load_cache(path)
     except repo.CacheError as err:
         _input_error(str(err))
-    click.echo(f"hash: {compiled.source_hash}")
-    click.echo(f"components: {len(compiled.entries)}")
+    print(f"hash: {compiled.source_hash}")
+    print(f"components: {len(compiled.entries)}")
     catalog_path = session.catalog_path
     units = None if catalog_path is None else repo.read_unit_texts(Path(catalog_path))
     if units is not None:
         fresh = repo.source_hash(units) == compiled.source_hash
-        click.echo(f"freshness: {'fresh' if fresh else 'stale'}")
+        print(f"freshness: {'fresh' if fresh else 'stale'}")
     for name, entry in sorted(compiled.entries.items()):
-        click.echo(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s)")
+        print(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s)")
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """The command line; each command's parser sets `run` to its function."""
+    def command(commands, name: str, run) -> argparse.ArgumentParser:
+        parser = commands.add_parser(name, help=run.__doc__.splitlines()[0],
+                                     description=run.__doc__, allow_abbrev=False)
+        parser.set_defaults(run=run)
+        return parser
+
+    parser = argparse.ArgumentParser(
+        prog=prog, description="Architecture repository analysis and component matching.",
+        allow_abbrev=False)
+    parser.add_argument("--catalog", dest="catalog_path", metavar="PATH",
+                        help="Catalog file listing the repository's ADL units.")
+    parser.add_argument("--cache", dest="cache_path", metavar="PATH",
+                        help="Compiled-index cache file (default: <catalog>.idx).")
+    parser.add_argument("--quiet", action="store_true", help="Suppress progress notes.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    command(commands, "check", check).add_argument("paths", nargs="+", metavar="UNIT")
+    arch_parser = command(commands, "arch", arch)
+    arch_parser.add_argument("name", nargs="?", metavar="NAME")
+    arch_parser.add_argument("--closure", action="store_true",
+                             help="List derived morphisms as well.")
+    arch_parser.add_argument("--check", dest="run_check", action="store_true",
+                             help="Report category diagnostics.")
+    protocol_parser = command(commands, "protocol", protocol_cmd)
+    protocol_parser.add_argument("target", metavar="NAME_OR_EXPR")
+    protocol_parser.add_argument(
+        "--emit-dfa", action="store_true",
+        help="Emit the minimal DFA in the textual transition-list format (default).")
+    protocol_parser.add_argument("--sample", type=int, metavar="N",
+                                 help="List all accepted traces of length <= N instead.")
+    protocol_parser.add_argument("--unit", metavar="FILE",
+                                 help="Resolve NAME in this unit file instead of the catalog.")
+    match_parser = command(commands, "match", match)
+    match_parser.add_argument("requirement", metavar="REQUIREMENT_FILE")
+    match_parser.add_argument("--format", dest="output_format", choices=["text", "json"],
+                              default="text", help="Report format (default text).")
+    command(commands, "link", link).add_argument("name", metavar="NAME")
+    index_doc = "Build or inspect the compiled-index cache."
+    index_commands = commands.add_parser(
+        "index", help=index_doc, description=index_doc, allow_abbrev=False,
+    ).add_subparsers(metavar="COMMAND", required=True)
+    command(index_commands, "build", index_build)
+    command(index_commands, "inspect", index_inspect)
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command line (default `sys.argv[1:]`); exit code 0 unless it raises SystemExit."""
+    options = vars(_parser(prog_name or "archmatch").parse_args(args))
+    run = options.pop("run")
+    state_limit = protocol.DEFAULT_STATE_LIMIT
+    raw = os.environ.get(STATE_LIMIT_ENV)
+    if raw is not None:
+        try:
+            state_limit = int(raw)
+            if state_limit <= 0:
+                raise ValueError
+        except ValueError:
+            _input_error(f"{STATE_LIMIT_ENV} must be a positive integer, got {raw!r}")
+    session = Session(options.pop("catalog_path"), options.pop("cache_path"),
+                      options.pop("quiet"), state_limit)
+    try:
+        run(session, **options)
+    except protocol.ProtocolTooLarge as err:
+        _input_error(str(err))
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        sys.exit(130)
+    except Exception as err:  # exit code 1 is a negative verdict, so a crash exits 3
+        print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        sys.exit(3)
 
 
 if __name__ == "__main__":

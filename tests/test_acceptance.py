@@ -12,17 +12,15 @@ import shutil
 import time
 from pathlib import Path
 
-from click.testing import CliRunner
-
 from archmatch import category as C
 from archmatch import dsl, matcher, model, repo
 from archmatch import protocol as P
-from archmatch.cli import main as cli_main
 from archmatch.dsl import SourceUnit, format_protocol
 from archmatch.matcher import Requirement
 from archmatch.protocol import Alt, Ev, Eps, Seq, Shuffle, Star
 from archmatch.sigmatch import TypeLattice
 
+from cli_runner import run as run_cli
 from oracles import OracleBudgetExceeded, all_words, dfa_of, lang_upto, mem, random_expr
 from test_category import brute_force_two_step_reachability
 
@@ -343,11 +341,10 @@ def test_criterion_9_round_trip_and_cache_transparency(tmp_path):
     for name in ("types.adl", "document_manager.adl", "manage_documents_req.adl",
                  "catalog.txt"):
         shutil.copy(FIXTURES / name, tmp_path / name)
-    runner = CliRunner()
     args = ["--quiet", "--catalog", str(tmp_path / "catalog.txt"),
             "match", str(tmp_path / "manage_documents_req.adl"), "--format", "json"]
-    cold = runner.invoke(cli_main, args, catch_exceptions=False)
-    warm = runner.invoke(cli_main, args, catch_exceptions=False)
+    cold = run_cli(*args)
+    warm = run_cli(*args)
     ok = ok and (tmp_path / "catalog.txt.idx").is_file()
     ok = ok and cold.output == warm.output and cold.exit_code == warm.exit_code == 0
     report("9 round-trip-and-cache-transparency", ok)

@@ -12,12 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 from archmatch import category, dsl, matcher, model, protocol, repo
-from archmatch.cli import main
 from archmatch.sigmatch import TypeLattice
 from broken_caches import DEFECTS, V2_CACHE, V6_CACHE
+from cli_runner import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # `match` stdout for each catalog and requirement, recorded before the signature
@@ -28,8 +27,10 @@ GOLDEN_EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 # lexer became one regular expression
 GOLDEN_CHECK = GOLDEN / "check"
 GOLDEN_CHECK_EXIT_CODES = json.loads((GOLDEN_CHECK / "exit_codes.json").read_text())
-
-runner = CliRunner()
+# stdout, stderr and exit codes of the other commands on the fixtures, recorded
+# before the command line moved to argparse
+GOLDEN_COMMANDS = GOLDEN / "commands"
+GOLDEN_COMMAND_EXIT_CODES = json.loads((GOLDEN_COMMANDS / "exit_codes.json").read_text())
 
 
 @pytest.fixture()
@@ -39,10 +40,6 @@ def workdir(tmp_path):
                  "manage_portfolio_req.adl", "catalog.txt", "catalog_full.txt"):
         shutil.copy(FIXTURES / name, tmp_path / name)
     return tmp_path
-
-
-def run(*args, **kwargs):
-    return runner.invoke(main, list(args), catch_exceptions=False, **kwargs)
 
 
 # --- check -----------------------------------------------------------------------
@@ -181,11 +178,20 @@ def test_internal_error_is_one_line_and_exit_three(monkeypatch):
         raise RuntimeError("minimize failed")
 
     monkeypatch.setattr(protocol, "minimize", broken)
-    res = runner.invoke(main, ["protocol", "?a"])
+    res = run("protocol", "?a")
     assert res.exit_code == 3
     assert "Traceback" not in res.output
     [line] = res.output.splitlines()
     assert line.startswith("error: internal error: RuntimeError: ")
+
+
+def test_ctrl_c_is_one_line_and_exit_130(monkeypatch):
+    def interrupted(*_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(protocol, "minimize", interrupted)
+    res = run("protocol", "?a")
+    assert (res.exit_code, res.stdout, res.stderr) == (130, "", "error: interrupted\n")
 
 
 def _fresh_cli(*args, cwd=None):
@@ -792,13 +798,87 @@ def test_commands_are_byte_deterministic(workdir):
         assert first.exit_code == second.exit_code
 
 
-# --- dependencies ------------------------------------------------------------------
+# --- the command line --------------------------------------------------------------
 
-def test_cli_imports_neither_numpy_nor_scipy():
+GOLDEN_COMMAND_ARGS = {
+    "arch": ["--catalog", "catalog_full.txt", "arch"],
+    "arch_closure": ["--catalog", "catalog_full.txt", "arch", "--closure"],
+    "arch_check": ["--catalog", "catalog_full.txt", "arch", "--check"],
+    "arch_closure_check": ["--catalog", "catalog_full.txt", "arch", "--closure", "--check"],
+    "link_realization": ["--catalog", "catalog_full.txt", "link", "Realization"],
+    "protocol_emit_dfa": ["--catalog", "catalog_full.txt", "protocol", "DocumentManager",
+                          "--emit-dfa"],
+    "protocol_sample": ["--catalog", "catalog.txt", "protocol", "ManageDocumentCtr",
+                        "--sample", "2"],
+    "protocol_expression": ["protocol", "(?a + ?b)* ?c"],
+    "index_build": ["--catalog", "catalog_full.txt", "index", "build"],
+    "index_inspect": ["--catalog", "catalog_full.txt", "index", "inspect"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_COMMAND_EXIT_CODES))
+def test_command_output_is_the_golden_output(workdir, monkeypatch, case):
+    monkeypatch.chdir(workdir)
+    if case == "index_inspect":
+        run(*GOLDEN_COMMAND_ARGS["index_build"])
+    res = run(*GOLDEN_COMMAND_ARGS[case])
+    assert res.stdout_bytes == (GOLDEN_COMMANDS / f"{case}.stdout").read_bytes()
+    assert res.stderr_bytes == (GOLDEN_COMMANDS / f"{case}.stderr").read_bytes()
+    assert res.exit_code == GOLDEN_COMMAND_EXIT_CODES[case]
+
+
+# an exclusion and a range check that the commands make themselves, with their lines
+USAGE_ERRORS = {
+    "no command": ([], None),
+    "index alone": (["index"], None),
+    "match without a file": (["match"], None),
+    "unknown format": (["match", "req.adl", "--format", "xml"], None),
+    "sample not an integer": (["protocol", "?a", "--sample", "x"], None),
+    "option prefix": (["--cat", "catalog.txt", "arch"], None),
+    "emit-dfa and sample": (["protocol", "?a", "--emit-dfa", "--sample", "1"],
+                            "error: --emit-dfa and --sample are mutually exclusive\n"),
+    "negative sample": (["protocol", "?a", "--sample", "-1"], "error: --sample must be >= 0\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_usage_errors_exit_two(case):
+    args, stderr = USAGE_ERRORS[case]
+    res = run(*args)
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert "Traceback" not in res.stderr
+    if stderr is not None:
+        assert res.stderr == stderr
+
+
+# every option and command that each help text listed before the move to argparse
+HELP = {
+    (): ["--catalog", "--cache", "--quiet", "--help",
+         "check", "arch", "protocol", "match", "link", "index"],
+    ("check",): ["--help", "UNIT"],
+    ("arch",): ["--closure", "--check", "--help", "NAME"],
+    ("protocol",): ["--emit-dfa", "--sample", "--unit", "--help", "NAME_OR_EXPR"],
+    ("match",): ["--format", "--help", "REQUIREMENT_FILE"],
+    ("link",): ["--help", "NAME"],
+    ("index",): ["--help", "build", "inspect"],
+    ("index", "build"): ["--help"],
+    ("index", "inspect"): ["--help"],
+}
+
+
+@pytest.mark.parametrize("command", list(HELP), ids=lambda c: " ".join(c) or "archmatch")
+def test_help_names_every_option(command):
+    res = run(*command, "--help")
+    assert (res.exit_code, res.stderr) == (0, "")
+    assert [name for name in HELP[command] if name not in res.stdout] == []
+
+
+def test_cli_imports_none_of_numpy_scipy_or_click():
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, archmatch.cli; print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+    code = ("import sys, archmatch.cli; "
+            "print(sorted({'numpy', 'scipy', 'click'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
