@@ -1,14 +1,14 @@
 """Business and application architectures as pseudo-categories.
 
 Objects are interfaces (business) or components (application); morphisms carry
-a kind from the architecture's generator set and compose through a partial,
-typed composition table.  Identities are implicit on every object and are
-never stored.
+a kind from the architecture's generator set, and two morphisms compose only
+when their kinds agree: x -k-> y then y -k-> z gives x -k-> z.  Identities are
+implicit on every object and are never stored.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .diagnostics import ERROR, WARNING, Diagnostic, Span
 from .dsl import syntax
@@ -17,15 +17,9 @@ from .model import Model
 EXT = "ext"
 CMP = "cmp"
 USE = "use"
-ID = "id"
 
 BUSINESS_GENERATORS = frozenset({EXT, CMP})
 APPLICATION_GENERATORS = frozenset({USE, CMP})
-
-
-def default_table(generators: frozenset[str]) -> dict[tuple[str, str], str]:
-    """Same-kind composition only: (k, k) -> k for each generator."""
-    return {(k, k): k for k in generators}
 
 
 @dataclass(frozen=True)
@@ -45,11 +39,10 @@ class PseudoCategory:
     name: str
     objects: frozenset[str]
     morphisms: frozenset[Morphism]
-    generators: frozenset[str]
-    table: dict[tuple[str, str], str]
 
-    def __hash__(self):
-        return id(self)
+    @property
+    def generators(self) -> frozenset[str]:
+        return BUSINESS_GENERATORS if self.kind == syntax.BUSINESS else APPLICATION_GENERATORS
 
     def morphism_keys(self) -> frozenset[tuple[str, str, str]]:
         return frozenset((m.src, m.dst, m.kind) for m in self.morphisms)
@@ -117,57 +110,37 @@ def build(decl: syntax.ArchitectureDecl, model: Model,
     if any(d.severity == ERROR for d in diagnostics):
         return None, diagnostics
     category = PseudoCategory(decl.kind, decl.name, frozenset(objects),
-                              frozenset(morphisms.values()), generators,
-                              default_table(generators))
+                              frozenset(morphisms.values()))
     return category, diagnostics
 
 
 def close(category: PseudoCategory) -> PseudoCategory:
-    """Least fixed point of typed composition.
+    """Least fixed point of same-kind composition.
 
-    For f: x->y of kind s and g: y->z of kind t with table(s, t) defined,
-    the composite x->z is added with derived=True; declared morphisms are
-    kept as declared.  Idempotent.
+    For each object x and kind k, every object z reachable from x by one or
+    more k-morphisms gets x -k-> z, added with derived=True; declared
+    morphisms are kept as declared.  Idempotent.
     """
-    table = category.table
     known: dict[tuple[str, str, str], Morphism] = {
         (m.src, m.dst, m.kind): m for m in category.morphisms}
-    by_src: dict[str, set[tuple[str, str, str]]] = {}
-    by_dst: dict[str, set[tuple[str, str, str]]] = {}
-    for key in known:
-        by_src.setdefault(key[0], set()).add(key)
-        by_dst.setdefault(key[1], set()).add(key)
-
-    queue = list(known)
-    while queue:
-        src, dst, kind = queue.pop()
-
-        def consider(key: tuple[str, str, str]) -> None:
-            if key not in known:
-                known[key] = Morphism(*key, derived=True)
-                by_src.setdefault(key[0], set()).add(key)
-                by_dst.setdefault(key[1], set()).add(key)
-                queue.append(key)
-
-        # this morphism as the first leg: (src->dst) then (dst->z)
-        for _, z, t in list(by_src.get(dst, ())):
-            u = table.get((kind, t))
-            if u is not None:
-                consider((src, z, u))
-        # this morphism as the second leg: (x->src) then (src->dst)
-        for x, _, s in list(by_dst.get(src, ())):
-            u = table.get((s, kind))
-            if u is not None:
-                consider((x, dst, u))
-
-    return PseudoCategory(category.kind, category.name, category.objects,
-                          frozenset(known.values()), category.generators, category.table)
+    successors: dict[tuple[str, str], set[str]] = {}
+    for src, dst, kind in known:
+        successors.setdefault((src, kind), set()).add(dst)
+    for (src, kind), first in successors.items():
+        reached, stack = set(first), list(first)
+        while stack:
+            for z in successors.get((stack.pop(), kind), ()):
+                if z not in reached:
+                    reached.add(z)
+                    stack.append(z)
+        for z in reached:
+            known.setdefault((src, z, kind), Morphism(src, z, kind, derived=True))
+    return replace(category, morphisms=frozenset(known.values()))
 
 
 def check_category(category: PseudoCategory) -> list[Diagnostic]:
     """Well-formedness report: kind violations, dangling objects, and
-    composable pairs whose composite kind is undefined (a warning: the
-    composition table is allowed to be partial)."""
+    (as warnings) adjacent morphisms of different kinds, which do not compose."""
     diagnostics: list[Diagnostic] = []
     zero = Span(1, 1, 0, 0)
     ordered = category.sorted_morphisms()
@@ -189,13 +162,12 @@ def check_category(category: PseudoCategory) -> list[Diagnostic]:
     pairs: set[tuple[str, str]] = set()
     for f in ordered:
         for g in by_src.get(f.dst, ()):
-            if (f.kind, g.kind) not in category.table:
-                if (f.kind, g.kind) not in pairs:
-                    pairs.add((f.kind, g.kind))
-                    diagnostics.append(Diagnostic(
-                        WARNING, zero,
-                        f"composition undefined for kinds ({f.kind}, {g.kind}), "
-                        f"e.g. {f.render()} then {g.render()}", "composition-undefined"))
+            if f.kind != g.kind and (f.kind, g.kind) not in pairs:
+                pairs.add((f.kind, g.kind))
+                diagnostics.append(Diagnostic(
+                    WARNING, zero,
+                    f"composition undefined for kinds ({f.kind}, {g.kind}), "
+                    f"e.g. {f.render()} then {g.render()}", "composition-undefined"))
     return diagnostics
 
 
@@ -208,12 +180,11 @@ class FunctorCheck:
 def check_functor(mapping: FunctorMapping) -> FunctorCheck:
     """Validate a pseudo-functor between two closed pseudo-categories.
 
-    Checks that the generator map is a homomorphism with respect to both
-    composition tables, that the image of every source morphism exists in the
-    target, and (by construction, asserted anyway) that identities map to
-    identities.  Raises ValueError when the maps are not total.  The callers
-    pass closed categories: `link` closes the mapping's source and target
-    first, and nothing here closes them.
+    Checks that objects map to target objects, generators to target
+    generators (so same-kind composition and identities are preserved), and
+    every source morphism to a target morphism.  Raises ValueError when the
+    maps are not total.  The callers pass closed categories: `link` closes
+    the mapping's source and target first, and nothing here closes them.
     """
     source, target = mapping.source, mapping.target
     missing_objects = sorted(source.objects - set(mapping.object_map))
@@ -236,19 +207,10 @@ def check_functor(mapping: FunctorMapping) -> FunctorCheck:
     if violations:
         return FunctorCheck(False, tuple(violations))
 
-    gmap = dict(mapping.generator_map)
-    gmap[ID] = ID  # identities map to identities
-    for (s, t), u in sorted(source.table.items()):
-        image = target.table.get((gmap[s], gmap[t]))
-        if image != gmap[u]:
-            got = image if image is not None else "undefined"
-            violations.append(
-                f"generator map is not a homomorphism on table entry "
-                f"({s}, {t}) -> {u}: target gives {got}")
-
     target_keys = target.morphism_keys()
     for m in sorted(source.morphisms, key=lambda m: (m.src, m.dst, m.kind)):
-        image = (mapping.object_map[m.src], mapping.object_map[m.dst], gmap[m.kind])
+        image = (mapping.object_map[m.src], mapping.object_map[m.dst],
+                 mapping.generator_map[m.kind])
         if image not in target_keys:
             violations.append(
                 f"missing target morphism {image[0]} -{image[2]}-> {image[1]} "
@@ -260,9 +222,8 @@ def build_functor(decl: syntax.LinkDecl, architectures: dict[str, PseudoCategory
                   ) -> tuple[FunctorMapping | None, list[Diagnostic]]:
     """Construct a functor mapping from a link declaration.
 
-    Totality over the source category is checked here (an input error);
-    homomorphism and image conditions are left to check_functor (an analysis
-    result)."""
+    Totality over the source category is checked here (an input error); the
+    image conditions are left to check_functor (an analysis result)."""
     diagnostics: list[Diagnostic] = []
 
     def err(span: Span | None, message: str, code: str) -> None:

@@ -3,7 +3,8 @@
 Exit codes: 0 for success or a positive analysis verdict, 1 for a negative
 analysis verdict (inclusion fails, no usable component, broken link), 2 for
 usage or input errors, 3 for an internal error (reported on one stderr line),
-130 when interrupted by Ctrl-C (reported as `error: interrupted`).
+130 when interrupted by Ctrl-C (reported as `error: interrupted`), and 141,
+silently, when the reader of stdout closes it before the output ends.
 """
 
 from __future__ import annotations
@@ -150,11 +151,11 @@ def protocol_cmd(session: Session, target: str, emit_dfa: bool, sample: int | No
     """
     if emit_dfa and sample is not None:
         _input_error("--emit-dfa and --sample are mutually exclusive")
+    if sample is not None and sample < 0:
+        _input_error("--sample must be >= 0")
     auto = _protocol_source(session, target, unit)
     dfa = protocol.minimize(protocol.determinize(auto, session.state_limit))
     if sample is not None:
-        if sample < 0:
-            _input_error("--sample must be >= 0")
         for trace in protocol.sample_traces(dfa, sample):
             print(" ".join(trace) if trace else "(empty)")
     else:
@@ -312,26 +313,32 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command line (default `sys.argv[1:]`); exit code 0 unless it raises SystemExit."""
-    options = vars(_parser(prog_name or "archmatch").parse_args(args))
-    run = options.pop("run")
-    state_limit = protocol.DEFAULT_STATE_LIMIT
-    raw = os.environ.get(STATE_LIMIT_ENV)
-    if raw is not None:
-        try:
-            state_limit = int(raw)
-            if state_limit <= 0:
-                raise ValueError
-        except ValueError:
-            _input_error(f"{STATE_LIMIT_ENV} must be a positive integer, got {raw!r}")
-    session = Session(options.pop("catalog_path"), options.pop("cache_path"),
-                      options.pop("quiet"), state_limit)
     try:
-        run(session, **options)
+        try:
+            options = vars(_parser(prog_name or "archmatch").parse_args(args))
+            run = options.pop("run")
+            state_limit = protocol.DEFAULT_STATE_LIMIT
+            raw = os.environ.get(STATE_LIMIT_ENV)
+            if raw is not None:
+                try:
+                    state_limit = int(raw)
+                    if state_limit <= 0:
+                        raise ValueError
+                except ValueError:
+                    _input_error(f"{STATE_LIMIT_ENV} must be a positive integer, got {raw!r}")
+            session = Session(options.pop("catalog_path"), options.pop("cache_path"),
+                              options.pop("quiet"), state_limit)
+            run(session, **options)
+        finally:  # output left in the buffer fails here, not in the interpreter's last flush
+            sys.stdout.flush()
     except protocol.ProtocolTooLarge as err:
         _input_error(str(err))
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         sys.exit(130)
+    except BrokenPipeError:  # the reader closed stdout: exit as SIGPIPE would, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the last flush
+        sys.exit(141)
     except Exception as err:  # exit code 1 is a negative verdict, so a crash exits 3
         print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         sys.exit(3)

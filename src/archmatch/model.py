@@ -180,10 +180,6 @@ class _Resolver:
 
     def claim_name(self, decl, kind: str, path: str) -> bool:
         if decl.name in self.names:
-            # identical re-declarations of a type are allowed so that
-            # requirement units can be self-contained next to a catalog
-            if kind == "type" and self.names[decl.name] == "type":
-                return True
             self.error(decl.span, f"duplicate declaration of {decl.name!r}",
                        "duplicate-declaration", path)
             return False
@@ -215,6 +211,8 @@ class _Resolver:
     def _resolve_types(self, decls) -> None:
         seen: dict[str, syntax.TypeDecl | TypeDecl] = dict(self.model.types)
         for decl, path in decls:
+            # identical re-declarations of a type are allowed so that
+            # requirement units can be self-contained next to a catalog
             if decl.name in seen:
                 if seen[decl.name].supertype != decl.supertype:
                     self.error(decl.span,

@@ -219,8 +219,7 @@ def test_criterion_6_closure_oracle():
             edges.add((rng.choice(objects), rng.choice(objects)))
         cat = C.PseudoCategory(
             "business", "gen", frozenset(objects),
-            frozenset(C.Morphism(s, d, kind) for s, d in edges),
-            C.BUSINESS_GENERATORS, C.default_table(C.BUSINESS_GENERATORS))
+            frozenset(C.Morphism(s, d, kind) for s, d in edges))
         closed = C.close(cat)
         derived = {(mo.src, mo.dst) for mo in closed.morphisms if mo.derived}
         expected = brute_force_two_step_reachability(objects, edges) - edges
@@ -240,8 +239,7 @@ def test_criterion_7_functor_validation():
                  for _ in range(rng.randint(1, 12))}
         ba = C.close(C.PseudoCategory(
             "business", "ba", frozenset(objects),
-            frozenset(C.Morphism(*e) for e in edges),
-            C.BUSINESS_GENERATORS, C.default_table(C.BUSINESS_GENERATORS)))
+            frozenset(C.Morphism(*e) for e in edges)))
         object_map = {o: "C" + o[1:] for o in objects}
         generator_map = {"ext": rng.choice(["use", "cmp"]),
                          "cmp": rng.choice(["use", "cmp"])}
@@ -249,8 +247,7 @@ def test_criterion_7_functor_validation():
                  for s, d, k in ba.morphism_keys()}
         aa = C.close(C.PseudoCategory(
             "application", "aa", frozenset(object_map.values()),
-            frozenset(C.Morphism(*e) for e in image),
-            C.APPLICATION_GENERATORS, C.default_table(C.APPLICATION_GENERATORS)))
+            frozenset(C.Morphism(*e) for e in image)))
         mapping = C.FunctorMapping("F", ba, aa, object_map, generator_map)
         if not C.check_functor(mapping).ok:
             ok = False
@@ -259,8 +256,7 @@ def test_criterion_7_functor_validation():
             smaller = C.PseudoCategory(
                 aa.kind, aa.name, aa.objects,
                 frozenset(mo for mo in aa.morphisms
-                          if (mo.src, mo.dst, mo.kind) != victim),
-                aa.generators, aa.table)
+                          if (mo.src, mo.dst, mo.kind) != victim))
             result = C.check_functor(C.FunctorMapping("F", ba, smaller,
                                                       object_map, generator_map))
             rendered = f"{victim[0]} -{victim[2]}-> {victim[1]}"

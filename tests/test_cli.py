@@ -194,13 +194,31 @@ def test_ctrl_c_is_one_line_and_exit_130(monkeypatch):
     assert (res.exit_code, res.stdout, res.stderr) == (130, "", "error: interrupted\n")
 
 
-def _fresh_cli(*args, cwd=None):
+def _fresh_cli(*args, cwd=None, stdout=None):
     """Run archmatch in a new interpreter, at its default recursion limit."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, "-m", "archmatch.cli", *args], env=env, cwd=cwd,
-                          capture_output=True, text=True)
+                          stdout=subprocess.PIPE if stdout is None else stdout,
+                          stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("args", [
+    ["protocol", "(?a+?b+?c+?d+?e)*", "--sample", "5"],
+    ["protocol", "?a"],
+    ["--quiet", "--catalog", "catalog_full.txt", "match", "manage_documents_req.adl"],
+], ids=["37-kB-output", "small-output", "match-ends-in-sys-exit"])
+def test_a_reader_that_closed_stdout_gets_exit_141_and_no_message(workdir, args):
+    # the read end is closed before archmatch starts, so its first write to stdout fails:
+    # mid-run for a large output, in the last flush for one smaller than the buffer
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        res = _fresh_cli(*args, cwd=workdir, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (res.returncode, res.stderr) == (141, "")
 
 
 def _dfa_states(text):
@@ -838,13 +856,16 @@ USAGE_ERRORS = {
     "emit-dfa and sample": (["protocol", "?a", "--emit-dfa", "--sample", "1"],
                             "error: --emit-dfa and --sample are mutually exclusive\n"),
     "negative sample": (["protocol", "?a", "--sample", "-1"], "error: --sample must be >= 0\n"),
+    "negative sample of a protocol over the limit": (
+        ["protocol", "(?a ?b)* | (?c ?d)*", "--sample", "-1"], "error: --sample must be >= 0\n"),
 }
 
 
 @pytest.mark.parametrize("case", list(USAGE_ERRORS))
 def test_usage_errors_exit_two(case):
     args, stderr = USAGE_ERRORS[case]
-    res = run(*args)
+    # a limit that `(?a ?b)* | (?c ?d)*` exceeds: usage is checked before any construction
+    res = run(*args, env={"ARCHMATCH_STATE_LIMIT": "2"})
     assert (res.exit_code, res.stdout) == (2, "")
     assert "Traceback" not in res.stderr
     if stderr is not None:
