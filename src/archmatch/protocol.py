@@ -182,7 +182,7 @@ class EquivalenceResult:
 
 # term operators; a term is the node (operator, x, y) of its table
 _EPS, _EV, _SEQ, _ALT, _STAR, _SHUF = range(6)
-_OPERATOR = {Seq: _SEQ, Alt: _ALT, Star: _STAR, Shuffle: _SHUF}
+_OPERATOR = {Star: _STAR, Shuffle: _SHUF}
 _UNIT = 0  # the id of `()` in every table
 
 
@@ -286,29 +286,34 @@ class _Terms:
     def intern(self, expr: ProtocolExpr, keep: frozenset[str] | None = None) -> int:
         """The term of `expr`, with every event outside `keep` (if given) made `()`."""
         def term(value) -> int:
-            # a `;` stays the pair of its operands' values until its term is
-            # needed, then is made from the right, each head in constant time
+            # a `;` stays the pair of its operands' values, and a `+` the list of
+            # its members' terms, until its term is needed; a `;` chain is then
+            # made from the right, each head in constant time
             heads, stack = [], [value]
             while stack:
                 v = stack.pop()
                 if isinstance(v, tuple):
                     stack += reversed(v)
                 else:
-                    heads.append(v)
+                    heads.append(self.make(_ALT, v) if isinstance(v, list) else v)
             t = heads.pop()
             for head in reversed(heads):
                 t = self.make(_SEQ, head, t)
             return t
 
-        def visit(e: ProtocolExpr, operands: list) -> int | tuple:
+        def visit(e: ProtocolExpr, operands: list) -> int | tuple | list:
             if isinstance(e, Seq):
                 return tuple(operands)
+            if isinstance(e, Alt):  # the smaller list joins the larger: O(n log n) moves
+                small, large = sorted((v if isinstance(v, list) else [term(v)]
+                                       for v in operands), key=len)
+                large += small
+                return large
             if isinstance(e, Ev) and (keep is None or e.name in keep):
                 return self.make(_EV, e.name)
             if isinstance(e, (Ev, Eps)):
                 return _UNIT
-            op, operands = _OPERATOR[type(e)], [term(v) for v in operands]
-            return self.make(op, operands) if op == _ALT else self.make(op, *operands)
+            return self.make(_OPERATOR[type(e)], *(term(v) for v in operands))
 
         return term(fold(expr, visit))
 

@@ -34,12 +34,19 @@ def weakest(kinds) -> str:
 class TypeLattice:
     """Reflexive-transitive subtype order from declared `<:` supertypes.
 
-    `matches` memoises what match_method finds for a pair of signature types
-    under this order, so a lattice serves one query's types and no others.
+    Its memos let a query compare each pair of signature types once and solve
+    each assignment once: `matches` holds the (kind, permutation) of a pair of
+    signature types, `columns` a provided method's column of the match matrix
+    keyed by (the query's method types, its types), and `assignments` the index
+    pairs `_assign` picks for a cost matrix.  Each value is a pure function of
+    its key and this order, so the results are those computed afresh.  Build
+    one lattice per query: a reused one stays correct, but its memos grow.
     """
 
     parents: dict[str, str | None]
     matches: dict = field(default_factory=dict, compare=False, repr=False)
+    columns: dict = field(default_factory=dict, compare=False, repr=False)
+    assignments: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __hash__(self):
         return id(self)
@@ -143,20 +150,38 @@ def _match_types(q_types, p_types, lattice: TypeLattice) -> tuple[str, tuple[int
     return None
 
 
+def _match_cell(q_types, p_types, lattice: TypeLattice):
+    key = q_types, p_types
+    if key not in lattice.matches:
+        lattice.matches[key] = _match_types(q_types, p_types, lattice)
+    return lattice.matches[key]
+
+
 def match_method(q: MethodSig, p: MethodSig, lattice: TypeLattice) -> MethodMatch | None:
     """Strongest applicable signature match between two methods, if any."""
-    key = q.types, p.types
-    if key not in lattice.matches:
-        lattice.matches[key] = _match_types(*key, lattice)
-    found = lattice.matches[key]
+    found = _match_cell(q.types, p.types, lattice)
     return None if found is None else MethodMatch(q.name, p.name, *found)
 
 
 def _match_matrix(q_methods, p_methods, lattice):
-    return [[match_method(qm, pm, lattice) for pm in p_methods] for qm in q_methods]
+    """Each provided method's column: its cells, one per query method (None, or
+    the (kind, permutation) of a match), with their costs when every cell is
+    kept; and where each provided method's name agrees, as the index of the
+    query method of that name or -1 (a column has at most one agreeing name)."""
+    q_types = tuple(m.types for m in q_methods)
+    bonus = len(q_types) + 1  # one more matched method outweighs every name match
+    columns = []
+    for pm in p_methods:
+        key = q_types, pm.types
+        if key not in lattice.columns:
+            cells = tuple(_match_cell(t, pm.types, lattice) for t in q_types)
+            lattice.columns[key] = cells, tuple(0 if c is None else -bonus for c in cells)
+        columns.append(lattice.columns[key])
+    same = {m.name: i for i, m in enumerate(q_methods)}
+    return columns, [same.get(pm.name, -1) for pm in p_methods]
 
 
-def _hungarian(cost: list[list[int]]) -> list[int]:
+def _hungarian(cost) -> list[int]:
     """Minimum-cost assignment of every row of an integer matrix with no more
     rows than columns, by shortest augmenting paths with potentials (Crouse,
     IEEE TAES 2016); columns are scanned last first and, among equal
@@ -198,27 +223,36 @@ def _hungarian(cost: list[list[int]]) -> list[int]:
     return col_of
 
 
-def _assign(matrix, level: str) -> dict[str, MethodMatch]:
-    """Injective partial assignment over the cells of a query x provided match
-    matrix whose kind is `level` or stronger, maximizing the number of matched
-    query methods, then the number of verbatim name matches."""
-    floor = strength(level)
-    cells = [[m if m is not None and strength(m.kind) >= floor else None for m in row]
-             for row in matrix]
-    # one more matched method (nq + 1) outweighs every name match (at most nq)
-    bonus = len(cells) + 1
-    cost = [[0 if m is None else -bonus - m.names_equal() for m in row] for row in cells]
-    if len(cells) <= len(cells[0] if cells else ()):
-        pairs = enumerate(_hungarian(cost))
-    else:  # more query than provided methods: assign each provided method
-        pairs = ((i, j) for j, i in enumerate(_hungarian([list(c) for c in zip(*cost)])))
-    chosen = (cells[i][j] for i, j in pairs)
-    return {m.query_method: m for m in chosen if m is not None}
+def _assign(columns, names, level: str, lattice: TypeLattice) -> tuple:
+    """Injective partial assignment over the cells of a match matrix, given by
+    its columns, whose kind is `level` or stronger, maximizing the number of
+    matched query methods, then the number of verbatim name matches: the
+    (query, provided) index pairs it matches, in query order when there are no
+    more query than provided methods, else in provided order."""
+    floor, cost = strength(level), []
+    for (cells, column), same in zip(columns, names):
+        if level != SPECIALIZED:  # drop the cells weaker than `level`
+            column = tuple(0 if c is None or _STRENGTH[c[0]] < floor else k
+                           for c, k in zip(cells, column))
+        if same >= 0 and column[same]:  # a verbatim name match is worth one more
+            column = column[:same] + (column[same] - 1,) + column[same + 1:]
+        cost.append(column)
+    cost = tuple(cost)
+    pairs = lattice.assignments.get(cost)
+    if pairs is None:  # cost is column-major, so transposing gives the rows
+        rows = list(zip(*cost))
+        if len(rows) <= len(cost):
+            pairs = enumerate(_hungarian(rows))
+        else:  # more query than provided methods: assign each provided method
+            pairs = ((i, j) for j, i in enumerate(_hungarian(cost)))
+        pairs = lattice.assignments[cost] = tuple((i, j) for i, j in pairs if cost[j][i])
+    return pairs
 
 
-def _widest(q_methods, matrix) -> ModuleMatch:
-    """The assignment over every compatible cell, with the query methods it leaves out."""
-    chosen = _assign(matrix, SPECIALIZED)
+def _module_match(q_methods, p_methods, columns, pairs) -> ModuleMatch:
+    """The ModuleMatch of the chosen pairs, with the query methods they leave out."""
+    chosen = {q_methods[i].name: MethodMatch(q_methods[i].name, p_methods[j].name,
+                                             *columns[j][0][i]) for i, j in pairs}
     return ModuleMatch(chosen, tuple(m.name for m in q_methods if m.name not in chosen))
 
 
@@ -230,27 +264,32 @@ def match_module(q: Interface, p: Interface, lattice: TypeLattice) -> ModuleMatc
     method unmatched, that partial map is the answer.  Otherwise the strongest
     achievable weakest-link kind wins: the assignment over the matches of that
     kind or stronger.  The provided interface may have extra methods.
+
+    Cells and assignments come from the lattice's exact memos (see
+    TypeLattice); MethodMatch objects are built only for the answer.
     """
-    q_methods = q.all_methods()
-    matrix = _match_matrix(q_methods, p.all_methods(), lattice)
-    found = _widest(q_methods, matrix)
-    if found.unmatched:
-        return found
+    q_methods, p_methods = q.all_methods(), p.all_methods()
+    columns, names = _match_matrix(q_methods, p_methods, lattice)
+    found = _assign(columns, names, SPECIALIZED, lattice)
+    if len(found) < len(q_methods):
+        return _module_match(q_methods, p_methods, columns, found)
     # coverage can only drop as the level rises, so the first level that leaves
     # a query method unmatched ends the search; the weakest kind present repeats
     # the cells of the first assignment, and a kind no cell has those of the
     # next stronger level
-    kinds = {m.kind for row in matrix for m in row if m is not None}
+    kinds = {c[0] for cells, _ in columns for c in cells if c is not None}
     for level in sorted(kinds, key=strength)[1:]:
-        chosen = _assign(matrix, level)
+        chosen = _assign(columns, names, level, lattice)
         if len(chosen) < len(q_methods):
             break
-        found = ModuleMatch(chosen)
-    return found
+        found = chosen
+    return _module_match(q_methods, p_methods, columns, found)
 
 
 def partial_match(q: Interface, p: Interface, lattice: TypeLattice) -> ModuleMatch:
     """match_module's first assignment: every compatible cell, maximizing the
     number of matched query methods, then verbatim name matches."""
-    q_methods = q.all_methods()
-    return _widest(q_methods, _match_matrix(q_methods, p.all_methods(), lattice))
+    q_methods, p_methods = q.all_methods(), p.all_methods()
+    columns, names = _match_matrix(q_methods, p_methods, lattice)
+    return _module_match(q_methods, p_methods, columns,
+                         _assign(columns, names, SPECIALIZED, lattice))

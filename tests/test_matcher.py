@@ -242,13 +242,13 @@ def test_requirement_protocol_compiled_at_most_once(monkeypatch):
 
 def test_signature_matrix_is_built_once_per_candidate(monkeypatch):
     calls = []
-    real_match_method = sigmatch.match_method
+    real_match_types = sigmatch._match_types
 
-    def counting(*args):
-        calls.append(args)
-        return real_match_method(*args)
+    def counting(q_types, p_types, lattice):
+        calls.append((q_types, p_types))
+        return real_match_types(q_types, p_types, lattice)
 
-    monkeypatch.setattr(sigmatch, "match_method", counting)
+    monkeypatch.setattr(sigmatch, "_match_types", counting)
     sig = model.MethodSig
     t, u = (model.Param("x", "T"),), (model.Param("x", "U"),)
     wanted = (sig("a", t), sig("b", t, "T"), sig("c", u), sig("d", u, "U"))
@@ -263,7 +263,11 @@ def test_signature_matrix_is_built_once_per_candidate(monkeypatch):
     assert [(r.component, r.verdict) for r in result.reports] == \
         [("Adapt", matcher.ADAPT_CANDIDATE), ("Poor", matcher.NO_MATCH),
          ("Tiny", matcher.NO_MATCH)]
-    assert len(calls) == sum(len(wanted) * len(methods) for methods in providers.values())
+    # each distinct pair of signature types is compared once, though Adapt and
+    # Poor share the signature of `p`
+    pairs = {(w.types, m.types) for w in wanted for ms in providers.values() for m in ms}
+    assert len(calls) == len(set(calls)) and set(calls) == pairs
+    assert len(pairs) < len(wanted) * sum(len(methods) for methods in providers.values())
     assert all(r.module_match.unmatched for r in result.reports)
 
 

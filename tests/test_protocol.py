@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from functools import reduce
 from itertools import combinations, product
 
 import pytest
@@ -434,3 +436,17 @@ def _stars(n):
 def test_deep_shapes_have_their_minimal_state_count(expr, states):
     d = P.determinize(P.compile(expr))
     assert len(d.states) == len(P.minimize(d).states) == states
+
+
+@pytest.mark.parametrize("nest", [P.chain, reduce], ids=["right-nested", "left-nested"])
+def test_a_5000_way_alternative_is_interned_in_linear_time(nest):
+    events = [Ev(f"e{i}") for i in range(5_000)]
+    start = time.perf_counter()
+    term = P.compile(nest(Alt, events))
+    d = P.minimize(P.determinize(term))
+    seconds = time.perf_counter() - start
+    # `()`, the events and one `+` of them all: no partial alternative is made
+    # (interning one per level, each copying its members, took time and memory
+    # quadratic in the number of members)
+    assert len(term.table.nodes) == 1 + len(events) + 1
+    assert len(d.states) == 2 and seconds < 1

@@ -473,3 +473,39 @@ def test_each_pair_of_signatures_is_compared_once_per_lattice(monkeypatch):
             S.match_module(MANAGE_PORTFOLIO, candidate, lattice)
         query = {m.types for m in MANAGE_PORTFOLIO.all_methods()}
         assert len(compared) == len(set(compared)) <= len(query) * len(signatures)
+
+
+# --- the per-lattice memos of match_module ----------------------------------------
+
+@st.composite
+def _queries_and_providers(draw):
+    """A few queries and providers whose methods draw their names from four,
+    their parameter types from at most two lists and their return types from
+    at most two, so that one query meets provided methods that differ only in
+    their return type or only in their names; sizes are drawn apart, so a
+    query may have more methods than a provider, and partial matches are
+    common."""
+    types = st.sampled_from(TYPES[:3])
+    params = draw(st.lists(st.lists(types, max_size=2), min_size=1, max_size=2))
+    returns = draw(st.lists(st.none() | types, min_size=1, max_size=2))
+
+    def interface(tag):
+        names = draw(st.lists(st.sampled_from("abcd"), max_size=4, unique=True))
+        return iface(tag, *(sig(name, *draw(st.sampled_from(params)),
+                                ret=draw(st.sampled_from(returns))) for name in names))
+    queries = [interface(f"Q{i}") for i in range(draw(st.integers(1, 3)))]
+    providers = [interface(f"P{i}") for i in range(draw(st.integers(1, 8)))]
+    return _forest(draw), queries, providers
+
+
+@settings(max_examples=300, deadline=None)
+@given(_queries_and_providers())
+def test_a_shared_lattice_answers_as_fresh_ones_do(case):
+    forest, queries, providers = case
+    shared = S.TypeLattice(dict(forest.parents))
+    for q, p in itertools.product(queries, providers):
+        got = S.match_module(q, p, shared)
+        fresh = S.match_module(q, p, S.TypeLattice(dict(forest.parents)))
+        # MethodMatch equality covers the provided method, kind and permutation
+        assert list(got.method_map.items()) == list(fresh.method_map.items())
+        assert got.unmatched == fresh.unmatched
