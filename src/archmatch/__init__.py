@@ -8,7 +8,7 @@ architectures, `sigmatch` and `matcher` answer "can an existing component
 satisfy this requirement?", and `repo` keeps the compiled index on disk.
 """
 
-from . import category, dsl, matcher, model, protocol, repo, sigmatch
+from . import dsl, matcher, model, protocol, repo, sigmatch
 from .matcher import Requirement
 from .model import publish, resolve, validate_publication
 from .repo import build_index, load, load_requirement

@@ -8,11 +8,10 @@ implicit on every object and are never stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
 from .diagnostics import ERROR, WARNING, Diagnostic, Span
 from .dsl import syntax
 from .model import Model
+from .records import field, record, replace
 
 EXT = "ext"
 CMP = "cmp"
@@ -22,7 +21,7 @@ BUSINESS_GENERATORS = frozenset({EXT, CMP})
 APPLICATION_GENERATORS = frozenset({USE, CMP})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Morphism:
     src: str
     dst: str
@@ -33,7 +32,7 @@ class Morphism:
         return f"{self.src} -{self.kind}-> {self.dst}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PseudoCategory:
     kind: str  # syntax.BUSINESS or syntax.APPLICATION
     name: str
@@ -51,7 +50,7 @@ class PseudoCategory:
         return sorted(self.morphisms, key=lambda m: (m.src, m.dst, m.kind))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunctorMapping:
     """A declared linkage between two architectures, to be validated."""
 
@@ -171,7 +170,7 @@ def check_category(category: PseudoCategory) -> list[Diagnostic]:
     return diagnostics
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FunctorCheck:
     ok: bool
     violations: tuple[str, ...] = ()

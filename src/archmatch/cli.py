@@ -13,11 +13,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from . import category, dsl, matcher, protocol, repo
+from . import dsl, matcher, protocol, repo
 from .diagnostics import ERROR, Diagnostic, has_errors
+from .records import replace
 from .sigmatch import TypeLattice
 
 STATE_LIMIT_ENV = "ARCHMATCH_STATE_LIMIT"
@@ -86,6 +86,7 @@ def check(session: Session, paths: list[str]) -> None:
 
 def arch(session: Session, name: str | None, closure: bool, run_check: bool) -> None:
     """Print the objects and morphisms of the catalog's architectures."""
+    from . import category
     catalog, _ = session.require_catalog()
     if name is not None and name not in catalog.architectures:
         _input_error(f"unknown architecture {name!r}")
@@ -210,6 +211,7 @@ def _result_to_json(req: matcher.Requirement, result: matcher.QueryResult) -> di
 
 def link(session: Session, name: str) -> None:
     """Validate a declared business-to-application linkage; exit 0 iff it holds."""
+    from . import category
     catalog, _ = session.require_catalog()
     mapping = catalog.links.get(name)
     if mapping is None:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .records import record
 
 ERROR = "error"
 WARNING = "warning"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Span:
     """A region of source text: 1-based line/column plus absolute offset."""
 
@@ -21,7 +21,7 @@ class Span:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Diagnostic:
     severity: str  # ERROR or WARNING
     span: Span

@@ -2,7 +2,6 @@
 
 from .tokens import SourceUnit, Token, tokenize
 from .parser import parse_protocol, parse_unit
-from .printer import format, format_protocol
 from . import syntax
 
 __all__ = [
@@ -15,3 +14,10 @@ __all__ = [
     "format_protocol",
     "syntax",
 ]
+
+
+def __getattr__(name: str):  # the formatter, which no command calls, on first use
+    if name in ("format", "format_protocol"):
+        from . import printer
+        return getattr(printer, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,10 +7,9 @@ original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..diagnostics import Span
 from ..protocol import ProtocolExpr
+from ..records import field, record
 
 BUSINESS = "business"
 APPLICATION = "application"
@@ -20,14 +19,14 @@ def _span() -> object:
     return field(compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ParamDecl:
     name: str
     type: str
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Annot:
     """Opaque method annotation text: guard/pre/post/design."""
 
@@ -40,7 +39,7 @@ class Annot:
         return self.guard is None and self.pre is None and self.post is None and self.design is None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodDecl:
     name: str
     params: tuple[ParamDecl, ...]
@@ -49,21 +48,21 @@ class MethodDecl:
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldDecl:
     name: str
     type: str
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeDecl:
     name: str
     supertype: str | None
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InterfaceDecl:
     name: str
     extends: str | None
@@ -72,7 +71,7 @@ class InterfaceDecl:
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ContractDecl:
     name: str
     implements: str
@@ -84,7 +83,7 @@ class ContractDecl:
     protocol_span: Span | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ComponentDecl:
     name: str
     provided_contract: str
@@ -95,7 +94,7 @@ class ComponentDecl:
     causal_span: Span | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PublicationDecl:
     name: str
     provided_contract: str
@@ -106,13 +105,13 @@ class PublicationDecl:
     causal_span: Span | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ObjectRef:
     name: str
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MorphismDecl:
     src: str
     kind: str
@@ -120,7 +119,7 @@ class MorphismDecl:
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ArchitectureDecl:
     kind: str  # BUSINESS or APPLICATION
     name: str
@@ -129,21 +128,21 @@ class ArchitectureDecl:
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MapEntry:
     src: str
     dst: str
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneratorEntry:
     src: str
     dst: str
     span: Span = _span()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinkDecl:
     name: str
     source: str
@@ -157,7 +156,7 @@ Declaration = (TypeDecl | InterfaceDecl | ContractDecl | ComponentDecl
                | PublicationDecl | ArchitectureDecl | LinkDecl)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SyntaxTree:
     declarations: tuple[Declaration, ...]
     path: str = field(default="", compare=False)

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from ..diagnostics import Span
+from ..records import field, record
 
 KEYWORDS = frozenset({
     "type", "interface", "extends", "field", "contract", "implements", "init",
@@ -26,13 +26,13 @@ EOF = "eof"
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class SourceUnit:
     path: str
     text: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Token:
     kind: str  # IDENT/STRING/ERROR/EOF, a keyword, or a punctuation string
     text: str  # raw source text

@@ -9,12 +9,12 @@ classified USE / adaptation candidate / no match and ranked deterministically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from . import protocol, sigmatch
 from .model import Interface
 from .protocol import FiniteAutomaton, ProtocolExpr
+from .records import record
 from .sigmatch import ModuleMatch, TypeLattice
 
 HOLDS = "HOLDS"
@@ -37,7 +37,7 @@ PROTOCOL_WEIGHT = {HOLDS: 1.0, NOT_CHECKED: 0.5, FAILS: 0.0}
 #: coverage needed for a partial signature match to stay an adaptation candidate
 ADAPT_COVERAGE_THRESHOLD = 0.5
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Requirement:
     """A new business interface to satisfy, with an optional call protocol."""
 
@@ -45,7 +45,7 @@ class Requirement:
     required_protocol: ProtocolExpr | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MatchReport:
     component: str
     module_match: ModuleMatch  # its `unmatched` is empty for a full signature match
@@ -58,7 +58,7 @@ class MatchReport:
         return (_VERDICT_RANK[self.verdict], -self.score, self.component)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Recommendation:
     action: str  # USE / ADAPT / NEW
     component: str | None = None
@@ -67,7 +67,7 @@ class Recommendation:
         return f"{self.action} {self.component}" if self.component else self.action
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QueryResult:
     reports: tuple[MatchReport, ...]
     recommendation: Recommendation

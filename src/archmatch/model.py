@@ -4,38 +4,38 @@ publications, and the publication derivation (guard stripping + causal relation)
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from . import protocol
 from .diagnostics import ERROR, Diagnostic, Span
 from .dsl import syntax
 from .protocol import ProtocolExpr, Shuffle, events, universal_expr
+from .records import field, record, replace
 
 
 class ModelError(ValueError):
     """A model-level precondition violation (e.g. publishing without a protocol)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeDecl:
     name: str
     supertype: str | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Param:
     name: str
     type: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Field:
     name: str
     type: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodSig:
     name: str
     params: tuple[Param, ...]
@@ -55,7 +55,7 @@ class MethodSig:
         return f"{self.name}({params}){ret}"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodSpec:
     """Opaque method specification; publications carry no guards."""
 
@@ -68,7 +68,7 @@ class MethodSpec:
         return replace(self, guard=None)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Interface:
     name: str
     fields: tuple[Field, ...]
@@ -86,7 +86,7 @@ class Interface:
         return frozenset(m.name for m in self.all_methods())
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Contract:
     name: str
     iface: Interface
@@ -99,13 +99,13 @@ class Contract:
         return id(self)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GeneralContract:
     base: Contract
     private_methods: tuple[tuple[MethodSig, MethodSpec], ...] = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Component:
     name: str
     provided: GeneralContract
@@ -122,7 +122,7 @@ class Component:
         return self.provided.base.prot
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PublicationContract:
     iface: Interface
     designs: dict[str, MethodSpec]  # guard-free, one entry per interface method
@@ -132,7 +132,7 @@ class PublicationContract:
         return id(self)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Publication:
     name: str
     provided: PublicationContract
@@ -140,7 +140,7 @@ class Publication:
     causal: ProtocolExpr
 
 
-@dataclass
+@record
 class Model:
     """Resolved declarations, with lookup by name per declaration kind."""
 
@@ -469,14 +469,14 @@ def publish(component: Component) -> Publication:
     return _derive_publication(component.name, contract, component.required, component.causal)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ProjectionFailure:
     condition: str  # "provided" or "required"
     witness: tuple[str, ...]
     side: str  # "causal-projection" or "declared-protocol": who accepts the witness
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PublicationCheck:
     ok: bool
     failures: tuple[ProjectionFailure, ...] = ()

@@ -14,8 +14,9 @@ when they fail.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, TypeVar
+
+from .records import record
 
 DEFAULT_STATE_LIMIT = 10**6
 
@@ -32,36 +33,36 @@ class ProtocolExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Eps(ProtocolExpr):
     """The empty word."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Ev(ProtocolExpr):
     """A single call event on a named method."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Seq(ProtocolExpr):
     left: ProtocolExpr
     right: ProtocolExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Alt(ProtocolExpr):
     left: ProtocolExpr
     right: ProtocolExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Star(ProtocolExpr):
     inner: ProtocolExpr
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Shuffle(ProtocolExpr):
     """Arbitrary interleaving of two protocols."""
 
@@ -133,7 +134,7 @@ def universal_expr(alphabet: frozenset[str] | set[str]) -> ProtocolExpr:
     return Star(chain(Alt, [Ev(n) for n in names]))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FiniteAutomaton:
     """A DFA over method-name symbols; a missing transition rejects."""
 
@@ -165,13 +166,13 @@ def relabel(a: FiniteAutomaton, mapping: dict[str, str]) -> FiniteAutomaton:
     return FiniteAutomaton(a.states, alphabet, transitions, a.start, a.accepting)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class InclusionResult:
     holds: bool
     counterexample: tuple[str, ...] | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class EquivalenceResult:
     holds: bool
     witness: tuple[str, ...] | None = None
@@ -318,7 +319,7 @@ class _Terms:
         return term(fold(expr, visit))
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class Term:
     """`expr` interned in its own term table, to be determinized over `alphabet`."""
 

@@ -23,16 +23,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import category, dsl, model, protocol
-from .category import FunctorMapping, PseudoCategory
+from . import dsl, model, protocol
 from .diagnostics import ERROR, Diagnostic, Span, has_errors
 from .dsl import SourceUnit, syntax
 from .matcher import Requirement
 from .model import MethodSig, Model, Param, TypeDecl
 from .protocol import FiniteAutomaton
+from .records import field, record
+
+if TYPE_CHECKING:  # `category` is imported by the commands that build architectures
+    from .category import FunctorMapping, PseudoCategory
 
 # The first line of a cache file. Bump it whenever build_index could give
 # different output for the same source (for example after a change to compile,
@@ -48,7 +51,7 @@ class CacheError(Exception):
     """The cache file is unreadable, corrupt, or of the wrong version."""
 
 
-@dataclass
+@record
 class Catalog:
     path: str
     units: tuple[SourceUnit, ...]
@@ -58,14 +61,14 @@ class Catalog:
     source_hash: str = ""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class IndexEntry:
     component: str
     methods: tuple[MethodSig, ...]
     provided_automaton: FiniteAutomaton
 
 
-@dataclass
+@record
 class CompiledIndex:
     entries: dict[str, IndexEntry]
     source_hash: str
@@ -150,6 +153,7 @@ def parse_units(paths: list[str | Path], texts: dict[Path, str] | None = None,
 def _build_architectures(m: Model) -> tuple[dict[str, PseudoCategory],
                                             dict[str, FunctorMapping],
                                             list[Diagnostic]]:
+    from . import category
     diagnostics: list[Diagnostic] = []
     architectures: dict[str, PseudoCategory] = {}
     for name, decl in sorted(m.architectures.items()):

@@ -8,9 +8,8 @@ ranking ingredient upstream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .model import Interface, MethodSig, TypeDecl
+from .records import field, record
 
 EXACT = "exact"
 PERMUTED = "permuted"
@@ -30,7 +29,7 @@ def weakest(kinds) -> str:
     return min(kinds, key=strength, default=EXACT)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TypeLattice:
     """Reflexive-transitive subtype order from declared `<:` supertypes.
 
@@ -71,7 +70,7 @@ class TypeLattice:
         return name
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class MethodMatch:
     query_method: str
     provided_method: str
@@ -82,7 +81,7 @@ class MethodMatch:
         return self.query_method == self.provided_method
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ModuleMatch:
     """An injective map of query methods onto provided methods; `unmatched`
     names the query methods it leaves out, in query order (none for a full match)."""
@@ -155,12 +154,6 @@ def _match_cell(q_types, p_types, lattice: TypeLattice):
     if key not in lattice.matches:
         lattice.matches[key] = _match_types(q_types, p_types, lattice)
     return lattice.matches[key]
-
-
-def match_method(q: MethodSig, p: MethodSig, lattice: TypeLattice) -> MethodMatch | None:
-    """Strongest applicable signature match between two methods, if any."""
-    found = _match_cell(q.types, p.types, lattice)
-    return None if found is None else MethodMatch(q.name, p.name, *found)
 
 
 def _match_matrix(q_methods, p_methods, lattice):

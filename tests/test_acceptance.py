@@ -6,7 +6,6 @@ lines as they complete.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import shutil
 import time
@@ -18,6 +17,7 @@ from archmatch import protocol as P
 from archmatch.dsl import SourceUnit, format_protocol
 from archmatch.matcher import Requirement
 from archmatch.protocol import Alt, Ev, Eps, Seq, Shuffle, Star
+from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
 
 from cli_runner import run as run_cli
@@ -198,7 +198,7 @@ def test_criterion_5_publication_laws():
         if not model.validate_publication(pub).ok:
             ok = False
         victim = rng.choice(provided + required)
-        mutated = dataclasses.replace(pub, causal=_delete_event(pub.causal, victim))
+        mutated = replace(pub, causal=_delete_event(pub.causal, victim))
         broken = model.validate_publication(mutated)
         if broken.ok or not broken.failures or broken.failures[0].witness is None:
             ok = False

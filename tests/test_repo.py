@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import shutil
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 
 from archmatch import matcher, repo
 from archmatch import protocol as P
+from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
 from broken_caches import DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE
 

@@ -25,44 +25,49 @@ WITH_SUB = S.TypeLattice({"String": None, "Party": None, "Account": "Party",
                           "Premium": "Account"})
 
 
-# --- match_method --------------------------------------------------------------
+def cell(q, p, lattice):
+    """The (kind, parameter permutation) of the strongest match of two methods, or None."""
+    return S._match_cell(q.types, p.types, lattice)
+
+
+# --- one pair of methods ---------------------------------------------------------
 
 def test_exact_match_on_identical_signature():
-    m = S.match_method(sig("viewDocument", "String"), sig("viewDocument", "String"), FLAT)
-    assert m.kind == S.EXACT
-    assert m.param_permutation == (0,)
+    kind, permutation = cell(sig("viewDocument", "String"), sig("viewDocument", "String"), FLAT)
+    assert kind == S.EXACT
+    assert permutation == (0,)
 
 
 def test_names_do_not_block_matching():
-    m = S.match_method(sig("a", "String"), sig("b", "String"), FLAT)
-    assert m.kind == S.EXACT
-    assert not m.names_equal()
+    m = S.match_module(iface("Q", sig("a", "String")), iface("P", sig("b", "String")), FLAT)
+    assert m.method_map["a"].kind == S.EXACT
+    assert m.method_map["a"].provided_method == "b"
+    assert not m.method_map["a"].names_equal()
 
 
 def test_permuted_match_records_permutation():
-    m = S.match_method(sig("f", "String", "Account"), sig("g", "Account", "String"), FLAT)
-    assert m.kind == S.PERMUTED
-    assert m.param_permutation == (1, 0)
+    kind, permutation = cell(sig("f", "String", "Account"), sig("g", "Account", "String"), FLAT)
+    assert kind == S.PERMUTED
+    assert permutation == (1, 0)
     # applying the permutation to p's parameter types gives q's, positionally
     p_types = ("Account", "String")
-    assert tuple(p_types[i] for i in m.param_permutation) == ("String", "Account")
+    assert tuple(p_types[i] for i in permutation) == ("String", "Account")
 
 
 def test_generalized_match_via_declared_subtype():
     q = sig("f", "Account")
     p = sig("h", "Party")
-    m = S.match_method(q, p, WITH_SUB)
-    assert m.kind == S.GENERALIZED
+    assert cell(q, p, WITH_SUB)[0] == S.GENERALIZED
     # exhaustive over the one-parameter subtype table
     order = ["Premium", "Account", "Party"]
     for qt, pt in itertools.product(order, order):
-        got = S.match_method(sig("q", qt), sig("p", pt), WITH_SUB)
+        got = cell(sig("q", qt), sig("p", pt), WITH_SUB)
         if qt == pt:
-            assert got.kind == S.EXACT
+            assert got[0] == S.EXACT
         elif WITH_SUB.le(qt, pt):
-            assert got.kind == S.GENERALIZED
+            assert got[0] == S.GENERALIZED
         elif WITH_SUB.le(pt, qt):
-            assert got.kind == S.SPECIALIZED
+            assert got[0] == S.SPECIALIZED
         else:
             assert got is None
 
@@ -81,39 +86,39 @@ def _first_permutation(qt, pt):
     lambda qt: st.tuples(st.just(tuple(qt)), st.permutations(qt).map(tuple))))
 def test_permuted_match_is_the_first_permutation(types):
     qt, pt = types
-    m = S.match_method(sig("f", *qt), sig("g", *pt), FLAT)
-    assert m.kind == (S.EXACT if qt == pt else S.PERMUTED)
-    assert m.param_permutation == _first_permutation(qt, pt)
+    kind, permutation = cell(sig("f", *qt), sig("g", *pt), FLAT)
+    assert kind == (S.EXACT if qt == pt else S.PERMUTED)
+    assert permutation == _first_permutation(qt, pt)
 
 
 def test_permuted_match_on_twelve_reversed_parameters():
     qt = ("String", "Account", "Party") * 4
-    m = S.match_method(sig("f", *qt), sig("g", *reversed(qt)), FLAT)
-    assert m.kind == S.PERMUTED
-    assert m.param_permutation == (2, 1, 0, 5, 4, 3, 8, 7, 6, 11, 10, 9)
+    kind, permutation = cell(sig("f", *qt), sig("g", *reversed(qt)), FLAT)
+    assert kind == S.PERMUTED
+    assert permutation == (2, 1, 0, 5, 4, 3, 8, 7, 6, 11, 10, 9)
 
 
 def test_return_types_are_unit_when_absent():
-    assert S.match_method(sig("f"), sig("g"), FLAT).kind == S.EXACT
-    assert S.match_method(sig("f"), sig("g", ret="String"), FLAT) is None
-    assert S.match_method(sig("f", ret="String"), sig("g", ret="String"), FLAT).kind == S.EXACT
+    assert cell(sig("f"), sig("g"), FLAT)[0] == S.EXACT
+    assert cell(sig("f"), sig("g", ret="String"), FLAT) is None
+    assert cell(sig("f", ret="String"), sig("g", ret="String"), FLAT)[0] == S.EXACT
 
 
 def test_return_type_variance():
     # provided return more specific than asked: generalized overall
     q = sig("f", "String", ret="Party")
     p = sig("g", "String", ret="Account")
-    assert S.match_method(q, p, WITH_SUB).kind == S.GENERALIZED
-    assert S.match_method(p, q, WITH_SUB).kind == S.SPECIALIZED
+    assert cell(q, p, WITH_SUB)[0] == S.GENERALIZED
+    assert cell(p, q, WITH_SUB)[0] == S.SPECIALIZED
 
 
-def test_match_method_reflexive_exact():
+def test_a_method_matches_itself_exactly():
     rng = random.Random(5)
     types = ["String", "Account", "Party", "Premium"]
     for _ in range(40):
         m = sig("m", *(rng.choice(types) for _ in range(rng.randint(0, 3))),
                 ret=rng.choice(types + [None]))
-        assert S.match_method(m, m, WITH_SUB).kind == S.EXACT
+        assert cell(m, m, WITH_SUB)[0] == S.EXACT
 
 
 def test_generalized_specialized_duality():
@@ -124,12 +129,12 @@ def test_generalized_specialized_duality():
                 ret=rng.choice(types + [None]))
         p = sig("p", *(rng.choice(types) for _ in range(rng.randint(0, 2))),
                 ret=rng.choice(types + [None]))
-        qp = S.match_method(q, p, WITH_SUB)
-        pq = S.match_method(p, q, WITH_SUB)
-        if qp is not None and qp.kind == S.GENERALIZED:
-            assert pq is not None and pq.kind == S.SPECIALIZED
-        if qp is not None and qp.kind == S.SPECIALIZED:
-            assert pq is not None and pq.kind == S.GENERALIZED
+        qp = cell(q, p, WITH_SUB)
+        pq = cell(p, q, WITH_SUB)
+        if qp is not None and qp[0] == S.GENERALIZED:
+            assert pq is not None and pq[0] == S.SPECIALIZED
+        if qp is not None and qp[0] == S.SPECIALIZED:
+            assert pq is not None and pq[0] == S.GENERALIZED
 
 
 # --- match_module ---------------------------------------------------------------
@@ -201,10 +206,10 @@ def brute_force_best_kind(q, p, lattice):
     for combo in itertools.permutations(range(len(p_methods)), len(q_methods)):
         kinds = []
         for qi, pj in enumerate(combo):
-            m = S.match_method(q_methods[qi], p_methods[pj], lattice)
+            m = cell(q_methods[qi], p_methods[pj], lattice)
             if m is None:
                 break
-            kinds.append(m.kind)
+            kinds.append(m[0])
         else:
             overall = S.weakest(kinds)
             if best is None or S.strength(overall) > S.strength(best):
@@ -277,7 +282,7 @@ def test_root_walks_to_the_top_of_the_chain():
 @given(_forest_and_methods())
 def test_every_match_kind_preserves_shape(case):
     lattice, q, p = case
-    if S.match_method(q, p, lattice) is not None:
+    if cell(q, p, lattice) is not None:
         assert S.shape(q, lattice) == S.shape(p, lattice)
 
 
@@ -318,7 +323,7 @@ def test_partial_match_puts_coverage_before_names():
 def _best_partial(q_methods, p_methods, lattice):
     """Brute force: the maximal (matched count, verbatim-name count) over all
     injective partial assignments."""
-    matrix = [[S.match_method(qm, pm, lattice) for pm in p_methods] for qm in q_methods]
+    matrix = [[cell(qm, pm, lattice) for pm in p_methods] for qm in q_methods]
 
     def best(i, used):
         if i == len(q_methods):
@@ -327,7 +332,7 @@ def _best_partial(q_methods, p_methods, lattice):
         for j, m in enumerate(matrix[i]):
             if j not in used and m is not None:
                 count, names = best(i + 1, used | {j})
-                options.append((count + 1, names + m.names_equal()))
+                options.append((count + 1, names + (q_methods[i].name == p_methods[j].name)))
         return max(options)
     return best(0, frozenset())
 
@@ -384,16 +389,18 @@ def test_partial_match_agrees_with_brute_force(case):
     assert (len(res.method_map), names) == _best_partial(q.all_methods(), p.all_methods(),
                                                          lattice)
     for name, m in res.method_map.items():
-        assert m == S.match_method(q_by_name[name], p_by_name[m.provided_method], lattice)
+        assert m == S.MethodMatch(name, m.provided_method,
+                                  *cell(q_by_name[name], p_by_name[m.provided_method], lattice))
     provided = [m.provided_method for m in res.method_map.values()]
     assert len(provided) == len(set(provided))
     assert res.unmatched == tuple(n for n in q_by_name if n not in res.method_map)
 
 
-# --- the per-lattice memo of match_method ---------------------------------------
+# --- the per-lattice memo of method matches -------------------------------------
 
-def unmemoised_match_method(q, p, lattice):
-    """match_method without the memo, each pair compared afresh: the reference."""
+def unmemoised_cell(q, p, lattice):
+    """The (kind, permutation) of a method match without the memo, each pair
+    compared afresh: the reference."""
     qt, pt = q.param_types(), p.param_types()
     if len(qt) != len(pt):
         return None
@@ -401,23 +408,23 @@ def unmemoised_match_method(q, p, lattice):
     returns_equal = q.return_type == p.return_type
 
     if qt == pt and returns_equal:
-        return S.MethodMatch(q.name, p.name, S.EXACT, identity)
+        return S.EXACT, identity
 
     if sorted(qt) == sorted(pt) and returns_equal:
         pairs = zip(sorted(identity, key=qt.__getitem__), sorted(identity, key=pt.__getitem__))
-        return S.MethodMatch(q.name, p.name, S.PERMUTED, tuple(j for _, j in sorted(pairs)))
+        return S.PERMUTED, tuple(j for _, j in sorted(pairs))
 
     if (all(lattice.le(qi, pi) for qi, pi in zip(qt, pt))
             and S._return_le(lattice, p.return_type, q.return_type)):
         strict = qt != pt or q.return_type != p.return_type
         if strict:
-            return S.MethodMatch(q.name, p.name, S.GENERALIZED, identity)
+            return S.GENERALIZED, identity
 
     if (all(lattice.le(pi, qi) for qi, pi in zip(qt, pt))
             and S._return_le(lattice, q.return_type, p.return_type)):
         strict = qt != pt or q.return_type != p.return_type
         if strict:
-            return S.MethodMatch(q.name, p.name, S.SPECIALIZED, identity)
+            return S.SPECIALIZED, identity
 
     return None
 
@@ -434,12 +441,12 @@ def _two_forests_and_methods(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_two_forests_and_methods())
-def test_memoised_match_method_agrees_with_the_unmemoised_one(case):
+def test_memoised_match_cell_agrees_with_the_unmemoised_one(case):
     first, second, methods = case
     # both lattices, interleaved, and every pair twice: the second time from the memo
     for q, p in itertools.product(methods, repeat=2):
         for lattice in (first, second, first, second):
-            assert S.match_method(q, p, lattice) == unmemoised_match_method(q, p, lattice)
+            assert cell(q, p, lattice) == unmemoised_cell(q, p, lattice)
 
 
 def test_lattices_with_different_orders_share_no_memo_entry():
@@ -447,10 +454,10 @@ def test_lattices_with_different_orders_share_no_memo_entry():
     flat = S.TypeLattice({"A": None, "B": None})
     q, p = sig("f", "A"), sig("g", "B")
     for _ in range(2):
-        assert S.match_method(q, p, ordered).kind == S.SPECIALIZED
-        assert S.match_method(q, p, flat) is None
-        assert S.match_method(p, q, flat) is None
-        assert S.match_method(p, q, ordered).kind == S.GENERALIZED
+        assert cell(q, p, ordered)[0] == S.SPECIALIZED
+        assert cell(q, p, flat) is None
+        assert cell(p, q, flat) is None
+        assert cell(p, q, ordered)[0] == S.GENERALIZED
 
 
 def test_each_pair_of_signatures_is_compared_once_per_lattice(monkeypatch):
