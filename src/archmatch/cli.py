@@ -196,12 +196,14 @@ def _result_to_json(req: matcher.Requirement, result: matcher.QueryResult) -> di
             "component": r.component,
             "verdict": r.verdict,
             "kind": None if sig.unmatched else sig.overall_kind,
-            "score": r.score,
             "methodMap": {q: m.provided_method for q, m in sorted(sig.method_map.items())},
+            "unmatched": list(sig.unmatched),
+            "nameMatches": sig.name_matches(),
+            "protocolVerdict": r.protocol_verdict,
             "counterexample": list(r.counterexample) if r.counterexample is not None else None,
         })
     return {
-        "version": 1,
+        "version": 2,
         "requirement": req.iface.name,
         "recommendation": {"action": result.recommendation.action,
                            "component": result.recommendation.component},

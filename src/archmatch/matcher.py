@@ -4,7 +4,9 @@ A requirement (a business interface plus an optional call protocol) is run
 against every indexed component: a signature-shape prefilter, then signature
 matching, then trace inclusion of the requirement protocol, relabeled through
 the signature map, in the component's provided protocol.  Components are
-classified USE / adaptation candidate / no match and ranked deterministically.
+classified USE / adaptation candidate / no match and ranked by verdict, then
+by signature map (more matched methods first, then the stronger weakest-link
+kind, then more verbatim names), then by component name.
 """
 
 from __future__ import annotations
@@ -30,10 +32,6 @@ ADAPT = "ADAPT"
 
 _VERDICT_RANK = {USE: 0, ADAPT_CANDIDATE: 1, NO_MATCH: 2}
 
-KIND_WEIGHT = {sigmatch.EXACT: 1.0, sigmatch.PERMUTED: 0.8,
-               sigmatch.GENERALIZED: 0.6, sigmatch.SPECIALIZED: 0.4}
-PROTOCOL_WEIGHT = {HOLDS: 1.0, NOT_CHECKED: 0.5, FAILS: 0.0}
-
 #: coverage needed for a partial signature match to stay an adaptation candidate
 ADAPT_COVERAGE_THRESHOLD = 0.5
 
@@ -52,10 +50,13 @@ class MatchReport:
     protocol_verdict: str  # HOLDS / FAILS / NOT_CHECKED
     counterexample: tuple[str, ...] | None
     verdict: str  # USE / ADAPT_CANDIDATE / NO_MATCH
-    score: float
 
     def sort_key(self):
-        return (_VERDICT_RANK[self.verdict], -self.score, self.component)
+        sig = self.module_match
+        return (_VERDICT_RANK[self.verdict], -len(sig.method_map),
+                -sigmatch.strength(sig.overall_kind), -sig.name_matches(), self.component)
+
+    score = property(sort_key)  # the name under which perfbench/tests compares reports
 
 
 @record(frozen=True)
@@ -71,14 +72,6 @@ class Recommendation:
 class QueryResult:
     reports: tuple[MatchReport, ...]
     recommendation: Recommendation
-
-
-def score(kind: str, name_overlap: float, protocol_verdict: str,
-          coverage: float = 1.0) -> float:
-    """Deterministic rank in [0, 1]: half signature kind, then name overlap,
-    then protocol verdict; partial coverage scales the kind contribution."""
-    return round(0.5 * KIND_WEIGHT[kind] * coverage + 0.3 * name_overlap
-                 + 0.2 * PROTOCOL_WEIGHT[protocol_verdict], 6)
 
 
 def prefilter(requirement: Requirement, entries, lattice: TypeLattice,
@@ -105,7 +98,7 @@ def _match_one(requirement: Requirement, entry, lattice: TypeLattice, required_d
     counterexample = None
     if sig.unmatched:
         if sig.coverage() < ADAPT_COVERAGE_THRESHOLD:
-            return MatchReport(entry.component, sig, NOT_CHECKED, None, NO_MATCH, 0.0)
+            return MatchReport(entry.component, sig, NOT_CHECKED, None, NO_MATCH)
         verdict, protocol_verdict = ADAPT_CANDIDATE, NOT_CHECKED
     elif requirement.required_protocol is None:
         verdict, protocol_verdict = USE, NOT_CHECKED
@@ -118,9 +111,7 @@ def _match_one(requirement: Requirement, entry, lattice: TypeLattice, required_d
             raise protocol.ProtocolTooLarge(f"component {entry.component!r}: {err}") from err
         verdict, protocol_verdict = (USE, HOLDS) if result.holds else (ADAPT_CANDIDATE, FAILS)
         counterexample = result.counterexample
-    return MatchReport(entry.component, sig, protocol_verdict, counterexample, verdict,
-                       score(sig.overall_kind, sig.name_overlap(), protocol_verdict,
-                             sig.coverage()))
+    return MatchReport(entry.component, sig, protocol_verdict, counterexample, verdict)
 
 
 def match_requirement(requirement: Requirement, index, lattice: TypeLattice, *,
@@ -129,8 +120,10 @@ def match_requirement(requirement: Requirement, index, lattice: TypeLattice, *,
     """Run the full pipeline against a compiled index.
 
     `index` is a repo.CompiledIndex (anything with an `entries` mapping of
-    component name to index entries works).  Reports are sorted by verdict,
-    then score, then component name, so identical inputs give identical output.
+    component name to index entries works).  Reports are ranked by verdict,
+    then by signature map (more matched methods first, then the stronger
+    weakest-link kind, then more verbatim names), then by component name, so
+    identical inputs give identical output.
     """
     candidates = prefilter(requirement, index.entries.values(), lattice, use_prefilter)
 
@@ -154,8 +147,10 @@ def match_requirement(requirement: Requirement, index, lattice: TypeLattice, *,
 
 def explain(report: MatchReport) -> str:
     """A human-readable narrative for one match report."""
-    lines = [f"component {report.component}: {report.verdict} (score {report.score:.2f})"]
     sig = report.module_match
+    kind = "" if sig.unmatched else f"{sig.overall_kind}; "
+    lines = [f"component {report.component}: {report.verdict} ({kind}{len(sig.method_map)} of "
+             f"{len(sig.method_map) + len(sig.unmatched)} methods, {sig.name_matches()} same names)"]
     if not sig.unmatched:
         lines.append("  method map:")
     elif sig.method_map:

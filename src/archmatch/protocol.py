@@ -515,7 +515,7 @@ def sample_traces(a: FiniteAutomaton, max_len: int) -> list[tuple[str, ...]]:
     edges = _edges(a)
     out: list[tuple[str, ...]] = []
     frontier: list[tuple[tuple[str, ...], int]] = [((), a.start)]
-    for _ in range(max_len + 1):
+    while frontier and len(frontier[0][0]) <= max_len:  # its words share one length
         nxt: list[tuple[tuple[str, ...], int]] = []
         for word, s in frontier:
             if s in a.accepting:

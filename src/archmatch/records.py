@@ -64,19 +64,21 @@ def record(cls=None, /, *, frozen=False, eq=True):
         init.append("self.__post_init__()")
     shown = ", ".join(f"{n}={{self.{n}!r}}" for n, f in fields.items() if f.repr)
     key = "(" + "".join(f"self.{n}," for n, f in fields.items() if f.compare) + ")"
-    exec("\n".join([
-        f"def __init__({', '.join(params)}):", *(f" {line}" for line in init or ["pass"]),
-        "def __repr__(self):", f' return f"{{self.__class__.__qualname__}}({shown})"',
-        "def __eq__(self, other):", " if other.__class__ is not self.__class__:",
-        "  return NotImplemented", f" return {key} == {key.replace('self.', 'other.')}",
-        "def __hash__(self):", f" return hash({key})"]), ns)
-    ns["__init__"].__annotations__ = {**annotations, "return": None}
-    ns.update(__hash__=ns["__hash__"] if frozen else None,
-              __setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
-    for name in ("__init__", "__repr__", *("__eq__", "__hash__") * eq,
-                 *("__setattr__", "__delattr__") * frozen):
-        if name not in body:
-            setattr(cls, name, ns[name])
+    kept = [name for name in ("__init__", "__repr__", *("__eq__", "__hash__") * eq,
+                              *("__setattr__", "__delattr__") * frozen) if name not in body]
+    source = {
+        "__init__": "\n ".join([f"def __init__({', '.join(params)}):", *(init or ["pass"])]),
+        "__repr__": f'def __repr__(self):\n return f"{{self.__class__.__qualname__}}({shown})"',
+        "__eq__": "\n ".join(["def __eq__(self, other):", "if other.__class__ is not self.__class__:",
+                              " return NotImplemented",
+                              f"return {key} == {key.replace('self.', 'other.')}"]),
+        "__hash__": f"def __hash__(self):\n return hash({key})" if frozen else "__hash__ = None"}
+    exec("\n".join(source[name] for name in kept if name in source), ns)  # only what is kept
+    ns.update(__setattr__=_frozen_setattr, __delattr__=_frozen_delattr)
+    if "__init__" in ns:
+        ns["__init__"].__annotations__ = {**annotations, "return": None}
+    for name in kept:
+        setattr(cls, name, ns[name])
     cls.__record_fields__ = fields
     return cls
 

@@ -2,8 +2,10 @@
 method matches, and injective interface-to-interface assignments.
 
 Method names never block a match; the resulting rename map feeds the protocol
-level, and verbatim name agreement is only a deterministic tie-break (and a
-ranking ingredient upstream).
+level.  One rule ranks maps: more matched methods first, then the stronger
+weakest-link kind, then more verbatim names.  `match_module` picks a full map
+by it (a partial one by matched methods, then names), and `matcher` ranks its
+reports by it.
 """
 
 from __future__ import annotations
@@ -100,11 +102,8 @@ class ModuleMatch:
         total = len(self.method_map) + len(self.unmatched)
         return len(self.method_map) / total if total else 1.0
 
-    def name_overlap(self) -> float:
-        total = len(self.method_map) + len(self.unmatched)
-        if not total:
-            return 1.0
-        return sum(1 for m in self.method_map.values() if m.names_equal()) / total
+    def name_matches(self) -> int:
+        return sum(1 for m in self.method_map.values() if m.names_equal())
 
 
 def _return_le(lattice: TypeLattice, sub: str | None, sup: str | None) -> bool:

@@ -304,14 +304,17 @@ def test_match_json_shape(workdir):
               "match", str(workdir / "manage_documents_req.adl"), "--format", "json")
     assert res.exit_code == 0
     doc = json.loads(res.output)
-    assert doc["version"] == 1
+    assert doc["version"] == 2
     assert doc["recommendation"] == {"action": "USE", "component": "DocumentManager"}
     report = doc["reports"][0]
     assert report["component"] == "DocumentManager"
     assert report["verdict"] == "USE"
     assert report["kind"] == "exact"
-    assert report["score"] == 1.0
+    assert "score" not in report
     assert report["methodMap"]["searchDocuments"] == "searchDocuments"
+    assert report["unmatched"] == []
+    assert report["nameMatches"] == 3
+    assert report["protocolVerdict"] == "HOLDS"
     assert report["counterexample"] is None
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from archmatch import matcher, model, repo, sigmatch
@@ -87,7 +87,7 @@ def test_match_documents_requirement_use(repo_state):
     assert report.verdict == matcher.USE
     assert report.protocol_verdict == matcher.HOLDS
     assert report.module_match.overall_kind == "exact"
-    assert report.score == 1.0
+    assert report.module_match.name_matches() == 3
 
 
 def test_match_portfolio_requirement_new(repo_state):
@@ -147,8 +147,8 @@ def test_match_determinism(repo_state):
     a = matcher.match_requirement(req, index, lattice)
     b = matcher.match_requirement(req, index, lattice)
     assert a.recommendation == b.recommendation
-    assert [(r.component, r.verdict, r.score, r.counterexample) for r in a.reports] == \
-        [(r.component, r.verdict, r.score, r.counterexample) for r in b.reports]
+    assert [(r.sort_key(), r.verdict, r.counterexample) for r in a.reports] == \
+        [(r.sort_key(), r.verdict, r.counterexample) for r in b.reports]
 
 
 TYPES = ["T0", "T1", "T2", "T3", "T4"]
@@ -195,8 +195,7 @@ def _queries(draw):
 
 
 def _kept_reports(result):
-    return [(r.component, r.verdict, r.score,
-             r.module_match.method_map, r.counterexample)
+    return [(r.sort_key(), r.verdict, r.module_match.method_map, r.counterexample)
             for r in result.reports if r.verdict != matcher.NO_MATCH]
 
 
@@ -260,9 +259,10 @@ def test_signature_matrix_is_built_once_per_candidate(monkeypatch):
                     for name, methods in providers.items()})
     req = Requirement(model.Interface("R", (), wanted))
     result = matcher.match_requirement(req, index, TypeLattice({"T": None, "U": None}))
+    # Tiny keeps the name of `c`, Poor keeps none
     assert [(r.component, r.verdict) for r in result.reports] == \
-        [("Adapt", matcher.ADAPT_CANDIDATE), ("Poor", matcher.NO_MATCH),
-         ("Tiny", matcher.NO_MATCH)]
+        [("Adapt", matcher.ADAPT_CANDIDATE), ("Tiny", matcher.NO_MATCH),
+         ("Poor", matcher.NO_MATCH)]
     # each distinct pair of signature types is compared once, though Adapt and
     # Poor share the signature of `p`
     pairs = {(w.types, m.types) for w in wanted for ms in providers.values() for m in ms}
@@ -271,24 +271,90 @@ def test_signature_matrix_is_built_once_per_candidate(monkeypatch):
     assert all(r.module_match.unmatched for r in result.reports)
 
 
-# --- score -------------------------------------------------------------------------
+# --- ranking -----------------------------------------------------------------------
 
-def test_score_maximum():
-    assert matcher.score("exact", 1.0, matcher.HOLDS) == 1.0
-
-
-def test_score_exact_names_protocol_fails():
-    assert matcher.score("exact", 1.0, matcher.FAILS) == 0.8
-
-
-def test_score_specialized_no_names_not_checked():
-    assert matcher.score("specialized", 0.0, matcher.NOT_CHECKED) == 0.3
+def _ranked(wanted, providers, lattice):
+    """Match a requirement of methods `wanted`, without a protocol, against
+    components of the given methods that allow every call sequence."""
+    auto = P.minimize(P.determinize(P.compile(P.universal_expr(frozenset()))))
+    index = _index({name: repo.IndexEntry(name, methods, auto)
+                    for name, methods in providers.items()})
+    return matcher.match_requirement(Requirement(model.Interface("R", (), wanted)), index,
+                                     lattice)
 
 
-def test_score_monotone_in_kind():
-    scores = [matcher.score(k, 0.5, matcher.HOLDS)
-              for k in ("exact", "permuted", "generalized", "specialized")]
-    assert scores == sorted(scores, reverse=True)
+def _methods(names, types):
+    return tuple(model.MethodSig(n, (model.Param("x", t),)) for n, t in zip(names, types))
+
+
+def test_more_matched_methods_outrank_more_same_names():
+    wanted = _methods("abcde", TYPES)
+    providers = {"Named": _methods("abc", TYPES),      # 3 of 5 methods, 3 same names
+                 "Covering": _methods("pqrd", TYPES)}  # 4 of 5 methods, 1 same name
+    result = _ranked(wanted, providers, TypeLattice({t: None for t in TYPES}))
+    assert [(r.component, r.verdict) for r in result.reports] == \
+        [("Covering", matcher.ADAPT_CANDIDATE), ("Named", matcher.ADAPT_CANDIDATE)]
+    assert result.recommendation == matcher.Recommendation("ADAPT", "Covering")
+    assert matcher.explain(result.reports[0]).splitlines()[0] == \
+        "component Covering: ADAPT_CANDIDATE (4 of 5 methods, 1 same names)"
+
+
+def test_a_stronger_kind_outranks_more_same_names():
+    lattice = TypeLattice({"T0": None, "T1": None, "T2": None, "T3": None, "Sub": "T0"})
+    wanted = _methods("abcd", ("Sub", "T1", "T2", "T3"))
+    providers = {"Named": _methods("abcw", ("T0", "T1", "T2", "T3")),  # generalized, 3 names
+                 "Exact": _methods("pqrs", ("Sub", "T1", "T2", "T3"))}  # exact, no name
+    result = _ranked(wanted, providers, lattice)
+    assert [(r.component, r.module_match.overall_kind) for r in result.reports] == \
+        [("Exact", sigmatch.EXACT), ("Named", sigmatch.GENERALIZED)]
+    assert result.recommendation == matcher.Recommendation("USE", "Exact")
+    assert matcher.explain(result.reports[1]).splitlines()[0] == \
+        "component Named: USE (generalized; 4 of 4 methods, 3 same names)"
+
+
+@st.composite
+def _catalogs(draw):
+    """A random subtype forest, requirement methods, and components whose
+    methods mostly copy a requirement method's signature, some parameter types
+    widened to their supertypes, under any name."""
+    parents = {t: draw(st.sampled_from([None] + TYPES[:i])) for i, t in enumerate(TYPES)}
+    wanted = tuple(draw(_METHODS))
+
+    def near(m):
+        types = [draw(st.sampled_from([t, parents[t] or t])) for t in m.param_types()]
+        params = tuple(model.Param(p.name, t) for p, t in zip(m.params, types))
+        return model.MethodSig(draw(st.sampled_from(NAMES)), params, m.return_type)
+
+    providers = {}
+    for i in range(draw(st.integers(2, 5))):
+        copies = draw(st.lists(st.sampled_from(wanted), max_size=3))
+        methods = {m.name: m for m in [*draw(_METHODS), *map(near, copies)]}
+        providers[f"C{i}"] = tuple(methods.values())
+    return wanted, providers, TypeLattice(parents)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_catalogs(), st.data())
+def test_a_same_name_never_lifts_a_report_above_more_methods_or_a_stronger_kind(catalog, data):
+    wanted, providers, lattice = catalog
+    names = {m.name for m in wanted}
+    renames = [(r.component, q, m.provided_method)
+               for r in _ranked(wanted, providers, lattice).reports
+               for q, m in sorted(r.module_match.method_map.items())
+               if m.provided_method not in names]
+    assume(renames)
+    # give requirement method q the name of the provided method it maps to
+    component, q, p = data.draw(st.sampled_from(renames))
+    wanted = tuple(model.MethodSig(p, m.params, m.return_type) if m.name == q else m
+                   for m in wanted)
+    reports = _ranked(wanted, providers, lattice).reports
+
+    def matched_and_kind(report):
+        sig = report.module_match
+        return len(sig.method_map), sigmatch.strength(sig.overall_kind)
+
+    at = [r.component for r in reports].index(component)
+    assert all(matched_and_kind(r) <= matched_and_kind(reports[at]) for r in reports[at + 1:])
 
 
 # --- explain -----------------------------------------------------------------------

@@ -321,6 +321,12 @@ def test_sample_traces_empty_language():
     assert P.sample_traces(empty, 3) == []
 
 
+def test_sample_traces_stops_when_no_longer_word_is_accepted():
+    start = time.perf_counter()
+    assert P.sample_traces(dfa(Ev("a")), 10**12) == [("a",)]
+    assert time.perf_counter() - start < 1.0
+
+
 def test_sample_traces_ordering():
     traces = P.sample_traces(dfa_of(Star(Alt(Ev("b"), Ev("a")))), 2)
     assert traces == [(), ("a",), ("b",), ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b")]

@@ -166,7 +166,7 @@ def test_module_match_documents_use_case():
     assert m.overall_kind == S.EXACT
     assert len(m.method_map) == 3
     assert m.method_map["searchDocuments"].provided_method == "searchDocuments"
-    assert m.name_overlap() == 1.0
+    assert m.name_matches() == 3
 
 
 def test_module_match_self_identity():
