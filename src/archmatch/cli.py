@@ -265,7 +265,8 @@ def index_inspect(session: Session) -> None:
         fresh = repo.source_hash(units) == compiled.source_hash
         print(f"freshness: {'fresh' if fresh else 'stale'}")
     for name, entry in sorted(compiled.entries.items()):
-        print(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s)")
+        print(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s) "
+              f"from {entry.protocol}")
 
 
 def _parser(prog: str) -> argparse.ArgumentParser:

@@ -32,24 +32,25 @@ class _Reader:
         return self.tokens[self.pos]
 
     def at(self, *kinds: str) -> bool:
-        return self.current.kind in kinds
+        return self.tokens[self.pos].kind in kinds
 
     def accept(self, kind: str) -> Token | None:
         """Consume the current token if it is `kind`."""
         return self.advance() if self.tokens[self.pos].kind == kind else None
 
     def advance(self) -> Token:
-        tok = self.current
-        if tok.kind != EOF:
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind != EOF:
             self.pos += 1
-            if tok.kind == "{":
+            if kind == "{":
                 self.depth += 1
-            elif tok.kind == "}":
+            elif kind == "}":
                 self.depth = max(0, self.depth - 1)
         return tok
 
     def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.current
+        tok = self.tokens[self.pos]
         if tok.kind == kind:
             return self.advance()
         if tok.kind == EOF and self.depth > 0:
@@ -62,7 +63,7 @@ class _Reader:
             ERROR, tok.span, f"expected {expected}, found {found!r}", "unexpected-token"))
 
     def expect_ident(self, what: str) -> Token:
-        tok = self.current
+        tok = self.tokens[self.pos]
         if tok.kind == IDENT:
             return self.advance()
         raise _ParseError(Diagnostic(
@@ -76,9 +77,10 @@ class _Reader:
             self.advance()
 
 
-def _extent(start: Span, end: Span) -> Span:
-    return Span(start.line, start.column, start.offset,
-                end.offset + end.length - start.offset)
+def _extent(first: Token, last: Token) -> Span:
+    """The span from the start of `first` to the end of `last`."""
+    return Span(first.line, first.column, first.offset,
+                last.offset + len(last.text) - first.offset)
 
 
 # --- protocol expressions ----------------------------------------------------
@@ -129,7 +131,7 @@ def _parse_protocol_block(r: _Reader) -> tuple[ProtocolExpr, Span]:
     open_tok = r.expect("{")
     close = r.accept("}")
     expr = Eps() if close else _parse_expr(r)
-    return expr, _extent(open_tok.span, (close or r.expect("}")).span)
+    return expr, _extent(open_tok, close or r.expect("}"))
 
 
 def parse_protocol(text: str) -> tuple[ProtocolExpr | None, list[Diagnostic]]:
@@ -183,7 +185,7 @@ def _parse_method(r: _Reader) -> syntax.MethodDecl:
             r.expect(":")
             ptype = r.expect_ident("parameter type")
             params.append(syntax.ParamDecl(pname.text, ptype.text,
-                                           _extent(pname.span, ptype.span)))
+                                           _extent(pname, ptype)))
             if not r.accept(","):
                 break
     r.expect(")")
@@ -191,7 +193,7 @@ def _parse_method(r: _Reader) -> syntax.MethodDecl:
     annot = _parse_annot(r)
     semi = r.expect(";")
     return syntax.MethodDecl(name.text, tuple(params), return_type, annot,
-                             _extent(name.span, semi.span))
+                             _extent(name, semi))
 
 
 def _parse_type(r: _Reader) -> syntax.TypeDecl:
@@ -199,7 +201,7 @@ def _parse_type(r: _Reader) -> syntax.TypeDecl:
     name = r.expect_ident("type name")
     supertype = r.expect_ident("supertype name").text if r.accept("<:") else None
     semi = r.expect(";")
-    return syntax.TypeDecl(name.text, supertype, _extent(kw.span, semi.span))
+    return syntax.TypeDecl(name.text, supertype, _extent(kw, semi))
 
 
 def _parse_interface(r: _Reader) -> syntax.InterfaceDecl:
@@ -215,14 +217,14 @@ def _parse_interface(r: _Reader) -> syntax.InterfaceDecl:
             r.expect(":")
             ftype = r.expect_ident("field type")
             semi = r.expect(";")
-            fields.append(syntax.FieldDecl(fname.text, ftype.text, _extent(fkw.span, semi.span)))
+            fields.append(syntax.FieldDecl(fname.text, ftype.text, _extent(fkw, semi)))
         elif r.at(IDENT):
             methods.append(_parse_method(r))
         else:
             r.expect("}", 'field or method declaration, or "}"')
     close = r.advance()
     return syntax.InterfaceDecl(name.text, extends, tuple(fields), tuple(methods),
-                                _extent(kw.span, close.span))
+                                _extent(kw, close))
 
 
 def _parse_contract(r: _Reader) -> syntax.ContractDecl:
@@ -246,7 +248,7 @@ def _parse_contract(r: _Reader) -> syntax.ContractDecl:
     close = r.expect("}")
     return syntax.ContractDecl(name.text, implements.text, incomplete, init,
                                tuple(methods), protocol,
-                               _extent(kw.span, close.span), protocol_span)
+                               _extent(kw, close), protocol_span)
 
 
 def _parse_component_body(r: _Reader, kw: Token, name: Token, node_cls):
@@ -264,7 +266,7 @@ def _parse_component_body(r: _Reader, kw: Token, name: Token, node_cls):
     causal, causal_span = _parse_protocol_block(r) if r.accept("causal") else (None, None)
     close = r.expect("}")
     return node_cls(name.text, provided.text, internal, required, causal,
-                    _extent(kw.span, close.span), causal_span)
+                    _extent(kw, close), causal_span)
 
 
 def _parse_architecture(r: _Reader) -> syntax.ArchitectureDecl:
@@ -291,10 +293,10 @@ def _parse_architecture(r: _Reader) -> syntax.ArchitectureDecl:
         dst = r.expect_ident("object name")
         semi = r.expect(";")
         morphisms.append(syntax.MorphismDecl(src.text, mkind.text, dst.text,
-                                             _extent(mkw.span, semi.span)))
+                                             _extent(mkw, semi)))
     close = r.expect("}")
     return syntax.ArchitectureDecl(kind, name.text, tuple(objects), tuple(morphisms),
-                                   _extent(kw.span, close.span))
+                                   _extent(kw, close))
 
 
 def _parse_link(r: _Reader) -> syntax.LinkDecl:
@@ -311,7 +313,7 @@ def _parse_link(r: _Reader) -> syntax.LinkDecl:
         r.expect("->")
         dst = r.expect_ident("object name")
         semi = r.expect(";")
-        object_map.append(syntax.MapEntry(src.text, dst.text, _extent(mkw.span, semi.span)))
+        object_map.append(syntax.MapEntry(src.text, dst.text, _extent(mkw, semi)))
     generator_map: list[syntax.GeneratorEntry] = []
     while gkw := r.accept("generator"):
         src = r.expect_ident("morphism kind")
@@ -319,11 +321,11 @@ def _parse_link(r: _Reader) -> syntax.LinkDecl:
         dst = r.expect_ident("morphism kind")
         semi = r.expect(";")
         generator_map.append(syntax.GeneratorEntry(src.text, dst.text,
-                                                   _extent(gkw.span, semi.span)))
+                                                   _extent(gkw, semi)))
     close = r.expect("}")
     return syntax.LinkDecl(name.text, source.text, target.text,
                            tuple(object_map), tuple(generator_map),
-                           _extent(kw.span, close.span))
+                           _extent(kw, close))
 
 
 def parse_unit(unit: SourceUnit) -> tuple[syntax.SyntaxTree | None, list[Diagnostic]]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 
 from ..diagnostics import Span
-from ..records import field, record
+from ..records import record
 
 KEYWORDS = frozenset({
     "type", "interface", "extends", "field", "contract", "implements", "init",
@@ -32,26 +32,47 @@ class SourceUnit:
     text: str
 
 
-@record(frozen=True)
 class Token:
-    kind: str  # IDENT/STRING/ERROR/EOF, a keyword, or a punctuation string
-    text: str  # raw source text
-    span: Span
-    value: str = field(default="", compare=False)  # decoded value for strings
+    """One token and where it starts; its `Span` is built only when asked for.
+
+    A lexed unit has one token for every few characters, so a token is one
+    plain slotted object: a record and a span each would cost more than the
+    regex match that finds the token.
+    """
+
+    __slots__ = ("kind", "text", "line", "column", "offset", "value")
+
+    def __init__(self, kind: str, text: str, line: int, column: int, offset: int,
+                 value: str = ""):
+        self.kind = kind  # IDENT/STRING/ERROR/EOF, a keyword, or a punctuation string
+        self.text = text  # raw source text
+        self.line, self.column, self.offset = line, column, offset
+        self.value = value  # decoded value for strings
+
+    @property
+    def span(self) -> Span:
+        return Span(self.line, self.column, self.offset, len(self.text))
+
+    def __repr__(self) -> str:
+        return f"Token({self.kind!r}, {self.text!r}, {self.span})"
 
 
-# One alternative per token class, tried in order at each offset. Together they
-# match every character, so the matches tile the text. Inside a closed string a
-# backslash always starts an escape; were it also a plain character, the match
-# could close the string on an escaped quote. An unterminated string runs to
-# the end of its line; other error runs stop at any character that starts a token.
+# Each match is the whitespace before a token, then one alternative per token
+# class, a comment, or the end of the text, tried in order. The alternatives
+# match every character but whitespace, so the matches tile the text and the
+# whitespace never gives a character back: the lexer visits one match per token.
+# Inside a closed string a backslash always starts an escape; were it also a
+# plain character, the match could close the string on an escaped quote. An
+# unterminated string runs to the end of its line; other error runs stop at any
+# character that starts a token.
 _TOKEN = re.compile(r"""
-    (?P<newline>\n)
-  | (?P<blank>(?:[\ \t\r]|//[^\n]*)+)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>->|<:|[{}()\[\]:;,*+|?-])
-  | (?P<string>"(?:[^"\\\n]|\\[^\n])*")
-  | (?P<error>"[^\n]*|(?:[^\ \t\r\n"A-Za-z_{}()\[\]:;,*+|?/<-]|/(?!/)|<(?!:))+)
+    [\ \t\r\n]*
+    (?: (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<punct>->|<:|[{}()\[\]:;,*+|?-])
+      | (?P<string>"(?:[^"\\\n]|\\[^\n])*")
+      | (?P<comment>//[^\n]*)
+      | (?P<error>"[^\n]*|(?:[^\ \t\r\n"A-Za-z_{}()\[\]:;,*+|?/<-]|/(?!/)|<(?!:))+)
+      | \Z)
 """, re.VERBOSE)
 _ESCAPE = re.compile(r"\\(.)")
 
@@ -67,24 +88,29 @@ def tokenize(unit: SourceUnit) -> list[Token]:
     leaving every character covered by a token, whitespace, or a comment.
     The list always ends with an EOF token.
     """
+    source = unit.text
     tokens: list[Token] = []
     line, last_newline = 1, -1  # the offset of the newline before the current line
-    for m in _TOKEN.finditer(unit.text):
-        group, start, text = m.lastgroup, m.start(), m[0]
-        if group == "newline":
-            line, last_newline = line + 1, start
+    for m in _TOKEN.finditer(source):
+        group = m.lastgroup  # None at the end of the text
+        gap, start = m.start(), (m.start(group) if group else m.end())
+        if start > gap and (newline := source.rfind("\n", gap, start)) >= 0:
+            line += source.count("\n", gap, newline + 1)
+            last_newline = newline
+        if group is None:
+            break
+        if group == "comment":
             continue
-        if group == "blank":
-            continue
-        span = Span(line, start - last_newline, start, len(text))
+        text, value = m[group], ""
         if group == "word":
-            tokens.append(Token(text if text in KEYWORDS else IDENT, text, span))
+            kind = text if text in KEYWORDS else IDENT
         elif group == "punct":
-            tokens.append(Token(text, text, span))
+            kind = text
         elif group == "string":
-            tokens.append(Token(STRING, text, span, _ESCAPE.sub(_unescape, text[1:-1])))
+            kind, value = STRING, _ESCAPE.sub(_unescape, text[1:-1])
         else:
-            tokens.append(Token(ERROR, text, span))
-    n = len(unit.text)
-    tokens.append(Token(EOF, "", Span(line, n - last_newline, n, 0)))
+            kind = ERROR
+        tokens.append(Token(kind, text, line, start - last_newline, start, value))
+    n = len(source)
+    tokens.append(Token(EOF, "", line, n - last_newline, n))
     return tokens

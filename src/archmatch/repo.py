@@ -4,18 +4,26 @@ protocol index, and its cache file.
 Compiling every component's protocols is the one-time cost paid when the
 architecture changes; the cache file makes it pay once per change, with a
 content hash of the unit texts to detect staleness. The cache file is the magic
-line `ARCHMATCH-IDX v7`, then one sorted-key JSON document. Besides the compiled
-components it holds what a query needs of the catalog: its types, every
-non-type name it declares, and the state limit its load and build succeeded
-under. `load_match` reads the catalog, its units, the requirement and the cache
-once, and decodes the cache at most once. A fresh cache then answers `match`
-alone, without lexing, parsing or resolving a catalog unit or checking a
-publication. The catalog is loaded instead when the cache is missing, stale,
-corrupt, of another version (`v1` to `v6`) or built under a higher state limit
-(these three are rebuilt), when a file cannot be read, and when the requirement
-is a catalog unit, declares anything but types, interfaces and contracts,
-extends or implements an interface it does not declare, or redeclares a name
-the catalog gives a non-type.
+line `ARCHMATCH-IDX v8`, then one sorted-key JSON document. Besides the compiled
+components, each with the printed protocol its DFA was built from, it holds
+what a query needs of the catalog: its types, every non-type name it declares,
+and the state limit its load and build succeeded under; and the keys of the
+publication checks that passed. `load_match` reads the catalog, its units, the
+requirement and the cache once, and decodes the cache at most once. A fresh
+cache then answers `match` alone, without lexing, parsing or resolving a
+catalog unit or checking a publication. The catalog is loaded instead when the
+cache is missing, stale, corrupt, of another version (`v1` to `v7`) or built
+under a higher state limit (these three are rebuilt), when a file cannot be
+read, and when the requirement is a catalog unit, declares anything but types,
+interfaces and contracts, extends or implements an interface it does not
+declare, or redeclares a name the catalog gives a non-type.
+
+A stale cache that decodes cleanly and was built under a state limit no higher
+than the current one is the rebuild's `Memo`: a DFA or a passed publication
+check whose key, the printed expressions and alphabets it was computed from, is
+unchanged is taken from it instead of recomputed (the verifying traces of
+Mokhov, Mitchell and Peyton Jones, "Build Systems à la Carte", ICFP 2018).
+`index build` builds from the units alone.
 """
 
 from __future__ import annotations
@@ -39,9 +47,10 @@ if TYPE_CHECKING:  # `category` is imported by the commands that build architect
 
 # The first line of a cache file. Bump it whenever build_index could give
 # different output for the same source (for example after a change to compile,
-# determinize or minimize), or its recorded state_limit could mean something
-# else, so that older caches are rejected and rebuilt.
-CACHE_MAGIC = "ARCHMATCH-IDX v7"
+# determinize or minimize), or its recorded state_limit, an entry's `protocol`
+# or a `checked` key could mean something else, so that older caches are
+# rejected and rebuilt without lending a rebuild their automata or checks.
+CACHE_MAGIC = "ARCHMATCH-IDX v8"
 
 # the Model tables whose names a requirement may not redeclare
 _NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
@@ -59,6 +68,7 @@ class Catalog:
     architectures: dict[str, PseudoCategory] = field(default_factory=dict)
     links: dict[str, FunctorMapping] = field(default_factory=dict)
     source_hash: str = ""
+    checked: frozenset[tuple[str, ...]] = frozenset()  # keys of its publication checks
 
 
 @record(frozen=True)
@@ -66,6 +76,7 @@ class IndexEntry:
     component: str
     methods: tuple[MethodSig, ...]
     provided_automaton: FiniteAutomaton
+    protocol: str = ""  # the printed provided protocol the automaton was built from
 
 
 @record
@@ -75,6 +86,38 @@ class CompiledIndex:
     types: dict[str, TypeDecl]
     names: tuple[str, ...]  # every non-type name the catalog declares, sorted
     state_limit: int  # the load and the build succeeded under it
+    checked: frozenset[tuple[str, ...]] = frozenset()  # keys of the publication checks
+
+
+@record
+class Memo:
+    """Results a build takes instead of computing them, by content key, and
+    how many it took.
+
+    `automata` maps a printed protocol and its alphabet to the minimal DFA
+    compiled from them, and `checked` holds the keys of publication checks
+    that passed (`_check_key`). Equal keys give equal results: printing is
+    injective, and minimal DFAs are canonically numbered. Both hold for any
+    state limit at least the one they were computed under: a state limit only
+    turns a result into ProtocolTooLarge.
+    """
+
+    automata: dict[tuple[str, frozenset[str]], FiniteAutomaton] = field(default_factory=dict)
+    checked: frozenset[tuple[str, ...]] = frozenset()
+    state_limit: int = 0  # what it holds was computed under this limit
+    passed: set[tuple[str, ...]] = field(default_factory=set)  # keys this build's checks passed
+    checks: int = 0  # publication checks this build asked for
+    reused_checks: int = 0
+    reused_automata: int = 0
+
+
+class StaleCache(CacheError):
+    """The cache is of other unit texts; `memo` holds its automata and passed
+    checks, or is None when the rest of the cache is defective."""
+
+    def __init__(self, memo: Memo | None):
+        super().__init__("stale")
+        self.memo = memo
 
 
 def _zero_span() -> Span:
@@ -170,14 +213,37 @@ def _build_architectures(m: Model) -> tuple[dict[str, PseudoCategory],
     return architectures, links, diagnostics
 
 
-def _validate_publications(m: Model, state_limit: int) -> list[Diagnostic]:
+def _check_key(pub: model.Publication) -> tuple[str, ...]:
+    """All that `model.validate_publication` reads of `pub`, printed: the
+    causal relation, then each side's traces and sorted alphabet."""
+    key = (dsl.format_protocol(pub.causal),)
+    for side in (pub.provided, pub.required):
+        if side is not None:
+            key += (dsl.format_protocol(side.traces), " ".join(sorted(side.iface.method_names())))
+    return key
+
+
+def _validate_publications(m: Model, state_limit: int,
+                           memo: Memo | None = None) -> list[Diagnostic]:
+    """The diagnostics of every publication check; with a `memo`, a check whose
+    key it holds is taken as passed, and each check that passes adds its key
+    to `memo.passed`."""
     diagnostics: list[Diagnostic] = []
 
     def report(kind: str, name: str, pub: model.Publication) -> None:
+        if memo is not None:
+            key = _check_key(pub)
+            memo.checks += 1
+            if key in memo.checked:
+                memo.reused_checks += 1
+                memo.passed.add(key)
+                return
         try:
             check = model.validate_publication(pub, state_limit)
         except protocol.ProtocolTooLarge as err:
             raise protocol.ProtocolTooLarge(f"{kind} {name!r}: {err}") from err
+        if check.ok and memo is not None:
+            memo.passed.add(key)
         for failure in check.failures:
             word = " ".join(failure.witness) if failure.witness else "(empty trace)"
             diagnostics.append(Diagnostic(
@@ -202,26 +268,28 @@ def _validate_publications(m: Model, state_limit: int) -> list[Diagnostic]:
     return diagnostics
 
 
-def analyze(trees, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
+def analyze(trees, state_limit: int = protocol.DEFAULT_STATE_LIMIT, memo: Memo | None = None,
             ) -> tuple[Model | None, dict[str, PseudoCategory], dict[str, FunctorMapping],
                        list[Diagnostic]]:
-    """Resolve trees, build architectures, validate publications."""
+    """Resolve trees, build architectures, validate publications (taking and
+    recording checks in `memo`, if given)."""
     m, diagnostics = model.resolve(list(trees))
     if m is None:
         return None, {}, {}, diagnostics
     architectures, links, diags = _build_architectures(m)
     diagnostics.extend(diags)
-    diagnostics.extend(_validate_publications(m, state_limit))
+    diagnostics.extend(_validate_publications(m, state_limit, memo))
     if has_errors(diagnostics):
         return None, {}, {}, diagnostics
     return m, architectures, links, diagnostics
 
 
 def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
-         texts: dict[Path, str] | None = None,
+         texts: dict[Path, str] | None = None, memo: Memo | None = None,
          ) -> tuple[Catalog | None, Model | None, list[Diagnostic]]:
     """Load a catalog file and everything it references; a file whose path is
-    in `texts` is taken from there instead of read.
+    in `texts` is taken from there instead of read, and a publication check
+    whose key is in `memo` is taken as passed.
 
     All units must parse and resolve, architectures must build, and every
     publication must satisfy the causal projection condition; otherwise the
@@ -235,24 +303,27 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
     units, trees, diagnostics = parse_units(resolved, texts)
     if has_errors(diagnostics):
         return None, None, diagnostics
-    m, architectures, links, diags = analyze(trees, state_limit)
+    memo = Memo() if memo is None else memo
+    m, architectures, links, diags = analyze(trees, state_limit, memo)
     diagnostics.extend(diags)
     if m is None:
         return None, None, diagnostics
     catalog = Catalog(str(catalog_path), units, trees, architectures, links,
-                      source_hash(unit.text for unit in units))
+                      source_hash(unit.text for unit in units), frozenset(memo.passed))
     return catalog, m, diagnostics
 
 
 # --- compiled index -----------------------------------------------------------
 
-def build_index(catalog: Catalog, m: Model,
-                state_limit: int = protocol.DEFAULT_STATE_LIMIT) -> CompiledIndex:
-    """Compile, determinize, and minimize every component's provided protocol.
+def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
+                memo: Memo | None = None) -> CompiledIndex:
+    """Compile, determinize, and minimize every component's provided protocol,
+    or take its minimal DFA from `memo`.
 
     Deterministic: entries are keyed and processed in component-name order,
     and minimized automata are canonically numbered.
     """
+    memo = Memo() if memo is None else memo
     entries: dict[str, IndexEntry] = {}
     for name in sorted(m.components):
         comp = m.components[name]
@@ -261,15 +332,20 @@ def build_index(catalog: Catalog, m: Model,
         expr = comp.provided_protocol
         if expr is None:
             expr = protocol.universal_expr(provided_alphabet)
-        try:
-            provided = protocol.minimize(protocol.determinize(
-                protocol.compile(expr, alphabet=provided_alphabet), state_limit))
-        except protocol.ProtocolTooLarge as err:
-            raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
-        entries[name] = IndexEntry(name, iface.all_methods(), provided)
+        text = dsl.format_protocol(expr)
+        provided = memo.automata.get((text, provided_alphabet))
+        if provided is not None:
+            memo.reused_automata += 1
+        else:
+            try:
+                provided = protocol.minimize(protocol.determinize(
+                    protocol.compile(expr, alphabet=provided_alphabet), state_limit))
+            except protocol.ProtocolTooLarge as err:
+                raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
+        entries[name] = IndexEntry(name, iface.all_methods(), provided, text)
     return CompiledIndex(entries, catalog.source_hash, dict(m.types),
                          tuple(sorted(name for kind in _NON_TYPES for name in vars(m)[kind])),
-                         state_limit)
+                         state_limit, catalog.checked)
 
 
 # --- cache persistence ----------------------------------------------------------
@@ -282,12 +358,14 @@ def _entry_json(entry: IndexEntry) -> dict:
         "dfa": {"alphabet": sorted(auto.alphabet), "states": len(auto.states),
                 "start": auto.start, "accept": sorted(auto.accepting),
                 "transitions": [list(t) for t in sorted(auto.transitions)]},
+        "protocol": entry.protocol,
     }
 
 
 def _catalog_json(index: CompiledIndex) -> dict:
     return {"types": [[t.name, t.supertype] for t in index.types.values()],
-            "names": list(index.names), "state_limit": index.state_limit}
+            "names": list(index.names), "state_limit": index.state_limit,
+            "checked": [list(key) for key in sorted(index.checked)]}
 
 
 def save_cache(index: CompiledIndex, path: str | Path) -> None:
@@ -297,9 +375,10 @@ def save_cache(index: CompiledIndex, path: str | Path) -> None:
     # json.dumps's text, an entry at a time: the encoder keeps every piece until it joins them
     components = ",".join(f"{encode(name)}:{encode(_entry_json(index.entries[name]))}"
                           for name in sorted(index.entries))
-    # the catalog fields' keys all sort after "hash"
-    text = (f'{CACHE_MAGIC}\n{{"components":{{{components}}},"hash":{encode(index.source_hash)},'
-            f'{encode(_catalog_json(index))[1:]}\n')
+    fields = _catalog_json(index)
+    checked = encode(fields.pop("checked"))  # the other fields' keys all sort after "hash"
+    text = (f'{CACHE_MAGIC}\n{{"checked":{checked},"components":{{{components}}},'
+            f'"hash":{encode(index.source_hash)},{encode(fields)[1:]}\n')
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -318,16 +397,19 @@ def _int(value) -> int:
 
 def _entry_from_json(name: str, comp: dict) -> IndexEntry:
     dfa = comp["dfa"]
-    transitions = frozenset((_int(s), str(sym), _int(t)) for s, sym, t in dfa["transitions"])
+    # one string per symbol: JSON decodes each occurrence into a string of its own
+    symbols = {sym: sym for sym in map(str, dfa["alphabet"])}
+    transitions = frozenset((_int(s), symbols.get(sym, str(sym)), _int(t))
+                            for s, sym, t in dfa["transitions"])
     count = _int(dfa["states"])
     if count > len(transitions) + 1:  # a minimized DFA reaches every state
         raise ValueError(f"{count} states but {len(transitions)} transitions")
-    auto = FiniteAutomaton(frozenset(range(count)), frozenset(map(str, dfa["alphabet"])),
+    auto = FiniteAutomaton(frozenset(range(count)), frozenset(symbols),
                            transitions, _int(dfa["start"]), frozenset(map(_int, dfa["accept"])))
     methods = tuple(MethodSig(str(method), tuple(Param(str(p), str(t)) for p, t in params),
                               None if ret is None else str(ret))
                     for method, params, ret in comp["methods"])
-    entry = IndexEntry(name, methods, auto)
+    entry = IndexEntry(name, methods, auto, str(comp["protocol"]))
     # str() leaves a value of another type unequal, as are extra or reordered items
     if _entry_json(entry) != comp:
         raise ValueError(f"component {name!r} differs from what this version writes")
@@ -338,8 +420,10 @@ def _catalog_from_json(doc: dict) -> dict:
     """The CompiledIndex fields besides entries and hash, from a cache document."""
     fields = {
         "types": {str(n): TypeDecl(str(n), s if s is None else str(s)) for n, s in doc["types"]},
-        "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"])}
+        "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"]),
+        "checked": frozenset(tuple(map(str, key)) for key in doc["checked"])}
     written = _catalog_json(CompiledIndex({}, "", **fields))
+    # the sorted set of keys drops a duplicated or out-of-order key
     if set(doc) != {"components", "hash", *written} or \
             written != {key: doc[key] for key in written} or fields["state_limit"] < 1 or \
             written["names"] != sorted(set(written["names"])):
@@ -347,27 +431,50 @@ def _catalog_from_json(doc: dict) -> dict:
     return fields
 
 
+# what decoding a cache document that this version did not write can raise
+_DEFECTIVE = (AttributeError, KeyError, TypeError, ValueError, RecursionError)
+
+
+def _memo_from_json(doc: dict) -> Memo | None:
+    """The automata and passed checks of a cache document, or None when it is
+    defective. Each component's JSON is dropped once decoded."""
+    try:
+        fields = _catalog_from_json(doc)
+        automata = {}
+        components = doc["components"]
+        for name in list(components.keys()):  # keys(), like items(), rejects a list
+            entry = _entry_from_json(name, components.pop(name))
+            automata[entry.protocol, entry.provided_automaton.alphabet] = \
+                entry.provided_automaton
+    except _DEFECTIVE:
+        return None
+    return Memo(automata, fields["checked"], fields["state_limit"])
+
+
 def load_cache(path: str | Path, source_hash: str | None = None) -> CompiledIndex:
-    """Read a cache file; CacheError on any defect, or "stale" if given another source_hash."""
+    """Read a cache file; CacheError on any defect, or StaleCache if given
+    another source_hash."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise CacheError(f"cannot read cache: {err}") from err
     magic, _, body = text.partition("\n")
+    del text  # `body` is a copy of it: hold one copy while decoding
     if magic != CACHE_MAGIC:
         raise CacheError(f"unsupported cache version (expected {CACHE_MAGIC})")
     if not body.endswith("\n"):  # save_cache ends the file with a newline
         raise CacheError("corrupt cache: truncated")
     try:
         doc = json.loads(body)
+        del body  # what is decoded next needs only the document
         if type(doc["hash"]) is not str:
             raise TypeError("the hash is not a string")
         if source_hash is not None and doc["hash"] != source_hash:
-            raise CacheError("stale")
+            raise StaleCache(_memo_from_json(doc))
         return CompiledIndex({name: _entry_from_json(name, comp)
                               for name, comp in doc["components"].items()}, doc["hash"],
                              **_catalog_from_json(doc))
-    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as err:
+    except _DEFECTIVE as err:
         raise CacheError(f"corrupt cache: {type(err).__name__}: {err}") from err
 
 
@@ -447,10 +554,14 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     units = read_unit_texts(catalog_path, texts)
     req_text, _ = _read_text(requirement_path, "requirement file", texts)
     path = default_cache_path(catalog_path) if cache_path is None else Path(cache_path)
-    index, reason = None, "missing"
+    index, memo, reason = None, None, "missing"
     if units is not None and req_text is not None and path.exists():
         try:
             index = load_cache(path, source_hash(units))
+        except StaleCache as err:
+            reason = str(err)
+            if err.memo is not None and err.memo.state_limit <= state_limit:
+                memo = err.memo
         except CacheError as err:
             reason = str(err)
         if index is not None and index.state_limit > state_limit:
@@ -461,7 +572,7 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
         loaded = (None, None, diagnostics) if tree is None else \
             _cached_requirement(requirement_path, tree, index)
     if loaded is None:  # the full load, on the texts read
-        catalog, m, diagnostics = load(catalog_path, state_limit, texts)
+        catalog, m, diagnostics = load(catalog_path, state_limit, texts, memo)
         if catalog is None:  # else there are no diagnostics
             return None, None, None, None, None, diagnostics
         loaded = load_requirement(requirement_path, catalog, m, texts, tree)
@@ -470,7 +581,10 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
         return None, None, None, None, None, diagnostics
     if index is not None:
         return req, merged, index, "cache", None, diagnostics
-    index = build_index(catalog, m, state_limit)  # an unusable cache took the full load
+    index = build_index(catalog, m, state_limit, memo)  # an unusable cache took the full load
+    if memo is not None:
+        reason += (f"; reused {memo.reused_automata} of {len(index.entries)} automata, "
+                   f"{memo.reused_checks} of {memo.checks} publication checks")
     try:
         save_cache(index, path)
     except OSError as err:  # the index is built; only later queries lose the cache

@@ -12,6 +12,7 @@ V2_CACHE = FIXTURES / "catalog_full_v2_cache.txt"
 V4_CACHE = FIXTURES / "catalog_full_v4_cache.txt"
 V5_CACHE = FIXTURES / "catalog_full_v5_cache.txt"
 V6_CACHE = FIXTURES / "catalog_full_v6_cache.txt"
+V7_CACHE = FIXTURES / "catalog_full_v7_cache.txt"
 
 _DELETE = object()
 _COMPONENT = ("components", "AccountService")
@@ -67,6 +68,7 @@ DEFECTS = {
     "v4 cache": lambda text: V4_CACHE.read_text(encoding="utf-8"),
     "v5 cache": lambda text: V5_CACHE.read_text(encoding="utf-8"),
     "v6 cache": lambda text: V6_CACHE.read_text(encoding="utf-8"),
+    "v7 cache": lambda text: V7_CACHE.read_text(encoding="utf-8"),
     "integer type name": _edited(("types", 0, 0), 7),
     "supertype as a list": _edited(("types", 0, 1), ["Account"]),
     "type of three fields": _edited(("types", 0), ["String", None, None]),
@@ -77,4 +79,11 @@ DEFECTS = {
     "state limit 0": _edited(("state_limit",), 0),
     "state limit as a string": _edited(("state_limit",), "100"),
     "unknown top-level field": _edited(("zzz",), [1, 2, 3]),
+    "integer protocol": _edited(_COMPONENT + ("protocol",), 7),
+    "missing protocol": _edited(_COMPONENT + ("protocol",), _DELETE),
+    "missing checked": _edited(("checked",), _DELETE),
+    "checked keys out of order": _edited(("checked",), lambda keys: keys[::-1]),
+    "duplicated checked key": _edited(("checked",), lambda keys: keys + keys[-1:]),
+    "checked key as a string": _edited(("checked", 0), "(?inquire ?lookup)*"),
+    "integer in a checked key": _edited(("checked", 0, 0), 7),
 }

@@ -375,12 +375,13 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: cache (1 component(s))"]
     shutil.copy(V2_CACHE, cache)
     assert note() == ["index: built (1 component(s); "
-                      "unsupported cache version (expected ARCHMATCH-IDX v7))"]
+                      "unsupported cache version (expected ARCHMATCH-IDX v8))"]
     cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
     assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
     unit = workdir / "document_manager.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
-    assert note() == ["index: built (1 component(s); cache stale)"]
+    assert note() == ["index: built (1 component(s); cache stale; "
+                      "reused 1 of 1 automata, 0 of 0 publication checks)"]
 
 
 def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
@@ -400,6 +401,117 @@ def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
         assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code), name
         assert "index: built " in res.stderr, name
         assert cache.read_text() == text, name
+
+
+# --- the stale cache as the rebuild's memo -----------------------------------------
+
+# a requirement whose answer depends on AccountService's automaton
+ACCOUNT_REQ = """\
+type String;
+interface WantAccount {
+  getBalance(accountId: String): String;
+  listTransactions(accountId: String);
+}
+contract WantAccountSpec implements WantAccount {
+  protocol { ?listTransactions ?getBalance }
+}
+"""
+# a component whose interface extends, and requires, interfaces of another unit
+BASE_ADL = """\
+interface Base { a(x: String); }
+interface Feed { f(x: String); }
+"""
+DERIVED_ADL = """\
+interface Derived extends Base { b(x: String); }
+contract DerivedCtr implements Derived { protocol { ?b* } }
+component Kiosk {
+  provided contract DerivedCtr
+  required interface Feed
+  causal { (?b ?f)* }
+}
+"""
+
+
+def _edit(name: str, old: str, new: str):
+    def edit(workdir: Path) -> None:
+        unit = workdir / name
+        assert old in unit.read_text()
+        unit.write_text(unit.read_text().replace(old, new))
+    return edit
+
+
+def _touch(workdir: Path) -> None:
+    _edit("insurance.adl", "// Customer-service", "// touched\n// Customer-service")(workdir)
+
+
+def _another_catalogs_cache(workdir: Path) -> None:
+    run("--catalog", str(workdir / "catalog.txt"), "--cache", str(workdir / "catalog_full.txt.idx"),
+        "index", "build")
+
+
+# an edit made after a `match` built the cache, the state limit of the next
+# match, and whether that match may reuse what the cache holds
+STALE_EDITS = {
+    "protocol text": (_edit("insurance.adl", "protocol { (?getBalance + ?listTransactions)* }",
+                            "protocol { ?getBalance (?getBalance + ?listTransactions)* }"),
+                      None, "reused 5 of 6 automata, 2 of 3 publication checks"),
+    "method added to a base interface": (_edit("base.adl", "a(x: String);",
+                                               "a(x: String); c(x: String);"),
+                                         None, "reused 5 of 6 automata, 2 of 3 publication checks"),
+    "method added to a required interface": (_edit("base.adl", "f(x: String);",
+                                                   "f(x: String); g(x: String);"), None, None),
+    "causal block that breaks the projection": (_edit("insurance.adl", "(?inquire ?lookup)*",
+                                                      "?lookup (?inquire ?lookup)*"), None, None),
+    "state limit below the cache's": (_touch, "2", None),
+    "cache of another catalog": (_another_catalogs_cache, None,
+                                 "reused 1 of 6 automata, 0 of 3 publication checks"),
+}
+
+
+@pytest.mark.parametrize("case", list(STALE_EDITS))
+def test_a_stale_cache_rebuild_equals_a_cold_build(workdir, case):
+    edit, limit, reused = STALE_EDITS[case]
+    (workdir / "base.adl").write_text(BASE_ADL)
+    (workdir / "derived.adl").write_text(DERIVED_ADL)
+    (workdir / "account_req.adl").write_text(ACCOUNT_REQ)
+    with (workdir / "catalog_full.txt").open("a") as catalog:
+        catalog.write("base.adl\nderived.adl\n")
+    env = {} if limit is None else {"ARCHMATCH_STATE_LIMIT": limit}
+    catalog = str(workdir / "catalog_full.txt")
+    match_args = ["match", str(workdir / "account_req.adl")]
+    assert run("--catalog", catalog, *match_args).exit_code == 0  # builds the cache
+    edit(workdir)
+    stale = run("--catalog", catalog, *match_args, env=env)
+    cold = run("--catalog", catalog, "--cache", str(workdir / "cold.idx"), *match_args, env=env)
+    assert (stale.stdout, stale.exit_code) == (cold.stdout, cold.exit_code)
+    assert _without_index_note(stale.stderr) == _without_index_note(cold.stderr)
+    if reused is None:  # the rebuild fails as the cold build does
+        assert stale.exit_code == cold.exit_code == 2
+        assert "index: " not in stale.stderr
+        return
+    assert f"index: built (6 component(s); cache stale; {reused})\n" in stale.stderr
+    build = run("--catalog", catalog, "--cache", str(workdir / "built.idx"), "index", "build")
+    assert build.exit_code == 0
+    assert (workdir / "catalog_full.txt.idx").read_bytes() == (workdir / "built.idx").read_bytes()
+
+
+def test_a_defective_stale_cache_lends_the_rebuild_nothing(workdir):
+    cache = workdir / "catalog_full.txt.idx"
+    catalog = str(workdir / "catalog_full.txt")
+    match_args = ["--catalog", catalog, "match", str(workdir / "manage_documents_req.adl")]
+    run(*match_args)
+    text = cache.read_text()
+    _touch(workdir)
+    clean = run(*match_args)
+    rebuilt = cache.read_bytes()
+    broken = {f"truncated to {n}": text[:n] for n in (0, 10, 17, len(text) // 2, len(text) - 1)}
+    broken.update((name, defect(text)) for name, defect in DEFECTS.items())
+    for name, body in broken.items():
+        cache.write_text(body)
+        res = run(*match_args)
+        assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code), name
+        assert "index: built " in res.stderr and "reused" not in res.stderr, name
+        assert cache.read_bytes() == rebuilt, name
 
 
 def _without_index_note(stderr: str) -> list[str]:
@@ -534,11 +646,11 @@ CACHE_LOADS = {
     "fresh": (lambda cache: None, "cache (5 component(s))"),
     "stale": (lambda cache: (cache.parent / "insurance.adl").write_text(
         (cache.parent / "insurance.adl").read_text() + "\n// touched\n"),
-        "built (5 component(s); cache stale)"),
+        "built (5 component(s); cache stale; reused 5 of 5 automata, 2 of 2 publication checks)"),
     "corrupt": (lambda cache: cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n"),
                 "built (5 component(s); corrupt cache: KeyError: 'hash')"),
     "v6 cache": (lambda cache: shutil.copy(V6_CACHE, cache),
-                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v7))"),
+                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v8))"),
     "lowered limit": (lambda cache: None, "built (5 component(s); cache built under a higher "
                                           f"state limit ({protocol.DEFAULT_STATE_LIMIT}))"),
     "a catalog unit": (lambda cache: None, "cache (1 component(s))"),

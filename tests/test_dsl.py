@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from archmatch import dsl
+from archmatch import dsl, model
+from archmatch.diagnostics import Span
 from archmatch.dsl import SourceUnit, syntax
 from archmatch.dsl.tokens import EOF, ERROR, IDENT, STRING, tokenize
 from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star, chain
@@ -489,3 +490,50 @@ def test_format_round_trip_on_random_trees():
         tree2, diags = dsl.parse_unit(SourceUnit("gen.adl", text))
         assert tree2 is not None, (diags, text)
         assert tree2 == tree, text
+
+
+_GAPS = [" ", "  ", "\n", "\t", "\r\n", " // note\n", "\n\n  "]
+
+
+def _node_spans(node, found: list) -> list:
+    """(record, span) for every record under `node` that has a span."""
+    if isinstance(node, tuple):
+        for item in node:
+            _node_spans(item, found)
+    elif hasattr(node, "__record_fields__"):
+        for name in node.__record_fields__:
+            value = getattr(node, name)
+            if isinstance(value, Span):
+                found.append((node, value))
+            else:
+                _node_spans(value, found)
+    return found
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_spans_agree_with_offsets_and_run_between_tokens(rng):
+    """Random ADL text: formatted random declarations, relaid with random
+    blanks, comments and line breaks, and at times one token dropped or one
+    stray character added."""
+    tree = syntax.SyntaxTree(tuple(_random_declaration(rng) for _ in range(rng.randint(1, 4))))
+    words = [t.text for t in tokenize(SourceUnit("t", dsl.format(tree)))[:-1]]
+    if rng.random() < 0.5:
+        words.insert(rng.randrange(len(words) + 1), rng.choice(["@", '"', "<"]))
+    if rng.random() < 0.3:
+        del words[rng.randrange(len(words))]
+    text = "".join(word + rng.choice(_GAPS) for word in words)
+    tokens = tokenize(SourceUnit("t", text))
+    parsed, diagnostics = dsl.parse_unit(SourceUnit("t", text))
+    if parsed is not None:
+        diagnostics = diagnostics + model.resolve([parsed])[1]
+    spans = [t.span for t in tokens] + [d.span for d in diagnostics]
+    starts = {t.offset for t in tokens}
+    ends = {t.offset + len(t.text) for t in tokens}
+    for node, span in _node_spans(parsed.declarations if parsed else (), []):
+        # a node's span runs from the start of its first token to the end of its last
+        assert span.offset in starts and span.offset + span.length in ends, (text, node)
+        spans.append(span)
+    for span in spans:
+        assert span.line == text.count("\n", 0, span.offset) + 1, (text, span)
+        assert span.column == span.offset - text.rfind("\n", 0, span.offset), (text, span)

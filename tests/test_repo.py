@@ -16,7 +16,7 @@ from archmatch import matcher, repo
 from archmatch import protocol as P
 from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
-from broken_caches import DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE
+from broken_caches import DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -186,14 +186,17 @@ def test_cache_header_shape(tmp_path):
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
     lines = path.read_text().split("\n")
-    assert lines[0] == "ARCHMATCH-IDX v7"
+    assert lines[0] == "ARCHMATCH-IDX v8"
     assert lines[2:] == [""]
     doc = json.loads(lines[1])
-    assert sorted(doc) == ["components", "hash", "names", "state_limit", "types"]
+    assert sorted(doc) == ["checked", "components", "hash", "names", "state_limit", "types"]
     assert lines[1] == json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert doc["hash"] == catalog.source_hash
+    assert doc["checked"] == []  # the catalog has no causal block or publication
     entry = doc["components"]["DocumentManager"]
-    assert sorted(entry) == ["dfa", "methods"]
+    assert sorted(entry) == ["dfa", "methods", "protocol"]
+    assert entry["protocol"] == \
+        "(?searchDocuments + ?setPreference)* | (?searchDocuments + ?viewDocument ?setPreference)*"
     assert entry["methods"][2] == ["setPreference", [["documentType", "String"],
                                                      ["preference", "String"]], None]
     assert sorted(entry["dfa"]) == ["accept", "alphabet", "start", "states", "transitions"]
@@ -218,7 +221,8 @@ def test_cache_stale_detection(tmp_path):
     # editing a source unit invalidates the cache
     unit = tmp_path / "document_manager.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
-    assert _load_index(catalog_path)[1:] == ("built", "stale")
+    assert _load_index(catalog_path)[1:] == \
+        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks")
 
 
 def test_cache_of_another_hash_is_stale(tmp_path):
@@ -262,11 +266,11 @@ def test_cache_rejects_wrong_version(tmp_path):
     for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2",
                   "ARCHMATCH-IDX v3"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v7"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v8"):
             repo.load_cache(path)
-    for cache in (V4_CACHE, V5_CACHE, V6_CACHE):  # real caches of fixtures/catalog_full.txt
+    for cache in (V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE):  # real caches of fixtures/catalog_full.txt
         shutil.copy(cache, path)
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v7"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v8"):
             repo.load_cache(path)
 
 
@@ -287,7 +291,8 @@ def test_load_index_reason_missing(tmp_path):
 def test_load_index_reason_stale(tmp_path):
     def setup(cache, catalog, m):
         repo.save_cache(replace(repo.build_index(catalog, m), source_hash="old"), cache)
-    assert _load_index_reason(tmp_path, setup) == ("built", "stale")
+    assert _load_index_reason(tmp_path, setup) == \
+        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks")
 
 
 def test_load_index_reason_corrupt(tmp_path):
@@ -297,11 +302,11 @@ def test_load_index_reason_corrupt(tmp_path):
 
 
 def test_load_index_reason_other_version(tmp_path):
-    for old in (V2_CACHE, V6_CACHE):
+    for old in (V2_CACHE, V6_CACHE, V7_CACHE):
         origin, reason = _load_index_reason(
             tmp_path, lambda cache, *_, old=old: shutil.copy(old, cache))
         assert (origin, reason) == (
-            "built", "unsupported cache version (expected ARCHMATCH-IDX v7)")
+            "built", "unsupported cache version (expected ARCHMATCH-IDX v8)")
 
 
 def test_load_index_rebuilds_a_cache_built_under_a_higher_state_limit(tmp_path):
