@@ -61,10 +61,11 @@ class Session:
         if not self.quiet:
             print(message, file=sys.stderr)
 
-    def require_catalog(self) -> tuple[repo.Catalog, object]:
+    def require_catalog(self, memo: repo.Memo | None = None) -> tuple[repo.Catalog, object]:
+        """The catalog and its model; with a `memo`, the catalog keeps what a cache records."""
         if self.catalog_path is None:
             _input_error(NEEDS_CATALOG)
-        catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit)
+        catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit, memo=memo)
         _print_diagnostics(diagnostics, self.base_dir)
         if catalog is None:
             sys.exit(2)
@@ -172,7 +173,7 @@ def match(session: Session, requirement: str, output_format: str) -> None:
     _print_diagnostics(diagnostics, session.base_dir)
     if req is None:
         sys.exit(2)
-    note = f"index: {origin} ({len(index.entries)} component(s)"
+    note = f"index: {origin} ({index.size()} component(s)"
     if reason is not None:  # a CacheError message names the cache itself
         note += f"; cache {reason}" if reason.startswith(("missing", "stale")) else f"; {reason}"
     session.note(note + ")")
@@ -231,7 +232,7 @@ def link(session: Session, name: str) -> None:
 
 def index_build(session: Session) -> None:
     """Compile all component protocols and write the cache file."""
-    catalog, model_ = session.require_catalog()
+    catalog, model_ = session.require_catalog(repo.Memo())  # check keys and unit stats
     compiled = repo.build_index(catalog, model_, session.state_limit)
     path = (repo.default_cache_path(catalog.path) if session.cache_path is None
             else Path(session.cache_path))

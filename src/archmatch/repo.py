@@ -4,19 +4,26 @@ protocol index, and its cache file.
 Compiling every component's protocols is the one-time cost paid when the
 architecture changes; the cache file makes it pay once per change, with a
 content hash of the unit texts to detect staleness. The cache file is the magic
-line `ARCHMATCH-IDX v8`, then one sorted-key JSON document. Besides the compiled
-components, each with the printed protocol its DFA was built from, it holds
-what a query needs of the catalog: its types, every non-type name it declares,
-and the state limit its load and build succeeded under; and the keys of the
-publication checks that passed. `load_match` reads the catalog, its units, the
-requirement and the cache once, and decodes the cache at most once. A fresh
-cache then answers `match` alone, without lexing, parsing or resolving a
-catalog unit or checking a publication. The catalog is loaded instead when the
-cache is missing, stale, corrupt, of another version (`v1` to `v7`) or built
-under a higher state limit (these three are rebuilt), when a file cannot be
-read, and when the requirement is a catalog unit, declares anything but types,
-interfaces and contracts, extends or implements an interface it does not
-declare, or redeclares a name the catalog gives a non-type.
+line `ARCHMATCH-IDX v9` with a CRC-32 of the rest of the file, then one
+sorted-key JSON document. Besides the compiled components, each with the
+printed protocol its DFA was built from and the shapes of its methods, it
+holds what a query needs of the catalog: its types, every non-type name it
+declares, and the state limit its load and build succeeded under; the keys of
+the publication checks that passed; and each unit's size and times, from a
+stat taken before the unit was read.
+
+`load_match` reads the catalog, the requirement and the cache once, and stats
+the units. It reads and hashes the units only when their stats differ from the
+recorded ones or a unit changed no earlier than the cache was written (git's
+racy-clean rule). A fresh cache then answers `match` alone, without lexing,
+parsing or resolving a catalog unit or checking a publication, and decodes only
+the entries that share a method shape with the requirement. The catalog is
+loaded instead when the cache is missing, stale, corrupt, of another version
+(`v1` to `v8`) or built under a higher state limit (these three are rebuilt),
+when a file cannot be read, and when the requirement is a catalog unit,
+declares anything but types, interfaces and contracts, extends or implements an
+interface it does not declare, or redeclares a name the catalog gives a
+non-type.
 
 A stale cache that decodes cleanly and was built under a state limit no higher
 than the current one is the rebuild's `Memo`: a DFA or a passed publication
@@ -28,9 +35,10 @@ Mokhov, Mitchell and Peyton Jones, "Build Systems à la Carte", ICFP 2018).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import stat
+import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,18 +47,20 @@ from .diagnostics import ERROR, Diagnostic, Span, has_errors
 from .dsl import SourceUnit, syntax
 from .matcher import Requirement
 from .model import MethodSig, Model, Param, TypeDecl
-from .protocol import FiniteAutomaton
+from .protocol import FiniteAutomaton, ProtocolExpr
 from .records import field, record
+from .sigmatch import TypeLattice, shape
 
 if TYPE_CHECKING:  # `category` is imported by the commands that build architectures
     from .category import FunctorMapping, PseudoCategory
 
-# The first line of a cache file. Bump it whenever build_index could give
-# different output for the same source (for example after a change to compile,
-# determinize or minimize), or its recorded state_limit, an entry's `protocol`
-# or a `checked` key could mean something else, so that older caches are
-# rejected and rebuilt without lending a rebuild their automata or checks.
-CACHE_MAGIC = "ARCHMATCH-IDX v8"
+# The first line of a cache file, before its checksum. Bump it whenever
+# build_index could give different output for the same source (for example
+# after a change to compile, determinize or minimize), or its recorded
+# state_limit, an entry's `protocol` or `shapes`, a `checked` key or a unit's
+# stat could mean something else, so that older caches are rejected and
+# rebuilt without lending a rebuild their automata or checks.
+CACHE_MAGIC = "ARCHMATCH-IDX v9"
 
 # the Model tables whose names a requirement may not redeclare
 _NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
@@ -68,7 +78,10 @@ class Catalog:
     architectures: dict[str, PseudoCategory] = field(default_factory=dict)
     links: dict[str, FunctorMapping] = field(default_factory=dict)
     source_hash: str = ""
-    checked: frozenset[tuple[str, ...]] = frozenset()  # keys of its publication checks
+    # given a memo to load (see `load`): the keys of its publication checks,
+    # and Units.stats of its units
+    checked: frozenset[str] = frozenset()
+    stats: list[list] = field(default_factory=list)
 
 
 @record(frozen=True)
@@ -76,7 +89,9 @@ class IndexEntry:
     component: str
     methods: tuple[MethodSig, ...]
     provided_automaton: FiniteAutomaton
-    protocol: str = ""  # the printed provided protocol the automaton was built from
+    # the provided protocol the automaton was built from, printed, or its
+    # expression until a cache is written; it is not part of the entry's value
+    protocol: str | ProtocolExpr = field(default="", compare=False)
 
 
 @record
@@ -86,7 +101,14 @@ class CompiledIndex:
     types: dict[str, TypeDecl]
     names: tuple[str, ...]  # every non-type name the catalog declares, sorted
     state_limit: int  # the load and the build succeeded under it
-    checked: frozenset[tuple[str, ...]] = frozenset()  # keys of the publication checks
+    checked: frozenset[str] = frozenset()  # keys of the publication checks
+    units: list[list] = field(default_factory=list, compare=False)  # Units.stats at the build
+    # the cache JSON of the entries a lazy load_cache left undecoded, by component
+    pending: dict[str, dict] = field(default_factory=dict, compare=False, repr=False)
+
+    def size(self) -> int:
+        """The number of components, decoded or not."""
+        return len(self.entries) + len(self.pending)
 
 
 @record
@@ -99,13 +121,14 @@ class Memo:
     that passed (`_check_key`). Equal keys give equal results: printing is
     injective, and minimal DFAs are canonically numbered. Both hold for any
     state limit at least the one they were computed under: a state limit only
-    turns a result into ProtocolTooLarge.
+    turns a result into ProtocolTooLarge. A build given a memo, even an empty
+    one, computes the keys a cache records; one given none skips them.
     """
 
     automata: dict[tuple[str, frozenset[str]], FiniteAutomaton] = field(default_factory=dict)
-    checked: frozenset[tuple[str, ...]] = frozenset()
+    checked: frozenset[str] = frozenset()
     state_limit: int = 0  # what it holds was computed under this limit
-    passed: set[tuple[str, ...]] = field(default_factory=set)  # keys this build's checks passed
+    passed: set[str] = field(default_factory=set)  # keys this build's checks passed
     checks: int = 0  # publication checks this build asked for
     reused_checks: int = 0
     reused_automata: int = 0
@@ -152,18 +175,76 @@ def _unit_paths(catalog_text: str) -> list[str]:
             if line and not line.startswith("#")]
 
 
-def read_unit_texts(catalog_path: Path, texts: dict[Path, str] | None = None,
-                    ) -> list[str] | None:
+class Units:
+    """The unit files a catalog lists, as found on disk: each one's stat, all
+    taken first, and its text, read with plain `open` when first asked for.
+
+    `stats` holds `[path, size, mtime_ns, ctime_ns]` per unit, the path as the
+    catalog lists it, or is None when a unit is missing or not a regular file.
+    """
+
+    def __init__(self, catalog_path: str | Path, catalog_text: str):
+        self.paths = _unit_paths(catalog_text)
+        directory = os.path.dirname(catalog_path)
+        self._files = [os.path.join(directory, p) for p in self.paths]
+        self._texts: dict[int, str | None] = {}  # by unit; None: it cannot be read
+        self.stats: list[list] | None = []
+        for i, (unit, file) in enumerate(zip(self.paths, self._files)):
+            try:
+                st = os.stat(file)
+            except (OSError, ValueError):
+                st = None
+            if st is None or not stat.S_ISREG(st.st_mode):  # never opened: it may be a FIFO
+                self._texts[i] = None
+                self.stats = None
+            elif self.stats is not None:
+                self.stats.append([unit, st.st_size, st.st_mtime_ns, st.st_ctime_ns])
+
+    def text(self, i: int) -> str | None:
+        """The text of unit `i`, or None when it cannot be read."""
+        if i not in self._texts:
+            try:
+                with open(self._files[i], encoding="utf-8") as file:
+                    self._texts[i] = file.read()
+            except (OSError, UnicodeDecodeError):
+                self._texts[i] = None
+        return self._texts[i]
+
+    def texts(self) -> list[str] | None:
+        """Every unit's text in catalog order, or None when one cannot be read."""
+        texts = [self.text(i) for i in range(len(self.paths))]
+        return None if None in texts else texts
+
+    def unchanged_since(self, recorded, written_ns: int) -> bool:
+        """Do the stats show the units a cache written at `written_ns` (its
+        mtime) recorded as `recorded`, without reading them? They must equal
+        the recorded ones, and every unit must have changed before the cache
+        was written: a unit changed in the tick the cache was written in may
+        have changed again after it was read (git's racy-clean rule)."""
+        return self.stats is not None and self.stats == recorded and \
+            all(s[2] < written_ns and s[3] < written_ns for s in self.stats)
+
+    def hash(self) -> str | None:
+        """The source hash of the unit texts, or None when one cannot be read."""
+        texts = self.texts()
+        return None if texts is None else source_hash(texts)
+
+    def holds(self, text: str, size: int) -> bool:
+        """Is `text`, `size` bytes in UTF-8, a unit's text? Reads only the
+        units of that size on disk."""
+        return any(s[1] == size and self.text(i) == text for i, s in enumerate(self.stats))
+
+
+def read_unit_texts(catalog_path: Path) -> list[str] | None:
     """The catalog's unit texts in catalog order, or None when the catalog or a
-    unit cannot be read; each text read is kept in `texts`."""
-    text, _ = _read_text(catalog_path, "catalog", texts)
-    units = None if text is None else [
-        _read_text(catalog_path.parent / p, "unit file", texts)[0] for p in _unit_paths(text)]
-    return None if units is None or None in units else units
+    unit cannot be read."""
+    text, _ = _read_text(catalog_path, "catalog")
+    return None if text is None else Units(catalog_path, text).texts()
 
 
 def source_hash(texts) -> str:
     """Stable content hash over the unit texts, in catalog order."""
+    import hashlib  # 4-5 ms: a warm match whose unit stats are unchanged needs no hash
     digest = hashlib.sha256()
     for text in texts:
         blob = text.encode("utf-8")
@@ -213,14 +294,16 @@ def _build_architectures(m: Model) -> tuple[dict[str, PseudoCategory],
     return architectures, links, diagnostics
 
 
-def _check_key(pub: model.Publication) -> tuple[str, ...]:
-    """All that `model.validate_publication` reads of `pub`, printed: the
-    causal relation, then each side's traces and sorted alphabet."""
-    key = (dsl.format_protocol(pub.causal),)
+def _check_key(pub: model.Publication) -> str:
+    """The SHA-256 of all that `model.validate_publication` reads of `pub`,
+    printed: the causal relation, then each side's traces and sorted alphabet
+    (hashed as `source_hash` hashes unit texts, so distinct parts give distinct
+    keys)."""
+    parts = [dsl.format_protocol(pub.causal)]
     for side in (pub.provided, pub.required):
         if side is not None:
-            key += (dsl.format_protocol(side.traces), " ".join(sorted(side.iface.method_names())))
-    return key
+            parts += [dsl.format_protocol(side.traces), " ".join(sorted(side.iface.method_names()))]
+    return source_hash(parts)
 
 
 def _validate_publications(m: Model, state_limit: int,
@@ -285,31 +368,38 @@ def analyze(trees, state_limit: int = protocol.DEFAULT_STATE_LIMIT, memo: Memo |
 
 
 def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
-         texts: dict[Path, str] | None = None, memo: Memo | None = None,
+         units: Units | None = None, memo: Memo | None = None,
          ) -> tuple[Catalog | None, Model | None, list[Diagnostic]]:
-    """Load a catalog file and everything it references; a file whose path is
-    in `texts` is taken from there instead of read, and a publication check
-    whose key is in `memo` is taken as passed.
+    """Load a catalog file and everything it references. `units` are the
+    catalog's units, already stat-ed (and maybe read); a publication check
+    whose key is in `memo` is taken as passed. Only given a memo does the
+    catalog keep what a cache records: its `checked` keys and unit `stats`.
 
     All units must parse and resolve, architectures must build, and every
     publication must satisfy the causal projection condition; otherwise the
     diagnostics list every failure and both results are None.
     """
     catalog_path = Path(catalog_path)
-    text, diagnostics = _read_text(catalog_path, "catalog", texts)
-    if text is None:
-        return None, None, diagnostics
-    resolved = [catalog_path.parent / p for p in _unit_paths(text)]
-    units, trees, diagnostics = parse_units(resolved, texts)
+    if units is None:
+        text, diagnostics = _read_text(catalog_path, "catalog")
+        if text is None:
+            return None, None, diagnostics
+        units = Units(catalog_path, text)
+    resolved = [catalog_path.parent / p for p in units.paths]
+    # a unit that cannot be read is read again, for its diagnostic
+    texts = {path: text for i, path in enumerate(resolved)
+             if (text := units.text(i)) is not None}
+    parsed, trees, diagnostics = parse_units(resolved, texts)
     if has_errors(diagnostics):
         return None, None, diagnostics
-    memo = Memo() if memo is None else memo
     m, architectures, links, diags = analyze(trees, state_limit, memo)
     diagnostics.extend(diags)
     if m is None:
         return None, None, diagnostics
-    catalog = Catalog(str(catalog_path), units, trees, architectures, links,
-                      source_hash(unit.text for unit in units), frozenset(memo.passed))
+    catalog = Catalog(str(catalog_path), parsed, trees, architectures, links,
+                      source_hash(unit.text for unit in parsed))
+    if memo is not None:  # what a cache records of the catalog besides its index
+        catalog.checked, catalog.stats = frozenset(memo.passed), units.stats or []
     return catalog, m, diagnostics
 
 
@@ -318,12 +408,12 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
 def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
                 memo: Memo | None = None) -> CompiledIndex:
     """Compile, determinize, and minimize every component's provided protocol,
-    or take its minimal DFA from `memo`.
+    or take its minimal DFA from `memo`. Only given a memo are the protocols
+    printed here; save_cache prints those it writes.
 
     Deterministic: entries are keyed and processed in component-name order,
     and minimized automata are canonically numbered.
     """
-    memo = Memo() if memo is None else memo
     entries: dict[str, IndexEntry] = {}
     for name in sorted(m.components):
         comp = m.components[name]
@@ -332,8 +422,8 @@ def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_
         expr = comp.provided_protocol
         if expr is None:
             expr = protocol.universal_expr(provided_alphabet)
-        text = dsl.format_protocol(expr)
-        provided = memo.automata.get((text, provided_alphabet))
+        text = None if memo is None else dsl.format_protocol(expr)
+        provided = None if text is None else memo.automata.get((text, provided_alphabet))
         if provided is not None:
             memo.reused_automata += 1
         else:
@@ -342,43 +432,78 @@ def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_
                     protocol.compile(expr, alphabet=provided_alphabet), state_limit))
             except protocol.ProtocolTooLarge as err:
                 raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
-        entries[name] = IndexEntry(name, iface.all_methods(), provided, text)
+        entries[name] = IndexEntry(name, iface.all_methods(), provided,
+                                   expr if text is None else text)
     return CompiledIndex(entries, catalog.source_hash, dict(m.types),
                          tuple(sorted(name for kind in _NON_TYPES for name in vars(m)[kind])),
-                         state_limit, catalog.checked)
+                         state_limit, catalog.checked, catalog.stats)
 
 
 # --- cache persistence ----------------------------------------------------------
 
-def _entry_json(entry: IndexEntry) -> dict:
+def _shape_keys(types: dict[str, TypeDecl]):
+    """The function that prints a method's `sigmatch.shape` on the lattice of
+    `types`: `(P1,P2)`, its sorted parameter-type roots, then `:R` when it
+    returns a type of root R. Memoised by the method's types, which many
+    methods share."""
+    lattice = TypeLattice.from_types(types)
+    printed: dict[tuple, str] = {}
+
+    def key(sig: MethodSig) -> str:
+        if sig.types not in printed:
+            params, ret = shape(sig, lattice)
+            printed[sig.types] = f"({','.join(params)})" + ("" if ret is None else f":{ret}")
+        return printed[sig.types]
+    return key
+
+
+def _entry_json(entry: IndexEntry, shape_key) -> dict:
     auto = entry.provided_automaton  # minimized, so its states are 0..n-1
+    text = entry.protocol
     return {
         "methods": [[sig.name, [[p.name, p.type] for p in sig.params], sig.return_type]
                     for sig in entry.methods],
         "dfa": {"alphabet": sorted(auto.alphabet), "states": len(auto.states),
                 "start": auto.start, "accept": sorted(auto.accepting),
                 "transitions": [list(t) for t in sorted(auto.transitions)]},
-        "protocol": entry.protocol,
+        "protocol": text if isinstance(text, str) else dsl.format_protocol(text),
+        # a requirement reaches the entry through these (see `reach`)
+        "shapes": sorted({shape_key(sig) for sig in entry.methods}),
     }
 
 
 def _catalog_json(index: CompiledIndex) -> dict:
     return {"types": [[t.name, t.supertype] for t in index.types.values()],
             "names": list(index.names), "state_limit": index.state_limit,
-            "checked": [list(key) for key in sorted(index.checked)]}
+            "checked": sorted(index.checked), "units": index.units}
+
+
+def _seal(body: bytes) -> str:
+    """The first line of a cache file whose bytes after that line are `body`."""
+    return f"{CACHE_MAGIC} {zlib.crc32(body):08x}"
+
+
+def _document(index: CompiledIndex) -> str:
+    """The cache's JSON line, as json.dumps with sorted keys and no spaces
+    writes it, built an entry at a time: the encoder keeps every piece of a
+    document until it joins them."""
+    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+    shape_key = _shape_keys(index.types)
+    components = ",".join(f"{encode(name)}:{encode(_entry_json(index.entries[name], shape_key))}"
+                          for name in sorted(index.entries))
+    fields = _catalog_json(index)
+    checked = encode(fields.pop("checked"))  # the other fields' keys all sort after "hash"
+    return (f'{{"checked":{checked},"components":{{{components}}},'
+            f'"hash":{encode(index.source_hash)},{encode(fields)[1:]}\n')
 
 
 def save_cache(index: CompiledIndex, path: str | Path) -> None:
     """Write the index to a temporary file in the same directory that then
     replaces `path`, so a failed write leaves any previous cache intact."""
-    encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    # json.dumps's text, an entry at a time: the encoder keeps every piece until it joins them
-    components = ",".join(f"{encode(name)}:{encode(_entry_json(index.entries[name]))}"
-                          for name in sorted(index.entries))
-    fields = _catalog_json(index)
-    checked = encode(fields.pop("checked"))  # the other fields' keys all sort after "hash"
-    text = (f'{CACHE_MAGIC}\n{{"checked":{checked},"components":{{{components}}},'
-            f'"hash":{encode(index.source_hash)},{encode(fields)[1:]}\n')
+    if index.pending:
+        raise ValueError("a lazily loaded index is not saved")
+    text = _document(index)
+    text = f"{_seal(text.encode('utf-8'))}\n{text}"
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -395,7 +520,7 @@ def _int(value) -> int:
     return value
 
 
-def _entry_from_json(name: str, comp: dict) -> IndexEntry:
+def _entry_from_json(name: str, comp: dict, shape_key) -> IndexEntry:
     dfa = comp["dfa"]
     # one string per symbol: JSON decodes each occurrence into a string of its own
     symbols = {sym: sym for sym in map(str, dfa["alphabet"])}
@@ -411,22 +536,27 @@ def _entry_from_json(name: str, comp: dict) -> IndexEntry:
                     for method, params, ret in comp["methods"])
     entry = IndexEntry(name, methods, auto, str(comp["protocol"]))
     # str() leaves a value of another type unequal, as are extra or reordered items
-    if _entry_json(entry) != comp:
+    if _entry_json(entry, shape_key) != comp:
         raise ValueError(f"component {name!r} differs from what this version writes")
     return entry
 
 
-def _catalog_from_json(doc: dict) -> dict:
-    """The CompiledIndex fields besides entries and hash, from a cache document."""
+def _catalog_from_json(doc: dict, lazy: bool = False) -> dict:
+    """The CompiledIndex fields besides entries and hash, from a cache
+    document; a lazy load leaves `checked` and `units` unread."""
     fields = {
         "types": {str(n): TypeDecl(str(n), s if s is None else str(s)) for n, s in doc["types"]},
-        "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"]),
-        "checked": frozenset(tuple(map(str, key)) for key in doc["checked"])}
+        "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"])}
+    if not lazy:
+        fields["checked"] = frozenset(map(str, doc["checked"]))
+        fields["units"] = [[str(p), _int(size), _int(m), _int(c)] for p, size, m, c in doc["units"]]
     written = _catalog_json(CompiledIndex({}, "", **fields))
+    keys = {"components", "hash", *written}
+    if lazy:
+        del written["checked"], written["units"]
     # the sorted set of keys drops a duplicated or out-of-order key
-    if set(doc) != {"components", "hash", *written} or \
-            written != {key: doc[key] for key in written} or fields["state_limit"] < 1 or \
-            written["names"] != sorted(set(written["names"])):
+    if set(doc) != keys or written != {key: doc[key] for key in written} or \
+            fields["state_limit"] < 1 or written["names"] != sorted(set(written["names"])):
         raise ValueError("the top-level fields differ from what this version writes")
     return fields
 
@@ -435,15 +565,20 @@ def _catalog_from_json(doc: dict) -> dict:
 _DEFECTIVE = (AttributeError, KeyError, TypeError, ValueError, RecursionError)
 
 
+def _corrupt(err: Exception) -> CacheError:
+    return CacheError(f"corrupt cache: {type(err).__name__}: {err}")
+
+
 def _memo_from_json(doc: dict) -> Memo | None:
     """The automata and passed checks of a cache document, or None when it is
     defective. Each component's JSON is dropped once decoded."""
     try:
         fields = _catalog_from_json(doc)
+        shape_key = _shape_keys(fields["types"])
         automata = {}
         components = doc["components"]
         for name in list(components.keys()):  # keys(), like items(), rejects a list
-            entry = _entry_from_json(name, components.pop(name))
+            entry = _entry_from_json(name, components.pop(name), shape_key)
             automata[entry.protocol, entry.provided_automaton.alphabet] = \
                 entry.provided_automaton
     except _DEFECTIVE:
@@ -451,16 +586,41 @@ def _memo_from_json(doc: dict) -> Memo | None:
     return Memo(automata, fields["checked"], fields["state_limit"])
 
 
-def load_cache(path: str | Path, source_hash: str | None = None) -> CompiledIndex:
-    """Read a cache file; CacheError on any defect, or StaleCache if given
-    another source_hash."""
+def reach(index: CompiledIndex, shapes: set[str] | None = None) -> CompiledIndex:
+    """Decode the pending entries with a method of a shape in `shapes` (every
+    pending entry when it is None or empty), each checked as a full load checks
+    it; CacheError if one is defective."""
+    shape_key = _shape_keys(index.types)
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        for name, comp in list(index.pending.items()):
+            if not shapes or not shapes.isdisjoint(comp["shapes"]):
+                index.entries[name] = _entry_from_json(name, comp, shape_key)
+                del index.pending[name]
+    except _DEFECTIVE as err:
+        raise _corrupt(err) from err
+    return index
+
+
+def load_cache(path: str | Path, source: str | Units | None = None,
+               lazy: bool = False) -> CompiledIndex:
+    """Read a cache file; CacheError on any defect, or StaleCache if `source`,
+    the hash of the current unit texts or the catalog's Units, says that it
+    was built from other texts. Units whose stats are those recorded (see
+    `Units.unchanged_since`) are taken to hash to the recorded hash unread.
+
+    A lazy load leaves every entry pending, for `reach` to decode, and
+    `checked` and `units` unread: such an index answers queries but is not
+    saved. The checksum on the first line guards what it does not decode.
+    """
+    try:
+        with open(path, "rb") as file:
+            header, _, body = file.read().partition(b"\n")
+            written = os.fstat(file.fileno()).st_mtime_ns
+        seal = _seal(body)
+        header, body = header.decode("utf-8"), body.decode("utf-8")  # one copy at a time
     except (OSError, UnicodeDecodeError) as err:
         raise CacheError(f"cannot read cache: {err}") from err
-    magic, _, body = text.partition("\n")
-    del text  # `body` is a copy of it: hold one copy while decoding
-    if magic != CACHE_MAGIC:
+    if header != CACHE_MAGIC and not header.startswith(CACHE_MAGIC + " "):
         raise CacheError(f"unsupported cache version (expected {CACHE_MAGIC})")
     if not body.endswith("\n"):  # save_cache ends the file with a newline
         raise CacheError("corrupt cache: truncated")
@@ -469,13 +629,21 @@ def load_cache(path: str | Path, source_hash: str | None = None) -> CompiledInde
         del body  # what is decoded next needs only the document
         if type(doc["hash"]) is not str:
             raise TypeError("the hash is not a string")
-        if source_hash is not None and doc["hash"] != source_hash:
-            raise StaleCache(_memo_from_json(doc))
-        return CompiledIndex({name: _entry_from_json(name, comp)
-                              for name, comp in doc["components"].items()}, doc["hash"],
-                             **_catalog_from_json(doc))
+        # after decoding, so that a defect the decoder or the hash check finds is named
+        if header != seal:
+            raise ValueError("checksum mismatch")
+        if source is not None:
+            current = source if isinstance(source, str) else doc["hash"] \
+                if source.unchanged_since(doc["units"], written) else source.hash()
+            if current != doc["hash"]:
+                raise StaleCache(_memo_from_json(doc))
+        if type(doc["components"]) is not dict:
+            raise TypeError("the components are not an object")
+        index = CompiledIndex({}, doc["hash"], **_catalog_from_json(doc, lazy),
+                              pending=doc["components"])
     except _DEFECTIVE as err:
-        raise CacheError(f"corrupt cache: {type(err).__name__}: {err}") from err
+        raise _corrupt(err) from err
+    return index if lazy else reach(index)
 
 
 def default_cache_path(catalog_path: str | Path) -> Path:
@@ -538,26 +706,31 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
                ) -> tuple[Requirement | None, Model | None, CompiledIndex | None, str | None,
                           str | None, list[Diagnostic]]:
     """(requirement, merged model, index, origin, reason, diagnostics): what
-    `match` loads, reading each file once and decoding the cache at most once.
+    `match` loads, reading each file at most once and the cache through one
+    `load_cache`.
 
-    A fresh cache answers alone when it can (see the module docstring);
-    otherwise the catalog is loaded from the texts already read and the
-    requirement resolved on it. The index is the cache when it is usable, with
-    origin "cache" and reason None. Else it is built and saved, with origin
-    "built" and the reason: "missing", "stale", the CacheError message or that
-    the cache was built under a higher state limit, followed by "; cannot write
-    cache: ..." if the new cache could not be saved. When the catalog or the
-    requirement fails to load, all but the diagnostics are None.
+    A fresh cache answers alone when it can (see the module docstring), and
+    its index then holds, decoded, only the entries the requirement reaches:
+    those with a method of the shape of a requirement method (all of them when
+    it has no methods). Otherwise the catalog is loaded from the units already
+    stat-ed and read, and the requirement resolved on it. The index is the
+    cache when it is usable, with origin "cache" and reason None. Else it is
+    built and saved, with origin "built" and the reason: "missing", "stale",
+    the CacheError message or that the cache was built under a higher state
+    limit, followed by "; cannot write cache: ..." if the new cache could not
+    be saved. When the catalog or the requirement fails to load, all but the
+    diagnostics are None.
     """
     catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
     texts: dict[Path, str] = {}
-    units = read_unit_texts(catalog_path, texts)
+    catalog_text, _ = _read_text(catalog_path, "catalog", texts)
+    units = None if catalog_text is None else Units(catalog_path, catalog_text)
     req_text, _ = _read_text(requirement_path, "requirement file", texts)
     path = default_cache_path(catalog_path) if cache_path is None else Path(cache_path)
     index, memo, reason = None, None, "missing"
-    if units is not None and req_text is not None and path.exists():
+    if units is not None and units.stats is not None and req_text is not None and path.exists():
         try:
-            index = load_cache(path, source_hash(units))
+            index = load_cache(path, units, True)
         except StaleCache as err:
             reason = str(err)
             if err.memo is not None and err.memo.state_limit <= state_limit:
@@ -566,13 +739,16 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
             reason = str(err)
         if index is not None and index.state_limit > state_limit:
             index, reason = None, f"cache built under a higher state limit ({index.state_limit})"
-    loaded, tree = None, None
-    if index is not None and req_text not in units:
+    catalog, loaded, tree = None, None, None
+    # reads only the units of the requirement's size; one whose text equals it only once
+    # newlines are translated is missed, and `_cached_requirement` answers as for a unit
+    if index is not None and not units.holds(req_text, len(req_text.encode("utf-8"))):
         tree, diagnostics = dsl.parse_unit(SourceUnit(str(requirement_path), req_text))
         loaded = (None, None, diagnostics) if tree is None else \
             _cached_requirement(requirement_path, tree, index)
-    if loaded is None:  # the full load, on the texts read
-        catalog, m, diagnostics = load(catalog_path, state_limit, texts, memo)
+    build_memo = Memo() if memo is None else memo  # a build here is saved
+    if loaded is None:  # the full load, on the units read
+        catalog, m, diagnostics = load(catalog_path, state_limit, units, build_memo)
         if catalog is None:  # else there are no diagnostics
             return None, None, None, None, None, diagnostics
         loaded = load_requirement(requirement_path, catalog, m, texts, tree)
@@ -580,8 +756,17 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     if req is None:
         return None, None, None, None, None, diagnostics
     if index is not None:
-        return req, merged, index, "cache", None, diagnostics
-    index = build_index(catalog, m, state_limit, memo)  # an unusable cache took the full load
+        shape_key = _shape_keys(merged.types)
+        try:
+            reach(index, {shape_key(sig) for sig in req.iface.all_methods()})
+            return req, merged, index, "cache", None, diagnostics
+        except CacheError as err:  # a defect the checksum missed: rebuild
+            index, reason = None, str(err)
+    if catalog is None:  # the requirement was resolved on the defective cache's types
+        catalog, m, load_diagnostics = load(catalog_path, state_limit, units, build_memo)
+        if catalog is None:
+            return None, None, None, None, None, load_diagnostics
+    index = build_index(catalog, m, state_limit, build_memo)
     if memo is not None:
         reason += (f"; reused {memo.reused_automata} of {len(index.entries)} automata, "
                    f"{memo.reused_checks} of {memo.checks} publication checks")

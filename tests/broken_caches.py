@@ -4,7 +4,10 @@ tests of `repo.load_cache` and of the CLI."""
 from __future__ import annotations
 
 import json
+import zlib
 from pathlib import Path
+
+from archmatch.repo import CACHE_MAGIC
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # caches of fixtures/catalog_full.txt written by earlier versions
@@ -13,6 +16,7 @@ V4_CACHE = FIXTURES / "catalog_full_v4_cache.txt"
 V5_CACHE = FIXTURES / "catalog_full_v5_cache.txt"
 V6_CACHE = FIXTURES / "catalog_full_v6_cache.txt"
 V7_CACHE = FIXTURES / "catalog_full_v7_cache.txt"
+V8_CACHE = FIXTURES / "catalog_full_v8_cache.txt"
 
 _DELETE = object()
 _COMPONENT = ("components", "AccountService")
@@ -44,9 +48,16 @@ def _magic(text: str) -> str:
     return text.split("\n")[0]
 
 
-#: every kind of defect except truncation: a description and the edit that
-#: makes it from a cache of fixtures/catalog_full.txt
-DEFECTS = {
+def resealed(text: str) -> str:
+    """`text` under a first line whose checksum is right for the rest of it,
+    so that only decoding can find what an edit broke."""
+    body = text.partition("\n")[2]
+    return f"{CACHE_MAGIC} {zlib.crc32(body.encode('utf-8')):08x}\n{body}"
+
+
+#: every defect of a field: a description and the edit that makes it from a
+#: cache of fixtures/catalog_full.txt, which leaves the checksum wrong
+FIELD_DEFECTS = {
     "string state count": _edited(_DFA + ("states",), "1"),
     "integer method name": _edited(_METHODS + (0, 0), 7),
     "boolean start state": _edited(_DFA + ("start",), False),
@@ -61,14 +72,6 @@ DEFECTS = {
     "parameter of three fields": _edited(_METHODS + (0, 1, 0), ["a", "String", "x"]),
     "components as a list": _edited(("components",), []),
     "missing hash": _edited(("hash",), _DELETE),
-    "not JSON": lambda text: f"{_magic(text)}\ngarbage\n",
-    "two JSON lines": lambda text: text + text.split("\n")[1] + "\n",
-    "10,000 nested [": lambda text: f"{_magic(text)}\n{'[' * 10_000}\n",
-    "v2 text cache": lambda text: V2_CACHE.read_text(encoding="utf-8"),
-    "v4 cache": lambda text: V4_CACHE.read_text(encoding="utf-8"),
-    "v5 cache": lambda text: V5_CACHE.read_text(encoding="utf-8"),
-    "v6 cache": lambda text: V6_CACHE.read_text(encoding="utf-8"),
-    "v7 cache": lambda text: V7_CACHE.read_text(encoding="utf-8"),
     "integer type name": _edited(("types", 0, 0), 7),
     "supertype as a list": _edited(("types", 0, 1), ["Account"]),
     "type of three fields": _edited(("types", 0), ["String", None, None]),
@@ -81,9 +84,35 @@ DEFECTS = {
     "unknown top-level field": _edited(("zzz",), [1, 2, 3]),
     "integer protocol": _edited(_COMPONENT + ("protocol",), 7),
     "missing protocol": _edited(_COMPONENT + ("protocol",), _DELETE),
+    "missing shapes": _edited(_COMPONENT + ("shapes",), _DELETE),
+    "wrong shape": _edited(_COMPONENT + ("shapes",), ["()"]),
     "missing checked": _edited(("checked",), _DELETE),
     "checked keys out of order": _edited(("checked",), lambda keys: keys[::-1]),
     "duplicated checked key": _edited(("checked",), lambda keys: keys + keys[-1:]),
-    "checked key as a string": _edited(("checked", 0), "(?inquire ?lookup)*"),
-    "integer in a checked key": _edited(("checked", 0, 0), 7),
+    "checked key as a list": _edited(("checked", 0), ["(?inquire ?lookup)*"]),
+    "integer checked key": _edited(("checked", 0), 7),
+    "missing units": _edited(("units",), _DELETE),
+    "unit size as a string": _edited(("units", 0, 1), "1"),
+}
+
+#: the field defects that a warm `match` of the fixture catalog does not
+#: decode: a hit leaves `checked` and `units` undecoded, and every entry that
+#: no requirement method shares a shape with, as AccountService with a wrong
+#: shape (only the checksum and `index inspect` guard against that one)
+UNREAD_ON_A_HIT = {"checked keys out of order", "duplicated checked key",
+                   "checked key as a list", "integer checked key", "unit size as a string",
+                   "wrong shape"}
+
+#: every kind of defect except truncation
+DEFECTS = {
+    **FIELD_DEFECTS,
+    "not JSON": lambda text: f"{_magic(text)}\ngarbage\n",
+    "two JSON lines": lambda text: text + text.split("\n")[1] + "\n",
+    "10,000 nested [": lambda text: f"{_magic(text)}\n{'[' * 10_000}\n",
+    "v2 text cache": lambda text: V2_CACHE.read_text(encoding="utf-8"),
+    "v4 cache": lambda text: V4_CACHE.read_text(encoding="utf-8"),
+    "v5 cache": lambda text: V5_CACHE.read_text(encoding="utf-8"),
+    "v6 cache": lambda text: V6_CACHE.read_text(encoding="utf-8"),
+    "v7 cache": lambda text: V7_CACHE.read_text(encoding="utf-8"),
+    "v8 cache": lambda text: V8_CACHE.read_text(encoding="utf-8"),
 }

@@ -15,7 +15,8 @@ import pytest
 
 from archmatch import category, dsl, matcher, model, protocol, repo
 from archmatch.sigmatch import TypeLattice
-from broken_caches import DEFECTS, V2_CACHE, V6_CACHE
+from broken_caches import (DEFECTS, FIELD_DEFECTS, UNREAD_ON_A_HIT, V2_CACHE, V6_CACHE,
+                           resealed)
 from cli_runner import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -375,7 +376,7 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: cache (1 component(s))"]
     shutil.copy(V2_CACHE, cache)
     assert note() == ["index: built (1 component(s); "
-                      "unsupported cache version (expected ARCHMATCH-IDX v8))"]
+                      "unsupported cache version (expected ARCHMATCH-IDX v9))"]
     cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
     assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
     unit = workdir / "document_manager.adl"
@@ -650,7 +651,7 @@ CACHE_LOADS = {
     "corrupt": (lambda cache: cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n"),
                 "built (5 component(s); corrupt cache: KeyError: 'hash')"),
     "v6 cache": (lambda cache: shutil.copy(V6_CACHE, cache),
-                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v8))"),
+                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v9))"),
     "lowered limit": (lambda cache: None, "built (5 component(s); cache built under a higher "
                                           f"state limit ({protocol.DEFAULT_STATE_LIMIT}))"),
     "a catalog unit": (lambda cache: None, "cache (1 component(s))"),
@@ -711,6 +712,66 @@ def test_index_build_reports_an_unwritable_cache(workdir, cache):
     assert res.stderr.startswith("error: cannot write cache ") and \
         len(res.stderr.splitlines()) == 1
     assert not any(".tmp" in p.name for p in workdir.rglob("*"))
+
+
+# --- a warm match decodes only what its requirement reaches ---------------------------
+
+@pytest.mark.parametrize("defect", list(FIELD_DEFECTS))
+def test_a_resealed_defect_is_found_where_it_is_decoded(workdir, defect):
+    # under a right checksum only decoding finds a defect: a full load always
+    # decodes it, and so does a match whose requirement reaches the entry
+    cache = workdir / "catalog_full.txt.idx"
+    (workdir / "account_req.adl").write_text(ACCOUNT_REQ)  # reaches AccountService
+    match_args = ["--catalog", str(workdir / "catalog_full.txt"),
+                  "match", str(workdir / "account_req.adl")]
+    clean = run(*match_args)
+    text = cache.read_text()
+    cache.write_text(resealed(FIELD_DEFECTS[defect](text)))
+    with pytest.raises(repo.CacheError, match="^corrupt cache: "):
+        repo.load_cache(cache)
+    inspect = run("--catalog", str(workdir / "catalog_full.txt"), "index", "inspect")
+    assert (inspect.exit_code, inspect.stdout) == (2, "")
+    res = run(*match_args)
+    if defect != "wrong shape":  # which hides AccountService from the requirement
+        assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code)
+    if defect in UNREAD_ON_A_HIT:
+        assert "index: cache (5 component(s))\n" in res.stderr
+    else:
+        assert "index: built (5 component(s); corrupt cache: " in res.stderr
+        assert cache.read_text() == text
+
+
+# requirements besides the fixtures' that a warm match must answer as a cold one
+WARM_AS_COLD = {
+    "no methods": "interface Nothing { }\n",
+    "a subtype of a catalog type": (
+        "type String;\ntype AccountId <: String;\n"
+        "interface WantBalance {\n  getBalance(accountId: AccountId): String;\n}\n"),
+    # README: shared types may only be repeated verbatim, so a requirement
+    # cannot change a catalog method's shape
+    "a catalog type with another supertype": (
+        "type Party;\ntype Account <: Party;\ninterface Open {\n  open(owner: Account);\n}\n"),
+}
+
+
+@pytest.mark.parametrize("case", ["manage_documents_req.adl", "manage_documents_view_req.adl",
+                                  "manage_portfolio_req.adl", *WARM_AS_COLD])
+def test_a_warm_match_answers_as_a_cold_one(workdir, case):
+    requirement = workdir / case
+    if case in WARM_AS_COLD:
+        requirement = workdir / "req.adl"
+        requirement.write_text(WARM_AS_COLD[case])
+    catalog = ["--catalog", str(workdir / "catalog_full.txt")]
+    assert run(*catalog, "index", "build").exit_code == 0
+    warm = run(*catalog, "match", str(requirement))
+    cold = run(*catalog, "--cache", str(workdir / "cold.idx"), "match", str(requirement))
+    assert (warm.stdout, warm.exit_code) == (cold.stdout, cold.exit_code)
+    assert _without_index_note(warm.stderr) == _without_index_note(cold.stderr)
+    if case == "a catalog type with another supertype":
+        assert warm.exit_code == 2 and warm.stdout == ""
+        assert "type 'Account' redeclared with a different supertype" in warm.stderr
+    else:
+        assert "index: cache (5 component(s))\n" in warm.stderr
 
 
 # --- link -------------------------------------------------------------------------

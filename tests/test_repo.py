@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
 import tempfile
+import zlib
 from pathlib import Path
 from unittest import mock
 
@@ -16,7 +18,8 @@ from archmatch import matcher, repo
 from archmatch import protocol as P
 from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
-from broken_caches import DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE
+from broken_caches import (DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE,
+                           V8_CACHE, resealed)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -186,15 +189,20 @@ def test_cache_header_shape(tmp_path):
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
     lines = path.read_text().split("\n")
-    assert lines[0] == "ARCHMATCH-IDX v8"
+    magic, seal = lines[0].rsplit(" ", 1)
+    assert magic == "ARCHMATCH-IDX v9"
+    assert int(seal, 16) == zlib.crc32(path.read_bytes().partition(b"\n")[2])
     assert lines[2:] == [""]
     doc = json.loads(lines[1])
-    assert sorted(doc) == ["checked", "components", "hash", "names", "state_limit", "types"]
+    assert sorted(doc) == ["checked", "components", "hash", "names", "state_limit", "types",
+                           "units"]
     assert lines[1] == json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert doc["hash"] == catalog.source_hash
     assert doc["checked"] == []  # the catalog has no causal block or publication
     entry = doc["components"]["DocumentManager"]
-    assert sorted(entry) == ["dfa", "methods", "protocol"]
+    assert sorted(entry) == ["dfa", "methods", "protocol", "shapes"]
+    assert entry["shapes"] == ["(String)", "(String,String)"]
+    assert doc["units"] == []  # the catalog was loaded without a memo
     assert entry["protocol"] == \
         "(?searchDocuments + ?setPreference)* | (?searchDocuments + ?viewDocument ?setPreference)*"
     assert entry["methods"][2] == ["setPreference", [["documentType", "String"],
@@ -236,7 +244,7 @@ def test_cache_of_another_hash_is_stale(tmp_path):
 
 
 def _full_cache_text(tmp_path) -> str:
-    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt")
+    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt", memo=repo.Memo())  # keys `checked`
     path = tmp_path / "clean.idx"
     repo.save_cache(repo.build_index(catalog, m), path)
     return path.read_text()
@@ -261,16 +269,29 @@ def test_cache_rejects_defect(tmp_path, defect):
         repo.load_cache(path)
 
 
+def test_an_edit_that_keeps_the_cache_valid_breaks_its_checksum(tmp_path):
+    text = _full_cache_text(tmp_path)
+    path = tmp_path / "cache.idx"
+    edited = text.replace('"start":0', '"start":1', 1)  # AccountService's one-state DFA
+    assert edited != text
+    path.write_text(edited)
+    with pytest.raises(repo.CacheError, match="^corrupt cache: ValueError: checksum mismatch$"):
+        repo.load_cache(path)
+    path.write_text(resealed(edited))  # a right checksum leaves the defect to decoding
+    with pytest.raises(repo.CacheError, match="^corrupt cache: ValueError: start or accepting"):
+        repo.load_cache(path)
+
+
 def test_cache_rejects_wrong_version(tmp_path):
     path = tmp_path / "cache.idx"
     for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2",
                   "ARCHMATCH-IDX v3"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v8"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v9"):
             repo.load_cache(path)
-    for cache in (V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE):  # real caches of fixtures/catalog_full.txt
+    for cache in (V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE, V8_CACHE):  # real caches of fixtures/catalog_full.txt
         shutil.copy(cache, path)
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v8"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v9"):
             repo.load_cache(path)
 
 
@@ -302,11 +323,11 @@ def test_load_index_reason_corrupt(tmp_path):
 
 
 def test_load_index_reason_other_version(tmp_path):
-    for old in (V2_CACHE, V6_CACHE, V7_CACHE):
+    for old in (V2_CACHE, V6_CACHE, V7_CACHE, V8_CACHE):
         origin, reason = _load_index_reason(
             tmp_path, lambda cache, *_, old=old: shutil.copy(old, cache))
         assert (origin, reason) == (
-            "built", "unsupported cache version (expected ARCHMATCH-IDX v8)")
+            "built", "unsupported cache version (expected ARCHMATCH-IDX v9)")
 
 
 def test_load_index_rebuilds_a_cache_built_under_a_higher_state_limit(tmp_path):
@@ -349,6 +370,84 @@ def test_cache_write_failure_keeps_previous_cache(tmp_path, monkeypatch, failing
         repo.save_cache(index, path)
     assert path.read_text() == "previous cache\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.idx"]
+
+
+# --- freshness from unit stats ---------------------------------------------------------
+
+def _write_cache_later(catalog_path, seconds: int = 10) -> None:
+    """Date the cache `seconds` after it was written: every unit then changed before it."""
+    cache = os.stat(repo.default_cache_path(catalog_path))
+    later = cache.st_mtime_ns + seconds * 10**9
+    os.utime(repo.default_cache_path(catalog_path), ns=(later, later))
+
+
+def _unit_reads(monkeypatch) -> list[int]:
+    """The units load_match reads, by catalog position, from now on."""
+    reads: list[int] = []
+
+    def text(self, i, _real=repo.Units.text):
+        reads.append(i)
+        return _real(self, i)
+    monkeypatch.setattr(repo.Units, "text", text)
+    return reads
+
+
+def test_a_warm_hit_reads_no_unit_whose_stats_are_unchanged(tmp_path, monkeypatch):
+    catalog_path = copy_fixtures(tmp_path)
+    _load_index(catalog_path)
+    units = json.loads(repo.default_cache_path(catalog_path).read_text().split("\n")[1])["units"]
+    assert [unit[:2] for unit in units] == [[name, os.path.getsize(tmp_path / name)]
+                                            for name in ("types.adl", "document_manager.adl")]
+    _write_cache_later(catalog_path)
+    reads = _unit_reads(monkeypatch)
+    assert _load_index(catalog_path)[1:] == ("cache", None)
+    assert reads == []
+
+
+def test_a_unit_changed_no_earlier_than_the_cache_is_read(tmp_path, monkeypatch):
+    # git's racy-clean rule: a unit changed in the tick the cache was written
+    # in may have changed again after it was read, so its stats prove nothing
+    catalog_path = copy_fixtures(tmp_path)
+    _load_index(catalog_path)
+    unit = os.stat(tmp_path / "types.adl")
+    os.utime(repo.default_cache_path(catalog_path), ns=(unit.st_atime_ns, unit.st_ctime_ns))
+    reads = _unit_reads(monkeypatch)
+    assert _load_index(catalog_path)[1:] == ("cache", None)
+    assert 0 in reads
+
+
+def _rewrite_dated_as_the_cache(tmp_path: Path) -> None:
+    unit = tmp_path / "a.adl"
+    unit.write_text("type Xc;\n")  # the size of "type Xa;\n"
+    cache = os.stat(repo.default_cache_path(tmp_path / "catalog.txt"))
+    os.utime(unit, ns=(cache.st_atime_ns, cache.st_mtime_ns))
+
+
+# a change after the cache was built, and that the next match finds the cache stale
+STAT_CHANGES = {
+    "same-size rewrite dated as the cache": (_rewrite_dated_as_the_cache, True),
+    "equal-size units swapped in the catalog": (
+        lambda root: (root / "catalog.txt").write_text("types.adl\ndocument_manager.adl\n"
+                                                        "b.adl\na.adl\n"), True),
+    "unit dropped from the catalog": (
+        lambda root: (root / "catalog.txt").write_text("types.adl\ndocument_manager.adl\n"
+                                                        "a.adl\n"), True),
+    "touch": (lambda root: os.utime(root / "a.adl", ns=(10**18, 10**18)), False),
+}
+
+
+@pytest.mark.parametrize("change", list(STAT_CHANGES))
+def test_a_change_of_the_units_is_found_however_their_stats_read(tmp_path, change):
+    edit, stale = STAT_CHANGES[change]
+    catalog_path = copy_fixtures(tmp_path)
+    (tmp_path / "a.adl").write_text("type Xa;\n")
+    (tmp_path / "b.adl").write_text("type Xb;\n")
+    catalog_path.write_text("types.adl\ndocument_manager.adl\na.adl\nb.adl\n")
+    assert _load_index(catalog_path)[1:] == ("built", "missing")
+    edit(tmp_path)
+    assert _load_index(catalog_path)[1:] == (
+        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks") if stale
+        else ("cache", None))
 
 
 def test_cache_transparency_for_matching(tmp_path):
