@@ -88,13 +88,22 @@ def prefilter(requirement: Requirement, entries, lattice: TypeLattice,
     wanted = {sigmatch.shape(m, lattice) for m in requirement.iface.all_methods()}
     if not enabled or not wanted:
         return entries
-    return [e for e in entries if any(sigmatch.shape(m, lattice) in wanted for m in e.methods)]
+    reaches: dict[tuple, bool] = {}  # signature types -> whether their shape is wanted
+    kept = []
+    for e in entries:
+        for m in e.methods:
+            hit = reaches.get(m.types)
+            if hit is None:
+                hit = reaches[m.types] = sigmatch.shape(m, lattice) in wanted
+            if hit:
+                kept.append(e)
+                break
+    return kept
 
 
 def _match_one(requirement: Requirement, entry, lattice: TypeLattice, required_dfa,
                state_limit: int) -> MatchReport:
-    provided_iface = Interface(entry.component, (), entry.methods)
-    sig = sigmatch.match_module(requirement.iface, provided_iface, lattice)
+    sig = sigmatch.match_module(requirement.iface, entry, lattice)
     counterexample = None
     if sig.unmatched:
         if sig.coverage() < ADAPT_COVERAGE_THRESHOLD:

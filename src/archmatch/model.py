@@ -75,12 +75,15 @@ class Interface:
     methods: tuple[MethodSig, ...]  # own methods; see all_methods()
     extends: "Interface | None" = None
 
+    def __post_init__(self) -> None:
+        # built once, from the base's tuple, so a chain of n costs n tuples
+        base = self.extends
+        object.__setattr__(self, "_all_methods",
+                           self.methods if base is None else base._all_methods + self.methods)
+
     def all_methods(self) -> tuple[MethodSig, ...]:
         """Own plus inherited methods, base-first."""
-        out, base = self.methods, self.extends
-        while base is not None:
-            out, base = base.methods + out, base.extends
-        return out
+        return self._all_methods
 
     def method_names(self) -> frozenset[str]:
         return frozenset(m.name for m in self.all_methods())
@@ -227,18 +230,21 @@ class _Resolver:
             if decl.supertype and decl.supertype not in self.model.types:
                 self.error(decl.span, f"unknown supertype {decl.supertype!r}",
                            "unbound-name", path)
-        # reject supertype cycles
+        # reject supertype cycles: each type's chain is walked until it meets a
+        # type already settled, so every link is walked once
+        cyclic: dict[str, bool] = {}  # settled type -> whether its chain cycles
+        first = {decl.name: decl for decl, _ in reversed(decls)}  # each name's first declaration
         for name in self.model.types:
-            chain = set()
+            chain: dict[str, None] = {}
             cursor: str | None = name
-            while cursor is not None and cursor in self.model.types:
-                if cursor in chain:
-                    decl = next(d for d, _ in decls if d.name == name)
-                    self.error(decl.span, f"cyclic supertype chain through {name!r}",
-                               "cyclic-declaration")
-                    break
-                chain.add(cursor)
+            while cursor in self.model.types and cursor not in cyclic and cursor not in chain:
+                chain[cursor] = None
                 cursor = self.model.types[cursor].supertype
+            verdict = cursor in chain or cyclic.get(cursor, False)
+            cyclic.update(dict.fromkeys(chain, verdict))
+            if cyclic[name]:
+                self.error(first[name].span, f"cyclic supertype chain through {name!r}",
+                           "cyclic-declaration")
 
     def _check_type_ref(self, type_name: str, span: Span, path: str) -> None:
         if type_name not in self.model.types:
@@ -281,7 +287,7 @@ class _Resolver:
             fields.append(Field(f.name, f.type))
 
         methods: list[MethodSig] = []
-        inherited = set(base.method_names()) if base else set()
+        inherited = base.method_names() if base else frozenset()
         method_names: set[str] = set()
         for m in decl.methods:
             if m.name in method_names or m.name in inherited:

@@ -93,6 +93,10 @@ class IndexEntry:
     # expression until a cache is written; it is not part of the entry's value
     protocol: str | ProtocolExpr = field(default="", compare=False)
 
+    def all_methods(self) -> tuple[MethodSig, ...]:
+        """The methods, as `Interface.all_methods` lists them: sigmatch matches an entry."""
+        return self.methods
+
 
 @record
 class CompiledIndex:
@@ -458,6 +462,7 @@ def _shape_keys(types: dict[str, TypeDecl]):
 
 
 def _entry_json(entry: IndexEntry, shape_key) -> dict:
+    """The entry's cache JSON; its `shapes` are None when `shape_key` is."""
     auto = entry.provided_automaton  # minimized, so its states are 0..n-1
     text = entry.protocol
     return {
@@ -468,7 +473,7 @@ def _entry_json(entry: IndexEntry, shape_key) -> dict:
                 "transitions": [list(t) for t in sorted(auto.transitions)]},
         "protocol": text if isinstance(text, str) else dsl.format_protocol(text),
         # a requirement reaches the entry through these (see `reach`)
-        "shapes": sorted({shape_key(sig) for sig in entry.methods}),
+        "shapes": None if shape_key is None else sorted({shape_key(sig) for sig in entry.methods}),
     }
 
 
@@ -535,6 +540,8 @@ def _entry_from_json(name: str, comp: dict, shape_key) -> IndexEntry:
                               None if ret is None else str(ret))
                     for method, params, ret in comp["methods"])
     entry = IndexEntry(name, methods, auto, str(comp["protocol"]))
+    if shape_key is None:  # shapes left unread are not checked
+        comp = {**comp, "shapes": None}
     # str() leaves a value of another type unequal, as are extra or reordered items
     if _entry_json(entry, shape_key) != comp:
         raise ValueError(f"component {name!r} differs from what this version writes")
@@ -571,14 +578,14 @@ def _corrupt(err: Exception) -> CacheError:
 
 def _memo_from_json(doc: dict) -> Memo | None:
     """The automata and passed checks of a cache document, or None when it is
-    defective. Each component's JSON is dropped once decoded."""
+    defective. Each component's JSON is dropped once decoded; the memo reads
+    no shapes, so none is computed."""
     try:
         fields = _catalog_from_json(doc)
-        shape_key = _shape_keys(fields["types"])
         automata = {}
         components = doc["components"]
         for name in list(components.keys()):  # keys(), like items(), rejects a list
-            entry = _entry_from_json(name, components.pop(name), shape_key)
+            entry = _entry_from_json(name, components.pop(name), None)
             automata[entry.protocol, entry.provided_automaton.alphabet] = \
                 entry.provided_automaton
     except _DEFECTIVE:

@@ -4,8 +4,8 @@ method matches, and injective interface-to-interface assignments.
 Method names never block a match; the resulting rename map feeds the protocol
 level.  One rule ranks maps: more matched methods first, then the stronger
 weakest-link kind, then more verbatim names.  `match_module` picks a full map
-by it (a partial one by matched methods, then names), and `matcher` ranks its
-reports by it.
+by it (a partial one by matched methods, then names), solving one assignment
+from a table compiled once per query; `matcher` ranks its reports by it.
 """
 
 from __future__ import annotations
@@ -35,18 +35,17 @@ def weakest(kinds) -> str:
 class TypeLattice:
     """Reflexive-transitive subtype order from declared `<:` supertypes.
 
-    Its memos let a query compare each pair of signature types once and solve
-    each assignment once: `matches` holds the (kind, permutation) of a pair of
-    signature types, `columns` a provided method's column of the match matrix
-    keyed by (the query's method types, its types), and `assignments` the index
-    pairs `_assign` picks for a cost matrix.  Each value is a pure function of
-    its key and this order, so the results are those computed afresh.  Build
-    one lattice per query: a reused one stays correct, but its memos grow.
+    Its memos hold pure functions of their keys and this order: `matches` the
+    (kind, permutation) of a pair of signature types, keyed by the pair;
+    `queries` a query's `_Query` table, keyed by the identity of its method
+    tuple, which the table holds; `assignments` the index pairs `_assign`
+    picks, keyed by the cost matrix.  Build one lattice per query: a reused
+    one answers as a fresh one does, but its memos grow.
     """
 
     parents: dict[str, str | None]
     matches: dict = field(default_factory=dict, compare=False, repr=False)
-    columns: dict = field(default_factory=dict, compare=False, repr=False)
+    queries: dict = field(default_factory=dict, compare=False, repr=False)
     assignments: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __hash__(self):
@@ -155,22 +154,79 @@ def _match_cell(q_types, p_types, lattice: TypeLattice):
     return lattice.matches[key]
 
 
-def _match_matrix(q_methods, p_methods, lattice):
-    """Each provided method's column: its cells, one per query method (None, or
-    the (kind, permutation) of a match), with their costs when every cell is
-    kept; and where each provided method's name agrees, as the index of the
-    query method of that name or -1 (a column has at most one agreeing name)."""
-    q_types = tuple(m.types for m in q_methods)
-    bonus = len(q_types) + 1  # one more matched method outweighs every name match
-    columns = []
-    for pm in p_methods:
-        key = q_types, pm.types
-        if key not in lattice.columns:
-            cells = tuple(_match_cell(t, pm.types, lattice) for t in q_types)
-            lattice.columns[key] = cells, tuple(0 if c is None else -bonus for c in cells)
-        columns.append(lattice.columns[key])
-    same = {m.name: i for i, m in enumerate(q_methods)}
-    return columns, [same.get(pm.name, -1) for pm in p_methods]
+class _Query:
+    """A query's methods, compiled once per lattice.  `columns` holds each distinct
+    provided column, keyed by its signature types and the index of the query
+    method of its name (-1: none): its cells (None or a (kind, permutation) per
+    query method), then at each level k, keeping the cells of kind KINDS[k] or
+    stronger, its cost column, name bonus applied, and the bitmask of the query
+    methods it can take.  `levels` holds the level chosen for a tuple of columns'
+    masks; `matches` interns MethodMatch records by (query index, provided name, cell)."""
+
+    def __init__(self, q_methods):
+        self.methods, self.types = q_methods, tuple(m.types for m in q_methods)
+        self.index = {m.name: i for i, m in enumerate(q_methods)}
+        self.columns, self.levels, self.matches = {}, {}, {}
+        self.empty = ((0,) * len(q_methods),) * len(KINDS), (0,) * len(KINDS)
+
+    def column(self, pm: MethodSig, lattice: TypeLattice) -> tuple:
+        key = pm.types, self.index.get(pm.name, -1)
+        column = self.columns.get(key)
+        if column is None:
+            cells = tuple(_match_cell(t, pm.types, lattice) for t in self.types)
+            costs, masks = self.empty
+            if any(cells):
+                bonus = len(cells) + 1  # one more matched method outweighs every name match
+                costs = tuple(tuple(-bonus - (i == key[1]) if c and _STRENGTH[c[0]] >= floor
+                                    else 0 for i, c in enumerate(cells))
+                              for floor in range(len(KINDS), 0, -1))
+                masks = tuple(sum(1 << i for i, k in enumerate(cost) if k) for cost in costs)
+            column = self.columns[key] = cells, costs, masks
+        return column
+
+    def level(self, masks: tuple) -> int:
+        """The level whose costs to assign: the strongest at which columns of these
+        masks match every query method (coverage only drops as it rises), else the weakest."""
+        level = self.levels.get(masks)
+        if level is None:
+            level = len(KINDS) - 1
+            for k in reversed(range(len(KINDS))):
+                if not _perfect([m[k] for m in masks], len(self.methods)):
+                    break
+                level = k
+            self.levels[masks] = level
+        return level
+
+    def module_match(self, p_methods, columns, pairs) -> ModuleMatch:
+        """The ModuleMatch of the chosen pairs, with the query methods they leave out."""
+        chosen = {}
+        for i, j in pairs:
+            key = i, p_methods[j].name, columns[j][0][i]
+            match = self.matches.get(key)
+            if match is None:
+                match = self.matches[key] = MethodMatch(self.methods[i].name, key[1], *key[2])
+            chosen[match.query_method] = match
+        return ModuleMatch(chosen, tuple(m.name for m in self.methods if m.name not in chosen))
+
+
+def _perfect(masks, n: int) -> bool:
+    """Can each of n query methods take a column of its own, column j taking those in
+    the bits of masks[j]?  Hopcroft and Karp's question (SIAM J. Comput. 1973), by BFS."""
+    row_of = [-1] * len(masks)  # the query method each column takes
+
+    def augment(start: int) -> bool:
+        via, queue = {}, [(start, -1)]  # column -> (query method reaching it, column before)
+        for i, came in queue:
+            for j, mask in enumerate(masks):
+                if mask >> i & 1 and j not in via:
+                    via[j] = i, came
+                    if row_of[j] < 0:  # a free column: flip the path back to `start`
+                        while j >= 0:
+                            row_of[j], j = via[j]
+                        return True
+                    queue.append((row_of[j], j))
+        return False
+    return all(map(augment, range(n)))
 
 
 def _hungarian(cost) -> list[int]:
@@ -215,21 +271,11 @@ def _hungarian(cost) -> list[int]:
     return col_of
 
 
-def _assign(columns, names, level: str, lattice: TypeLattice) -> tuple:
-    """Injective partial assignment over the cells of a match matrix, given by
-    its columns, whose kind is `level` or stronger, maximizing the number of
-    matched query methods, then the number of verbatim name matches: the
-    (query, provided) index pairs it matches, in query order when there are no
+def _assign(cost: tuple, lattice: TypeLattice) -> tuple:
+    """The (query, provided) index pairs of an injective partial assignment over
+    a cost matrix given by its columns (0: a dropped cell), maximizing matched
+    query methods, then verbatim name matches; in query order when there are no
     more query than provided methods, else in provided order."""
-    floor, cost = strength(level), []
-    for (cells, column), same in zip(columns, names):
-        if level != SPECIALIZED:  # drop the cells weaker than `level`
-            column = tuple(0 if c is None or _STRENGTH[c[0]] < floor else k
-                           for c, k in zip(cells, column))
-        if same >= 0 and column[same]:  # a verbatim name match is worth one more
-            column = column[:same] + (column[same] - 1,) + column[same + 1:]
-        cost.append(column)
-    cost = tuple(cost)
     pairs = lattice.assignments.get(cost)
     if pairs is None:  # cost is column-major, so transposing gives the rows
         rows = list(zip(*cost))
@@ -241,47 +287,31 @@ def _assign(columns, names, level: str, lattice: TypeLattice) -> tuple:
     return pairs
 
 
-def _module_match(q_methods, p_methods, columns, pairs) -> ModuleMatch:
-    """The ModuleMatch of the chosen pairs, with the query methods they leave out."""
-    chosen = {q_methods[i].name: MethodMatch(q_methods[i].name, p_methods[j].name,
-                                             *columns[j][0][i]) for i, j in pairs}
-    return ModuleMatch(chosen, tuple(m.name for m in q_methods if m.name not in chosen))
+def _match(q: Interface, p, lattice: TypeLattice, level: int | None) -> ModuleMatch:
+    """The ModuleMatch of the assignment at `level` (None: as `_Query.level` picks)."""
+    q_methods, p_methods = q.all_methods(), p.all_methods()
+    query = lattice.queries.get(id(q_methods))
+    if query is None:  # the table keeps q_methods alive, so its id stays unique
+        query = lattice.queries[id(q_methods)] = _Query(q_methods)
+    columns = [query.column(pm, lattice) for pm in p_methods]
+    if level is None:
+        level = query.level(tuple(c[2] for c in columns))
+    return query.module_match(p_methods, columns,
+                              _assign(tuple(c[1][level] for c in columns), lattice))
 
 
 def match_module(q: Interface, p: Interface, lattice: TypeLattice) -> ModuleMatch:
-    """Map as many query methods as possible injectively onto provided methods.
-
-    The first assignment uses every compatible cell, maximizing the number of
-    matched query methods, then verbatim name matches; if it leaves a query
-    method unmatched, that partial map is the answer.  Otherwise the strongest
-    achievable weakest-link kind wins: the assignment over the matches of that
-    kind or stronger.  The provided interface may have extra methods.
-
-    Cells and assignments come from the lattice's exact memos (see
-    TypeLattice); MethodMatch objects are built only for the answer.
-    """
-    q_methods, p_methods = q.all_methods(), p.all_methods()
-    columns, names = _match_matrix(q_methods, p_methods, lattice)
-    found = _assign(columns, names, SPECIALIZED, lattice)
-    if len(found) < len(q_methods):
-        return _module_match(q_methods, p_methods, columns, found)
-    # coverage can only drop as the level rises, so the first level that leaves
-    # a query method unmatched ends the search; the weakest kind present repeats
-    # the cells of the first assignment, and a kind no cell has those of the
-    # next stronger level
-    kinds = {c[0] for cells, _ in columns for c in cells if c is not None}
-    for level in sorted(kinds, key=strength)[1:]:
-        chosen = _assign(columns, names, level, lattice)
-        if len(chosen) < len(q_methods):
-            break
-        found = chosen
-    return _module_match(q_methods, p_methods, columns, found)
+    """Map as many query methods as possible injectively onto the methods `p`
+    lists by `all_methods()` (an Interface, or a repo.IndexEntry), which may
+    be more.  If no assignment over every compatible cell matches every query
+    method, the answer maximizes matched query methods, then verbatim name
+    matches.  Otherwise the strongest achievable weakest-link kind wins: the
+    assignment over the matches of that kind or stronger.  A perfect-matching
+    test on the columns' bitmasks picks that level, so each call solves one
+    assignment, through the lattice's memos (see TypeLattice)."""
+    return _match(q, p, lattice, None)
 
 
 def partial_match(q: Interface, p: Interface, lattice: TypeLattice) -> ModuleMatch:
-    """match_module's first assignment: every compatible cell, maximizing the
-    number of matched query methods, then verbatim name matches."""
-    q_methods, p_methods = q.all_methods(), p.all_methods()
-    columns, names = _match_matrix(q_methods, p_methods, lattice)
-    return _module_match(q_methods, p_methods, columns,
-                         _assign(columns, names, SPECIALIZED, lattice))
+    """match_module's assignment over every compatible cell: matched methods, then names."""
+    return _match(q, p, lattice, len(KINDS) - 1)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -214,6 +215,19 @@ def test_prefilter_is_conservative(query):
             reference = P.includes(dfa_of(rename_expr(req.required_protocol, mapping)),
                                    index.entries[r.component].provided_automaton)
             assert reference.counterexample == r.counterexample
+
+
+@settings(max_examples=100, deadline=None)
+@given(_queries())
+def test_each_candidate_solves_at_most_one_assignment(query):
+    req, index, drawn = query
+    for use_prefilter in (True, False):
+        lattice = TypeLattice(dict(drawn.parents))
+        with mock.patch.object(sigmatch, "_hungarian", wraps=sigmatch._hungarian) as solve, \
+                mock.patch.object(sigmatch, "match_module", wraps=sigmatch.match_module) as match:
+            result = matcher.match_requirement(req, index, lattice, use_prefilter=use_prefilter)
+        assert match.call_count == len(result.reports)  # one call per candidate
+        assert solve.call_count <= len(result.reports)
 
 
 def test_requirement_protocol_compiled_at_most_once(monkeypatch):

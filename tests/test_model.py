@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,42 @@ def test_resolve_rejects_cyclic_types():
     m, diags = resolve_text("type A <: B;\ntype B <: A;")
     assert m is None
     assert any(d.code == "cyclic-declaration" for d in diags)
+
+
+def test_every_type_that_reaches_a_supertype_cycle_is_reported_once():
+    # A and E lead into the B-C cycle, D does not, and B's identical
+    # re-declaration is reported at its first declaration
+    m, diags = resolve_text("type A <: B;\ntype B <: C;\ntype C <: B;\ntype D;\n"
+                            "type E <: A;\ntype F <: E;\ntype B <: C;")
+    assert m is None
+    assert [str(d) for d in diags] == [
+        f"{line}:1: error: cyclic supertype chain through {name!r} [cyclic-declaration]"
+        for line, name in ((1, "A"), (2, "B"), (3, "C"), (5, "E"), (6, "F"))]
+
+
+def _load_unit(tmp_path, text):
+    (tmp_path / "u.adl").write_text(text)
+    (tmp_path / "cat.txt").write_text("u.adl\n")
+    start = time.perf_counter()
+    catalog, m, diags = repo.load(tmp_path / "cat.txt")
+    assert catalog is not None, [str(d) for d in diags[:3]]
+    return m, time.perf_counter() - start
+
+
+def test_a_2000_deep_extends_chain_loads_in_linear_time(tmp_path):
+    # each interface's method tuple is built once, from its base's
+    m, seconds = _load_unit(tmp_path, "interface I0 { m0(); }\n" + "".join(
+        f"interface I{i} extends I{i - 1} {{ m{i}(); }}\n" for i in range(1, 2000)))
+    assert [s.name for s in m.interfaces["I1999"].all_methods()] == [f"m{i}" for i in range(2000)]
+    assert seconds < 1.0
+
+
+def test_a_6000_type_subtype_chain_loads_in_linear_time(tmp_path):
+    # the cycle check walks each supertype link once
+    m, seconds = _load_unit(tmp_path, "type T0;\n" + "".join(
+        f"type T{i} <: T{i - 1};\n" for i in range(1, 6000)))
+    assert len(m.types) == 6000
+    assert seconds < 1.0
 
 
 def test_resolve_allows_identical_type_redeclaration():

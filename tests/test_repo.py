@@ -233,6 +233,24 @@ def test_cache_stale_detection(tmp_path):
         ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks")
 
 
+def test_a_stale_rebuild_computes_no_shape_to_decode_and_writes_the_cold_bytes(tmp_path):
+    catalog_path = copy_fixtures(tmp_path, "catalog_full.txt")
+    _load_index(catalog_path)  # builds the cache
+    unit = tmp_path / "insurance.adl"
+    unit.write_text(unit.read_text() + "\n// touched\n")
+    memo_from_json = repo._memo_from_json
+
+    def without_shapes(doc):
+        with mock.patch.object(repo, "shape", side_effect=AssertionError("a shape was computed")):
+            return memo_from_json(doc)
+    with mock.patch.object(repo, "_memo_from_json", without_shapes):
+        _, origin, reason = _load_index(catalog_path)
+    assert (origin, reason) == ("built", "stale; reused 5 of 5 automata, 2 of 2 publication checks")
+    catalog, m, _ = repo.load(catalog_path, memo=repo.Memo())  # as `index build` loads
+    repo.save_cache(repo.build_index(catalog, m), tmp_path / "cold.idx")
+    assert repo.default_cache_path(catalog_path).read_bytes() == (tmp_path / "cold.idx").read_bytes()
+
+
 def test_cache_of_another_hash_is_stale(tmp_path):
     catalog, m, _ = repo.load(FIXTURES / "catalog.txt")
     index = repo.build_index(catalog, m)

@@ -510,9 +510,41 @@ def _queries_and_providers(draw):
 def test_a_shared_lattice_answers_as_fresh_ones_do(case):
     forest, queries, providers = case
     shared = S.TypeLattice(dict(forest.parents))
-    for q, p in itertools.product(queries, providers):
+    # the queries take turns on the shared lattice, over every provider, twice
+    for _, p, q in itertools.product(range(2), providers, queries):
         got = S.match_module(q, p, shared)
         fresh = S.match_module(q, p, S.TypeLattice(dict(forest.parents)))
+        assert got == fresh
         # MethodMatch equality covers the provided method, kind and permutation
         assert list(got.method_map.items()) == list(fresh.method_map.items())
-        assert got.unmatched == fresh.unmatched
+
+
+@settings(max_examples=300, deadline=None)
+@given(_queries_and_providers())
+def test_the_bitmask_test_agrees_with_the_assignment_cover(case):
+    # at each level, the perfect-matching test on the columns' bitmasks says
+    # whether the assignment over their costs matches every query method, so
+    # the level chosen is the one a search solving every level would choose
+    forest, queries, providers = case
+    for q, p in itertools.product(queries, providers):
+        lattice = S.TypeLattice(dict(forest.parents))
+        n = len(q.all_methods())
+        query = S._Query(q.all_methods())
+        columns = [query.column(pm, lattice) for pm in p.all_methods()]
+        searched = len(S.KINDS) - 1
+        for k in reversed(range(len(S.KINDS))):
+            covers = len(S._assign(tuple(c[1][k] for c in columns), lattice)) == n
+            assert S._perfect([c[2][k] for c in columns], n) == covers
+            if not covers:
+                break
+            searched = k
+        assert query.level(tuple(c[2] for c in columns)) == searched
+
+
+def test_one_query_shares_its_method_matches_across_providers():
+    q = iface("Q", sig("a", "String"), sig("b", "Account"))
+    lattice = S.TypeLattice(dict(FLAT.parents))
+    first = S.match_module(q, iface("P1", sig("a", "String"), sig("x", "Account")), lattice)
+    second = S.match_module(q, iface("P2", sig("x", "Account"), sig("a", "String")), lattice)
+    assert first == second
+    assert all(first.method_map[name] is second.method_map[name] for name in "ab")
