@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import dsl, matcher, protocol, repo
-from .diagnostics import ERROR, Diagnostic, has_errors
+from .diagnostics import Diagnostic, has_errors
 from .records import replace
 from .sigmatch import TypeLattice
 
@@ -72,17 +72,24 @@ class Session:
         return catalog, model_
 
 
+def _analyze_units(session: Session, paths: list[str], base: Path | None):
+    """The model of the unit files at `paths`, analyzed; prints the
+    diagnostics, paths relative to `base`, and exits 2 on an error."""
+    _, trees, diagnostics = repo.parse_units(paths)
+    model_ = None
+    if not has_errors(diagnostics):
+        model_, _, _, analysis_diags = repo.analyze(trees, session.state_limit)
+        diagnostics += analysis_diags
+    _print_diagnostics(diagnostics, base)
+    if model_ is None:  # analyze gives a model iff there is no error
+        sys.exit(2)
+    return model_
+
+
 def check(session: Session, paths: list[str]) -> None:
     """Parse and resolve ADL units; exit 0 iff there are no errors."""
-    units, trees, diagnostics = repo.parse_units(paths)
-    if not any(d.severity == ERROR for d in diagnostics):
-        _, _, _, analysis_diags = repo.analyze(trees, session.state_limit)
-        diagnostics = diagnostics + analysis_diags
-    _print_diagnostics(diagnostics, session.base_dir)
-    errors = sum(1 for d in diagnostics if d.severity == ERROR)
-    if errors:
-        sys.exit(2)
-    session.note(f"checked {len(units)} unit(s): ok")
+    _analyze_units(session, paths, session.base_dir)  # every unit was read, or it exited
+    session.note(f"checked {len(paths)} unit(s): ok")
 
 
 def arch(session: Session, name: str | None, closure: bool, run_check: bool) -> None:
@@ -121,14 +128,7 @@ def _protocol_source(session: Session, target: str, unit: str | None):
             sys.exit(2)
         return protocol.compile(expr)
     if unit is not None:
-        _, trees, diagnostics = repo.parse_units([unit])
-        model_ = None
-        if not has_errors(diagnostics):
-            model_, _, _, analysis_diags = repo.analyze(trees, session.state_limit)
-            diagnostics += analysis_diags
-        _print_diagnostics(diagnostics, None)
-        if model_ is None:
-            sys.exit(2)
+        model_ = _analyze_units(session, [unit], None)
     else:
         _, model_ = session.require_catalog()
     publication = model_.publications.get(target)
@@ -254,16 +254,19 @@ def index_inspect(session: Session) -> None:
         path = repo.default_cache_path(session.catalog_path)
     else:
         _input_error("index inspect needs --cache PATH or --catalog PATH")
+    catalog = session.catalog_path
+    try:  # freshness is shown only when the catalog and its units can be read
+        units = repo.Units(catalog, Path(catalog).read_text(encoding="utf-8")) if catalog else None
+    except (OSError, UnicodeDecodeError):
+        units = None
     try:
-        compiled = repo.load_cache(path)
+        compiled, fresh = repo.load_cache(path, units)  # as `match` judges it
+        repo.reach(compiled)
     except repo.CacheError as err:
         _input_error(str(err))
     print(f"hash: {compiled.source_hash}")
     print(f"components: {len(compiled.entries)}")
-    catalog_path = session.catalog_path
-    units = None if catalog_path is None else repo.read_unit_texts(Path(catalog_path))
-    if units is not None:
-        fresh = repo.source_hash(units) == compiled.source_hash
+    if units is not None and units.stats is not None:  # every unit is a file
         print(f"freshness: {'fresh' if fresh else 'stale'}")
     for name, entry in sorted(compiled.entries.items()):
         print(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s) "

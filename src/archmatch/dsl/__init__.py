@@ -16,7 +16,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):  # the formatter, which no command calls, on first use
+def __getattr__(name: str):  # the formatter, on first use: a warm `match` prints no protocol
     if name in ("format", "format_protocol"):
         from . import printer
         return getattr(printer, name)

@@ -17,7 +17,7 @@ from . import protocol, sigmatch
 from .model import Interface
 from .protocol import FiniteAutomaton, ProtocolExpr
 from .records import record
-from .sigmatch import ModuleMatch, TypeLattice
+from .sigmatch import ModuleMatch, TypeLattice, shape
 
 HOLDS = "HOLDS"
 FAILS = "FAILS"
@@ -76,7 +76,8 @@ class QueryResult:
 
 def prefilter(requirement: Requirement, entries, lattice: TypeLattice,
               enabled: bool = True) -> list:
-    """Keep entries providing a method of the same signature shape as some
+    """Keep, in component order, the entries providing a method of the same
+    signature shape (`sigmatch.shape`, memoised in the lattice) as some
     requirement method.
 
     Every match kind preserves shapes, so no requirement method can match a
@@ -85,17 +86,13 @@ def prefilter(requirement: Requirement, entries, lattice: TypeLattice,
     filter) keeps everything.
     """
     entries = sorted(entries, key=lambda e: e.component)
-    wanted = {sigmatch.shape(m, lattice) for m in requirement.iface.all_methods()}
+    wanted = {shape(m, lattice) for m in requirement.iface.all_methods()}
     if not enabled or not wanted:
         return entries
-    reaches: dict[tuple, bool] = {}  # signature types -> whether their shape is wanted
-    kept = []
+    shapes, kept = lattice.shapes, []  # `shape` fills its memo, read here inline
     for e in entries:
         for m in e.methods:
-            hit = reaches.get(m.types)
-            if hit is None:
-                hit = reaches[m.types] = sigmatch.shape(m, lattice) in wanted
-            if hit:
+            if (shapes.get(m.types) or shape(m, lattice)) in wanted:
                 kept.append(e)
                 break
     return kept

@@ -75,11 +75,15 @@ class Interface:
     methods: tuple[MethodSig, ...]  # own methods; see all_methods()
     extends: "Interface | None" = None
 
-    def __post_init__(self) -> None:
-        # built once, from the base's tuple, so a chain of n costs n tuples
-        base = self.extends
-        object.__setattr__(self, "_all_methods",
-                           self.methods if base is None else base._all_methods + self.methods)
+    @cached_property
+    def _all_methods(self) -> tuple[MethodSig, ...]:
+        # on first use, from the nearest base that has built its own: not n tuples per chain
+        own, base = [self.methods], self.extends
+        while base is not None and "_all_methods" not in vars(base):
+            own.append(base.methods)
+            base = base.extends
+        return (() if base is None else base._all_methods) + \
+            tuple(m for methods in reversed(own) for m in methods)
 
     def all_methods(self) -> tuple[MethodSig, ...]:
         """Own plus inherited methods, base-first."""
@@ -256,6 +260,7 @@ class _Resolver:
             if self.claim_name(decl, "interface", path):
                 nodes[decl.name] = (decl, path)
 
+        names: dict[str, set[str]] = {}  # of each interface built, until a link extends it
         for name in nodes:
             # the unbuilt interfaces down the extends links from `name`, built base-first
             chain: dict[str, None] = {}
@@ -272,10 +277,10 @@ class _Resolver:
                 decl, path = nodes[next(reversed(chain))]
                 self.error(decl.span, f"unknown base interface {cursor!r}", "unbound-name", path)
             for link in reversed(chain):
-                base = self._build_interface(*nodes[link], base)
+                base = self._build_interface(*nodes[link], base, names)
 
     def _build_interface(self, decl: syntax.InterfaceDecl, path: str,
-                         base: Interface | None) -> Interface:
+                         base: Interface | None, names: dict[str, set[str]]) -> Interface:
         fields: list[Field] = []
         field_names: set[str] = set()
         for f in decl.fields:
@@ -287,10 +292,10 @@ class _Resolver:
             fields.append(Field(f.name, f.type))
 
         methods: list[MethodSig] = []
-        inherited = base.method_names() if base else frozenset()
-        method_names: set[str] = set()
+        method_names = set() if base is None else \
+            names.pop(base.name, None) or set(base.method_names())
         for m in decl.methods:
-            if m.name in method_names or m.name in inherited:
+            if m.name in method_names:  # inherited or declared above
                 self.error(m.span, f"duplicate method {m.name!r}", "duplicate-member", path)
                 continue
             method_names.add(m.name)
@@ -307,6 +312,7 @@ class _Resolver:
 
         iface = Interface(decl.name, tuple(fields), tuple(methods), base)
         self.model.interfaces[decl.name] = iface
+        names[decl.name] = method_names
         return iface
 
     def _resolve_contracts(self, decls) -> None:

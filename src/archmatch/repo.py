@@ -12,25 +12,28 @@ declares, and the state limit its load and build succeeded under; the keys of
 the publication checks that passed; and each unit's size and times, from a
 stat taken before the unit was read.
 
-`load_match` reads the catalog, the requirement and the cache once, and stats
-the units. It reads and hashes the units only when their stats differ from the
-recorded ones or a unit changed no earlier than the cache was written (git's
-racy-clean rule). A fresh cache then answers `match` alone, without lexing,
-parsing or resolving a catalog unit or checking a publication, and decodes only
-the entries that share a method shape with the requirement. The catalog is
-loaded instead when the cache is missing, stale, corrupt, of another version
-(`v1` to `v8`) or built under a higher state limit (these three are rebuilt),
-when a file cannot be read, and when the requirement is a catalog unit,
-declares anything but types, interfaces and contracts, extends or implements an
-interface it does not declare, or redeclares a name the catalog gives a
-non-type.
+`load_cache` reads a cache one way: it checks the checksum and every top-level
+field, leaves every entry pending, and judges freshness from unit stats. It
+reads and hashes the units only when their stats differ from the recorded ones
+or a unit changed no earlier than the cache was written (git's racy-clean
+rule). `reach` decodes the entries a caller needs: `index inspect` all, and
+`match` those sharing a method shape (`sigmatch.shape`) with the requirement.
 
-A stale cache that decodes cleanly and was built under a state limit no higher
-than the current one is the rebuild's `Memo`: a DFA or a passed publication
-check whose key, the printed expressions and alphabets it was computed from, is
-unchanged is taken from it instead of recomputed (the verifying traces of
-Mokhov, Mitchell and Peyton Jones, "Build Systems à la Carte", ICFP 2018).
-`index build` builds from the units alone.
+`load_match` reads the catalog, the requirement and the cache once. A fresh
+cache answers `match` alone, without lexing, parsing or resolving a catalog
+unit or checking a publication. The catalog is loaded instead when the cache
+is missing, stale, corrupt, of another version (`v1` to `v8`) or built under a
+higher state limit (these three are rebuilt), when a file cannot be read, and
+when the requirement is a catalog unit, declares anything but types,
+interfaces and contracts, extends or implements an interface it does not
+declare, or redeclares a name the catalog gives a non-type.
+
+A stale cache whose entries decode cleanly, built under a state limit no
+higher than the current one, is the rebuild's `Memo`: a DFA or a passed
+publication check whose key, the printed expressions and alphabets it was
+computed from, is unchanged is taken from it instead of recomputed (the
+verifying traces of Mokhov, Mitchell and Peyton Jones, "Build Systems à la
+Carte", ICFP 2018). `index build` builds from the units alone.
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ class CompiledIndex:
     state_limit: int  # the load and the build succeeded under it
     checked: frozenset[str] = frozenset()  # keys of the publication checks
     units: list[list] = field(default_factory=list, compare=False)  # Units.stats at the build
-    # the cache JSON of the entries a lazy load_cache left undecoded, by component
+    # the cache JSON of the entries load_cache left for `reach` to decode, by component
     pending: dict[str, dict] = field(default_factory=dict, compare=False, repr=False)
 
     def size(self) -> int:
@@ -131,20 +134,10 @@ class Memo:
 
     automata: dict[tuple[str, frozenset[str]], FiniteAutomaton] = field(default_factory=dict)
     checked: frozenset[str] = frozenset()
-    state_limit: int = 0  # what it holds was computed under this limit
     passed: set[str] = field(default_factory=set)  # keys this build's checks passed
     checks: int = 0  # publication checks this build asked for
     reused_checks: int = 0
     reused_automata: int = 0
-
-
-class StaleCache(CacheError):
-    """The cache is of other unit texts; `memo` holds its automata and passed
-    checks, or is None when the rest of the cache is defective."""
-
-    def __init__(self, memo: Memo | None):
-        super().__init__("stale")
-        self.memo = memo
 
 
 def _zero_span() -> Span:
@@ -214,11 +207,6 @@ class Units:
                 self._texts[i] = None
         return self._texts[i]
 
-    def texts(self) -> list[str] | None:
-        """Every unit's text in catalog order, or None when one cannot be read."""
-        texts = [self.text(i) for i in range(len(self.paths))]
-        return None if None in texts else texts
-
     def unchanged_since(self, recorded, written_ns: int) -> bool:
         """Do the stats show the units a cache written at `written_ns` (its
         mtime) recorded as `recorded`, without reading them? They must equal
@@ -230,20 +218,13 @@ class Units:
 
     def hash(self) -> str | None:
         """The source hash of the unit texts, or None when one cannot be read."""
-        texts = self.texts()
-        return None if texts is None else source_hash(texts)
+        texts = [self.text(i) for i in range(len(self.paths))]
+        return None if None in texts else source_hash(texts)
 
     def holds(self, text: str, size: int) -> bool:
         """Is `text`, `size` bytes in UTF-8, a unit's text? Reads only the
         units of that size on disk."""
         return any(s[1] == size and self.text(i) == text for i, s in enumerate(self.stats))
-
-
-def read_unit_texts(catalog_path: Path) -> list[str] | None:
-    """The catalog's unit texts in catalog order, or None when the catalog or a
-    unit cannot be read."""
-    text, _ = _read_text(catalog_path, "catalog")
-    return None if text is None else Units(catalog_path, text).texts()
 
 
 def source_hash(texts) -> str:
@@ -445,24 +426,8 @@ def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_
 
 # --- cache persistence ----------------------------------------------------------
 
-def _shape_keys(types: dict[str, TypeDecl]):
-    """The function that prints a method's `sigmatch.shape` on the lattice of
-    `types`: `(P1,P2)`, its sorted parameter-type roots, then `:R` when it
-    returns a type of root R. Memoised by the method's types, which many
-    methods share."""
-    lattice = TypeLattice.from_types(types)
-    printed: dict[tuple, str] = {}
-
-    def key(sig: MethodSig) -> str:
-        if sig.types not in printed:
-            params, ret = shape(sig, lattice)
-            printed[sig.types] = f"({','.join(params)})" + ("" if ret is None else f":{ret}")
-        return printed[sig.types]
-    return key
-
-
-def _entry_json(entry: IndexEntry, shape_key) -> dict:
-    """The entry's cache JSON; its `shapes` are None when `shape_key` is."""
+def _entry_json(entry: IndexEntry, lattice: TypeLattice | None) -> dict:
+    """The entry's cache JSON, its `shapes` on `lattice` (None without one)."""
     auto = entry.provided_automaton  # minimized, so its states are 0..n-1
     text = entry.protocol
     return {
@@ -473,7 +438,7 @@ def _entry_json(entry: IndexEntry, shape_key) -> dict:
                 "transitions": [list(t) for t in sorted(auto.transitions)]},
         "protocol": text if isinstance(text, str) else dsl.format_protocol(text),
         # a requirement reaches the entry through these (see `reach`)
-        "shapes": None if shape_key is None else sorted({shape_key(sig) for sig in entry.methods}),
+        "shapes": None if lattice is None else sorted({shape(m, lattice) for m in entry.methods}),
     }
 
 
@@ -493,8 +458,8 @@ def _document(index: CompiledIndex) -> str:
     writes it, built an entry at a time: the encoder keeps every piece of a
     document until it joins them."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-    shape_key = _shape_keys(index.types)
-    components = ",".join(f"{encode(name)}:{encode(_entry_json(index.entries[name], shape_key))}"
+    lattice = TypeLattice.from_types(index.types)
+    components = ",".join(f"{encode(name)}:{encode(_entry_json(index.entries[name], lattice))}"
                           for name in sorted(index.entries))
     fields = _catalog_json(index)
     checked = encode(fields.pop("checked"))  # the other fields' keys all sort after "hash"
@@ -506,7 +471,7 @@ def save_cache(index: CompiledIndex, path: str | Path) -> None:
     """Write the index to a temporary file in the same directory that then
     replaces `path`, so a failed write leaves any previous cache intact."""
     if index.pending:
-        raise ValueError("a lazily loaded index is not saved")
+        raise ValueError("an index with undecoded entries is not saved")
     text = _document(index)
     text = f"{_seal(text.encode('utf-8'))}\n{text}"
     path = Path(path)
@@ -525,7 +490,7 @@ def _int(value) -> int:
     return value
 
 
-def _entry_from_json(name: str, comp: dict, shape_key) -> IndexEntry:
+def _entry_from_json(name: str, comp: dict, lattice: TypeLattice | None) -> IndexEntry:
     dfa = comp["dfa"]
     # one string per symbol: JSON decodes each occurrence into a string of its own
     symbols = {sym: sym for sym in map(str, dfa["alphabet"])}
@@ -540,30 +505,26 @@ def _entry_from_json(name: str, comp: dict, shape_key) -> IndexEntry:
                               None if ret is None else str(ret))
                     for method, params, ret in comp["methods"])
     entry = IndexEntry(name, methods, auto, str(comp["protocol"]))
-    if shape_key is None:  # shapes left unread are not checked
+    if lattice is None:  # shapes left unread are not checked
         comp = {**comp, "shapes": None}
     # str() leaves a value of another type unequal, as are extra or reordered items
-    if _entry_json(entry, shape_key) != comp:
+    if _entry_json(entry, lattice) != comp:
         raise ValueError(f"component {name!r} differs from what this version writes")
     return entry
 
 
-def _catalog_from_json(doc: dict, lazy: bool = False) -> dict:
-    """The CompiledIndex fields besides entries and hash, from a cache
-    document; a lazy load leaves `checked` and `units` unread."""
+def _catalog_from_json(doc: dict) -> dict:
+    """The CompiledIndex fields besides entries and hash, from a cache document."""
     fields = {
         "types": {str(n): TypeDecl(str(n), s if s is None else str(s)) for n, s in doc["types"]},
-        "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"])}
-    if not lazy:
-        fields["checked"] = frozenset(map(str, doc["checked"]))
-        fields["units"] = [[str(p), _int(size), _int(m), _int(c)] for p, size, m, c in doc["units"]]
+        "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"]),
+        "checked": frozenset(map(str, doc["checked"])),
+        "units": [[str(p), _int(size), _int(m), _int(c)] for p, size, m, c in doc["units"]]}
     written = _catalog_json(CompiledIndex({}, "", **fields))
-    keys = {"components", "hash", *written}
-    if lazy:
-        del written["checked"], written["units"]
     # the sorted set of keys drops a duplicated or out-of-order key
-    if set(doc) != keys or written != {key: doc[key] for key in written} or \
-            fields["state_limit"] < 1 or written["names"] != sorted(set(written["names"])):
+    if set(doc) != {"components", "hash", *written} or \
+            written != {key: doc[key] for key in written} or fields["state_limit"] < 1 or \
+            written["names"] != sorted(set(written["names"])):
         raise ValueError("the top-level fields differ from what this version writes")
     return fields
 
@@ -576,48 +537,43 @@ def _corrupt(err: Exception) -> CacheError:
     return CacheError(f"corrupt cache: {type(err).__name__}: {err}")
 
 
-def _memo_from_json(doc: dict) -> Memo | None:
-    """The automata and passed checks of a cache document, or None when it is
-    defective. Each component's JSON is dropped once decoded; the memo reads
-    no shapes, so none is computed."""
-    try:
-        fields = _catalog_from_json(doc)
-        automata = {}
-        components = doc["components"]
-        for name in list(components.keys()):  # keys(), like items(), rejects a list
-            entry = _entry_from_json(name, components.pop(name), None)
-            automata[entry.protocol, entry.provided_automaton.alphabet] = \
-                entry.provided_automaton
-    except _DEFECTIVE:
-        return None
-    return Memo(automata, fields["checked"], fields["state_limit"])
-
-
 def reach(index: CompiledIndex, shapes: set[str] | None = None) -> CompiledIndex:
     """Decode the pending entries with a method of a shape in `shapes` (every
-    pending entry when it is None or empty), each checked as a full load checks
-    it; CacheError if one is defective."""
-    shape_key = _shape_keys(index.types)
+    pending entry when it is None or empty), each checked against what this
+    version writes; CacheError if one is defective."""
+    lattice = TypeLattice.from_types(index.types)
     try:
         for name, comp in list(index.pending.items()):
             if not shapes or not shapes.isdisjoint(comp["shapes"]):
-                index.entries[name] = _entry_from_json(name, comp, shape_key)
+                index.entries[name] = _entry_from_json(name, comp, lattice)
                 del index.pending[name]
     except _DEFECTIVE as err:
         raise _corrupt(err) from err
     return index
 
 
-def load_cache(path: str | Path, source: str | Units | None = None,
-               lazy: bool = False) -> CompiledIndex:
-    """Read a cache file; CacheError on any defect, or StaleCache if `source`,
-    the hash of the current unit texts or the catalog's Units, says that it
-    was built from other texts. Units whose stats are those recorded (see
-    `Units.unchanged_since`) are taken to hash to the recorded hash unread.
+def _memo(index: CompiledIndex) -> Memo | None:
+    """The automata and passed checks of a loaded index, or None when a pending
+    entry is defective. Each entry is decoded as `reach` decodes it, but its
+    shapes are left unread, so none is computed, and its JSON is dropped."""
+    automata = {}
+    try:
+        for name in list(index.pending):
+            entry = _entry_from_json(name, index.pending.pop(name), None)
+            automata[entry.protocol, entry.provided_automaton.alphabet] = entry.provided_automaton
+    except _DEFECTIVE:
+        return None
+    return Memo(automata, index.checked)
 
-    A lazy load leaves every entry pending, for `reach` to decode, and
-    `checked` and `units` unread: such an index answers queries but is not
-    saved. The checksum on the first line guards what it does not decode.
+
+def load_cache(path: str | Path, units: Units | None = None) -> tuple[CompiledIndex, bool]:
+    """Read a cache file: (its index, whether it is fresh for the catalog's
+    `units`), or CacheError on a defect of its checksum or of a top-level field.
+
+    Every entry is left pending, for `reach` to decode; the checksum on the
+    first line guards them until then. The cache is fresh when `units` hash to
+    its hash; when their stats are the recorded ones (see
+    `Units.unchanged_since`), they are not read. Without `units` it is not.
     """
     try:
         with open(path, "rb") as file:
@@ -639,18 +595,14 @@ def load_cache(path: str | Path, source: str | Units | None = None,
         # after decoding, so that a defect the decoder or the hash check finds is named
         if header != seal:
             raise ValueError("checksum mismatch")
-        if source is not None:
-            current = source if isinstance(source, str) else doc["hash"] \
-                if source.unchanged_since(doc["units"], written) else source.hash()
-            if current != doc["hash"]:
-                raise StaleCache(_memo_from_json(doc))
         if type(doc["components"]) is not dict:
             raise TypeError("the components are not an object")
-        index = CompiledIndex({}, doc["hash"], **_catalog_from_json(doc, lazy),
+        index = CompiledIndex({}, doc["hash"], **_catalog_from_json(doc),
                               pending=doc["components"])
     except _DEFECTIVE as err:
         raise _corrupt(err) from err
-    return index if lazy else reach(index)
+    return index, units is not None and (units.unchanged_since(index.units, written)
+                                         or units.hash() == index.source_hash)
 
 
 def default_cache_path(catalog_path: str | Path) -> Path:
@@ -737,15 +689,14 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     index, memo, reason = None, None, "missing"
     if units is not None and units.stats is not None and req_text is not None and path.exists():
         try:
-            index = load_cache(path, units, True)
-        except StaleCache as err:
-            reason = str(err)
-            if err.memo is not None and err.memo.state_limit <= state_limit:
-                memo = err.memo
+            index, fresh = load_cache(path, units)
+            limit = index.state_limit
+            if not fresh:  # its automata and checks hold at any limit at least theirs
+                index, memo, reason = None, _memo(index) if limit <= state_limit else None, "stale"
+            elif limit > state_limit:
+                index, reason = None, f"cache built under a higher state limit ({limit})"
         except CacheError as err:
             reason = str(err)
-        if index is not None and index.state_limit > state_limit:
-            index, reason = None, f"cache built under a higher state limit ({index.state_limit})"
     catalog, loaded, tree = None, None, None
     # reads only the units of the requirement's size; one whose text equals it only once
     # newlines are translated is missed, and `_cached_requirement` answers as for a unit
@@ -763,9 +714,9 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     if req is None:
         return None, None, None, None, None, diagnostics
     if index is not None:
-        shape_key = _shape_keys(merged.types)
+        lattice = TypeLattice.from_types(merged.types)
         try:
-            reach(index, {shape_key(sig) for sig in req.iface.all_methods()})
+            reach(index, {shape(sig, lattice) for sig in req.iface.all_methods()})
             return req, merged, index, "cache", None, diagnostics
         except CacheError as err:  # a defect the checksum missed: rebuild
             index, reason = None, str(err)

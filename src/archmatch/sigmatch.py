@@ -35,15 +35,16 @@ def weakest(kinds) -> str:
 class TypeLattice:
     """Reflexive-transitive subtype order from declared `<:` supertypes.
 
-    Its memos hold pure functions of their keys and this order: `matches` the
-    (kind, permutation) of a pair of signature types, keyed by the pair;
-    `queries` a query's `_Query` table, keyed by the identity of its method
-    tuple, which the table holds; `assignments` the index pairs `_assign`
-    picks, keyed by the cost matrix.  Build one lattice per query: a reused
-    one answers as a fresh one does, but its memos grow.
+    Its memos hold pure functions of their keys and this order: `shapes` the
+    `shape` of signature types, `matches` the (kind, permutation) of a pair of
+    them, each keyed by its types; `queries` a query's `_Query` table, keyed by
+    the identity of its method tuple, which the table holds; `assignments` the
+    index pairs `_assign` picks, keyed by the cost matrix.  Build one lattice
+    per query: a reused one answers as a fresh one does, but its memos grow.
     """
 
     parents: dict[str, str | None]
+    shapes: dict = field(default_factory=dict, compare=False, repr=False)
     matches: dict = field(default_factory=dict, compare=False, repr=False)
     queries: dict = field(default_factory=dict, compare=False, repr=False)
     assignments: dict = field(default_factory=dict, compare=False, repr=False)
@@ -111,14 +112,19 @@ def _return_le(lattice: TypeLattice, sub: str | None, sup: str | None) -> bool:
     return lattice.le(sub, sup)
 
 
-def shape(m: MethodSig, lattice: TypeLattice) -> tuple:
-    """Sorted parameter-type roots plus the return-type root (or None).
+def shape(m: MethodSig, lattice: TypeLattice) -> str:
+    """The method's sorted parameter-type roots, then `:R` when it returns a
+    type of root R, printed as `(Account,String):String`; memoised in the
+    lattice by the method's types.
 
     Every match kind preserves arity and the root of each type, so two methods
-    with different shapes never match.
+    with different shapes (type names hold no `(),:`) never match.
     """
-    ret = lattice.root(m.return_type) if m.return_type is not None else None
-    return tuple(sorted(lattice.root(t) for t in m.param_types())), ret
+    if m.types not in lattice.shapes:
+        (params, ret), root = m.types, lattice.root
+        lattice.shapes[m.types] = f"({','.join(sorted(map(root, params)))})" + \
+            ("" if ret is None else f":{root(ret)}")
+    return lattice.shapes[m.types]
 
 
 def _match_types(q_types, p_types, lattice: TypeLattice) -> tuple[str, tuple[int, ...]] | None:

@@ -96,12 +96,10 @@ FIELD_DEFECTS = {
 }
 
 #: the field defects that a warm `match` of the fixture catalog does not
-#: decode: a hit leaves `checked` and `units` undecoded, and every entry that
-#: no requirement method shares a shape with, as AccountService with a wrong
-#: shape (only the checksum and `index inspect` guard against that one)
-UNREAD_ON_A_HIT = {"checked keys out of order", "duplicated checked key",
-                   "checked key as a list", "integer checked key", "unit size as a string",
-                   "wrong shape"}
+#: decode: a hit checks every top-level field but leaves undecoded every entry
+#: that no requirement method shares a shape with, as AccountService with a
+#: wrong shape (only the checksum and `index inspect` guard against that one)
+UNREAD_ON_A_HIT = {"wrong shape"}
 
 #: every kind of defect except truncation
 DEFECTS = {

@@ -728,7 +728,7 @@ def test_a_resealed_defect_is_found_where_it_is_decoded(workdir, defect):
     text = cache.read_text()
     cache.write_text(resealed(FIELD_DEFECTS[defect](text)))
     with pytest.raises(repo.CacheError, match="^corrupt cache: "):
-        repo.load_cache(cache)
+        repo.reach(repo.load_cache(cache)[0])
     inspect = run("--catalog", str(workdir / "catalog_full.txt"), "index", "inspect")
     assert (inspect.exit_code, inspect.stdout) == (2, "")
     res = run(*match_args)
@@ -858,6 +858,24 @@ def test_index_inspect_reads_freshness_from_the_unit_texts(workdir, monkeypatch)
     assert "freshness: stale\n" in res.output
     (workdir / "insurance.adl").unlink()
     assert "freshness:" not in run("--catalog", catalog, "index", "inspect").output
+
+
+def test_index_inspect_reads_no_unit_of_an_unchanged_catalog(workdir, monkeypatch):
+    # freshness is judged as `match` judges it, from the unit stats
+    catalog = str(workdir / "catalog_full.txt")
+    run("--catalog", catalog, "index", "build")
+    cache = workdir / "catalog_full.txt.idx"
+    later = os.stat(cache).st_mtime_ns + 10 * 10**9  # every unit changed before the cache
+    os.utime(cache, ns=(later, later))
+    reads = []
+
+    def text(self, i, _real=repo.Units.text):
+        reads.append(i)
+        return _real(self, i)
+    monkeypatch.setattr(repo.Units, "text", text)
+    res = run("--catalog", catalog, "index", "inspect")
+    assert (res.exit_code, reads) == (0, [])
+    assert "freshness: fresh\n" in res.output
 
 
 def test_index_inspect_corrupt(workdir):

@@ -90,12 +90,51 @@ def _load_unit(tmp_path, text):
     return m, time.perf_counter() - start
 
 
+def _chain(n: int) -> str:
+    return "interface I0 { m0(); }\n" + "".join(
+        f"interface I{i} extends I{i - 1} {{ m{i}(); }}\n" for i in range(1, n))
+
+
 def test_a_2000_deep_extends_chain_loads_in_linear_time(tmp_path):
-    # each interface's method tuple is built once, from its base's
-    m, seconds = _load_unit(tmp_path, "interface I0 { m0(); }\n" + "".join(
-        f"interface I{i} extends I{i - 1} {{ m{i}(); }}\n" for i in range(1, 2000)))
+    # each interface's method tuple is built once, when first asked for
+    m, seconds = _load_unit(tmp_path, _chain(2000))
     assert [s.name for s in m.interfaces["I1999"].all_methods()] == [f"m{i}" for i in range(2000)]
     assert seconds < 1.0
+
+
+def test_a_10000_deep_extends_chain_resolves_in_linear_time():
+    # each link takes its base's set of method names over and adds its own
+    tree, _ = dsl.parse_unit(SourceUnit("u.adl", _chain(10_000)))
+    start = time.perf_counter()
+    m, diags = model.resolve([tree])
+    seconds = time.perf_counter() - start
+    assert m is not None, diags[:3]
+    assert seconds < 1.0
+    assert len(m.interfaces["I9999"].all_methods()) == 10_000
+
+
+def test_duplicate_methods_are_found_down_every_extends_branch():
+    # B, C and E extend A, and D extends B: a link that takes over its base's
+    # names leaves its siblings theirs; recorded before links shared name sets
+    m, diags = resolve_text(
+        "interface A { a(); }\n"
+        "interface B extends A { b(); a(); }\n"
+        "interface C extends A { c(); c(); a(); }\n"
+        "interface D extends B { a(); b(); d(); d(); }\n"
+        "interface E extends A { b(); d(); }\n"
+        "interface G extends F { f(); g(); a(); }\n"
+        "interface F extends E { f(); b(); }\n"
+        "interface H extends D { h(); }\n")
+    assert m is None
+    assert [f"{d.span}: {d.message}" for d in diags] == [
+        f"{at}: duplicate method {name!r}"
+        for at, name in (("2:30", "a"), ("3:30", "c"), ("3:35", "a"), ("4:25", "a"),
+                         ("4:30", "b"), ("4:40", "d"), ("7:30", "b"), ("6:25", "f"),
+                         ("6:35", "a"))]
+    m, diags = resolve_text("interface A { a(); }\ninterface B extends A { b(); }\n"
+                            "interface C extends A { c(); }\ninterface D extends B { d(); }\n")
+    assert [[s.name for s in m.interfaces[name].all_methods()] for name in "DCBA"] == \
+        [["a", "b", "d"], ["a", "c"], ["a", "b"], ["a"]]
 
 
 def test_a_6000_type_subtype_chain_loads_in_linear_time(tmp_path):

@@ -18,8 +18,8 @@ from archmatch import matcher, repo
 from archmatch import protocol as P
 from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
-from broken_caches import (DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE,
-                           V8_CACHE, resealed)
+from broken_caches import (DEFECTS, FIELD_DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE,
+                           V7_CACHE, V8_CACHE, resealed)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -169,12 +169,18 @@ def test_index_state_limit_names_component(tmp_path):
 
 # --- cache ------------------------------------------------------------------------
 
+def _read_cache(path) -> repo.CompiledIndex:
+    """The index of a cache file, every entry decoded, as `index inspect` reads it."""
+    index, _ = repo.load_cache(path)
+    return repo.reach(index)
+
+
 def test_cache_round_trip(tmp_path):
     catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt")
     index = repo.build_index(catalog, m)
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
-    loaded = repo.load_cache(path)
+    loaded = _read_cache(path)
     assert loaded == index
     text = path.read_bytes()
     repo.save_cache(repo.build_index(*repo.load(FIXTURES / "catalog_full.txt")[:2]), path)
@@ -238,12 +244,12 @@ def test_a_stale_rebuild_computes_no_shape_to_decode_and_writes_the_cold_bytes(t
     _load_index(catalog_path)  # builds the cache
     unit = tmp_path / "insurance.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
-    memo_from_json = repo._memo_from_json
+    memo = repo._memo
 
-    def without_shapes(doc):
+    def without_shapes(index):
         with mock.patch.object(repo, "shape", side_effect=AssertionError("a shape was computed")):
-            return memo_from_json(doc)
-    with mock.patch.object(repo, "_memo_from_json", without_shapes):
+            return memo(index)
+    with mock.patch.object(repo, "_memo", without_shapes):
         _, origin, reason = _load_index(catalog_path)
     assert (origin, reason) == ("built", "stale; reused 5 of 5 automata, 2 of 2 publication checks")
     catalog, m, _ = repo.load(catalog_path, memo=repo.Memo())  # as `index build` loads
@@ -251,14 +257,37 @@ def test_a_stale_rebuild_computes_no_shape_to_decode_and_writes_the_cold_bytes(t
     assert repo.default_cache_path(catalog_path).read_bytes() == (tmp_path / "cold.idx").read_bytes()
 
 
+# a resealed defect of a stale cache, and the reason of the rebuild, which
+# lends it no memo: a top-level field is checked before freshness is judged
+STALE_AND_DEFECTIVE = {
+    "unit size as a string": "corrupt cache: TypeError: expected an integer, got str",
+    "string state count": "stale",
+}
+
+
+@pytest.mark.parametrize("defect", list(STALE_AND_DEFECTIVE))
+def test_a_stale_cache_with_a_defect_is_rebuilt_without_a_memo(tmp_path, defect):
+    catalog_path = copy_fixtures(tmp_path, "catalog_full.txt")
+    _load_index(catalog_path)  # builds the cache
+    cache = repo.default_cache_path(catalog_path)
+    cache.write_text(resealed(FIELD_DEFECTS[defect](cache.read_text())))
+    unit = tmp_path / "insurance.adl"
+    unit.write_text(unit.read_text() + "\n// touched\n")
+    assert _load_index(catalog_path)[1:] == ("built", STALE_AND_DEFECTIVE[defect])
+
+
 def test_cache_of_another_hash_is_stale(tmp_path):
-    catalog, m, _ = repo.load(FIXTURES / "catalog.txt")
+    catalog_path = FIXTURES / "catalog.txt"
+    catalog, m, _ = repo.load(catalog_path)  # without a memo: no unit stats are recorded
+    units = repo.Units(catalog_path, catalog_path.read_text())
     index = repo.build_index(catalog, m)
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
-    assert repo.load_cache(path, index.source_hash).entries == index.entries
-    with pytest.raises(repo.CacheError, match="^stale$"):
-        repo.load_cache(path, "another hash")
+    loaded, fresh = repo.load_cache(path, units)  # from the hash of the unit texts
+    assert fresh and repo.reach(loaded).entries == index.entries
+    assert repo.load_cache(path)[1] is False  # without units
+    repo.save_cache(replace(index, source_hash="another hash"), path)
+    assert repo.load_cache(path, units)[1] is False
 
 
 def _full_cache_text(tmp_path) -> str:
@@ -276,7 +305,7 @@ def test_cache_rejects_truncation(tmp_path):
         for cut in {text[:length], text[:length] + "\n"} - {text}:
             path.write_text(cut)
             with pytest.raises(repo.CacheError):
-                repo.load_cache(path)
+                _read_cache(path)
 
 
 @pytest.mark.parametrize("defect", list(DEFECTS))
@@ -284,7 +313,7 @@ def test_cache_rejects_defect(tmp_path, defect):
     path = tmp_path / "cache.idx"
     path.write_text(DEFECTS[defect](_full_cache_text(tmp_path)))
     with pytest.raises(repo.CacheError, match="^(corrupt cache: |unsupported cache version)"):
-        repo.load_cache(path)
+        _read_cache(path)
 
 
 def test_an_edit_that_keeps_the_cache_valid_breaks_its_checksum(tmp_path):
@@ -296,8 +325,9 @@ def test_an_edit_that_keeps_the_cache_valid_breaks_its_checksum(tmp_path):
     with pytest.raises(repo.CacheError, match="^corrupt cache: ValueError: checksum mismatch$"):
         repo.load_cache(path)
     path.write_text(resealed(edited))  # a right checksum leaves the defect to decoding
+    index, _ = repo.load_cache(path)
     with pytest.raises(repo.CacheError, match="^corrupt cache: ValueError: start or accepting"):
-        repo.load_cache(path)
+        repo.reach(index)
 
 
 def test_cache_rejects_wrong_version(tmp_path):
@@ -319,7 +349,7 @@ def _load_index_reason(tmp_path, setup) -> tuple[str, str | None]:
     cache = repo.default_cache_path(catalog_path)
     setup(cache, catalog, m)
     _, origin, reason = _load_index(catalog_path)
-    assert repo.load_cache(cache).source_hash == catalog.source_hash  # refreshed
+    assert _read_cache(cache).source_hash == catalog.source_hash  # refreshed
     return origin, reason
 
 
@@ -354,7 +384,7 @@ def test_load_index_rebuilds_a_cache_built_under_a_higher_state_limit(tmp_path):
     _, origin, reason = _load_index(catalog_path, state_limit=50)
     assert (origin, reason) == (
         "built", f"cache built under a higher state limit ({P.DEFAULT_STATE_LIMIT})")
-    assert repo.load_cache(repo.default_cache_path(catalog_path)).state_limit == 50
+    assert _read_cache(repo.default_cache_path(catalog_path)).state_limit == 50
     assert _load_index(catalog_path, state_limit=50)[1:] == ("cache", None)
     assert _load_index(catalog_path)[1:] == ("cache", None)
 
@@ -474,7 +504,7 @@ def test_cache_transparency_for_matching(tmp_path):
     built = repo.build_index(catalog, m)
     path = tmp_path / "cache.idx"
     repo.save_cache(built, path)
-    cached = repo.load_cache(path)
+    cached = _read_cache(path)
     req, merged, diags = repo.load_requirement(
         tmp_path / "manage_documents_req.adl", catalog, m)
     assert req is not None, diags

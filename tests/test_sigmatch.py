@@ -275,7 +275,7 @@ def test_root_walks_to_the_top_of_the_chain():
     assert [WITH_SUB.root(t) for t in ("Premium", "Account", "Party", "String", "Unknown")] \
         == ["Party", "Party", "Party", "String", "Unknown"]
     assert S.shape(sig("f", "Premium", "String", ret="Account"), WITH_SUB) == \
-        (("Party", "String"), "Party")
+        "(Party,String):Party"
 
 
 @settings(max_examples=300, deadline=None)
