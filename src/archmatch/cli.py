@@ -10,6 +10,7 @@ silently, when the reader of stdout closes it before the output ends.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -61,11 +62,15 @@ class Session:
         if not self.quiet:
             print(message, file=sys.stderr)
 
-    def require_catalog(self, memo: repo.Memo | None = None) -> tuple[repo.Catalog, object]:
-        """The catalog and its model; with a `memo`, the catalog keeps what a cache records."""
+    def require_catalog(self, memo: repo.Memo | None = None,
+                        syntax_memo: repo.SyntaxMemo | None = None,
+                        ) -> tuple[repo.Catalog, object]:
+        """The catalog and its model; with a `memo`, the catalog keeps what a
+        cache records, and a `syntax_memo` keeps its parsed units."""
         if self.catalog_path is None:
             _input_error(NEEDS_CATALOG)
-        catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit, memo=memo)
+        catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit,
+                                                 memo=memo, syntax_memo=syntax_memo)
         _print_diagnostics(diagnostics, self.base_dir)
         if catalog is None:
             sys.exit(2)
@@ -232,7 +237,8 @@ def link(session: Session, name: str) -> None:
 
 def index_build(session: Session) -> None:
     """Compile all component protocols and write the cache file."""
-    catalog, model_ = session.require_catalog(repo.Memo())  # check keys and unit stats
+    syntax_memo = repo.SyntaxMemo()  # only written: the build is from the units alone
+    catalog, model_ = session.require_catalog(repo.Memo(), syntax_memo)  # check keys, unit stats
     compiled = repo.build_index(catalog, model_, session.state_limit)
     path = (repo.default_cache_path(catalog.path) if session.cache_path is None
             else Path(session.cache_path))
@@ -241,6 +247,10 @@ def index_build(session: Session) -> None:
     except OSError as err:
         _input_error(f"cannot write cache {_display_path(str(path), session.base_dir)}: "
                      f"{err.strerror or err}")
+    try:
+        repo.save_syntax(syntax_memo, repo.syntax_memo_path(path))
+    except OSError as err:  # the cache is written; later rebuilds parse every unit
+        session.note(f"cannot write syntax memo: {err.strerror or err}")
     print(f"indexed {len(compiled.entries)} component(s)")
     print(f"hash: {compiled.source_hash}")
     print(f"cache: {_display_path(str(path), session.base_dir)}")
@@ -268,6 +278,10 @@ def index_inspect(session: Session) -> None:
     print(f"components: {len(compiled.entries)}")
     if units is not None and units.stats is not None:  # every unit is a file
         print(f"freshness: {'fresh' if fresh else 'stale'}")
+    try:
+        print(f"syntax memo: {len(repo.load_syntax(repo.syntax_memo_path(path)).stored)} unit(s)")
+    except repo.CacheError as err:
+        print(f"syntax memo: {err}")
     for name, entry in sorted(compiled.entries.items()):
         print(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s) "
               f"from {entry.protocol}")
@@ -321,7 +335,12 @@ def _parser(prog: str) -> argparse.ArgumentParser:
 
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
-    """Run one command line (default `sys.argv[1:]`); exit code 0 unless it raises SystemExit."""
+    """Run one command line (default `sys.argv[1:]`); exit code 0 unless it raises SystemExit.
+
+    The cyclic garbage collector is paused for the command, which builds no
+    cycles worth collecting, and left as the caller had it."""
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         try:
             options = vars(_parser(prog_name or "archmatch").parse_args(args))
@@ -351,6 +370,9 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     except Exception as err:  # exit code 1 is a negative verdict, so a crash exits 3
         print(f"error: internal error: {type(err).__name__}: {err}", file=sys.stderr)
         sys.exit(3)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

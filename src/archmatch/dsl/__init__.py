@@ -19,5 +19,6 @@ __all__ = [
 def __getattr__(name: str):  # the formatter, on first use: a warm `match` prints no protocol
     if name in ("format", "format_protocol"):
         from . import printer
-        return getattr(printer, name)
+        globals().update(format=printer.format, format_protocol=printer.format_protocol)
+        return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -5,7 +5,7 @@ parse(format(tree)) reproduces tree structurally; see the round-trip tests.
 
 from __future__ import annotations
 
-from ..protocol import Alt, Eps, Ev, ProtocolExpr, Seq, Star, fold
+from ..protocol import Alt, Eps, Ev, ProtocolExpr, Seq, Shuffle, Star
 from . import syntax
 
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
@@ -15,32 +15,53 @@ def _string(value: str) -> str:
     return '"' + "".join(_STRING_ESCAPES.get(c, c) for c in value) + '"'
 
 
-def _render(e: ProtocolExpr, operands: list[tuple[str, int]]) -> tuple[str, int]:
-    """(text, precedence) of `e`; an operand binding looser than its place is parenthesized."""
-    def place(i: int, level: int) -> str:
-        text, own = operands[i]
-        return f"({text})" if own < level else text
-
-    if isinstance(e, Ev):
-        return "?" + e.name, 3
-    if isinstance(e, Eps):
-        return "()", 3
-    if isinstance(e, Star):
-        return place(0, 3) + "*", 3
-    if isinstance(e, Seq):
-        return place(0, 3) + " " + place(1, 2), 2
-    if isinstance(e, Alt):
-        return place(0, 2) + " + " + place(1, 1), 1
-    return place(0, 1) + " | " + place(1, 0), 0  # Shuffle
+# a binary operator's text, the precedences below which its left and its
+# right operand are parenthesized, and its own: `*` and atoms bind at 3
+_BINARY = {Seq: (" ", 3, 2, 2), Alt: (" + ", 2, 1, 1), Shuffle: (" | ", 1, 0, 0)}
 
 
-def format_protocol(expr: ProtocolExpr) -> str:
+def format_protocol(expr: ProtocolExpr, printed: dict | None = None) -> str:
     """Render a protocol expression with minimal parentheses.
 
     Binary operators associate to the right, so a left-nested operand of the
-    same operator is parenthesized to survive reparsing.
+    same operator is parenthesized to survive reparsing. The walk keeps its
+    own stack, so an expression of any depth is printed without recursion.
+
+    `printed` maps the id of an expression printed before to the expression,
+    kept so that its id is not reused, and its text and precedence: such an
+    expression is not printed again where it occurs, and `expr` is added.
     """
-    return fold(expr, _render)[0]
+    known = {} if printed is None else printed
+    values: list[tuple[str, int]] = []  # (text, precedence) of the operands printed
+    stack = [(expr, False)]
+    while stack:
+        e, operands_printed = stack.pop()
+        held = known.get(id(e))
+        kind = type(e)
+        if held is not None:
+            values.append(held[1])
+        elif kind is Ev:
+            values.append(("?" + e.name, 3))
+        elif kind is Eps:
+            values.append(("()", 3))
+        elif not operands_printed:
+            stack.append((e, True))
+            if kind is Star:
+                stack.append((e.inner, False))
+            else:  # the left operand is printed first
+                stack += ((e.right, False), (e.left, False))
+        elif kind is Star:
+            text, own = values.pop()
+            values.append((f"({text})*" if own < 3 else text + "*", 3))
+        else:
+            op, left_level, right_level, own = _BINARY[kind]
+            right, right_own = values.pop()
+            left, left_own = values.pop()
+            values.append(((f"({left})" if left_own < left_level else left) + op
+                           + (f"({right})" if right_own < right_level else right), own))
+    if printed is not None:
+        printed[id(expr)] = expr, values[0]
+    return values[0][0]
 
 
 def _annot(annot: syntax.Annot | None) -> str:

@@ -34,13 +34,24 @@ publication check whose key, the printed expressions and alphabets it was
 computed from, is unchanged is taken from it instead of recomputed (the
 verifying traces of Mokhov, Mitchell and Peyton Jones, "Build Systems à la
 Carte", ICFP 2018). `index build` builds from the units alone.
+
+The syntax memo beside the cache (`<cache>.syntax`) does the same for parsing:
+the magic line `ARCHMATCH-SYNTAX v1` with the bytecode tag of the Python that
+wrote it and a CRC-32, then one `marshal` table from the SHA-256 of each
+unit's text to its declarations as `dsl.codec` tuples. The full load in
+`load_match` decodes a unit the memo holds instead of parsing it; every build
+that saves a cache writes the memo for the units it loaded. A memo that is
+missing or defective is a miss, and only costs the parses. `load` and
+`parse_units` use one only when given it, and a warm hit has none.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import os
 import stat
+import sys
 import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -64,6 +75,11 @@ if TYPE_CHECKING:  # `category` is imported by the commands that build architect
 # stat could mean something else, so that older caches are rejected and
 # rebuilt without lending a rebuild their automata or checks.
 CACHE_MAGIC = "ARCHMATCH-IDX v9"
+
+# The first line of a syntax memo file, before the bytecode tag of the Python
+# that wrote it (marshal's format is that Python's) and a CRC-32 of the rest.
+# Bump it whenever `dsl.parse_unit` or `dsl.codec` could give a unit another tree.
+SYNTAX_MAGIC = "ARCHMATCH-SYNTAX v1"
 
 # the Model tables whose names a requirement may not redeclare
 _NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
@@ -138,6 +154,43 @@ class Memo:
     checks: int = 0  # publication checks this build asked for
     reused_checks: int = 0
     reused_automata: int = 0
+    # the expressions printed for keys, for `dsl.format_protocol`: components,
+    # contracts and publications share them, and none is printed twice
+    printed: dict = field(default_factory=dict)
+
+
+@record
+class SyntaxMemo:
+    """Parsed units by the SHA-256 of their text: the `dsl.codec` tuples of
+    each one's declarations, marshalled. `parse_units` decodes a unit `stored`
+    holds instead of parsing it, and keeps in `kept` the encoded units it was
+    given that parsed without a diagnostic, to be saved for the next load."""
+
+    stored: dict[bytes, bytes] = field(default_factory=dict)  # as read from a file
+    kept: dict[bytes, bytes] = field(default_factory=dict)
+    units: int = 0  # units parsed or decoded
+    reused: int = 0  # units decoded
+
+    def parse(self, unit: SourceUnit) -> tuple[syntax.SyntaxTree | None, list[Diagnostic]]:
+        """What `dsl.parse_unit` gives `unit`, decoded when the memo holds it."""
+        import hashlib
+        from .dsl import codec  # compiles its decoders, 2-3 ms: a warm match loads no unit
+        key = hashlib.sha256(unit.text.encode("utf-8")).digest()
+        self.units += 1
+        blob = self.stored.get(key)
+        if blob is not None:
+            try:
+                tree = syntax.SyntaxTree(codec.decode(marshal.loads(blob)), unit.path)
+            except (EOFError, IndexError, KeyError, TypeError, ValueError):
+                pass  # not what this version writes: parsed below
+            else:
+                self.reused += 1
+                self.kept[key] = blob
+                return tree, []
+        tree, diagnostics = dsl.parse_unit(unit)
+        if not diagnostics:
+            self.kept[key] = marshal.dumps(codec.encode(tree.declarations))
+        return tree, diagnostics
 
 
 def _zero_span() -> Span:
@@ -240,8 +293,12 @@ def source_hash(texts) -> str:
 
 
 def parse_units(paths: list[str | Path], texts: dict[Path, str] | None = None,
+                syntax_memo: SyntaxMemo | None = None,
                 ) -> tuple[tuple[SourceUnit, ...], tuple[syntax.SyntaxTree, ...],
                            list[Diagnostic]]:
+    """The units at `paths` (read from `texts` where it has them), their trees
+    and the diagnostics; each one parsed, or decoded from `syntax_memo`."""
+    parse = dsl.parse_unit if syntax_memo is None else syntax_memo.parse
     units: list[SourceUnit] = []
     trees: list[syntax.SyntaxTree] = []
     diagnostics: list[Diagnostic] = []
@@ -252,7 +309,7 @@ def parse_units(paths: list[str | Path], texts: dict[Path, str] | None = None,
             continue
         unit = SourceUnit(str(path), text)
         units.append(unit)
-        tree, diags = dsl.parse_unit(unit)
+        tree, diags = parse(unit)
         diagnostics.extend(diags)
         if tree is not None:
             trees.append(tree)
@@ -279,16 +336,17 @@ def _build_architectures(m: Model) -> tuple[dict[str, PseudoCategory],
     return architectures, links, diagnostics
 
 
-def _check_key(pub: model.Publication) -> str:
+def _check_key(pub: model.Publication, printed: dict) -> str:
     """The SHA-256 of all that `model.validate_publication` reads of `pub`,
-    printed: the causal relation, then each side's traces and sorted alphabet
-    (hashed as `source_hash` hashes unit texts, so distinct parts give distinct
-    keys)."""
-    parts = [dsl.format_protocol(pub.causal)]
+    printed (each expression once, see `Memo.printed`): the causal relation,
+    then each side's traces and sorted alphabet (hashed as `source_hash`
+    hashes unit texts, so distinct parts give distinct keys)."""
+    sides = []  # printed first: a default causal relation is made of their traces
     for side in (pub.provided, pub.required):
         if side is not None:
-            parts += [dsl.format_protocol(side.traces), " ".join(sorted(side.iface.method_names()))]
-    return source_hash(parts)
+            sides += [dsl.format_protocol(side.traces, printed),
+                      " ".join(sorted(side.iface.method_names()))]
+    return source_hash([dsl.format_protocol(pub.causal, printed), *sides])
 
 
 def _validate_publications(m: Model, state_limit: int,
@@ -300,7 +358,7 @@ def _validate_publications(m: Model, state_limit: int,
 
     def report(kind: str, name: str, pub: model.Publication) -> None:
         if memo is not None:
-            key = _check_key(pub)
+            key = _check_key(pub, memo.printed)
             memo.checks += 1
             if key in memo.checked:
                 memo.reused_checks += 1
@@ -354,11 +412,13 @@ def analyze(trees, state_limit: int = protocol.DEFAULT_STATE_LIMIT, memo: Memo |
 
 def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
          units: Units | None = None, memo: Memo | None = None,
+         syntax_memo: SyntaxMemo | None = None,
          ) -> tuple[Catalog | None, Model | None, list[Diagnostic]]:
     """Load a catalog file and everything it references. `units` are the
     catalog's units, already stat-ed (and maybe read); a publication check
-    whose key is in `memo` is taken as passed. Only given a memo does the
-    catalog keep what a cache records: its `checked` keys and unit `stats`.
+    whose key is in `memo` is taken as passed, and a unit `syntax_memo` holds
+    is decoded, not parsed. Only given a memo does the catalog keep what a
+    cache records: its `checked` keys and unit `stats`.
 
     All units must parse and resolve, architectures must build, and every
     publication must satisfy the causal projection condition; otherwise the
@@ -374,7 +434,7 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
     # a unit that cannot be read is read again, for its diagnostic
     texts = {path: text for i, path in enumerate(resolved)
              if (text := units.text(i)) is not None}
-    parsed, trees, diagnostics = parse_units(resolved, texts)
+    parsed, trees, diagnostics = parse_units(resolved, texts, syntax_memo)
     if has_errors(diagnostics):
         return None, None, diagnostics
     m, architectures, links, diags = analyze(trees, state_limit, memo)
@@ -407,7 +467,7 @@ def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_
         expr = comp.provided_protocol
         if expr is None:
             expr = protocol.universal_expr(provided_alphabet)
-        text = None if memo is None else dsl.format_protocol(expr)
+        text = None if memo is None else dsl.format_protocol(expr, memo.printed)
         provided = None if text is None else memo.automata.get((text, provided_alphabet))
         if provided is not None:
             memo.reused_automata += 1
@@ -467,21 +527,69 @@ def _document(index: CompiledIndex) -> str:
             f'"hash":{encode(index.source_hash)},{encode(fields)[1:]}\n')
 
 
-def save_cache(index: CompiledIndex, path: str | Path) -> None:
-    """Write the index to a temporary file in the same directory that then
-    replaces `path`, so a failed write leaves any previous cache intact."""
-    if index.pending:
-        raise ValueError("an index with undecoded entries is not saved")
-    text = _document(index)
-    text = f"{_seal(text.encode('utf-8'))}\n{text}"
+def _replace(path: str | Path, data: bytes) -> None:
+    """Write `data` to a temporary file in the same directory that then
+    replaces `path`, so a failed write leaves any previous file intact."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_cache(index: CompiledIndex, path: str | Path) -> None:
+    """Write the index to `path` (see `_replace`)."""
+    if index.pending:
+        raise ValueError("an index with undecoded entries is not saved")
+    body = _document(index).encode("utf-8")
+    _replace(path, f"{_seal(body)}\n".encode("utf-8") + body)
+
+
+def syntax_memo_path(cache_path: str | Path) -> Path:
+    """The syntax memo beside the cache file at `cache_path`."""
+    return Path(f"{cache_path}.syntax")
+
+
+def _syntax_seal(body: bytes) -> bytes:
+    """The first line of a syntax memo file whose bytes after that line are `body`."""
+    return f"{SYNTAX_MAGIC} {sys.implementation.cache_tag} {zlib.crc32(body):08x}".encode()
+
+
+def save_syntax(memo: SyntaxMemo, path: str | Path) -> None:
+    """Write the units `memo` kept to `path` (see `_replace`)."""
+    body = marshal.dumps(memo.kept)
+    _replace(path, _syntax_seal(body) + b"\n" + body)
+
+
+def load_syntax(path: str | Path) -> SyntaxMemo:
+    """The syntax memo saved at `path`, or CacheError saying why there is none
+    to use: the file is missing or unreadable, of another version or Python,
+    or corrupt. Behind its checksum, marshal's output is trusted as Python
+    trusts its bytecode cache."""
+    try:
+        with open(path, "rb") as file:
+            header, _, body = file.read().partition(b"\n")
+    except FileNotFoundError as err:
+        raise CacheError("missing") from err
+    except OSError as err:
+        raise CacheError(f"cannot read: {err.strerror or err}") from err
+    seal = _syntax_seal(body)
+    if header.rpartition(b" ")[0] != seal.rpartition(b" ")[0]:
+        raise CacheError(f"unsupported version (expected {SYNTAX_MAGIC} "
+                         f"{sys.implementation.cache_tag})")
+    if header != seal:
+        raise CacheError("corrupt: checksum mismatch")
+    try:
+        stored = marshal.loads(body)
+    except (EOFError, TypeError, ValueError) as err:
+        raise CacheError(f"corrupt: {type(err).__name__}: {err}") from err
+    if type(stored) is not dict or \
+            not all(type(k) is bytes and type(v) is bytes for k, v in stored.items()):
+        raise CacheError("corrupt: not a table of units")
+    return SyntaxMemo(stored)
 
 
 def _int(value) -> int:
@@ -677,8 +785,11 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     built and saved, with origin "built" and the reason: "missing", "stale",
     the CacheError message or that the cache was built under a higher state
     limit, followed by "; cannot write cache: ..." if the new cache could not
-    be saved. When the catalog or the requirement fails to load, all but the
-    diagnostics are None.
+    be saved, or "; cannot write syntax memo: ..." if only the syntax memo
+    could not. A catalog loaded here decodes the units the syntax memo beside
+    the cache holds, and its build saves the memo for the units loaded. When
+    the catalog or the requirement fails to load, all but the diagnostics are
+    None.
     """
     catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
     texts: dict[Path, str] = {}
@@ -705,8 +816,10 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
         loaded = (None, None, diagnostics) if tree is None else \
             _cached_requirement(requirement_path, tree, index)
     build_memo = Memo() if memo is None else memo  # a build here is saved
+    syntax_memo = None  # read for a full load
     if loaded is None:  # the full load, on the units read
-        catalog, m, diagnostics = load(catalog_path, state_limit, units, build_memo)
+        syntax_memo = _read_syntax(path)
+        catalog, m, diagnostics = load(catalog_path, state_limit, units, build_memo, syntax_memo)
         if catalog is None:  # else there are no diagnostics
             return None, None, None, None, None, diagnostics
         loaded = load_requirement(requirement_path, catalog, m, texts, tree)
@@ -721,18 +834,33 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
         except CacheError as err:  # a defect the checksum missed: rebuild
             index, reason = None, str(err)
     if catalog is None:  # the requirement was resolved on the defective cache's types
-        catalog, m, load_diagnostics = load(catalog_path, state_limit, units, build_memo)
+        syntax_memo = _read_syntax(path)
+        catalog, m, load_diagnostics = load(catalog_path, state_limit, units, build_memo,
+                                            syntax_memo)
         if catalog is None:
             return None, None, None, None, None, load_diagnostics
     index = build_index(catalog, m, state_limit, build_memo)
     if memo is not None:
         reason += (f"; reused {memo.reused_automata} of {len(index.entries)} automata, "
-                   f"{memo.reused_checks} of {memo.checks} publication checks")
+                   f"{memo.reused_checks} of {memo.checks} publication checks, "
+                   f"{syntax_memo.reused} of {syntax_memo.units} unit parses")
+    what = "cache"
     try:
         save_cache(index, path)
-    except OSError as err:  # the index is built; only later queries lose the cache
-        reason += f"; cannot write cache: {err.strerror or err}"
+        what = "syntax memo"
+        save_syntax(syntax_memo, syntax_memo_path(path))
+    except OSError as err:  # the index is built; only later queries lose what is not written
+        reason += f"; cannot write {what}: {err.strerror or err}"
     return req, merged, index, "built", reason, diagnostics
+
+
+def _read_syntax(cache_path: Path) -> SyntaxMemo:
+    """The syntax memo beside `cache_path`, or an empty one: a memo that
+    cannot be used only costs the parses it would have saved."""
+    try:
+        return load_syntax(syntax_memo_path(cache_path))
+    except CacheError:
+        return SyntaxMemo()
 
 
 def _requirement(path: Path, tree: syntax.SyntaxTree | None, merged: Model | None,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import json
 from collections import Counter
 import os
@@ -14,9 +15,10 @@ from pathlib import Path
 import pytest
 
 from archmatch import category, dsl, matcher, model, protocol, repo
+from archmatch.dsl import codec
 from archmatch.sigmatch import TypeLattice
-from broken_caches import (DEFECTS, FIELD_DEFECTS, UNREAD_ON_A_HIT, V2_CACHE, V6_CACHE,
-                           resealed)
+from broken_caches import (DEFECTS, FIELD_DEFECTS, INSIDE_A_UNIT, SYNTAX_DEFECTS,
+                           UNREAD_ON_A_HIT, V2_CACHE, V6_CACHE, resealed)
 from cli_runner import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -382,7 +384,7 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     unit = workdir / "document_manager.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
     assert note() == ["index: built (1 component(s); cache stale; "
-                      "reused 1 of 1 automata, 0 of 0 publication checks)"]
+                      "reused 1 of 1 automata, 0 of 0 publication checks, 1 of 2 unit parses)"]
 
 
 def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
@@ -455,17 +457,19 @@ def _another_catalogs_cache(workdir: Path) -> None:
 STALE_EDITS = {
     "protocol text": (_edit("insurance.adl", "protocol { (?getBalance + ?listTransactions)* }",
                             "protocol { ?getBalance (?getBalance + ?listTransactions)* }"),
-                      None, "reused 5 of 6 automata, 2 of 3 publication checks"),
+                      None, "reused 5 of 6 automata, 2 of 3 publication checks, 4 of 5 unit parses"),
     "method added to a base interface": (_edit("base.adl", "a(x: String);",
                                                "a(x: String); c(x: String);"),
-                                         None, "reused 5 of 6 automata, 2 of 3 publication checks"),
+                                         None, "reused 5 of 6 automata, 2 of 3 publication checks, "
+                                                   "4 of 5 unit parses"),
     "method added to a required interface": (_edit("base.adl", "f(x: String);",
                                                    "f(x: String); g(x: String);"), None, None),
     "causal block that breaks the projection": (_edit("insurance.adl", "(?inquire ?lookup)*",
                                                       "?lookup (?inquire ?lookup)*"), None, None),
     "state limit below the cache's": (_touch, "2", None),
     "cache of another catalog": (_another_catalogs_cache, None,
-                                 "reused 1 of 6 automata, 0 of 3 publication checks"),
+                                 "reused 1 of 6 automata, 0 of 3 publication checks, "
+                                 "2 of 5 unit parses"),
 }
 
 
@@ -515,6 +519,76 @@ def test_a_defective_stale_cache_lends_the_rebuild_nothing(workdir):
         assert cache.read_bytes() == rebuilt, name
 
 
+# --- the syntax memo beside the cache -------------------------------------------------
+
+@pytest.mark.parametrize("defect", list(SYNTAX_DEFECTS))
+def test_a_defective_syntax_memo_only_costs_the_parses(workdir, defect):
+    catalog = str(workdir / "catalog_full.txt")
+    match_args = ["match", str(workdir / "manage_documents_req.adl")]
+    run("--catalog", catalog, *match_args)  # writes the cache and its syntax memo
+    _touch(workdir)
+    cold = run("--catalog", catalog, "--cache", str(workdir / "cold.idx"), *match_args)
+    memo = repo.syntax_memo_path(workdir / "catalog_full.txt.idx")
+    SYNTAX_DEFECTS[defect](memo)
+    inspect = run("--catalog", catalog, "index", "inspect")
+    shown = [line for line in inspect.stdout.splitlines() if line.startswith("syntax memo: ")]
+    assert inspect.exit_code == 0
+    assert (shown == ["syntax memo: 3 unit(s)"]) is (defect in INSIDE_A_UNIT), shown
+    res = run("--catalog", catalog, *match_args)
+    assert (res.stdout, res.exit_code) == (cold.stdout, cold.exit_code)
+    assert "2 of 2 publication checks, 0 of 3 unit parses" in res.stderr  # every unit parsed
+    assert (workdir / "catalog_full.txt.idx").read_bytes() == (workdir / "cold.idx").read_bytes()
+    if defect == "a directory in the file's place":
+        assert "; cannot write syntax memo: Is a directory)" in res.stderr
+    else:  # written anew
+        assert len(repo.load_syntax(memo).stored) == 3
+
+
+def test_an_edit_that_breaks_an_unchanged_unit_gives_the_diagnostics_of_a_parse(workdir):
+    catalog = str(workdir / "catalog_full.txt")
+    match_args = ["match", str(workdir / "manage_documents_req.adl")]
+    run("--catalog", catalog, *match_args)  # writes the cache and its syntax memo
+    types = workdir / "types.adl"
+    types.write_text(types.read_text().replace("type String;", ""))
+    memo = repo.syntax_memo_path(workdir / "catalog_full.txt.idx")
+    decoded = run("--catalog", catalog, *match_args)
+    memo.unlink()
+    parsed = run("--catalog", catalog, *match_args)
+    assert decoded.exit_code == parsed.exit_code == 2
+    assert "document_manager.adl:" in decoded.stderr and "insurance.adl:" in decoded.stderr
+    assert decoded.stderr_bytes == parsed.stderr_bytes
+
+
+def test_index_build_writes_the_syntax_memo_and_inspect_shows_it(workdir):
+    catalog = str(workdir / "catalog_full.txt")
+    memo = repo.syntax_memo_path(workdir / "catalog_full.txt.idx")
+    assert run("--catalog", catalog, "index", "build").exit_code == 0
+    assert len(repo.load_syntax(memo).stored) == 3
+    memo.unlink()
+    inspect = run("--catalog", catalog, "index", "inspect")
+    assert "\nsyntax memo: missing\n" in inspect.stdout and inspect.exit_code == 0
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("args", [["protocol", "?a ?b"], ["protocol", "?a ?"]], ids=["ok", "error"])
+def test_main_pauses_the_collector_and_leaves_it_as_it_found_it(monkeypatch, collecting, args):
+    during = []
+
+    def compile_(*args, _real=protocol.compile, **kwargs):
+        during.append(gc.isenabled())
+        return _real(*args, **kwargs)
+    monkeypatch.setattr(protocol, "compile", compile_)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        res = run(*args)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert res.exit_code == (0 if args[1] == "?a ?b" else 2)
+    assert during == ([False] if res.exit_code == 0 else [])
+
+
 def _without_index_note(stderr: str) -> list[str]:
     return [line for line in stderr.splitlines() if not line.startswith("index: ")]
 
@@ -537,8 +611,8 @@ def test_match_output_is_the_golden_output(workdir, case):
 def _count_calls(monkeypatch) -> Counter:
     """Count the calls of the loading layers a warm `match` can skip."""
     calls: Counter = Counter()
-    for module, name in ((dsl, "parse_unit"), (model, "validate_publication"),
-                         (category, "close")):
+    for module, name in ((dsl, "parse_unit"), (codec, "decode"),
+                         (model, "validate_publication"), (category, "close")):
         def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -579,14 +653,21 @@ def test_a_warm_match_parses_the_requirement_once(workdir, monkeypatch):
     (workdir / "req.adl").write_text(FALLBACKS["declares a component"][0])
     run("--catalog", "catalog_full.txt", "match", "req.adl")  # builds the cache
     parsed: Counter = Counter()
+    loaded: Counter = Counter()
 
     def counting(unit, _real=dsl.parse_unit):
         parsed[unit.path] += 1
         return _real(unit)
+
+    def loading(memo, unit, _real=repo.SyntaxMemo.parse):
+        loaded[unit.path] += 1
+        return _real(memo, unit)
     monkeypatch.setattr(dsl, "parse_unit", counting)
+    monkeypatch.setattr(repo.SyntaxMemo, "parse", loading)
     res = run("--catalog", "catalog_full.txt", "match", "req.adl")
     assert "index: cache " in res.stderr
-    assert parsed["req.adl"] == 1 and parsed["insurance.adl"] == 1
+    # the catalog is loaded once, each unit decoded from the syntax memo
+    assert parsed == {"req.adl": 1} and loaded["insurance.adl"] == 1
 
 
 # requirements the cache cannot answer alone: the text of `req.adl` (None: the
@@ -634,7 +715,7 @@ def test_a_warm_match_falls_back_to_the_whole_catalog(workdir, monkeypatch, case
         unit.write_bytes(unit.read_bytes() + b"\n# \xff\n")
     calls = _count_calls(monkeypatch)
     res = run("--catalog", catalog, "match", requirement)
-    assert calls["parse_unit"] > 1  # the catalog was parsed
+    assert calls["parse_unit"] + calls["decode"] > 1  # the catalog was loaded
     assert (res.exit_code, res.stderr) == (code, stderr)
     assert res.stdout.splitlines()[:1] == ([first_line] if first_line else [])
     if code == 0:
@@ -647,7 +728,8 @@ CACHE_LOADS = {
     "fresh": (lambda cache: None, "cache (5 component(s))"),
     "stale": (lambda cache: (cache.parent / "insurance.adl").write_text(
         (cache.parent / "insurance.adl").read_text() + "\n// touched\n"),
-        "built (5 component(s); cache stale; reused 5 of 5 automata, 2 of 2 publication checks)"),
+        "built (5 component(s); cache stale; reused 5 of 5 automata, 2 of 2 publication checks, "
+        "2 of 3 unit parses)"),
     "corrupt": (lambda cache: cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n"),
                 "built (5 component(s); corrupt cache: KeyError: 'hash')"),
     "v6 cache": (lambda cache: shutil.copy(V6_CACHE, cache),
@@ -961,12 +1043,12 @@ def test_a_warm_cache_answers_under_a_limit_at_least_the_recorded_one(workdir, m
     built = run(*args, env={"ARCHMATCH_STATE_LIMIT": "50"})
     calls = _count_calls(monkeypatch)
     hit = "cache (5 component(s))"
-    for limit, parsed, note in (
+    for limit, loaded, note in (
             ("50", 1, hit), ("1000", 1, hit),
             ("49", 4, "built (5 component(s); cache built under a higher state limit (50))")):
         calls.clear()
         res = run(*args, env={"ARCHMATCH_STATE_LIMIT": limit})
-        assert calls["parse_unit"] == parsed, limit
+        assert calls["parse_unit"] + calls["decode"] == loaded, limit
         assert (res.stdout, res.exit_code) == (built.stdout, built.exit_code)
         assert res.stderr == f"index: {note}\n"
 

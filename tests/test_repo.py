@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import marshal
 import os
 import shutil
+import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from archmatch import matcher, repo
+from archmatch import dsl, matcher, repo
 from archmatch import protocol as P
 from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
@@ -236,7 +239,7 @@ def test_cache_stale_detection(tmp_path):
     unit = tmp_path / "document_manager.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
     assert _load_index(catalog_path)[1:] == \
-        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks")
+        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks, 1 of 2 unit parses")
 
 
 def test_a_stale_rebuild_computes_no_shape_to_decode_and_writes_the_cold_bytes(tmp_path):
@@ -251,7 +254,8 @@ def test_a_stale_rebuild_computes_no_shape_to_decode_and_writes_the_cold_bytes(t
             return memo(index)
     with mock.patch.object(repo, "_memo", without_shapes):
         _, origin, reason = _load_index(catalog_path)
-    assert (origin, reason) == ("built", "stale; reused 5 of 5 automata, 2 of 2 publication checks")
+    assert (origin, reason) == ("built", "stale; reused 5 of 5 automata, 2 of 2 publication checks, "
+                                         "2 of 3 unit parses")
     catalog, m, _ = repo.load(catalog_path, memo=repo.Memo())  # as `index build` loads
     repo.save_cache(repo.build_index(catalog, m), tmp_path / "cold.idx")
     assert repo.default_cache_path(catalog_path).read_bytes() == (tmp_path / "cold.idx").read_bytes()
@@ -361,7 +365,7 @@ def test_load_index_reason_stale(tmp_path):
     def setup(cache, catalog, m):
         repo.save_cache(replace(repo.build_index(catalog, m), source_hash="old"), cache)
     assert _load_index_reason(tmp_path, setup) == \
-        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks")
+        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks, 0 of 2 unit parses")
 
 
 def test_load_index_reason_corrupt(tmp_path):
@@ -401,23 +405,28 @@ def test_cache_write_failure_keeps_previous_cache(tmp_path, monkeypatch, failing
     index = repo.build_index(catalog, m)
     path = tmp_path / "cache.idx"
     path.write_text("previous cache\n")
+    memo_path = repo.syntax_memo_path(path)
+    memo_path.write_text("previous memo\n")
 
-    def half_write(self, text, *args, **kwargs):
-        with open(self, "w", encoding="utf-8") as handle:
-            handle.write(text[: len(text) // 2])
+    def half_write(self, data, *args, **kwargs):
+        with open(self, "wb") as handle:
+            handle.write(data[: len(data) // 2])
         raise OSError("disk full")
 
     def refuse(*args):
         raise OSError("rename refused")
 
     if failing == "write":
-        monkeypatch.setattr(Path, "write_text", half_write)
+        monkeypatch.setattr(Path, "write_bytes", half_write)
     else:
         monkeypatch.setattr(repo.os, "replace", refuse)
     with pytest.raises(OSError):
         repo.save_cache(index, path)
+    with pytest.raises(OSError):
+        repo.save_syntax(repo.SyntaxMemo(kept={b"key": b"unit"}), memo_path)
     assert path.read_text() == "previous cache\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.idx"]
+    assert memo_path.read_text() == "previous memo\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.idx", "cache.idx.syntax"]
 
 
 # --- freshness from unit stats ---------------------------------------------------------
@@ -471,22 +480,23 @@ def _rewrite_dated_as_the_cache(tmp_path: Path) -> None:
     os.utime(unit, ns=(cache.st_atime_ns, cache.st_mtime_ns))
 
 
-# a change after the cache was built, and that the next match finds the cache stale
+# a change after the cache was built, and whether the next match finds the
+# cache stale: the parses it then reuses, or None when it finds it fresh
 STAT_CHANGES = {
-    "same-size rewrite dated as the cache": (_rewrite_dated_as_the_cache, True),
+    "same-size rewrite dated as the cache": (_rewrite_dated_as_the_cache, "3 of 4"),
     "equal-size units swapped in the catalog": (
         lambda root: (root / "catalog.txt").write_text("types.adl\ndocument_manager.adl\n"
-                                                        "b.adl\na.adl\n"), True),
+                                                        "b.adl\na.adl\n"), "4 of 4"),
     "unit dropped from the catalog": (
         lambda root: (root / "catalog.txt").write_text("types.adl\ndocument_manager.adl\n"
-                                                        "a.adl\n"), True),
-    "touch": (lambda root: os.utime(root / "a.adl", ns=(10**18, 10**18)), False),
+                                                        "a.adl\n"), "3 of 3"),
+    "touch": (lambda root: os.utime(root / "a.adl", ns=(10**18, 10**18)), None),
 }
 
 
 @pytest.mark.parametrize("change", list(STAT_CHANGES))
 def test_a_change_of_the_units_is_found_however_their_stats_read(tmp_path, change):
-    edit, stale = STAT_CHANGES[change]
+    edit, parses = STAT_CHANGES[change]
     catalog_path = copy_fixtures(tmp_path)
     (tmp_path / "a.adl").write_text("type Xa;\n")
     (tmp_path / "b.adl").write_text("type Xb;\n")
@@ -494,8 +504,8 @@ def test_a_change_of_the_units_is_found_however_their_stats_read(tmp_path, chang
     assert _load_index(catalog_path)[1:] == ("built", "missing")
     edit(tmp_path)
     assert _load_index(catalog_path)[1:] == (
-        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks") if stale
-        else ("cache", None))
+        ("built", f"stale; reused 1 of 1 automata, 0 of 0 publication checks, {parses} unit parses")
+        if parses else ("cache", None))
 
 
 def test_cache_transparency_for_matching(tmp_path):
@@ -655,3 +665,63 @@ def test_a_warm_hit_answers_as_the_whole_catalog(case):
                                      (origin, "missing" if origin == "built" else None))
         parsed = {call.args[0].path for call in parse.call_args_list}
         event(f"warm: catalog parsed: {parsed != {str(root / 'req.adl')}}")
+
+
+# --- the syntax memo ----------------------------------------------------------------------
+
+def _memo_path(catalog_path: Path) -> Path:
+    return repo.syntax_memo_path(repo.default_cache_path(catalog_path))
+
+
+def test_the_syntax_memo_file_is_a_sealed_marshal_table_of_units(tmp_path):
+    catalog_path = copy_fixtures(tmp_path, "catalog_full.txt")
+    _load_index(catalog_path)  # writes the cache and the memo
+    header, _, body = _memo_path(catalog_path).read_bytes().partition(b"\n")
+    assert header.decode() == \
+        f"{repo.SYNTAX_MAGIC} {sys.implementation.cache_tag} {zlib.crc32(body):08x}"
+    texts = [(tmp_path / name).read_text() for name in ("types.adl", "document_manager.adl",
+                                                        "insurance.adl")]
+    assert list(marshal.loads(body)) == [hashlib.sha256(t.encode()).digest() for t in texts]
+
+
+def test_a_rewritten_syntax_memo_keeps_the_units_listed_and_reuses_their_bytes(tmp_path):
+    catalog_path = copy_fixtures(tmp_path, "catalog_full.txt")
+    _load_index(catalog_path)
+    first = repo.load_syntax(_memo_path(catalog_path)).stored
+    catalog_path.write_text("types.adl\ndocument_manager.adl\n")  # insurance.adl dropped
+    assert _load_index(catalog_path)[2].endswith(", 2 of 2 unit parses")
+    again = repo.load_syntax(_memo_path(catalog_path)).stored
+    assert list(again.items()) == list(first.items())[:2]
+
+
+def test_a_unit_with_a_diagnostic_is_parsed_and_not_kept():
+    memo = repo.SyntaxMemo()
+    tree, diagnostics = memo.parse(dsl.SourceUnit("bad.adl", "type ;"))
+    assert tree is None and diagnostics and memo.kept == {}
+    tree, diagnostics = memo.parse(dsl.SourceUnit("good.adl", "type T;"))
+    assert diagnostics == [] and len(memo.kept) == 1
+    again = repo.SyntaxMemo(memo.kept)
+    decoded, diagnostics = again.parse(dsl.SourceUnit("moved.adl", "type T;"))
+    assert (decoded, diagnostics) == (tree, []) and decoded.path == "moved.adl"
+    assert (again.reused, again.units) == (1, 1)
+
+
+def test_only_a_full_load_in_load_match_reads_the_syntax_memo(tmp_path, monkeypatch):
+    catalog_path = copy_fixtures(tmp_path, "catalog_full.txt")
+    _load_index(catalog_path)
+    _write_cache_later(catalog_path)
+    refuse = mock.Mock(side_effect=AssertionError("the syntax memo was read"))
+    monkeypatch.setattr(repo, "load_syntax", refuse)
+    monkeypatch.setattr(repo, "save_syntax", refuse)
+    assert _load_index(catalog_path)[1:] == ("cache", None)  # a warm hit
+    assert repo.load(catalog_path)[0] is not None  # as scan-query loads
+    assert refuse.call_count == 0
+
+
+def test_publication_check_keys_are_those_of_earlier_v9_caches():
+    # printed once per load, each key keeps its value: a v9 cache written
+    # before that still lends a rebuild its checks
+    catalog, _, _ = repo.load(FIXTURES / "catalog_full.txt", memo=repo.Memo())
+    assert sorted(catalog.checked) == [
+        "3d280569b5c2d380bb448c6cc43073448fe5fbaff6d00e6be4b251e2ab496573",
+        "d7711a4fe4c034ae2f7cf1ca0b07626739b5c4fb61c6d5896332fc516b801eca"]
