@@ -238,7 +238,7 @@ def link(session: Session, name: str) -> None:
 def index_build(session: Session) -> None:
     """Compile all component protocols and write the cache file."""
     syntax_memo = repo.SyntaxMemo()  # only written: the build is from the units alone
-    catalog, model_ = session.require_catalog(repo.Memo(), syntax_memo)  # check keys, unit stats
+    catalog, model_ = session.require_catalog(repo.Memo(), syntax_memo)  # unit records
     compiled = repo.build_index(catalog, model_, session.state_limit)
     path = (repo.default_cache_path(catalog.path) if session.cache_path is None
             else Path(session.cache_path))

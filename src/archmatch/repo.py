@@ -4,13 +4,18 @@ protocol index, and its cache file.
 Compiling every component's protocols is the one-time cost paid when the
 architecture changes; the cache file makes it pay once per change, with a
 content hash of the unit texts to detect staleness. The cache file is the magic
-line `ARCHMATCH-IDX v9` with a CRC-32 of the rest of the file, then one
+line `ARCHMATCH-IDX v10` with a CRC-32 of the rest of the file, then one
 sorted-key JSON document. Besides the compiled components, each with the
 printed protocol its DFA was built from and the shapes of its methods, it
 holds what a query needs of the catalog: its types, every non-type name it
-declares, and the state limit its load and build succeeded under; the keys of
-the publication checks that passed; and each unit's size and times, from a
-stat taken before the unit was read.
+declares, and the state limit its load and build succeeded under; and one
+record per unit (`_unit_records`): its size and times, from a stat taken
+before it was read, the SHA-256 of its text, what it declares, whether it is
+self-contained, the first unit that needs it, and the keys of its publication
+checks that passed. A unit is self-contained when it declares no architecture
+or link and every interface or contract it names (by `extends`, `implements`,
+`provided contract`, `internal interface` or `required interface`) is its own;
+it is needed when another unit names one of its declarations so.
 
 `load_cache` reads a cache one way: it checks the checksum and every top-level
 field, leaves every entry pending, and judges freshness from unit stats. It
@@ -22,18 +27,31 @@ rule). `reach` decodes the entries a caller needs: `index inspect` all, and
 `load_match` reads the catalog, the requirement and the cache once. A fresh
 cache answers `match` alone, without lexing, parsing or resolving a catalog
 unit or checking a publication. The catalog is loaded instead when the cache
-is missing, stale, corrupt, of another version (`v1` to `v8`) or built under a
+is missing, stale, corrupt, of another version (`v1` to `v9`) or built under a
 higher state limit (these three are rebuilt), when a file cannot be read, and
 when the requirement is a catalog unit, declares anything but types,
 interfaces and contracts, extends or implements an interface it does not
 declare, or redeclares a name the catalog gives a non-type.
 
-A stale cache whose entries decode cleanly, built under a state limit no
-higher than the current one, is the rebuild's `Memo`: a DFA or a passed
-publication check whose key, the printed expressions and alphabets it was
-computed from, is unchanged is taken from it instead of recomputed (the
-verifying traces of Mokhov, Mitchell and Peyton Jones, "Build Systems à la
-Carte", ICFP 2018). `index build` builds from the units alone.
+A stale cache built under a state limit no higher than the current one is
+first offered to `_rederive`, which re-derives only the units whose text
+changed and copies every other entry as its stale JSON, undecoded. It takes
+a stale cache when the catalog lists the same units in the same order, each
+changed unit was self-contained and not needed, parses without a diagnostic,
+declares the same kinds, names and supertypes in the same order, is still
+self-contained, resolves on the cached types and passes its checks within
+the state limit; when the syntax memo holds every other unit; and when the
+cached types answer the requirement. Declarations of other units then read
+nothing of a changed unit but names, which stay, so what they derive stands.
+Otherwise the full load runs, and the stale cache is its `Memo`: an entry
+whose printed protocol, alphabet, methods and shapes are unchanged is carried
+as its stale JSON, and a DFA or a passed publication check whose key, the
+printed expressions and alphabets it was computed from, is unchanged is taken
+from it instead of recomputed (the verifying traces of Mokhov, Mitchell and
+Peyton Jones, "Build Systems à la Carte", ICFP 2018). Both write the bytes a
+cold build writes; a copied or carried entry is trusted as a pending one is,
+behind the checksum, and `reach` checks it when it decodes it. `index build`
+builds from the units alone.
 
 The syntax memo beside the cache (`<cache>.syntax`) does the same for parsing:
 the magic line `ARCHMATCH-SYNTAX v1` with the bytecode tag of the Python that
@@ -71,10 +89,10 @@ if TYPE_CHECKING:  # `category` is imported by the commands that build architect
 # The first line of a cache file, before its checksum. Bump it whenever
 # build_index could give different output for the same source (for example
 # after a change to compile, determinize or minimize), or its recorded
-# state_limit, an entry's `protocol` or `shapes`, a `checked` key or a unit's
-# stat could mean something else, so that older caches are rejected and
-# rebuilt without lending a rebuild their automata or checks.
-CACHE_MAGIC = "ARCHMATCH-IDX v9"
+# state_limit, an entry's `protocol` or `shapes`, or a field of a unit record
+# could mean something else, so that older caches are rejected and rebuilt
+# without lending a rebuild their automata or checks.
+CACHE_MAGIC = "ARCHMATCH-IDX v10"
 
 # The first line of a syntax memo file, before the bytecode tag of the Python
 # that wrote it (marshal's format is that Python's) and a CRC-32 of the rest.
@@ -83,6 +101,15 @@ SYNTAX_MAGIC = "ARCHMATCH-SYNTAX v1"
 
 # the Model tables whose names a requirement may not redeclare
 _NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
+
+# each declaration's kind, as a unit record names it
+_KINDS = {syntax.TypeDecl: "type", syntax.InterfaceDecl: "interface",
+          syntax.ContractDecl: "contract", syntax.ComponentDecl: "component",
+          syntax.PublicationDecl: "publication", syntax.ArchitectureDecl: "architecture",
+          syntax.LinkDecl: "link"}
+# the declaration fields that name an interface or a contract
+_REFERENCES = ("extends", "implements", "provided_contract", "internal_interface",
+               "required_interface")
 
 
 class CacheError(Exception):
@@ -97,10 +124,7 @@ class Catalog:
     architectures: dict[str, PseudoCategory] = field(default_factory=dict)
     links: dict[str, FunctorMapping] = field(default_factory=dict)
     source_hash: str = ""
-    # given a memo to load (see `load`): the keys of its publication checks,
-    # and Units.stats of its units
-    checked: frozenset[str] = frozenset()
-    stats: list[list] = field(default_factory=list)
+    records: list[list] = field(default_factory=list)  # given a memo to load: `_unit_records`
 
 
 @record(frozen=True)
@@ -124,8 +148,7 @@ class CompiledIndex:
     types: dict[str, TypeDecl]
     names: tuple[str, ...]  # every non-type name the catalog declares, sorted
     state_limit: int  # the load and the build succeeded under it
-    checked: frozenset[str] = frozenset()  # keys of the publication checks
-    units: list[list] = field(default_factory=list, compare=False)  # Units.stats at the build
+    units: list[list] = field(default_factory=list, compare=False)  # `_unit_records` at the build
     # the cache JSON of the entries load_cache left for `reach` to decode, by component
     pending: dict[str, dict] = field(default_factory=dict, compare=False, repr=False)
 
@@ -139,24 +162,48 @@ class Memo:
     """Results a build takes instead of computing them, by content key, and
     how many it took.
 
-    `automata` maps a printed protocol and its alphabet to the minimal DFA
-    compiled from them, and `checked` holds the keys of publication checks
-    that passed (`_check_key`). Equal keys give equal results: printing is
-    injective, and minimal DFAs are canonically numbered. Both hold for any
-    state limit at least the one they were computed under: a state limit only
-    turns a result into ProtocolTooLarge. A build given a memo, even an empty
-    one, computes the keys a cache records; one given none skips them.
+    `stale` holds a stale cache's entries as JSON, undecoded: one whose
+    component keeps its printed protocol, alphabet, methods and shapes is
+    carried as it is, and `automaton` decodes another only for a DFA asked
+    for by its printed protocol and alphabet. `checked` holds the keys of
+    publication checks that passed (`_check_key`). Equal keys give equal
+    results: printing is injective, and minimal DFAs are canonically numbered.
+    Both hold for any state limit at least the one they were computed under: a
+    state limit only turns a result into ProtocolTooLarge. A build given a
+    memo, even an empty one, computes the keys a cache records; one given none
+    skips them.
     """
 
-    automata: dict[tuple[str, frozenset[str]], FiniteAutomaton] = field(default_factory=dict)
+    stale: dict[str, dict] = field(default_factory=dict)  # by component
     checked: frozenset[str] = frozenset()
-    passed: set[str] = field(default_factory=set)  # keys this build's checks passed
+    # the key of each check this build passed, by publication or component
+    passed: dict[str, str] = field(default_factory=dict)
     checks: int = 0  # publication checks this build asked for
     reused_checks: int = 0
-    reused_automata: int = 0
+    reused_automata: int = 0  # DFAs decoded or carried
     # the expressions printed for keys, for `dsl.format_protocol`: components,
     # contracts and publications share them, and none is printed twice
     printed: dict = field(default_factory=dict)
+    # the stale component with each printed protocol and alphabet, on first use
+    by_key: dict | None = field(default=None, repr=False)
+
+    def automaton(self, text: str, alphabet: frozenset[str]) -> FiniteAutomaton | None:
+        """The minimal DFA of a stale entry printed as `text` over `alphabet`,
+        decoded now, or None when no such entry decodes."""
+        if self.by_key is None:
+            self.by_key = {}
+            for name, comp in self.stale.items():
+                try:
+                    self.by_key.setdefault(
+                        (comp["protocol"], frozenset(comp["dfa"]["alphabet"])), name)
+                except _DEFECTIVE:  # decoding it would fail too
+                    pass
+        name = self.by_key.get((text, alphabet))
+        try:
+            return None if name is None else \
+                _entry_from_json(name, self.stale[name], None).provided_automaton
+        except _DEFECTIVE:
+            return None
 
 
 @record
@@ -260,14 +307,20 @@ class Units:
                 self._texts[i] = None
         return self._texts[i]
 
-    def unchanged_since(self, recorded, written_ns: int) -> bool:
+    def unchanged_since(self, records: list[list], written_ns: int) -> bool:
         """Do the stats show the units a cache written at `written_ns` (its
-        mtime) recorded as `recorded`, without reading them? They must equal
+        mtime) recorded in `records`, without reading them? They must equal
         the recorded ones, and every unit must have changed before the cache
         was written: a unit changed in the tick the cache was written in may
         have changed again after it was read (git's racy-clean rule)."""
-        return self.stats is not None and self.stats == recorded and \
+        return self.stats is not None and self.stats == [r[:4] for r in records] and \
             all(s[2] < written_ns and s[3] < written_ns for s in self.stats)
+
+    def digest(self, i: int) -> bytes:
+        """The SHA-256 of the text of unit `i`, which can be read: its key in
+        a syntax memo."""
+        import hashlib
+        return hashlib.sha256(self.text(i).encode("utf-8")).digest()
 
     def hash(self) -> str | None:
         """The source hash of the unit texts, or None when one cannot be read."""
@@ -352,8 +405,8 @@ def _check_key(pub: model.Publication, printed: dict) -> str:
 def _validate_publications(m: Model, state_limit: int,
                            memo: Memo | None = None) -> list[Diagnostic]:
     """The diagnostics of every publication check; with a `memo`, a check whose
-    key it holds is taken as passed, and each check that passes adds its key
-    to `memo.passed`."""
+    key it holds is taken as passed, and each check that passes records its
+    key in `memo.passed`."""
     diagnostics: list[Diagnostic] = []
 
     def report(kind: str, name: str, pub: model.Publication) -> None:
@@ -362,14 +415,14 @@ def _validate_publications(m: Model, state_limit: int,
             memo.checks += 1
             if key in memo.checked:
                 memo.reused_checks += 1
-                memo.passed.add(key)
+                memo.passed[name] = key
                 return
         try:
             check = model.validate_publication(pub, state_limit)
         except protocol.ProtocolTooLarge as err:
             raise protocol.ProtocolTooLarge(f"{kind} {name!r}: {err}") from err
         if check.ok and memo is not None:
-            memo.passed.add(key)
+            memo.passed[name] = key
         for failure in check.failures:
             word = " ".join(failure.witness) if failure.witness else "(empty trace)"
             diagnostics.append(Diagnostic(
@@ -418,7 +471,7 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
     catalog's units, already stat-ed (and maybe read); a publication check
     whose key is in `memo` is taken as passed, and a unit `syntax_memo` holds
     is decoded, not parsed. Only given a memo does the catalog keep what a
-    cache records: its `checked` keys and unit `stats`.
+    cache records of its units, their `records`.
 
     All units must parse and resolve, architectures must build, and every
     publication must satisfy the causal projection condition; otherwise the
@@ -444,8 +497,52 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
     catalog = Catalog(str(catalog_path), parsed, trees, architectures, links,
                       source_hash(unit.text for unit in parsed))
     if memo is not None:  # what a cache records of the catalog besides its index
-        catalog.checked, catalog.stats = frozenset(memo.passed), units.stats or []
+        catalog.records = _unit_records(units, trees, memo.passed)
     return catalog, m, diagnostics
+
+
+def _declares(tree: syntax.SyntaxTree) -> str:
+    """What a unit declares, in order, as its record holds it: `kind name`
+    per declaration, `type name <: supertype` for a subtype."""
+    return "; ".join(f"{_KINDS[type(d)]} {d.name}" + (
+        f" <: {d.supertype}" if getattr(d, "supertype", None) else "") for d in tree.declarations)
+
+
+def _named(tree: syntax.SyntaxTree) -> set[str]:
+    """The interfaces and contracts that a unit's declarations name."""
+    return {name for d in tree.declarations for field_ in _REFERENCES
+            if (name := getattr(d, field_, None)) is not None}
+
+
+def _self_contained(tree: syntax.SyntaxTree) -> bool:
+    """Does the unit declare no architecture or link, and every interface or
+    contract it names?"""
+    return _named(tree) <= {d.name for d in tree.declarations} and not any(
+        isinstance(d, (syntax.ArchitectureDecl, syntax.LinkDecl)) for d in tree.declarations)
+
+
+def _unit_records(units: Units, trees: tuple[syntax.SyntaxTree, ...],
+                  passed: dict[str, str]) -> list[list]:
+    """The record of each of the `units`, parsed into `trees`, whose checks
+    passed with the keys `passed`: `[path, size, mtime_ns, ctime_ns, sha256,
+    declares, self_contained, needed_by, checked]`, where `needed_by` is the
+    path of the first unit that needs it, or None, and `checked` the sorted
+    keys of its own publication checks."""
+    owner = {d.name: i for i, tree in enumerate(trees) for d in tree.declarations
+             if not isinstance(d, syntax.TypeDecl)}  # types may be declared twice
+    needed_by: list[str | None] = [None] * len(trees)
+    for i, tree in enumerate(trees):
+        for name in _named(tree):
+            j = owner.get(name, i)
+            if j != i and needed_by[j] is None:
+                needed_by[j] = units.paths[i]
+    return [[*stat, units.digest(i).hex(), _declares(tree), _self_contained(tree), needed_by[i],
+             _checked(tree, passed)] for i, (stat, tree) in enumerate(zip(units.stats, trees))]
+
+
+def _checked(tree: syntax.SyntaxTree, passed: dict[str, str]) -> list[str]:
+    """The sorted keys of the passed checks of a unit's publications and components."""
+    return sorted({passed[d.name] for d in tree.declarations if d.name in passed})
 
 
 # --- compiled index -----------------------------------------------------------
@@ -453,13 +550,26 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
 def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
                 memo: Memo | None = None) -> CompiledIndex:
     """Compile, determinize, and minimize every component's provided protocol,
-    or take its minimal DFA from `memo`. Only given a memo are the protocols
-    printed here; save_cache prints those it writes.
+    or take its entry or minimal DFA from `memo` (see `_entries`). Only given
+    a memo are the protocols printed here; save_cache prints those it writes.
 
     Deterministic: entries are keyed and processed in component-name order,
     and minimized automata are canonically numbered.
     """
+    entries, carried = _entries(m, state_limit, memo)
+    return CompiledIndex(entries, catalog.source_hash, dict(m.types),
+                         tuple(sorted(name for kind in _NON_TYPES for name in vars(m)[kind])),
+                         state_limit, catalog.records, carried)
+
+
+def _entries(m: Model, state_limit: int, memo: Memo | None,
+             ) -> tuple[dict[str, IndexEntry], dict[str, dict]]:
+    """The index entries of `m`'s components, and the stale JSON of those
+    `memo` carries: a component's stale entry is carried when its printed
+    protocol, alphabet, methods and shapes are those of the component."""
     entries: dict[str, IndexEntry] = {}
+    carried: dict[str, dict] = {}
+    lattice = TypeLattice.from_types(m.types) if memo is not None and memo.stale else None
     for name in sorted(m.components):
         comp = m.components[name]
         iface = comp.provided_interface
@@ -468,7 +578,13 @@ def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_
         if expr is None:
             expr = protocol.universal_expr(provided_alphabet)
         text = None if memo is None else dsl.format_protocol(expr, memo.printed)
-        provided = None if text is None else memo.automata.get((text, provided_alphabet))
+        stale = None if lattice is None else memo.stale.get(name)
+        if stale is not None and _carries(stale, text, provided_alphabet, iface.all_methods(),
+                                          lattice):
+            memo.reused_automata += 1
+            carried[name] = stale
+            continue
+        provided = None if text is None else memo.automaton(text, provided_alphabet)
         if provided is not None:
             memo.reused_automata += 1
         else:
@@ -479,33 +595,50 @@ def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_
                 raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
         entries[name] = IndexEntry(name, iface.all_methods(), provided,
                                    expr if text is None else text)
-    return CompiledIndex(entries, catalog.source_hash, dict(m.types),
-                         tuple(sorted(name for kind in _NON_TYPES for name in vars(m)[kind])),
-                         state_limit, catalog.checked, catalog.stats)
+    return entries, carried
+
+
+def _carries(stale, text: str, alphabet: frozenset[str], methods: tuple[MethodSig, ...],
+             lattice: TypeLattice) -> bool:
+    """Is `stale`, an entry's cache JSON, but for its DFA, that of a component
+    with the protocol printed as `text` over `alphabet` and `methods`?"""
+    try:
+        return stale["protocol"] == text and stale["dfa"]["alphabet"] == sorted(alphabet) \
+            and stale["methods"] == _methods_json(methods) \
+            and stale["shapes"] == _shapes(methods, lattice)
+    except _DEFECTIVE:  # decoding it would fail too
+        return False
 
 
 # --- cache persistence ----------------------------------------------------------
+
+def _methods_json(methods: tuple[MethodSig, ...]) -> list:
+    return [[sig.name, [[p.name, p.type] for p in sig.params], sig.return_type]
+            for sig in methods]
+
+
+def _shapes(methods: tuple[MethodSig, ...], lattice: TypeLattice) -> list[str]:
+    # a requirement reaches the entry through these (see `reach`)
+    return sorted({shape(m, lattice) for m in methods})
+
 
 def _entry_json(entry: IndexEntry, lattice: TypeLattice | None) -> dict:
     """The entry's cache JSON, its `shapes` on `lattice` (None without one)."""
     auto = entry.provided_automaton  # minimized, so its states are 0..n-1
     text = entry.protocol
     return {
-        "methods": [[sig.name, [[p.name, p.type] for p in sig.params], sig.return_type]
-                    for sig in entry.methods],
+        "methods": _methods_json(entry.methods),
         "dfa": {"alphabet": sorted(auto.alphabet), "states": len(auto.states),
                 "start": auto.start, "accept": sorted(auto.accepting),
                 "transitions": [list(t) for t in sorted(auto.transitions)]},
         "protocol": text if isinstance(text, str) else dsl.format_protocol(text),
-        # a requirement reaches the entry through these (see `reach`)
-        "shapes": None if lattice is None else sorted({shape(m, lattice) for m in entry.methods}),
+        "shapes": None if lattice is None else _shapes(entry.methods, lattice),
     }
 
 
 def _catalog_json(index: CompiledIndex) -> dict:
     return {"types": [[t.name, t.supertype] for t in index.types.values()],
-            "names": list(index.names), "state_limit": index.state_limit,
-            "checked": sorted(index.checked), "units": index.units}
+            "names": list(index.names), "state_limit": index.state_limit, "units": index.units}
 
 
 def _seal(body: bytes) -> str:
@@ -516,15 +649,16 @@ def _seal(body: bytes) -> str:
 def _document(index: CompiledIndex) -> str:
     """The cache's JSON line, as json.dumps with sorted keys and no spaces
     writes it, built an entry at a time: the encoder keeps every piece of a
-    document until it joins them."""
+    document until it joins them. A pending entry is written as it was read."""
     encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
     lattice = TypeLattice.from_types(index.types)
-    components = ",".join(f"{encode(name)}:{encode(_entry_json(index.entries[name], lattice))}"
-                          for name in sorted(index.entries))
-    fields = _catalog_json(index)
-    checked = encode(fields.pop("checked"))  # the other fields' keys all sort after "hash"
-    return (f'{{"checked":{checked},"components":{{{components}}},'
-            f'"hash":{encode(index.source_hash)},{encode(fields)[1:]}\n')
+    components = ",".join(
+        f"{encode(name)}:" + encode(index.pending[name] if name in index.pending else
+                                    _entry_json(index.entries[name], lattice))
+        for name in sorted({*index.entries, *index.pending}))
+    # the catalog fields' keys all sort after "hash"
+    return (f'{{"components":{{{components}}},'
+            f'"hash":{encode(index.source_hash)},{encode(_catalog_json(index))[1:]}\n')
 
 
 def _replace(path: str | Path, data: bytes) -> None:
@@ -542,8 +676,6 @@ def _replace(path: str | Path, data: bytes) -> None:
 
 def save_cache(index: CompiledIndex, path: str | Path) -> None:
     """Write the index to `path` (see `_replace`)."""
-    if index.pending:
-        raise ValueError("an index with undecoded entries is not saved")
     body = _document(index).encode("utf-8")
     _replace(path, f"{_seal(body)}\n".encode("utf-8") + body)
 
@@ -560,7 +692,9 @@ def _syntax_seal(body: bytes) -> bytes:
 
 def save_syntax(memo: SyntaxMemo, path: str | Path) -> None:
     """Write the units `memo` kept to `path` (see `_replace`)."""
-    body = marshal.dumps(memo.kept)
+    # version 2 writes no references, which marshal gives an object held more
+    # than once: a unit taken from a memo read is written as one parsed now
+    body = marshal.dumps(memo.kept, 2)
     _replace(path, _syntax_seal(body) + b"\n" + body)
 
 
@@ -621,13 +755,21 @@ def _entry_from_json(name: str, comp: dict, lattice: TypeLattice | None) -> Inde
     return entry
 
 
+def _record_from_json(path, size, mtime, ctime, digest, declares, contained, needed_by,
+                      checked) -> list:
+    """A unit record as this version writes it (see `_unit_records`)."""
+    if type(contained) is not bool:  # == would take a JSON 1 for true
+        raise TypeError(f"expected a boolean, got {type(contained).__name__}")
+    return [str(path), _int(size), _int(mtime), _int(ctime), str(digest), str(declares), contained,
+            None if needed_by is None else str(needed_by), sorted(set(map(str, checked)))]
+
+
 def _catalog_from_json(doc: dict) -> dict:
     """The CompiledIndex fields besides entries and hash, from a cache document."""
     fields = {
         "types": {str(n): TypeDecl(str(n), s if s is None else str(s)) for n, s in doc["types"]},
         "names": tuple(map(str, doc["names"])), "state_limit": _int(doc["state_limit"]),
-        "checked": frozenset(map(str, doc["checked"])),
-        "units": [[str(p), _int(size), _int(m), _int(c)] for p, size, m, c in doc["units"]]}
+        "units": [_record_from_json(*r) for r in doc["units"]]}
     written = _catalog_json(CompiledIndex({}, "", **fields))
     # the sorted set of keys drops a duplicated or out-of-order key
     if set(doc) != {"components", "hash", *written} or \
@@ -660,18 +802,10 @@ def reach(index: CompiledIndex, shapes: set[str] | None = None) -> CompiledIndex
     return index
 
 
-def _memo(index: CompiledIndex) -> Memo | None:
-    """The automata and passed checks of a loaded index, or None when a pending
-    entry is defective. Each entry is decoded as `reach` decodes it, but its
-    shapes are left unread, so none is computed, and its JSON is dropped."""
-    automata = {}
-    try:
-        for name in list(index.pending):
-            entry = _entry_from_json(name, index.pending.pop(name), None)
-            automata[entry.protocol, entry.provided_automaton.alphabet] = entry.provided_automaton
-    except _DEFECTIVE:
-        return None
-    return Memo(automata, index.checked)
+def _memo(index: CompiledIndex) -> Memo:
+    """A stale index as a rebuild's memo: its entries, left pending, and the
+    keys of its passed publication checks."""
+    return Memo(index.pending, frozenset(key for record in index.units for key in record[8]))
 
 
 def load_cache(path: str | Path, units: Units | None = None) -> tuple[CompiledIndex, bool]:
@@ -776,20 +910,22 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     `match` loads, reading each file at most once and the cache through one
     `load_cache`.
 
-    A fresh cache answers alone when it can (see the module docstring), and
-    its index then holds, decoded, only the entries the requirement reaches:
-    those with a method of the shape of a requirement method (all of them when
-    it has no methods). Otherwise the catalog is loaded from the units already
-    stat-ed and read, and the requirement resolved on it. The index is the
-    cache when it is usable, with origin "cache" and reason None. Else it is
-    built and saved, with origin "built" and the reason: "missing", "stale",
-    the CacheError message or that the cache was built under a higher state
-    limit, followed by "; cannot write cache: ..." if the new cache could not
-    be saved, or "; cannot write syntax memo: ..." if only the syntax memo
-    could not. A catalog loaded here decodes the units the syntax memo beside
-    the cache holds, and its build saves the memo for the units loaded. When
-    the catalog or the requirement fails to load, all but the diagnostics are
-    None.
+    A fresh cache answers alone when it can (see the module docstring), with
+    origin "cache" and reason None. A stale one is brought up to date by
+    `_rederive` when it can, with the reason "stale; re-derived K of N units".
+    Otherwise the catalog is loaded from the units already stat-ed and read,
+    and the requirement resolved on it; the index is built with the reason
+    "missing", "stale" (then what the stale cache lent the build, and why
+    `_rederive` could not take it), the CacheError message or that the cache
+    was built under a higher state limit. An index built or brought up to date
+    is saved, with origin "built" and the reason followed by "; cannot write
+    cache: ..." if the new cache could not be saved, or "; cannot write syntax
+    memo: ..." if only the syntax memo could not. A stale cache and a catalog
+    loaded here take the units the syntax memo beside the cache holds; every
+    save writes the memo for the catalog's units. The index holds, decoded, at
+    least the entries the requirement reaches: those with a method of the shape
+    of a requirement method (all of them when it has no methods). When the
+    catalog or the requirement fails to load, all but the diagnostics are None.
     """
     catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
     texts: dict[Path, str] = {}
@@ -797,53 +933,70 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     units = None if catalog_text is None else Units(catalog_path, catalog_text)
     req_text, _ = _read_text(requirement_path, "requirement file", texts)
     path = default_cache_path(catalog_path) if cache_path is None else Path(cache_path)
-    index, memo, reason = None, None, "missing"
+    index, stale, reason = None, None, "missing"
     if units is not None and units.stats is not None and req_text is not None and path.exists():
         try:
             index, fresh = load_cache(path, units)
             limit = index.state_limit
             if not fresh:  # its automata and checks hold at any limit at least theirs
-                index, memo, reason = None, _memo(index) if limit <= state_limit else None, "stale"
+                index, stale, reason = None, index if limit <= state_limit else None, "stale"
             elif limit > state_limit:
                 index, reason = None, f"cache built under a higher state limit ({limit})"
         except CacheError as err:
             reason = str(err)
     catalog, loaded, tree = None, None, None
+    cached = stale if index is None else index
     # reads only the units of the requirement's size; one whose text equals it only once
     # newlines are translated is missed, and `_cached_requirement` answers as for a unit
-    if index is not None and not units.holds(req_text, len(req_text.encode("utf-8"))):
+    if cached is not None and not units.holds(req_text, len(req_text.encode("utf-8"))):
         tree, diagnostics = dsl.parse_unit(SourceUnit(str(requirement_path), req_text))
         loaded = (None, None, diagnostics) if tree is None else \
-            _cached_requirement(requirement_path, tree, index)
-    build_memo = Memo() if memo is None else memo  # a build here is saved
-    syntax_memo = None  # read for a full load
-    if loaded is None:  # the full load, on the units read
+            _cached_requirement(requirement_path, tree, cached)
+    memo, syntax_memo, rule = Memo(), None, None  # a build here is saved
+    if stale is not None:
         syntax_memo = _read_syntax(path)
-        catalog, m, diagnostics = load(catalog_path, state_limit, units, build_memo, syntax_memo)
+        update = _rederive(stale, units, syntax_memo, state_limit, loaded is not None)
+        if isinstance(update, str):  # the full load, lent the stale cache
+            memo, loaded, rule = _memo(stale), None, update
+        else:
+            index, kept, count = update
+            syntax_memo = SyntaxMemo(kept=kept)
+            reason += f"; re-derived {count} of {len(units.paths)} units"
+    if loaded is None:  # the full load, on the units read
+        syntax_memo = _read_syntax(path) if syntax_memo is None else syntax_memo
+        catalog, m, diagnostics = load(catalog_path, state_limit, units, memo, syntax_memo)
         if catalog is None:  # else there are no diagnostics
             return None, None, None, None, None, diagnostics
         loaded = load_requirement(requirement_path, catalog, m, texts, tree)
     req, merged, diagnostics = loaded
     if req is None:
         return None, None, None, None, None, diagnostics
-    if index is not None:
-        lattice = TypeLattice.from_types(merged.types)
+    lattice = TypeLattice.from_types(merged.types)
+    shapes = {shape(sig, lattice) for sig in req.iface.all_methods()}
+    if index is not None:  # fresh or brought up to date
         try:
-            reach(index, {shape(sig, lattice) for sig in req.iface.all_methods()})
-            return req, merged, index, "cache", None, diagnostics
+            reach(index, shapes)
+            if stale is None:
+                return req, merged, index, "cache", None, diagnostics
         except CacheError as err:  # a defect the checksum missed: rebuild
             index, reason = None, str(err)
-    if catalog is None:  # the requirement was resolved on the defective cache's types
-        syntax_memo = _read_syntax(path)
-        catalog, m, load_diagnostics = load(catalog_path, state_limit, units, build_memo,
-                                            syntax_memo)
-        if catalog is None:
-            return None, None, None, None, None, load_diagnostics
-    index = build_index(catalog, m, state_limit, build_memo)
-    if memo is not None:
-        reason += (f"; reused {memo.reused_automata} of {len(index.entries)} automata, "
-                   f"{memo.reused_checks} of {memo.checks} publication checks, "
-                   f"{syntax_memo.reused} of {syntax_memo.units} unit parses")
+    if index is None:
+        if catalog is None:  # the requirement was resolved on the defective cache's types
+            syntax_memo = _read_syntax(path)
+            catalog, m, load_diagnostics = load(catalog_path, state_limit, units, memo,
+                                                syntax_memo)
+            if catalog is None:
+                return None, None, None, None, None, load_diagnostics
+        index = build_index(catalog, m, state_limit, memo)
+        if rule is not None:
+            reason += (f"; reused {memo.reused_automata} of {index.size()} automata, "
+                       f"{memo.reused_checks} of {memo.checks} publication checks, "
+                       f"{syntax_memo.reused} of {syntax_memo.units} unit parses; "
+                       f"full load: {rule}")
+        try:
+            reach(index, shapes)
+        except CacheError as err:  # an entry carried from the stale cache is defective
+            index, reason = build_index(catalog, m, state_limit), str(err)
     what = "cache"
     try:
         save_cache(index, path)
@@ -852,6 +1005,75 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     except OSError as err:  # the index is built; only later queries lose what is not written
         reason += f"; cannot write {what}: {err.strerror or err}"
     return req, merged, index, "built", reason, diagnostics
+
+
+def _rederive(stale: CompiledIndex, units: Units, syntax_memo: SyntaxMemo, state_limit: int,
+              answered: bool) -> tuple[CompiledIndex, dict[bytes, bytes], int] | str:
+    """The index and the syntax memo table that a cold build of `units` gives,
+    with only the units whose text changed since `stale` was built re-derived,
+    and how many; or the first reason why the full load must build them (see
+    the module docstring). `answered` says whether the cached types answer the
+    requirement. Every other unit's entries are copied as their stale JSON, and
+    its parsed declarations as the bytes `syntax_memo` holds."""
+    records = stale.units
+    if [record[0] for record in records] != units.paths:
+        return "the catalog lists other units"
+    texts = [units.text(i) for i in range(len(records))]
+    if None in texts:
+        return "a unit cannot be read"
+    digests = [units.digest(i) for i in range(len(records))]
+    changed: dict[int, syntax.SyntaxTree] = {}
+    for i, record in enumerate(records):
+        unit, (declares, contained, needed_by) = record[0], record[5:8]
+        if digests[i].hex() == record[4]:
+            continue
+        if needed_by is not None:
+            return f"{unit} is needed by {needed_by}"
+        if not contained:
+            return f"{unit} is not self-contained"
+        tree, diagnostics = dsl.parse_unit(SourceUnit(unit, texts[i]))
+        if tree is None or diagnostics:
+            return f"{unit} does not parse"
+        if _declares(tree) != declares:
+            return f"{unit} changes its declarations"
+        if not _self_contained(tree):
+            return f"{unit} names a declaration of another unit"
+        changed[i] = tree
+    from .dsl import codec  # compiles its decoders, 2-3 ms: a warm match loads no unit
+    kept: dict[bytes, bytes] = {}
+    for i, key in enumerate(digests):
+        if i in changed:
+            kept[key] = marshal.dumps(codec.encode(changed[i].declarations))
+        elif key in syntax_memo.stored:
+            kept[key] = syntax_memo.stored[key]
+        else:
+            return f"the syntax memo lacks {records[i][0]}"
+    if not answered:
+        return "the requirement needs the catalog"
+    memo, base = _memo(stale), Model(types=dict(stale.types))
+    entries: dict[str, IndexEntry] = {}
+    pending = dict(stale.pending)
+    for i, tree in changed.items():
+        unit = records[i][0]
+        m, diagnostics = model.resolve([tree], base=base)
+        if m is None or diagnostics:
+            return f"{unit} does not resolve on the cached types"
+        try:
+            if _validate_publications(m, state_limit, memo):
+                return f"{unit} fails a publication check"
+            built, carried = _entries(m, state_limit, memo)
+        except protocol.ProtocolTooLarge:
+            return f"{unit} exceeds the state limit"
+        for name in m.components:
+            pending.pop(name, None)
+        entries.update(built)
+        pending.update(carried)
+    records = [[*stat, digests[i].hex(), *record[5:8],
+                _checked(changed[i], memo.passed) if i in changed else record[8]]
+               for i, (stat, record) in enumerate(zip(units.stats, records))]
+    index = CompiledIndex(entries, source_hash(texts), stale.types, stale.names, state_limit,
+                          records, pending)
+    return index, kept, len(changed)
 
 
 def _read_syntax(cache_path: Path) -> SyntaxMemo:

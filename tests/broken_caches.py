@@ -20,11 +20,14 @@ V5_CACHE = FIXTURES / "catalog_full_v5_cache.txt"
 V6_CACHE = FIXTURES / "catalog_full_v6_cache.txt"
 V7_CACHE = FIXTURES / "catalog_full_v7_cache.txt"
 V8_CACHE = FIXTURES / "catalog_full_v8_cache.txt"
+V9_CACHE = FIXTURES / "catalog_full_v9_cache.txt"
 
 _DELETE = object()
 _COMPONENT = ("components", "AccountService")
 _DFA = _COMPONENT + ("dfa",)
 _METHODS = _COMPONENT + ("methods",)
+_TYPES_UNIT = ("units", 0)  # the record of types.adl
+_CHECKED = ("units", 2, 8)  # the two check keys of insurance.adl
 
 
 def _edited(path: tuple, value):
@@ -89,13 +92,20 @@ FIELD_DEFECTS = {
     "missing protocol": _edited(_COMPONENT + ("protocol",), _DELETE),
     "missing shapes": _edited(_COMPONENT + ("shapes",), _DELETE),
     "wrong shape": _edited(_COMPONENT + ("shapes",), ["()"]),
-    "missing checked": _edited(("checked",), _DELETE),
-    "checked keys out of order": _edited(("checked",), lambda keys: keys[::-1]),
-    "duplicated checked key": _edited(("checked",), lambda keys: keys + keys[-1:]),
-    "checked key as a list": _edited(("checked", 0), ["(?inquire ?lookup)*"]),
-    "integer checked key": _edited(("checked", 0), 7),
+    "missing checked": _edited(_CHECKED[:-1], lambda record: record[:-1]),
+    "checked keys out of order": _edited(_CHECKED, lambda keys: keys[::-1]),
+    "duplicated checked key": _edited(_CHECKED, lambda keys: keys + keys[-1:]),
+    "checked key as a list": _edited(_CHECKED + (0,), ["(?inquire ?lookup)*"]),
+    "integer checked key": _edited(_CHECKED + (0,), 7),
+    "flat checked keys of v9": _edited(("checked",), []),
     "missing units": _edited(("units",), _DELETE),
-    "unit size as a string": _edited(("units", 0, 1), "1"),
+    "unit size as a string": _edited(_TYPES_UNIT + (1,), "1"),
+    "unit record of ten fields": _edited(_TYPES_UNIT, lambda record: record + [None]),
+    "integer digest": _edited(_TYPES_UNIT + (4,), 7),
+    "declarations as a list": _edited(_TYPES_UNIT + (5,), ["type String"]),
+    "self-contained as 1": _edited(_TYPES_UNIT + (6,), 1),
+    "needed by a number": _edited(_TYPES_UNIT + (7,), 3),
+    "checked keys as a string": _edited(_CHECKED, "".join),
 }
 
 #: the field defects that a warm `match` of the fixture catalog does not
@@ -116,6 +126,7 @@ DEFECTS = {
     "v6 cache": lambda text: V6_CACHE.read_text(encoding="utf-8"),
     "v7 cache": lambda text: V7_CACHE.read_text(encoding="utf-8"),
     "v8 cache": lambda text: V8_CACHE.read_text(encoding="utf-8"),
+    "v9 cache": lambda text: V9_CACHE.read_text(encoding="utf-8"),
 }
 
 

@@ -10,9 +10,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from archmatch import category, dsl, matcher, model, protocol, repo
 from archmatch.dsl import codec
@@ -378,13 +381,16 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: cache (1 component(s))"]
     shutil.copy(V2_CACHE, cache)
     assert note() == ["index: built (1 component(s); "
-                      "unsupported cache version (expected ARCHMATCH-IDX v9))"]
+                      "unsupported cache version (expected ARCHMATCH-IDX v10))"]
     cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
     assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
     unit = workdir / "document_manager.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
-    assert note() == ["index: built (1 component(s); cache stale; "
-                      "reused 1 of 1 automata, 0 of 0 publication checks, 1 of 2 unit parses)"]
+    assert note() == ["index: built (1 component(s); cache stale; re-derived 1 of 2 units)"]
+    (workdir / "catalog.txt").write_text("document_manager.adl\ntypes.adl\n")
+    assert note() == ["index: built (1 component(s); cache stale; reused 1 of 1 automata, "
+                      "0 of 0 publication checks, 2 of 2 unit parses; "
+                      "full load: the catalog lists other units)"]
 
 
 def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
@@ -433,6 +439,18 @@ component Kiosk {
   causal { (?b ?f)* }
 }
 """
+# a self-contained unit that no other unit needs, with two publication checks
+SOLO_ADL = """\
+interface Solo { s(x: Document); }
+interface SoloFeed { t(x: String); }
+contract SoloCtr implements Solo { protocol { ?s* } }
+component Lone {
+  provided contract SoloCtr
+  required interface SoloFeed
+  causal { (?s ?t)* }
+}
+publication LonePub { provided contract SoloCtr }
+"""
 
 
 def _edit(name: str, old: str, new: str):
@@ -440,6 +458,13 @@ def _edit(name: str, old: str, new: str):
         unit = workdir / name
         assert old in unit.read_text()
         unit.write_text(unit.read_text().replace(old, new))
+    return edit
+
+
+def _edits(*edits):
+    def edit(workdir: Path) -> None:
+        for one in edits:
+            one(workdir)
     return edit
 
 
@@ -452,52 +477,238 @@ def _another_catalogs_cache(workdir: Path) -> None:
         "index", "build")
 
 
+def _catalog_lists(*units: str):
+    def edit(workdir: Path) -> None:
+        (workdir / "extra.adl").write_text("type Extra;\n")
+        (workdir / "catalog_full.txt").write_text("".join(f"{unit}\n" for unit in units))
+    return edit
+
+
+_UNITS = ("types.adl", "document_manager.adl", "insurance.adl", "base.adl", "derived.adl",
+          "solo.adl")
+_DOCUMENT_PROTOCOL = _edit("document_manager.adl", "(?searchDocuments + ?setPreference)* | ", "")
+# what the stale cache lends a full load after an edit of one unit that leaves
+# every entry and check as it was; the note then names why the load was full
+_LENT = "reused 7 of 7 automata, 5 of 5 publication checks, 5 of 6 unit parses; full load: "
+
 # an edit made after a `match` built the cache, the state limit of the next
-# match, and whether that match may reuse what the cache holds
+# match, and that match's note after "cache stale; ", or None when the rebuild
+# fails as a cold build does
 STALE_EDITS = {
+    # taken by re-deriving the units that changed
+    "protocol edit in an unneeded unit": (_DOCUMENT_PROTOCOL, None, "re-derived 1 of 6 units"),
+    "method added to an interface of an unneeded unit": (
+        _edit("document_manager.adl", "searchDocuments(params: String);\n",
+              "searchDocuments(params: String);\n  archive(documentId: String);\n"),
+        None, "re-derived 1 of 6 units"),
+    "causal block edited in an unneeded unit": (_edit("solo.adl", "(?s ?t)*", "(?s + ?t)*"),
+                                                None, "re-derived 1 of 6 units"),
+    "comments in two unneeded units": (
+        _edits(_edit("solo.adl", "interface Solo ", "// edited\ninterface Solo "),
+               _edit("types.adl", "type String;", "type String; // edited")),
+        None, "re-derived 2 of 6 units"),
+    # taken by the full load
     "protocol text": (_edit("insurance.adl", "protocol { (?getBalance + ?listTransactions)* }",
                             "protocol { ?getBalance (?getBalance + ?listTransactions)* }"),
-                      None, "reused 5 of 6 automata, 2 of 3 publication checks, 4 of 5 unit parses"),
-    "method added to a base interface": (_edit("base.adl", "a(x: String);",
-                                               "a(x: String); c(x: String);"),
-                                         None, "reused 5 of 6 automata, 2 of 3 publication checks, "
-                                                   "4 of 5 unit parses"),
+                      None, "reused 6 of 7 automata, 4 of 5 publication checks, 5 of 6 unit parses; "
+                            "full load: insurance.adl is not self-contained"),
+    "method added to a base interface": (
+        _edit("base.adl", "a(x: String);", "a(x: String); c(x: String);"), None,
+        "reused 6 of 7 automata, 4 of 5 publication checks, 5 of 6 unit parses; "
+        "full load: base.adl is needed by derived.adl"),
     "method added to a required interface": (_edit("base.adl", "f(x: String);",
                                                    "f(x: String); g(x: String);"), None, None),
     "causal block that breaks the projection": (_edit("insurance.adl", "(?inquire ?lookup)*",
                                                       "?lookup (?inquire ?lookup)*"), None, None),
     "state limit below the cache's": (_touch, "2", None),
     "cache of another catalog": (_another_catalogs_cache, None,
-                                 "reused 1 of 6 automata, 0 of 3 publication checks, "
-                                 "2 of 5 unit parses"),
+                                 "reused 1 of 7 automata, 0 of 5 publication checks, "
+                                 "2 of 6 unit parses; full load: the catalog lists other units"),
+    "declaration renamed": (_edit("document_manager.adl", "DocInternal", "DocPlumbing"),
+                            None, _LENT + "document_manager.adl changes its declarations"),
+    "declaration added": (_edit("document_manager.adl", "interface DocInternal {",
+                                "interface Spare { }\ninterface DocInternal {"),
+                          None, _LENT + "document_manager.adl changes its declarations"),
+    "supertype changed": (_edit("types.adl", "type Document;", "type Document <: Party;"),
+                          None, _LENT + "types.adl changes its declarations"),  # and Lone's shape
+    "needed unit edited": (_edit("base.adl", "interface Feed", "// edited\ninterface Feed"),
+                           None, _LENT + "base.adl is needed by derived.adl"),
+    "reference to another unit gained": (
+        _edit("document_manager.adl", "required interface DocRepositoryServices",
+              "required interface DirectoryFeed"),
+        None, _LENT + "document_manager.adl names a declaration of another unit"),
+    "architecture unit edited": (_touch, None, _LENT + "insurance.adl is not self-contained"),
+    "unit added": (_edits(_catalog_lists(*_UNITS, "extra.adl"), _DOCUMENT_PROTOCOL), None,
+                   "reused 6 of 7 automata, 5 of 5 publication checks, 5 of 7 unit parses; "
+                   "full load: the catalog lists other units"),
+    "unit removed": (_edits(_catalog_lists(*_UNITS[:-1]), _DOCUMENT_PROTOCOL), None,
+                     "reused 5 of 6 automata, 3 of 3 publication checks, 4 of 5 unit parses; "
+                     "full load: the catalog lists other units"),
+    "units reordered": (_catalog_lists(*_UNITS[::-1]), None,
+                        "reused 7 of 7 automata, 5 of 5 publication checks, 6 of 6 unit parses; "
+                        "full load: the catalog lists other units"),
+    "syntax memo missing a unit": (
+        _edits(lambda workdir: repo.syntax_memo_path(workdir / "catalog_full.txt.idx").unlink(),
+               _DOCUMENT_PROTOCOL),
+        None, "reused 6 of 7 automata, 5 of 5 publication checks, 0 of 6 unit parses; "
+              "full load: the syntax memo lacks types.adl"),
+    "check broken": (_edit("solo.adl", "(?s ?t)*", "?t (?s ?t)*"), None, None),
+    "requirement that needs the catalog": (
+        _edits(_DOCUMENT_PROTOCOL, lambda workdir: (workdir / "account_req.adl").write_text(
+            "type String;\ninterface WantAccount extends AccountInquiry { }\n")),
+        None, "reused 6 of 7 automata, 5 of 5 publication checks, 5 of 6 unit parses; "
+              "full load: the requirement needs the catalog"),
 }
+
+
+def _stale_catalog(workdir: Path) -> list[str]:
+    """The fixture catalog and three more units, its cache built by a match;
+    the arguments of that match."""
+    (workdir / "base.adl").write_text(BASE_ADL)
+    (workdir / "derived.adl").write_text(DERIVED_ADL)
+    (workdir / "solo.adl").write_text(SOLO_ADL)
+    (workdir / "account_req.adl").write_text(ACCOUNT_REQ)
+    with (workdir / "catalog_full.txt").open("a") as catalog:
+        catalog.write("base.adl\nderived.adl\nsolo.adl\n")
+    args = ["--catalog", str(workdir / "catalog_full.txt"),
+            "match", str(workdir / "account_req.adl")]
+    assert run(*args).exit_code == 0  # builds the cache
+    return args
+
+
+def _cache_files(cache: Path) -> tuple[bytes, bytes]:
+    return cache.read_bytes(), repo.syntax_memo_path(cache).read_bytes()
 
 
 @pytest.mark.parametrize("case", list(STALE_EDITS))
 def test_a_stale_cache_rebuild_equals_a_cold_build(workdir, case):
-    edit, limit, reused = STALE_EDITS[case]
-    (workdir / "base.adl").write_text(BASE_ADL)
-    (workdir / "derived.adl").write_text(DERIVED_ADL)
-    (workdir / "account_req.adl").write_text(ACCOUNT_REQ)
-    with (workdir / "catalog_full.txt").open("a") as catalog:
-        catalog.write("base.adl\nderived.adl\n")
+    edit, limit, note = STALE_EDITS[case]
     env = {} if limit is None else {"ARCHMATCH_STATE_LIMIT": limit}
-    catalog = str(workdir / "catalog_full.txt")
-    match_args = ["match", str(workdir / "account_req.adl")]
-    assert run("--catalog", catalog, *match_args).exit_code == 0  # builds the cache
+    match_args = _stale_catalog(workdir)
     edit(workdir)
-    stale = run("--catalog", catalog, *match_args, env=env)
-    cold = run("--catalog", catalog, "--cache", str(workdir / "cold.idx"), *match_args, env=env)
+    stale = run(*match_args, env=env)
+    cold = run("--cache", str(workdir / "cold.idx"), *match_args, env=env)
     assert (stale.stdout, stale.exit_code) == (cold.stdout, cold.exit_code)
     assert _without_index_note(stale.stderr) == _without_index_note(cold.stderr)
-    if reused is None:  # the rebuild fails as the cold build does
+    if note is None:  # the rebuild fails as the cold build does
         assert stale.exit_code == cold.exit_code == 2
         assert "index: " not in stale.stderr
         return
-    assert f"index: built (6 component(s); cache stale; {reused})\n" in stale.stderr
-    build = run("--catalog", catalog, "--cache", str(workdir / "built.idx"), "index", "build")
+    components = len(repo.reach(repo.load_cache(workdir / "cold.idx")[0]).entries)
+    assert f"index: built ({components} component(s); cache stale; {note})\n" in stale.stderr
+    build = run(*match_args[:2], "--cache", str(workdir / "built.idx"), "index", "build")
     assert build.exit_code == 0
-    assert (workdir / "catalog_full.txt.idx").read_bytes() == (workdir / "built.idx").read_bytes()
+    assert _cache_files(workdir / "catalog_full.txt.idx") == _cache_files(workdir / "built.idx")
+    assert _cache_files(workdir / "cold.idx") == _cache_files(workdir / "built.idx")
+
+
+def test_a_full_load_decodes_only_the_stale_entries_it_asks_for(workdir, monkeypatch):
+    match_args = _stale_catalog(workdir)
+    STALE_EDITS["method added to a base interface"][0](workdir)
+    decoded = []
+
+    def entry_from_json(name, comp, lattice, _real=repo._entry_from_json):
+        decoded.append((name, lattice))
+        return _real(name, comp, lattice)
+    monkeypatch.setattr(repo, "_entry_from_json", entry_from_json)
+    res = run(*match_args)
+    assert "full load: base.adl is needed by derived.adl" in res.stderr
+    # Kiosk's alphabet changed, so no stale DFA is asked for; every other entry
+    # is carried, and only `reach` decodes, once each, those the requirement reaches
+    names = [name for name, lattice in decoded if lattice is not None]
+    assert decoded and len(names) == len(decoded) == len(set(names)) and "Kiosk" not in names
+
+
+# --- random edit sequences: every stale rebuild writes what a cold build does ---------------
+
+_WANT = ("type T0;\ninterface Want { m0_0(x: T0); }\n"
+         "contract WantCtr implements Want { protocol { ?m0_0* } }\n")
+# what an edit of the catalog below changes: (operation, unit, choice)
+_EDIT_OPERATIONS = ("protocol", "method", "rename", "extends", "required", "supertype",
+                    "comment", "causal", "publication", "order")
+
+
+def _unit_text(i: int, unit: dict, units: list[dict]) -> str:
+    """Unit `i` of the catalog `_edit_sequence` edits, as `unit` describes it."""
+    own = [name for name, _ in unit["methods"]]
+    alternatives = " + ".join(f"?{name}" for name in own)
+    protocol_ = (f"({alternatives})*", " ".join(f"?{name}" for name in own),
+                 f"?{own[-1]} ({alternatives})*")[unit["protocol"]]
+    k = i if unit["required"] is None else unit["required"]
+    causal = ("", f"\n  causal {{ ({protocol_}) (?r{k})* }}",
+              f"\n  causal {{ ?r{k} ({protocol_}) }}")[unit["causal"]]  # the last one fails
+    extends = "" if unit["extends"] is None else f" extends I{unit['extends']}"
+    methods = "".join(f"  {name}(x: T{t});\n" for name, t in unit["methods"])
+    return "".join(f"// edit {n}\n" for n in range(unit["comments"])) + (
+        f"interface I{i}{extends} {{\n{methods}}}\n"
+        f"interface {unit['feed']} {{ r{i}(x: T0); }}\n"
+        f"contract C{i} implements I{i} {{ protocol {{ {protocol_} }} }}\n"
+        f"component K{i} {{\n  provided contract C{i}\n"
+        f"  required interface {units[k]['feed']}{causal}\n}}\n") + (
+        f"publication P{i} {{ provided contract C{i} }}\n" if unit["publication"] else "")
+
+
+def _apply(edit: tuple[str, int, int], units: list[dict], catalog: dict) -> None:
+    operation, i, choice = edit
+    unit = units[i]
+    if operation in ("protocol", "causal"):
+        unit[operation] = choice
+    elif operation == "method" and len(unit["methods"]) < 3:
+        unit["methods"].append((f"m{i}_{len(unit['methods'])}", choice % 2))
+    elif operation == "rename":
+        unit["feed"] += "x"
+    elif operation == "extends":  # only on a unit before it, so that no chain cycles
+        unit["extends"] = choice if choice < i else None
+    elif operation == "required":
+        unit["required"] = None if choice == i else choice
+    elif operation == "supertype":
+        catalog["supertype"] = not catalog["supertype"]
+    elif operation == "comment":
+        unit["comments"] += 1
+    elif operation == "publication":
+        unit["publication"] = not unit["publication"]
+    elif operation == "order":
+        catalog["order"] = catalog["order"][1:] + catalog["order"][:1]
+
+
+def _write_edited_catalog(root: Path, units: list[dict], catalog: dict) -> None:
+    """Write the catalog and each unit whose text changed."""
+    supertype = " <: T0" if catalog["supertype"] else ""
+    texts = {"types.adl": f"type T0;\ntype T1{supertype};\n",
+             "cat.txt": "".join(f"{name}\n" for name in ["types.adl"] + [
+                 f"u{i}.adl" for i in catalog["order"]])}
+    texts.update((f"u{i}.adl", _unit_text(i, unit, units)) for i, unit in enumerate(units))
+    for name, text in texts.items():
+        if not (root / name).is_file() or (root / name).read_text() != text:
+            (root / name).write_text(text)
+
+
+@settings(deadline=None)  # the example count is the profile's (tests/conftest.py)
+@given(st.lists(st.tuples(st.sampled_from(_EDIT_OPERATIONS), st.integers(0, 2), st.integers(0, 2)),
+                min_size=1, max_size=6))
+def test_edit_sequences_rebuild_as_a_cold_build(edits):
+    units = [{"methods": [(f"m{i}_0", 0)], "protocol": 0, "extends": None, "required": None,
+              "causal": int(i == 1), "publication": i == 2, "feed": f"R{i}", "comments": 0}
+             for i in range(3)]
+    catalog = {"supertype": True, "order": [0, 1, 2]}
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "want.adl").write_text(_WANT)
+        _write_edited_catalog(root, units, catalog)
+        args = ["--catalog", str(root / "cat.txt"), "match", str(root / "want.adl")]
+        assert run(*args).exit_code == 0  # builds the cache
+        for edit in edits:
+            _apply(edit, units, catalog)
+            _write_edited_catalog(root, units, catalog)
+            stale = run(*args)
+            for cold_file in root.glob("cold.idx*"):
+                cold_file.unlink()
+            cold = run("--cache", str(root / "cold.idx"), *args)
+            assert (stale.stdout, stale.exit_code) == (cold.stdout, cold.exit_code), edit
+            assert _without_index_note(stale.stderr) == _without_index_note(cold.stderr), edit
+            if stale.exit_code != 2:
+                assert _cache_files(root / "cat.txt.idx") == _cache_files(root / "cold.idx"), edit
+            event(f"re-derived: {'re-derived' in stale.stderr}")
 
 
 def test_a_defective_stale_cache_lends_the_rebuild_nothing(workdir):
@@ -729,11 +940,11 @@ CACHE_LOADS = {
     "stale": (lambda cache: (cache.parent / "insurance.adl").write_text(
         (cache.parent / "insurance.adl").read_text() + "\n// touched\n"),
         "built (5 component(s); cache stale; reused 5 of 5 automata, 2 of 2 publication checks, "
-        "2 of 3 unit parses)"),
+        "2 of 3 unit parses; full load: insurance.adl is not self-contained)"),
     "corrupt": (lambda cache: cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n"),
                 "built (5 component(s); corrupt cache: KeyError: 'hash')"),
     "v6 cache": (lambda cache: shutil.copy(V6_CACHE, cache),
-                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v9))"),
+                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v10))"),
     "lowered limit": (lambda cache: None, "built (5 component(s); cache built under a higher "
                                           f"state limit ({protocol.DEFAULT_STATE_LIMIT}))"),
     "a catalog unit": (lambda cache: None, "cache (1 component(s))"),

@@ -22,7 +22,7 @@ from archmatch import protocol as P
 from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
 from broken_caches import (DEFECTS, FIELD_DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE,
-                           V7_CACHE, V8_CACHE, resealed)
+                           V7_CACHE, V8_CACHE, V9_CACHE, resealed)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -199,15 +199,13 @@ def test_cache_header_shape(tmp_path):
     repo.save_cache(index, path)
     lines = path.read_text().split("\n")
     magic, seal = lines[0].rsplit(" ", 1)
-    assert magic == "ARCHMATCH-IDX v9"
+    assert magic == "ARCHMATCH-IDX v10"
     assert int(seal, 16) == zlib.crc32(path.read_bytes().partition(b"\n")[2])
     assert lines[2:] == [""]
     doc = json.loads(lines[1])
-    assert sorted(doc) == ["checked", "components", "hash", "names", "state_limit", "types",
-                           "units"]
+    assert sorted(doc) == ["components", "hash", "names", "state_limit", "types", "units"]
     assert lines[1] == json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert doc["hash"] == catalog.source_hash
-    assert doc["checked"] == []  # the catalog has no causal block or publication
     entry = doc["components"]["DocumentManager"]
     assert sorted(entry) == ["dfa", "methods", "protocol", "shapes"]
     assert entry["shapes"] == ["(String)", "(String,String)"]
@@ -238,8 +236,7 @@ def test_cache_stale_detection(tmp_path):
     # editing a source unit invalidates the cache
     unit = tmp_path / "document_manager.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
-    assert _load_index(catalog_path)[1:] == \
-        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks, 1 of 2 unit parses")
+    assert _load_index(catalog_path)[1:] == ("built", "stale; re-derived 1 of 2 units")
 
 
 def test_a_stale_rebuild_computes_no_shape_to_decode_and_writes_the_cold_bytes(tmp_path):
@@ -247,25 +244,30 @@ def test_a_stale_rebuild_computes_no_shape_to_decode_and_writes_the_cold_bytes(t
     _load_index(catalog_path)  # builds the cache
     unit = tmp_path / "insurance.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
-    memo = repo._memo
+    decoded = []
 
-    def without_shapes(index):
-        with mock.patch.object(repo, "shape", side_effect=AssertionError("a shape was computed")):
-            return memo(index)
-    with mock.patch.object(repo, "_memo", without_shapes):
-        _, origin, reason = _load_index(catalog_path)
+    def entry_from_json(name, comp, lattice, _real=repo._entry_from_json):
+        decoded.append((name, lattice))
+        return _real(name, comp, lattice)
+    with mock.patch.object(repo, "_entry_from_json", entry_from_json):
+        index, origin, reason = _load_index(catalog_path)
     assert (origin, reason) == ("built", "stale; reused 5 of 5 automata, 2 of 2 publication checks, "
-                                         "2 of 3 unit parses")
+                                         "2 of 3 unit parses; full load: insurance.adl is not "
+                                         "self-contained")
+    # every entry is carried as its stale JSON: only `reach` decodes those the requirement reaches
+    assert all(lattice is not None for _, lattice in decoded)
+    assert sorted(name for name, _ in decoded) == sorted(index.entries) and index.pending
     catalog, m, _ = repo.load(catalog_path, memo=repo.Memo())  # as `index build` loads
     repo.save_cache(repo.build_index(catalog, m), tmp_path / "cold.idx")
     assert repo.default_cache_path(catalog_path).read_bytes() == (tmp_path / "cold.idx").read_bytes()
 
 
 # a resealed defect of a stale cache, and the reason of the rebuild, which
-# lends it no memo: a top-level field is checked before freshness is judged
+# lends it no memo: a top-level field is checked before freshness is judged,
+# and an entry carried from the stale cache when the requirement reaches it
 STALE_AND_DEFECTIVE = {
     "unit size as a string": "corrupt cache: TypeError: expected an integer, got str",
-    "string state count": "stale",
+    "string state count": "corrupt cache: TypeError: expected an integer, got str",
 }
 
 
@@ -339,11 +341,12 @@ def test_cache_rejects_wrong_version(tmp_path):
     for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2",
                   "ARCHMATCH-IDX v3"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v9"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v10"):
             repo.load_cache(path)
-    for cache in (V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE, V8_CACHE):  # real caches of fixtures/catalog_full.txt
+    # real caches of fixtures/catalog_full.txt
+    for cache in (V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE):
         shutil.copy(cache, path)
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v9"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v10"):
             repo.load_cache(path)
 
 
@@ -365,7 +368,8 @@ def test_load_index_reason_stale(tmp_path):
     def setup(cache, catalog, m):
         repo.save_cache(replace(repo.build_index(catalog, m), source_hash="old"), cache)
     assert _load_index_reason(tmp_path, setup) == \
-        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks, 0 of 2 unit parses")
+        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks, 0 of 2 unit parses; "
+                  "full load: the catalog lists other units")  # loaded without a memo: no records
 
 
 def test_load_index_reason_corrupt(tmp_path):
@@ -375,11 +379,11 @@ def test_load_index_reason_corrupt(tmp_path):
 
 
 def test_load_index_reason_other_version(tmp_path):
-    for old in (V2_CACHE, V6_CACHE, V7_CACHE, V8_CACHE):
+    for old in (V2_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE):
         origin, reason = _load_index_reason(
             tmp_path, lambda cache, *_, old=old: shutil.copy(old, cache))
         assert (origin, reason) == (
-            "built", "unsupported cache version (expected ARCHMATCH-IDX v9)")
+            "built", "unsupported cache version (expected ARCHMATCH-IDX v10)")
 
 
 def test_load_index_rebuilds_a_cache_built_under_a_higher_state_limit(tmp_path):
@@ -481,15 +485,20 @@ def _rewrite_dated_as_the_cache(tmp_path: Path) -> None:
 
 
 # a change after the cache was built, and whether the next match finds the
-# cache stale: the parses it then reuses, or None when it finds it fresh
+# cache stale: the parses it then reuses and why it loads the whole catalog,
+# or None when it finds it fresh
 STAT_CHANGES = {
-    "same-size rewrite dated as the cache": (_rewrite_dated_as_the_cache, "3 of 4"),
+    "same-size rewrite dated as the cache": (
+        _rewrite_dated_as_the_cache,
+        "3 of 4 unit parses; full load: a.adl changes its declarations"),
     "equal-size units swapped in the catalog": (
         lambda root: (root / "catalog.txt").write_text("types.adl\ndocument_manager.adl\n"
-                                                        "b.adl\na.adl\n"), "4 of 4"),
+                                                        "b.adl\na.adl\n"),
+        "4 of 4 unit parses; full load: the catalog lists other units"),
     "unit dropped from the catalog": (
         lambda root: (root / "catalog.txt").write_text("types.adl\ndocument_manager.adl\n"
-                                                        "a.adl\n"), "3 of 3"),
+                                                        "a.adl\n"),
+        "3 of 3 unit parses; full load: the catalog lists other units"),
     "touch": (lambda root: os.utime(root / "a.adl", ns=(10**18, 10**18)), None),
 }
 
@@ -504,7 +513,7 @@ def test_a_change_of_the_units_is_found_however_their_stats_read(tmp_path, chang
     assert _load_index(catalog_path)[1:] == ("built", "missing")
     edit(tmp_path)
     assert _load_index(catalog_path)[1:] == (
-        ("built", f"stale; reused 1 of 1 automata, 0 of 0 publication checks, {parses} unit parses")
+        ("built", f"stale; reused 1 of 1 automata, 0 of 0 publication checks, {parses}")
         if parses else ("cache", None))
 
 
@@ -689,7 +698,8 @@ def test_a_rewritten_syntax_memo_keeps_the_units_listed_and_reuses_their_bytes(t
     _load_index(catalog_path)
     first = repo.load_syntax(_memo_path(catalog_path)).stored
     catalog_path.write_text("types.adl\ndocument_manager.adl\n")  # insurance.adl dropped
-    assert _load_index(catalog_path)[2].endswith(", 2 of 2 unit parses")
+    assert _load_index(catalog_path)[2].endswith(
+        ", 2 of 2 unit parses; full load: the catalog lists other units")
     again = repo.load_syntax(_memo_path(catalog_path)).stored
     assert list(again.items()) == list(first.items())[:2]
 
@@ -720,8 +730,8 @@ def test_only_a_full_load_in_load_match_reads_the_syntax_memo(tmp_path, monkeypa
 
 def test_publication_check_keys_are_those_of_earlier_v9_caches():
     # printed once per load, each key keeps its value: a v9 cache written
-    # before that still lends a rebuild its checks
+    # before that still lent a rebuild its checks, and the unit records keep them
     catalog, _, _ = repo.load(FIXTURES / "catalog_full.txt", memo=repo.Memo())
-    assert sorted(catalog.checked) == [
+    assert [record[8] for record in catalog.records] == [[], [], [
         "3d280569b5c2d380bb448c6cc43073448fe5fbaff6d00e6be4b251e2ab496573",
-        "d7711a4fe4c034ae2f7cf1ca0b07626739b5c4fb61c6d5896332fc516b801eca"]
+        "d7711a4fe4c034ae2f7cf1ca0b07626739b5c4fb61c6d5896332fc516b801eca"]]
