@@ -62,15 +62,11 @@ class Session:
         if not self.quiet:
             print(message, file=sys.stderr)
 
-    def require_catalog(self, memo: repo.Memo | None = None,
-                        syntax_memo: repo.SyntaxMemo | None = None,
-                        ) -> tuple[repo.Catalog, object]:
-        """The catalog and its model; with a `memo`, the catalog keeps what a
-        cache records, and a `syntax_memo` keeps its parsed units."""
+    def require_catalog(self, memo: repo.Memo | None = None) -> tuple[repo.Catalog, object]:
+        """The catalog and its model; with a `memo`, the catalog keeps what a cache records."""
         if self.catalog_path is None:
             _input_error(NEEDS_CATALOG)
-        catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit,
-                                                 memo=memo, syntax_memo=syntax_memo)
+        catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit, memo=memo)
         _print_diagnostics(diagnostics, self.base_dir)
         if catalog is None:
             sys.exit(2)
@@ -237,8 +233,7 @@ def link(session: Session, name: str) -> None:
 
 def index_build(session: Session) -> None:
     """Compile all component protocols and write the cache file."""
-    syntax_memo = repo.SyntaxMemo()  # only written: the build is from the units alone
-    catalog, model_ = session.require_catalog(repo.Memo(), syntax_memo)  # unit records
+    catalog, model_ = session.require_catalog(repo.Memo())  # unit records
     compiled = repo.build_index(catalog, model_, session.state_limit)
     path = (repo.default_cache_path(catalog.path) if session.cache_path is None
             else Path(session.cache_path))
@@ -247,10 +242,6 @@ def index_build(session: Session) -> None:
     except OSError as err:
         _input_error(f"cannot write cache {_display_path(str(path), session.base_dir)}: "
                      f"{err.strerror or err}")
-    try:
-        repo.save_syntax(syntax_memo, repo.syntax_memo_path(path))
-    except OSError as err:  # the cache is written; later rebuilds parse every unit
-        session.note(f"cannot write syntax memo: {err.strerror or err}")
     print(f"indexed {len(compiled.entries)} component(s)")
     print(f"hash: {compiled.source_hash}")
     print(f"cache: {_display_path(str(path), session.base_dir)}")
@@ -278,10 +269,6 @@ def index_inspect(session: Session) -> None:
     print(f"components: {len(compiled.entries)}")
     if units is not None and units.stats is not None:  # every unit is a file
         print(f"freshness: {'fresh' if fresh else 'stale'}")
-    try:
-        print(f"syntax memo: {len(repo.load_syntax(repo.syntax_memo_path(path)).stored)} unit(s)")
-    except repo.CacheError as err:
-        print(f"syntax memo: {err}")
     for name, entry in sorted(compiled.entries.items()):
         print(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s) "
               f"from {entry.protocol}")

@@ -40,36 +40,28 @@ a stale cache when the catalog lists the same units in the same order, each
 changed unit was self-contained and not needed, parses without a diagnostic,
 declares the same kinds, names and supertypes in the same order, is still
 self-contained, resolves on the cached types and passes its checks within
-the state limit; when the syntax memo holds every other unit; and when the
-cached types answer the requirement. Declarations of other units then read
-nothing of a changed unit but names, which stay, so what they derive stands.
-Otherwise the full load runs, and the stale cache is its `Memo`: an entry
-whose printed protocol, alphabet, methods and shapes are unchanged is carried
+the state limit; and when the cached types answer the requirement. It parses
+only the changed units, and reads all it needs of the others from their unit
+records: declarations of other units read nothing of a changed unit but
+names, which stay, so what they derive stands. Otherwise the full load parses
+and resolves every unit, and the stale cache is its `Memo`: an entry whose
+printed protocol, alphabet, methods and shapes are unchanged is carried
 as its stale JSON, and a DFA or a passed publication check whose key, the
 printed expressions and alphabets it was computed from, is unchanged is taken
 from it instead of recomputed (the verifying traces of Mokhov, Mitchell and
 Peyton Jones, "Build Systems à la Carte", ICFP 2018). Both write the bytes a
 cold build writes; a copied or carried entry is trusted as a pending one is,
 behind the checksum, and `reach` checks it when it decodes it. `index build`
-builds from the units alone.
-
-The syntax memo beside the cache (`<cache>.syntax`) does the same for parsing:
-the magic line `ARCHMATCH-SYNTAX v1` with the bytecode tag of the Python that
-wrote it and a CRC-32, then one `marshal` table from the SHA-256 of each
-unit's text to its declarations as `dsl.codec` tuples. The full load in
-`load_match` decodes a unit the memo holds instead of parsing it; every build
-that saves a cache writes the memo for the units it loaded. A memo that is
-missing or defective is a miss, and only costs the parses. `load` and
-`parse_units` use one only when given it, and a warm hit has none.
+builds from the units alone. A build writes the cache file and nothing else:
+a `<cache>.syntax` file that earlier versions wrote beside it is never read,
+rewritten or removed.
 """
 
 from __future__ import annotations
 
 import json
-import marshal
 import os
 import stat
-import sys
 import zlib
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -93,11 +85,6 @@ if TYPE_CHECKING:  # `category` is imported by the commands that build architect
 # could mean something else, so that older caches are rejected and rebuilt
 # without lending a rebuild their automata or checks.
 CACHE_MAGIC = "ARCHMATCH-IDX v10"
-
-# The first line of a syntax memo file, before the bytecode tag of the Python
-# that wrote it (marshal's format is that Python's) and a CRC-32 of the rest.
-# Bump it whenever `dsl.parse_unit` or `dsl.codec` could give a unit another tree.
-SYNTAX_MAGIC = "ARCHMATCH-SYNTAX v1"
 
 # the Model tables whose names a requirement may not redeclare
 _NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
@@ -206,40 +193,6 @@ class Memo:
             return None
 
 
-@record
-class SyntaxMemo:
-    """Parsed units by the SHA-256 of their text: the `dsl.codec` tuples of
-    each one's declarations, marshalled. `parse_units` decodes a unit `stored`
-    holds instead of parsing it, and keeps in `kept` the encoded units it was
-    given that parsed without a diagnostic, to be saved for the next load."""
-
-    stored: dict[bytes, bytes] = field(default_factory=dict)  # as read from a file
-    kept: dict[bytes, bytes] = field(default_factory=dict)
-    units: int = 0  # units parsed or decoded
-    reused: int = 0  # units decoded
-
-    def parse(self, unit: SourceUnit) -> tuple[syntax.SyntaxTree | None, list[Diagnostic]]:
-        """What `dsl.parse_unit` gives `unit`, decoded when the memo holds it."""
-        import hashlib
-        from .dsl import codec  # compiles its decoders, 2-3 ms: a warm match loads no unit
-        key = hashlib.sha256(unit.text.encode("utf-8")).digest()
-        self.units += 1
-        blob = self.stored.get(key)
-        if blob is not None:
-            try:
-                tree = syntax.SyntaxTree(codec.decode(marshal.loads(blob)), unit.path)
-            except (EOFError, IndexError, KeyError, TypeError, ValueError):
-                pass  # not what this version writes: parsed below
-            else:
-                self.reused += 1
-                self.kept[key] = blob
-                return tree, []
-        tree, diagnostics = dsl.parse_unit(unit)
-        if not diagnostics:
-            self.kept[key] = marshal.dumps(codec.encode(tree.declarations))
-        return tree, diagnostics
-
-
 def _zero_span() -> Span:
     return Span(1, 1, 0, 0)
 
@@ -316,11 +269,11 @@ class Units:
         return self.stats is not None and self.stats == [r[:4] for r in records] and \
             all(s[2] < written_ns and s[3] < written_ns for s in self.stats)
 
-    def digest(self, i: int) -> bytes:
-        """The SHA-256 of the text of unit `i`, which can be read: its key in
-        a syntax memo."""
+    def digest(self, i: int) -> str:
+        """The SHA-256 of the text of unit `i`, which can be read, in hex: the
+        digest its record holds."""
         import hashlib
-        return hashlib.sha256(self.text(i).encode("utf-8")).digest()
+        return hashlib.sha256(self.text(i).encode("utf-8")).hexdigest()
 
     def hash(self) -> str | None:
         """The source hash of the unit texts, or None when one cannot be read."""
@@ -346,12 +299,10 @@ def source_hash(texts) -> str:
 
 
 def parse_units(paths: list[str | Path], texts: dict[Path, str] | None = None,
-                syntax_memo: SyntaxMemo | None = None,
                 ) -> tuple[tuple[SourceUnit, ...], tuple[syntax.SyntaxTree, ...],
                            list[Diagnostic]]:
     """The units at `paths` (read from `texts` where it has them), their trees
-    and the diagnostics; each one parsed, or decoded from `syntax_memo`."""
-    parse = dsl.parse_unit if syntax_memo is None else syntax_memo.parse
+    and the diagnostics."""
     units: list[SourceUnit] = []
     trees: list[syntax.SyntaxTree] = []
     diagnostics: list[Diagnostic] = []
@@ -362,7 +313,7 @@ def parse_units(paths: list[str | Path], texts: dict[Path, str] | None = None,
             continue
         unit = SourceUnit(str(path), text)
         units.append(unit)
-        tree, diags = parse(unit)
+        tree, diags = dsl.parse_unit(unit)
         diagnostics.extend(diags)
         if tree is not None:
             trees.append(tree)
@@ -465,13 +416,11 @@ def analyze(trees, state_limit: int = protocol.DEFAULT_STATE_LIMIT, memo: Memo |
 
 def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
          units: Units | None = None, memo: Memo | None = None,
-         syntax_memo: SyntaxMemo | None = None,
          ) -> tuple[Catalog | None, Model | None, list[Diagnostic]]:
     """Load a catalog file and everything it references. `units` are the
     catalog's units, already stat-ed (and maybe read); a publication check
-    whose key is in `memo` is taken as passed, and a unit `syntax_memo` holds
-    is decoded, not parsed. Only given a memo does the catalog keep what a
-    cache records of its units, their `records`.
+    whose key is in `memo` is taken as passed. Only given a memo does the
+    catalog keep what a cache records of its units, their `records`.
 
     All units must parse and resolve, architectures must build, and every
     publication must satisfy the causal projection condition; otherwise the
@@ -487,7 +436,7 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
     # a unit that cannot be read is read again, for its diagnostic
     texts = {path: text for i, path in enumerate(resolved)
              if (text := units.text(i)) is not None}
-    parsed, trees, diagnostics = parse_units(resolved, texts, syntax_memo)
+    parsed, trees, diagnostics = parse_units(resolved, texts)
     if has_errors(diagnostics):
         return None, None, diagnostics
     m, architectures, links, diags = analyze(trees, state_limit, memo)
@@ -536,7 +485,7 @@ def _unit_records(units: Units, trees: tuple[syntax.SyntaxTree, ...],
             j = owner.get(name, i)
             if j != i and needed_by[j] is None:
                 needed_by[j] = units.paths[i]
-    return [[*stat, units.digest(i).hex(), _declares(tree), _self_contained(tree), needed_by[i],
+    return [[*stat, units.digest(i), _declares(tree), _self_contained(tree), needed_by[i],
              _checked(tree, passed)] for i, (stat, tree) in enumerate(zip(units.stats, trees))]
 
 
@@ -678,52 +627,6 @@ def save_cache(index: CompiledIndex, path: str | Path) -> None:
     """Write the index to `path` (see `_replace`)."""
     body = _document(index).encode("utf-8")
     _replace(path, f"{_seal(body)}\n".encode("utf-8") + body)
-
-
-def syntax_memo_path(cache_path: str | Path) -> Path:
-    """The syntax memo beside the cache file at `cache_path`."""
-    return Path(f"{cache_path}.syntax")
-
-
-def _syntax_seal(body: bytes) -> bytes:
-    """The first line of a syntax memo file whose bytes after that line are `body`."""
-    return f"{SYNTAX_MAGIC} {sys.implementation.cache_tag} {zlib.crc32(body):08x}".encode()
-
-
-def save_syntax(memo: SyntaxMemo, path: str | Path) -> None:
-    """Write the units `memo` kept to `path` (see `_replace`)."""
-    # version 2 writes no references, which marshal gives an object held more
-    # than once: a unit taken from a memo read is written as one parsed now
-    body = marshal.dumps(memo.kept, 2)
-    _replace(path, _syntax_seal(body) + b"\n" + body)
-
-
-def load_syntax(path: str | Path) -> SyntaxMemo:
-    """The syntax memo saved at `path`, or CacheError saying why there is none
-    to use: the file is missing or unreadable, of another version or Python,
-    or corrupt. Behind its checksum, marshal's output is trusted as Python
-    trusts its bytecode cache."""
-    try:
-        with open(path, "rb") as file:
-            header, _, body = file.read().partition(b"\n")
-    except FileNotFoundError as err:
-        raise CacheError("missing") from err
-    except OSError as err:
-        raise CacheError(f"cannot read: {err.strerror or err}") from err
-    seal = _syntax_seal(body)
-    if header.rpartition(b" ")[0] != seal.rpartition(b" ")[0]:
-        raise CacheError(f"unsupported version (expected {SYNTAX_MAGIC} "
-                         f"{sys.implementation.cache_tag})")
-    if header != seal:
-        raise CacheError("corrupt: checksum mismatch")
-    try:
-        stored = marshal.loads(body)
-    except (EOFError, TypeError, ValueError) as err:
-        raise CacheError(f"corrupt: {type(err).__name__}: {err}") from err
-    if type(stored) is not dict or \
-            not all(type(k) is bytes and type(v) is bytes for k, v in stored.items()):
-        raise CacheError("corrupt: not a table of units")
-    return SyntaxMemo(stored)
 
 
 def _int(value) -> int:
@@ -919,13 +822,11 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     `_rederive` could not take it), the CacheError message or that the cache
     was built under a higher state limit. An index built or brought up to date
     is saved, with origin "built" and the reason followed by "; cannot write
-    cache: ..." if the new cache could not be saved, or "; cannot write syntax
-    memo: ..." if only the syntax memo could not. A stale cache and a catalog
-    loaded here take the units the syntax memo beside the cache holds; every
-    save writes the memo for the catalog's units. The index holds, decoded, at
-    least the entries the requirement reaches: those with a method of the shape
-    of a requirement method (all of them when it has no methods). When the
-    catalog or the requirement fails to load, all but the diagnostics are None.
+    cache: ..." if the new cache could not be saved. The index holds, decoded,
+    at least the entries the requirement reaches: those with a method of the
+    shape of a requirement method (all of them when it has no methods). When
+    the catalog or the requirement fails to load, all but the diagnostics are
+    None.
     """
     catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
     texts: dict[Path, str] = {}
@@ -952,19 +853,16 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
         tree, diagnostics = dsl.parse_unit(SourceUnit(str(requirement_path), req_text))
         loaded = (None, None, diagnostics) if tree is None else \
             _cached_requirement(requirement_path, tree, cached)
-    memo, syntax_memo, rule = Memo(), None, None  # a build here is saved
+    memo, rule = Memo(), None  # a build here is saved
     if stale is not None:
-        syntax_memo = _read_syntax(path)
-        update = _rederive(stale, units, syntax_memo, state_limit, loaded is not None)
+        update = _rederive(stale, units, state_limit, loaded is not None)
         if isinstance(update, str):  # the full load, lent the stale cache
             memo, loaded, rule = _memo(stale), None, update
         else:
-            index, kept, count = update
-            syntax_memo = SyntaxMemo(kept=kept)
+            index, count = update
             reason += f"; re-derived {count} of {len(units.paths)} units"
     if loaded is None:  # the full load, on the units read
-        syntax_memo = _read_syntax(path) if syntax_memo is None else syntax_memo
-        catalog, m, diagnostics = load(catalog_path, state_limit, units, memo, syntax_memo)
+        catalog, m, diagnostics = load(catalog_path, state_limit, units, memo)
         if catalog is None:  # else there are no diagnostics
             return None, None, None, None, None, diagnostics
         loaded = load_requirement(requirement_path, catalog, m, texts, tree)
@@ -982,39 +880,32 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
             index, reason = None, str(err)
     if index is None:
         if catalog is None:  # the requirement was resolved on the defective cache's types
-            syntax_memo = _read_syntax(path)
-            catalog, m, load_diagnostics = load(catalog_path, state_limit, units, memo,
-                                                syntax_memo)
+            catalog, m, load_diagnostics = load(catalog_path, state_limit, units, memo)
             if catalog is None:
                 return None, None, None, None, None, load_diagnostics
         index = build_index(catalog, m, state_limit, memo)
         if rule is not None:
             reason += (f"; reused {memo.reused_automata} of {index.size()} automata, "
-                       f"{memo.reused_checks} of {memo.checks} publication checks, "
-                       f"{syntax_memo.reused} of {syntax_memo.units} unit parses; "
+                       f"{memo.reused_checks} of {memo.checks} publication checks; "
                        f"full load: {rule}")
         try:
             reach(index, shapes)
         except CacheError as err:  # an entry carried from the stale cache is defective
             index, reason = build_index(catalog, m, state_limit), str(err)
-    what = "cache"
     try:
         save_cache(index, path)
-        what = "syntax memo"
-        save_syntax(syntax_memo, syntax_memo_path(path))
-    except OSError as err:  # the index is built; only later queries lose what is not written
-        reason += f"; cannot write {what}: {err.strerror or err}"
+    except OSError as err:  # the index is built; only later queries lose it
+        reason += f"; cannot write cache: {err.strerror or err}"
     return req, merged, index, "built", reason, diagnostics
 
 
-def _rederive(stale: CompiledIndex, units: Units, syntax_memo: SyntaxMemo, state_limit: int,
-              answered: bool) -> tuple[CompiledIndex, dict[bytes, bytes], int] | str:
-    """The index and the syntax memo table that a cold build of `units` gives,
-    with only the units whose text changed since `stale` was built re-derived,
-    and how many; or the first reason why the full load must build them (see
-    the module docstring). `answered` says whether the cached types answer the
-    requirement. Every other unit's entries are copied as their stale JSON, and
-    its parsed declarations as the bytes `syntax_memo` holds."""
+def _rederive(stale: CompiledIndex, units: Units, state_limit: int,
+              answered: bool) -> tuple[CompiledIndex, int] | str:
+    """The index that a cold build of `units` gives, with only the units whose
+    text changed since `stale` was built parsed and re-derived, and how many;
+    or the first reason why the full load must build them (see the module
+    docstring). `answered` says whether the cached types answer the
+    requirement. Every other unit's entries are copied as their stale JSON."""
     records = stale.units
     if [record[0] for record in records] != units.paths:
         return "the catalog lists other units"
@@ -1025,7 +916,7 @@ def _rederive(stale: CompiledIndex, units: Units, syntax_memo: SyntaxMemo, state
     changed: dict[int, syntax.SyntaxTree] = {}
     for i, record in enumerate(records):
         unit, (declares, contained, needed_by) = record[0], record[5:8]
-        if digests[i].hex() == record[4]:
+        if digests[i] == record[4]:
             continue
         if needed_by is not None:
             return f"{unit} is needed by {needed_by}"
@@ -1039,15 +930,6 @@ def _rederive(stale: CompiledIndex, units: Units, syntax_memo: SyntaxMemo, state
         if not _self_contained(tree):
             return f"{unit} names a declaration of another unit"
         changed[i] = tree
-    from .dsl import codec  # compiles its decoders, 2-3 ms: a warm match loads no unit
-    kept: dict[bytes, bytes] = {}
-    for i, key in enumerate(digests):
-        if i in changed:
-            kept[key] = marshal.dumps(codec.encode(changed[i].declarations))
-        elif key in syntax_memo.stored:
-            kept[key] = syntax_memo.stored[key]
-        else:
-            return f"the syntax memo lacks {records[i][0]}"
     if not answered:
         return "the requirement needs the catalog"
     memo, base = _memo(stale), Model(types=dict(stale.types))
@@ -1068,21 +950,12 @@ def _rederive(stale: CompiledIndex, units: Units, syntax_memo: SyntaxMemo, state
             pending.pop(name, None)
         entries.update(built)
         pending.update(carried)
-    records = [[*stat, digests[i].hex(), *record[5:8],
+    records = [[*stat, digests[i], *record[5:8],
                 _checked(changed[i], memo.passed) if i in changed else record[8]]
                for i, (stat, record) in enumerate(zip(units.stats, records))]
     index = CompiledIndex(entries, source_hash(texts), stale.types, stale.names, state_limit,
                           records, pending)
-    return index, kept, len(changed)
-
-
-def _read_syntax(cache_path: Path) -> SyntaxMemo:
-    """The syntax memo beside `cache_path`, or an empty one: a memo that
-    cannot be used only costs the parses it would have saved."""
-    try:
-        return load_syntax(syntax_memo_path(cache_path))
-    except CacheError:
-        return SyntaxMemo()
+    return index, len(changed)
 
 
 def _requirement(path: Path, tree: syntax.SyntaxTree | None, merged: Model | None,

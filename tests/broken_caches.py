@@ -1,16 +1,13 @@
 """Broken variants of a real index cache file, shared by the cache robustness
-tests of `repo.load_cache` and of the CLI, and of a real syntax memo file."""
+tests of `repo.load_cache` and of the CLI."""
 
 from __future__ import annotations
 
 import json
-import marshal
-import os
-import sys
 import zlib
 from pathlib import Path
 
-from archmatch.repo import CACHE_MAGIC, SYNTAX_MAGIC
+from archmatch.repo import CACHE_MAGIC
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # caches of fixtures/catalog_full.txt written by earlier versions
@@ -129,50 +126,3 @@ DEFECTS = {
     "v9 cache": lambda text: V9_CACHE.read_text(encoding="utf-8"),
 }
 
-
-def _sealed_memo(body: bytes, tag: str = str(sys.implementation.cache_tag),
-                 magic: str = SYNTAX_MAGIC) -> bytes:
-    """A syntax memo file of `body` under a first line with the right checksum."""
-    return f"{magic} {tag} {zlib.crc32(body):08x}\n".encode() + body
-
-
-def _rewritten(edit):
-    """A defect that rewrites a syntax memo file's bytes with `edit`."""
-    def defect(path: Path) -> None:
-        path.write_bytes(edit(path.read_bytes()))
-    return defect
-
-
-def _flip_a_bit(data: bytes) -> bytes:
-    at = len(data) * 3 // 4  # in the marshal body, past the first line
-    return data[:at] + bytes([data[at] ^ 0x10]) + data[at + 1:]
-
-
-def _in_place(make):
-    """A defect that puts what `make(path)` makes where the file was."""
-    def defect(path: Path) -> None:
-        path.unlink()
-        make(path)
-    return defect
-
-
-#: every defect of a syntax memo file: a description and what makes it from a
-#: real one, at its path; a defective memo is a miss and every unit is parsed
-SYNTAX_DEFECTS = {
-    "truncated": _rewritten(lambda data: data[: len(data) // 2]),
-    "a flipped bit": _rewritten(_flip_a_bit),
-    "another cache_tag": _rewritten(lambda data: _sealed_memo(data.partition(b"\n")[2],
-                                                              tag="cpython-00")),
-    "a wrong magic line": _rewritten(lambda data: _sealed_memo(data.partition(b"\n")[2],
-                                                               magic="ARCHMATCH-SYNTAX v0")),
-    "valid marshal of the wrong shape": _rewritten(lambda _: _sealed_memo(marshal.dumps([1, 2]))),
-    "units of the wrong shape": _rewritten(lambda data: _sealed_memo(marshal.dumps(
-        {key: marshal.dumps(("not", "declarations"))
-         for key in marshal.loads(data.partition(b"\n")[2])}))),
-    "an unreadable file": _in_place(lambda path: os.symlink(path.name, path)),  # a loop
-    "a directory in the file's place": _in_place(Path.mkdir),
-}
-
-#: the syntax memo defects inside a unit's entry: the file reads as a table of
-#: units, which `index inspect` counts, and decoding the unit finds the defect
-INSIDE_A_UNIT = {"units of the wrong shape"}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import errno
 import gc
 import json
@@ -18,10 +19,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from archmatch import category, dsl, matcher, model, protocol, repo
-from archmatch.dsl import codec
 from archmatch.sigmatch import TypeLattice
-from broken_caches import (DEFECTS, FIELD_DEFECTS, INSIDE_A_UNIT, SYNTAX_DEFECTS,
-                           UNREAD_ON_A_HIT, V2_CACHE, V6_CACHE, resealed)
+from broken_caches import (DEFECTS, FIELD_DEFECTS, UNREAD_ON_A_HIT, V2_CACHE, V6_CACHE,
+                           resealed)
 from cli_runner import run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -389,8 +389,7 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: built (1 component(s); cache stale; re-derived 1 of 2 units)"]
     (workdir / "catalog.txt").write_text("document_manager.adl\ntypes.adl\n")
     assert note() == ["index: built (1 component(s); cache stale; reused 1 of 1 automata, "
-                      "0 of 0 publication checks, 2 of 2 unit parses; "
-                      "full load: the catalog lists other units)"]
+                      "0 of 0 publication checks; full load: the catalog lists other units)"]
 
 
 def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
@@ -489,7 +488,7 @@ _UNITS = ("types.adl", "document_manager.adl", "insurance.adl", "base.adl", "der
 _DOCUMENT_PROTOCOL = _edit("document_manager.adl", "(?searchDocuments + ?setPreference)* | ", "")
 # what the stale cache lends a full load after an edit of one unit that leaves
 # every entry and check as it was; the note then names why the load was full
-_LENT = "reused 7 of 7 automata, 5 of 5 publication checks, 5 of 6 unit parses; full load: "
+_LENT = "reused 7 of 7 automata, 5 of 5 publication checks; full load: "
 
 # an edit made after a `match` built the cache, the state limit of the next
 # match, and that match's note after "cache stale; ", or None when the rebuild
@@ -510,11 +509,11 @@ STALE_EDITS = {
     # taken by the full load
     "protocol text": (_edit("insurance.adl", "protocol { (?getBalance + ?listTransactions)* }",
                             "protocol { ?getBalance (?getBalance + ?listTransactions)* }"),
-                      None, "reused 6 of 7 automata, 4 of 5 publication checks, 5 of 6 unit parses; "
+                      None, "reused 6 of 7 automata, 4 of 5 publication checks; "
                             "full load: insurance.adl is not self-contained"),
     "method added to a base interface": (
         _edit("base.adl", "a(x: String);", "a(x: String); c(x: String);"), None,
-        "reused 6 of 7 automata, 4 of 5 publication checks, 5 of 6 unit parses; "
+        "reused 6 of 7 automata, 4 of 5 publication checks; "
         "full load: base.adl is needed by derived.adl"),
     "method added to a required interface": (_edit("base.adl", "f(x: String);",
                                                    "f(x: String); g(x: String);"), None, None),
@@ -522,8 +521,8 @@ STALE_EDITS = {
                                                       "?lookup (?inquire ?lookup)*"), None, None),
     "state limit below the cache's": (_touch, "2", None),
     "cache of another catalog": (_another_catalogs_cache, None,
-                                 "reused 1 of 7 automata, 0 of 5 publication checks, "
-                                 "2 of 6 unit parses; full load: the catalog lists other units"),
+                                 "reused 1 of 7 automata, 0 of 5 publication checks; "
+                                 "full load: the catalog lists other units"),
     "declaration renamed": (_edit("document_manager.adl", "DocInternal", "DocPlumbing"),
                             None, _LENT + "document_manager.adl changes its declarations"),
     "declaration added": (_edit("document_manager.adl", "interface DocInternal {",
@@ -539,24 +538,19 @@ STALE_EDITS = {
         None, _LENT + "document_manager.adl names a declaration of another unit"),
     "architecture unit edited": (_touch, None, _LENT + "insurance.adl is not self-contained"),
     "unit added": (_edits(_catalog_lists(*_UNITS, "extra.adl"), _DOCUMENT_PROTOCOL), None,
-                   "reused 6 of 7 automata, 5 of 5 publication checks, 5 of 7 unit parses; "
+                   "reused 6 of 7 automata, 5 of 5 publication checks; "
                    "full load: the catalog lists other units"),
     "unit removed": (_edits(_catalog_lists(*_UNITS[:-1]), _DOCUMENT_PROTOCOL), None,
-                     "reused 5 of 6 automata, 3 of 3 publication checks, 4 of 5 unit parses; "
+                     "reused 5 of 6 automata, 3 of 3 publication checks; "
                      "full load: the catalog lists other units"),
     "units reordered": (_catalog_lists(*_UNITS[::-1]), None,
-                        "reused 7 of 7 automata, 5 of 5 publication checks, 6 of 6 unit parses; "
+                        "reused 7 of 7 automata, 5 of 5 publication checks; "
                         "full load: the catalog lists other units"),
-    "syntax memo missing a unit": (
-        _edits(lambda workdir: repo.syntax_memo_path(workdir / "catalog_full.txt.idx").unlink(),
-               _DOCUMENT_PROTOCOL),
-        None, "reused 6 of 7 automata, 5 of 5 publication checks, 0 of 6 unit parses; "
-              "full load: the syntax memo lacks types.adl"),
     "check broken": (_edit("solo.adl", "(?s ?t)*", "?t (?s ?t)*"), None, None),
     "requirement that needs the catalog": (
         _edits(_DOCUMENT_PROTOCOL, lambda workdir: (workdir / "account_req.adl").write_text(
             "type String;\ninterface WantAccount extends AccountInquiry { }\n")),
-        None, "reused 6 of 7 automata, 5 of 5 publication checks, 5 of 6 unit parses; "
+        None, "reused 6 of 7 automata, 5 of 5 publication checks; "
               "full load: the requirement needs the catalog"),
 }
 
@@ -576,17 +570,21 @@ def _stale_catalog(workdir: Path) -> list[str]:
     return args
 
 
-def _cache_files(cache: Path) -> tuple[bytes, bytes]:
-    return cache.read_bytes(), repo.syntax_memo_path(cache).read_bytes()
+# the reasons `_rederive` finds after it parsed the changed units, which the full
+# load then parses again
+_PARSED_BEFORE_REFUSAL = ("changes its declarations", "names a declaration of another unit",
+                          "the requirement needs the catalog")
 
 
 @pytest.mark.parametrize("case", list(STALE_EDITS))
-def test_a_stale_cache_rebuild_equals_a_cold_build(workdir, case):
+def test_a_stale_cache_rebuild_equals_a_cold_build(workdir, monkeypatch, case):
     edit, limit, note = STALE_EDITS[case]
     env = {} if limit is None else {"ARCHMATCH_STATE_LIMIT": limit}
     match_args = _stale_catalog(workdir)
     edit(workdir)
+    calls = _count_calls(monkeypatch)
     stale = run(*match_args, env=env)
+    parses = calls["parse_unit"]
     cold = run("--cache", str(workdir / "cold.idx"), *match_args, env=env)
     assert (stale.stdout, stale.exit_code) == (cold.stdout, cold.exit_code)
     assert _without_index_note(stale.stderr) == _without_index_note(cold.stderr)
@@ -596,10 +594,18 @@ def test_a_stale_cache_rebuild_equals_a_cold_build(workdir, case):
         return
     components = len(repo.reach(repo.load_cache(workdir / "cold.idx")[0]).entries)
     assert f"index: built ({components} component(s); cache stale; {note})\n" in stale.stderr
+    # the requirement is no catalog unit, and is parsed once either way
+    if note.startswith("re-derived "):
+        assert parses == 1 + int(note.split()[1])  # the changed units
+    else:
+        units = repo.Units(workdir / "catalog_full.txt", (workdir / "catalog_full.txt").read_text())
+        again = note.endswith(_PARSED_BEFORE_REFUSAL)  # the one changed unit
+        assert parses == 1 + len(units.paths) + again  # every unit
     build = run(*match_args[:2], "--cache", str(workdir / "built.idx"), "index", "build")
     assert build.exit_code == 0
-    assert _cache_files(workdir / "catalog_full.txt.idx") == _cache_files(workdir / "built.idx")
-    assert _cache_files(workdir / "cold.idx") == _cache_files(workdir / "built.idx")
+    built = (workdir / "built.idx").read_bytes()
+    assert (workdir / "catalog_full.txt.idx").read_bytes() == built
+    assert (workdir / "cold.idx").read_bytes() == built
 
 
 def test_a_full_load_decodes_only_the_stale_entries_it_asks_for(workdir, monkeypatch):
@@ -701,13 +707,16 @@ def test_edit_sequences_rebuild_as_a_cold_build(edits):
             _apply(edit, units, catalog)
             _write_edited_catalog(root, units, catalog)
             stale = run(*args)
-            for cold_file in root.glob("cold.idx*"):
-                cold_file.unlink()
+            (root / "cold.idx").unlink(missing_ok=True)
             cold = run("--cache", str(root / "cold.idx"), *args)
             assert (stale.stdout, stale.exit_code) == (cold.stdout, cold.exit_code), edit
             assert _without_index_note(stale.stderr) == _without_index_note(cold.stderr), edit
             if stale.exit_code != 2:
-                assert _cache_files(root / "cat.txt.idx") == _cache_files(root / "cold.idx"), edit
+                assert run(*args[:2], "--cache", str(root / "built.idx"), "index", "build"
+                           ).exit_code == 0
+                built = (root / "built.idx").read_bytes()
+                assert (root / "cat.txt.idx").read_bytes() == built, edit
+                assert (root / "cold.idx").read_bytes() == built, edit
             event(f"re-derived: {'re-derived' in stale.stderr}")
 
 
@@ -730,54 +739,126 @@ def test_a_defective_stale_cache_lends_the_rebuild_nothing(workdir):
         assert cache.read_bytes() == rebuilt, name
 
 
-# --- the syntax memo beside the cache -------------------------------------------------
-
-@pytest.mark.parametrize("defect", list(SYNTAX_DEFECTS))
-def test_a_defective_syntax_memo_only_costs_the_parses(workdir, defect):
-    catalog = str(workdir / "catalog_full.txt")
-    match_args = ["match", str(workdir / "manage_documents_req.adl")]
-    run("--catalog", catalog, *match_args)  # writes the cache and its syntax memo
-    _touch(workdir)
-    cold = run("--catalog", catalog, "--cache", str(workdir / "cold.idx"), *match_args)
-    memo = repo.syntax_memo_path(workdir / "catalog_full.txt.idx")
-    SYNTAX_DEFECTS[defect](memo)
-    inspect = run("--catalog", catalog, "index", "inspect")
-    shown = [line for line in inspect.stdout.splitlines() if line.startswith("syntax memo: ")]
-    assert inspect.exit_code == 0
-    assert (shown == ["syntax memo: 3 unit(s)"]) is (defect in INSIDE_A_UNIT), shown
-    res = run("--catalog", catalog, *match_args)
-    assert (res.stdout, res.exit_code) == (cold.stdout, cold.exit_code)
-    assert "2 of 2 publication checks, 0 of 3 unit parses" in res.stderr  # every unit parsed
-    assert (workdir / "catalog_full.txt.idx").read_bytes() == (workdir / "cold.idx").read_bytes()
-    if defect == "a directory in the file's place":
-        assert "; cannot write syntax memo: Is a directory)" in res.stderr
-    else:  # written anew
-        assert len(repo.load_syntax(memo).stored) == 3
-
-
 def test_an_edit_that_breaks_an_unchanged_unit_gives_the_diagnostics_of_a_parse(workdir):
     catalog = str(workdir / "catalog_full.txt")
     match_args = ["match", str(workdir / "manage_documents_req.adl")]
-    run("--catalog", catalog, *match_args)  # writes the cache and its syntax memo
+    run("--catalog", catalog, *match_args)  # writes the cache
     types = workdir / "types.adl"
     types.write_text(types.read_text().replace("type String;", ""))
-    memo = repo.syntax_memo_path(workdir / "catalog_full.txt.idx")
-    decoded = run("--catalog", catalog, *match_args)
-    memo.unlink()
-    parsed = run("--catalog", catalog, *match_args)
-    assert decoded.exit_code == parsed.exit_code == 2
-    assert "document_manager.adl:" in decoded.stderr and "insurance.adl:" in decoded.stderr
-    assert decoded.stderr_bytes == parsed.stderr_bytes
+    stale = run("--catalog", catalog, *match_args)
+    cold = run("--catalog", catalog, "--cache", str(workdir / "cold.idx"), *match_args)
+    assert stale.exit_code == cold.exit_code == 2
+    assert "document_manager.adl:" in stale.stderr and "insurance.adl:" in stale.stderr
+    assert stale.stderr_bytes == cold.stderr_bytes
 
 
-def test_index_build_writes_the_syntax_memo_and_inspect_shows_it(workdir):
+# --- a syntax memo left beside the cache by an earlier version -----------------------
+
+# the cache and the syntax memo (`ARCHMATCH-SYNTAX v1`) that `index build` wrote for
+# fixtures/catalog_full.txt before the memo was removed
+V10_CACHE = FIXTURES / "catalog_full_v10_cache.txt"
+V1_SYNTAX_MEMO = FIXTURES / "catalog_full_v1_syntax_memo.bin"
+# what an earlier version may have left at `<cache>.syntax`
+LEFTOVER_MEMOS = {
+    "the memo an earlier version wrote": lambda memo: shutil.copy(V1_SYNTAX_MEMO, memo),
+    "garbage bytes": lambda memo: memo.write_bytes(b"\0\xffnot a memo\n" * 3),
+    "a directory": Path.mkdir,
+    "an unreadable file": lambda memo: os.symlink(memo.name, memo),  # a loop
+}
+
+
+def _opened(monkeypatch) -> list[str]:
+    """The files that `open` and `Path.open` are asked for from now on."""
+    opened: list[str] = []
+
+    def spying(file, *args, _real=open, **kwargs):
+        opened.append(str(file))
+        return _real(file, *args, **kwargs)
+
+    def path_spying(path, *args, _real=Path.open, **kwargs):
+        opened.append(str(path))
+        return _real(path, *args, **kwargs)
+    monkeypatch.setattr(builtins, "open", spying)
+    monkeypatch.setattr(Path, "open", path_spying)
+    return opened
+
+
+def _as_found(path: Path) -> tuple:
+    """What a rewrite or a removal of `path` would change."""
+    found = path.lstat()
+    return found.st_ino, found.st_mtime_ns, os.readlink(path) if path.is_symlink() else \
+        sorted(os.listdir(path)) if path.is_dir() else path.read_bytes()
+
+
+@pytest.mark.parametrize("leftover", list(LEFTOVER_MEMOS))
+def test_a_syntax_memo_left_by_an_earlier_version_is_ignored(workdir, monkeypatch, leftover):
     catalog = str(workdir / "catalog_full.txt")
-    memo = repo.syntax_memo_path(workdir / "catalog_full.txt.idx")
-    assert run("--catalog", catalog, "index", "build").exit_code == 0
-    assert len(repo.load_syntax(memo).stored) == 3
-    memo.unlink()
+    match_args = ["--catalog", catalog, "match", str(workdir / "manage_documents_req.adl")]
+    cache, memo = workdir / "catalog_full.txt.idx", workdir / "catalog_full.txt.idx.syntax"
+    shutil.copy(V10_CACHE, cache)
+    LEFTOVER_MEMOS[leftover](memo)
+    found = _as_found(memo)
+    opened = _opened(monkeypatch)
+    warm = run(*match_args)
+    assert warm.stderr == "index: cache (5 component(s))\n"  # fresh by its hash
     inspect = run("--catalog", catalog, "index", "inspect")
-    assert "\nsyntax memo: missing\n" in inspect.stdout and inspect.exit_code == 0
+    assert inspect.exit_code == 0 and "memo" not in inspect.stdout
+    _DOCUMENT_PROTOCOL(workdir)
+    stale = run(*match_args)
+    assert stale.stderr == "index: built (5 component(s); cache stale; re-derived 1 of 3 units)\n"
+    cold = run("--cache", str(workdir / "cold.idx"), *match_args)
+    assert run("--catalog", catalog, "--cache", str(workdir / "built.idx"), "index", "build"
+               ).exit_code == 0
+    assert not [path for path in opened if path.endswith(".syntax")]
+    monkeypatch.undo()
+    assert _as_found(memo) == found
+    assert (stale.stdout, stale.exit_code) == (cold.stdout, cold.exit_code)
+    assert cache.read_bytes() == (workdir / "cold.idx").read_bytes() == \
+        (workdir / "built.idx").read_bytes()
+    assert [path.name for path in workdir.glob("*.syntax")] == [memo.name]  # no build writes one
+
+
+# --- no unit, however hostile, ends in a traceback ---------------------------------------
+
+_HOSTILE = ("type T;\ninterface I {{ {method}(x: T); }}\n"
+            "contract C implements I {{ protocol {{ {protocol} }} }}\n"
+            "component K {{ provided contract C }}\n")
+_PLAIN = _HOSTILE.format(method="a", protocol="?a*")
+# the text of a unit of each hostile shape, in bytes
+HOSTILE_UNITS = {
+    "invalid UTF-8": _PLAIN.encode() + b"// \xff\xfe\n",
+    "a NUL byte": _PLAIN.replace(";", ";\0", 1).encode(),
+    "5,000-deep parentheses": _HOSTILE.format(
+        method="a", protocol="(" * 5000 + "?a" + ")" * 5000).encode(),
+    "a 200,000-character identifier": _HOSTILE.format(
+        method="m" * 200_000, protocol=f"?{'m' * 200_000}*").encode(),
+    "unbalanced braces": _PLAIN.replace("component K {", "component K { {").encode(),
+    "3,000 nested stars": _HOSTILE.format(
+        method="a", protocol="(" * 3000 + "?a" + ")*" * 3000).encode(),
+    "cyclic subtypes": ("type U <: V;\ntype V <: U;\n" + _PLAIN.replace("x: T", "x: U")).encode(),
+    "cyclic extends": ("interface J extends I { b(x: T); }\n"
+                       + _PLAIN.replace("interface I {", "interface I extends J {")).encode(),
+}
+# each command on `hostile.adl`, alone or in the catalog `hostile.txt`; `match`
+# runs twice, to build a cache and to read it
+_ON_HOSTILE = (["check", "hostile.adl"],
+               ["--catalog", "hostile.txt", "match", "manage_documents_req.adl"],
+               ["--catalog", "hostile.txt", "match", "manage_documents_req.adl"],
+               ["--catalog", "hostile.txt", "index", "build"],
+               ["--catalog", "catalog_full.txt", "match", "hostile.adl"],
+               ["--catalog", "hostile.txt", "arch"], ["protocol", "--unit", "hostile.adl", "C"])
+
+
+@pytest.mark.parametrize("shape", list(HOSTILE_UNITS))
+def test_no_hostile_unit_ends_in_a_traceback(workdir, monkeypatch, shape):
+    monkeypatch.chdir(workdir)
+    (workdir / "hostile.adl").write_bytes(HOSTILE_UNITS[shape])
+    (workdir / "hostile.txt").write_text("types.adl\nhostile.adl\n")
+    for args in _ON_HOSTILE:
+        res = run(*args)
+        assert res.exit_code in (0, 1, 2), (args, res.stderr[-500:])
+        assert not [line for line in res.stderr.splitlines()
+                    if "Traceback" in line or "internal error" in line], args
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -822,8 +903,8 @@ def test_match_output_is_the_golden_output(workdir, case):
 def _count_calls(monkeypatch) -> Counter:
     """Count the calls of the loading layers a warm `match` can skip."""
     calls: Counter = Counter()
-    for module, name in ((dsl, "parse_unit"), (codec, "decode"),
-                         (model, "validate_publication"), (category, "close")):
+    for module, name in ((dsl, "parse_unit"), (model, "validate_publication"),
+                         (category, "close")):
         def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
@@ -864,21 +945,16 @@ def test_a_warm_match_parses_the_requirement_once(workdir, monkeypatch):
     (workdir / "req.adl").write_text(FALLBACKS["declares a component"][0])
     run("--catalog", "catalog_full.txt", "match", "req.adl")  # builds the cache
     parsed: Counter = Counter()
-    loaded: Counter = Counter()
 
     def counting(unit, _real=dsl.parse_unit):
         parsed[unit.path] += 1
         return _real(unit)
-
-    def loading(memo, unit, _real=repo.SyntaxMemo.parse):
-        loaded[unit.path] += 1
-        return _real(memo, unit)
     monkeypatch.setattr(dsl, "parse_unit", counting)
-    monkeypatch.setattr(repo.SyntaxMemo, "parse", loading)
     res = run("--catalog", "catalog_full.txt", "match", "req.adl")
     assert "index: cache " in res.stderr
-    # the catalog is loaded once, each unit decoded from the syntax memo
-    assert parsed == {"req.adl": 1} and loaded["insurance.adl"] == 1
+    # the catalog is loaded once
+    assert parsed == {"req.adl": 1, "types.adl": 1, "document_manager.adl": 1,
+                      "insurance.adl": 1}
 
 
 # requirements the cache cannot answer alone: the text of `req.adl` (None: the
@@ -926,7 +1002,7 @@ def test_a_warm_match_falls_back_to_the_whole_catalog(workdir, monkeypatch, case
         unit.write_bytes(unit.read_bytes() + b"\n# \xff\n")
     calls = _count_calls(monkeypatch)
     res = run("--catalog", catalog, "match", requirement)
-    assert calls["parse_unit"] + calls["decode"] > 1  # the catalog was loaded
+    assert calls["parse_unit"] > 1  # the catalog was loaded
     assert (res.exit_code, res.stderr) == (code, stderr)
     assert res.stdout.splitlines()[:1] == ([first_line] if first_line else [])
     if code == 0:
@@ -939,8 +1015,8 @@ CACHE_LOADS = {
     "fresh": (lambda cache: None, "cache (5 component(s))"),
     "stale": (lambda cache: (cache.parent / "insurance.adl").write_text(
         (cache.parent / "insurance.adl").read_text() + "\n// touched\n"),
-        "built (5 component(s); cache stale; reused 5 of 5 automata, 2 of 2 publication checks, "
-        "2 of 3 unit parses; full load: insurance.adl is not self-contained)"),
+        "built (5 component(s); cache stale; reused 5 of 5 automata, 2 of 2 publication checks; "
+        "full load: insurance.adl is not self-contained)"),
     "corrupt": (lambda cache: cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n"),
                 "built (5 component(s); corrupt cache: KeyError: 'hash')"),
     "v6 cache": (lambda cache: shutil.copy(V6_CACHE, cache),
@@ -1259,7 +1335,7 @@ def test_a_warm_cache_answers_under_a_limit_at_least_the_recorded_one(workdir, m
             ("49", 4, "built (5 component(s); cache built under a higher state limit (50))")):
         calls.clear()
         res = run(*args, env={"ARCHMATCH_STATE_LIMIT": limit})
-        assert calls["parse_unit"] + calls["decode"] == loaded, limit
+        assert calls["parse_unit"] == loaded, limit
         assert (res.stdout, res.exit_code) == (built.stdout, built.exit_code)
         assert res.stderr == f"index: {note}\n"
 

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-import marshal
 import random
 import re
 import string
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,13 +12,11 @@ from hypothesis import strategies as st
 
 from archmatch import dsl, model
 from archmatch.diagnostics import Span
-from archmatch.dsl import SourceUnit, codec, syntax
+from archmatch.dsl import SourceUnit, syntax
 from archmatch.dsl.tokens import EOF, ERROR, IDENT, STRING, tokenize
 from archmatch.protocol import Alt, Eps, Ev, Seq, Shuffle, Star, chain
 
 from oracles import random_expr
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 PORTFOLIO_ADL = """\
 type String;
@@ -542,66 +538,3 @@ def test_spans_agree_with_offsets_and_run_between_tokens(rng):
         assert span.line == text.count("\n", 0, span.offset) + 1, (text, span)
         assert span.column == span.offset - text.rfind("\n", 0, span.offset), (text, span)
 
-
-# --- the syntax memo's codec ----------------------------------------------------------
-
-def _all_fields(node):
-    """`node` as nested tuples of its class name and every field, spans and
-    the fields left out of `==` included."""
-    if isinstance(node, tuple):
-        return tuple(map(_all_fields, node))
-    if hasattr(node, "__record_fields__"):
-        return (type(node).__name__,) + tuple(_all_fields(getattr(node, name))
-                                              for name in node.__record_fields__)
-    return type(node).__name__, node
-
-
-def _round_trip(tree: syntax.SyntaxTree) -> tuple:
-    """The declarations of `tree` as the syntax memo stores and decodes them."""
-    return codec.decode(marshal.loads(marshal.dumps(codec.encode(tree.declarations))))
-
-
-@pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.adl")))
-def test_the_codec_round_trip_of_a_fixture_unit_equals_its_parse(name):
-    tree = parse_ok((FIXTURES / name).read_text(encoding="utf-8"), name)
-    assert _all_fields(_round_trip(tree)) == _all_fields(tree.declarations)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.randoms(use_true_random=False))
-def test_the_codec_round_trip_equals_the_parse_field_by_field(rng):
-    """Random units: formatted random declarations of every kind, with string
-    escapes and protocols of every operator, relaid with random blanks,
-    comments and line breaks."""
-    tree = syntax.SyntaxTree(tuple(_random_declaration(rng) for _ in range(rng.randint(1, 6))))
-    words = [t.text for t in tokenize(SourceUnit("t", dsl.format(tree)))[:-1]]
-    text = "".join(word + rng.choice(_GAPS) for word in words)
-    parsed = parse_ok(text)
-    assert _all_fields(_round_trip(parsed)) == _all_fields(parsed.declarations)
-
-
-def test_the_codec_covers_every_declaration_kind_and_protocol_operator():
-    kinds = set(syntax.Declaration.__args__)
-    assert set(codec.DECLARATIONS) == kinds
-    text = ('type T; interface I extends J { field f: T; m(a: T): T [guard: "\\"q\\\\\\n\\t"]; }\n'
-            "contract C implements I { incomplete; init { \"s\" } method m(a: T);"
-            " protocol { (?m* ; ?n + ()) | ?o ?p } }\n"
-            "component K { provided contract C internal interface I required interface J"
-            " causal { ?m } }\n"
-            "publication P { provided contract C causal { () } }\n"
-            "architecture business A { object X; morphism X -use-> X; }\n"
-            "link L from A to B { map X -> Y; generator use -> use; }\n")
-    tree = parse_ok(text)
-    assert {type(d) for d in tree.declarations} == kinds
-    assert _all_fields(_round_trip(tree)) == _all_fields(tree.declarations)
-
-
-@pytest.mark.parametrize("cls", [Seq, Alt, Shuffle, Star])
-def test_the_codec_round_trips_a_protocol_of_any_depth(cls):
-    expr = Ev("e")
-    for i in range(3000):
-        expr = cls(expr) if cls is Star else cls(Ev(f"e{i}"), expr) if i % 2 else cls(expr, Ev("e"))
-    tree = parse_ok(f"contract C implements I {{ protocol {{ {dsl.format_protocol(expr)} }} }}")
-    (decl,) = _round_trip(tree)
-    assert dsl.format_protocol(decl.protocol) == dsl.format_protocol(expr)
-    assert decl.protocol_span == tree.declarations[0].protocol_span

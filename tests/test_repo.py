@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
-import marshal
 import os
 import shutil
-import sys
 import tempfile
 import zlib
 from pathlib import Path
@@ -17,7 +14,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from archmatch import dsl, matcher, repo
+from archmatch import matcher, repo
 from archmatch import protocol as P
 from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
@@ -251,9 +248,8 @@ def test_a_stale_rebuild_computes_no_shape_to_decode_and_writes_the_cold_bytes(t
         return _real(name, comp, lattice)
     with mock.patch.object(repo, "_entry_from_json", entry_from_json):
         index, origin, reason = _load_index(catalog_path)
-    assert (origin, reason) == ("built", "stale; reused 5 of 5 automata, 2 of 2 publication checks, "
-                                         "2 of 3 unit parses; full load: insurance.adl is not "
-                                         "self-contained")
+    assert (origin, reason) == ("built", "stale; reused 5 of 5 automata, 2 of 2 publication checks; "
+                                         "full load: insurance.adl is not self-contained")
     # every entry is carried as its stale JSON: only `reach` decodes those the requirement reaches
     assert all(lattice is not None for _, lattice in decoded)
     assert sorted(name for name, _ in decoded) == sorted(index.entries) and index.pending
@@ -368,7 +364,7 @@ def test_load_index_reason_stale(tmp_path):
     def setup(cache, catalog, m):
         repo.save_cache(replace(repo.build_index(catalog, m), source_hash="old"), cache)
     assert _load_index_reason(tmp_path, setup) == \
-        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks, 0 of 2 unit parses; "
+        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks; "
                   "full load: the catalog lists other units")  # loaded without a memo: no records
 
 
@@ -409,8 +405,6 @@ def test_cache_write_failure_keeps_previous_cache(tmp_path, monkeypatch, failing
     index = repo.build_index(catalog, m)
     path = tmp_path / "cache.idx"
     path.write_text("previous cache\n")
-    memo_path = repo.syntax_memo_path(path)
-    memo_path.write_text("previous memo\n")
 
     def half_write(self, data, *args, **kwargs):
         with open(self, "wb") as handle:
@@ -426,11 +420,8 @@ def test_cache_write_failure_keeps_previous_cache(tmp_path, monkeypatch, failing
         monkeypatch.setattr(repo.os, "replace", refuse)
     with pytest.raises(OSError):
         repo.save_cache(index, path)
-    with pytest.raises(OSError):
-        repo.save_syntax(repo.SyntaxMemo(kept={b"key": b"unit"}), memo_path)
     assert path.read_text() == "previous cache\n"
-    assert memo_path.read_text() == "previous memo\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.idx", "cache.idx.syntax"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache.idx"]
 
 
 # --- freshness from unit stats ---------------------------------------------------------
@@ -485,27 +476,27 @@ def _rewrite_dated_as_the_cache(tmp_path: Path) -> None:
 
 
 # a change after the cache was built, and whether the next match finds the
-# cache stale: the parses it then reuses and why it loads the whole catalog,
-# or None when it finds it fresh
+# cache stale: why it then loads the whole catalog, or None when it finds it
+# fresh
 STAT_CHANGES = {
     "same-size rewrite dated as the cache": (
         _rewrite_dated_as_the_cache,
-        "3 of 4 unit parses; full load: a.adl changes its declarations"),
+        "a.adl changes its declarations"),
     "equal-size units swapped in the catalog": (
         lambda root: (root / "catalog.txt").write_text("types.adl\ndocument_manager.adl\n"
                                                         "b.adl\na.adl\n"),
-        "4 of 4 unit parses; full load: the catalog lists other units"),
+        "the catalog lists other units"),
     "unit dropped from the catalog": (
         lambda root: (root / "catalog.txt").write_text("types.adl\ndocument_manager.adl\n"
                                                         "a.adl\n"),
-        "3 of 3 unit parses; full load: the catalog lists other units"),
+        "the catalog lists other units"),
     "touch": (lambda root: os.utime(root / "a.adl", ns=(10**18, 10**18)), None),
 }
 
 
 @pytest.mark.parametrize("change", list(STAT_CHANGES))
 def test_a_change_of_the_units_is_found_however_their_stats_read(tmp_path, change):
-    edit, parses = STAT_CHANGES[change]
+    edit, rule = STAT_CHANGES[change]
     catalog_path = copy_fixtures(tmp_path)
     (tmp_path / "a.adl").write_text("type Xa;\n")
     (tmp_path / "b.adl").write_text("type Xb;\n")
@@ -513,8 +504,8 @@ def test_a_change_of_the_units_is_found_however_their_stats_read(tmp_path, chang
     assert _load_index(catalog_path)[1:] == ("built", "missing")
     edit(tmp_path)
     assert _load_index(catalog_path)[1:] == (
-        ("built", f"stale; reused 1 of 1 automata, 0 of 0 publication checks, {parses}")
-        if parses else ("cache", None))
+        ("built", f"stale; reused 1 of 1 automata, 0 of 0 publication checks; full load: {rule}")
+        if rule else ("cache", None))
 
 
 def test_cache_transparency_for_matching(tmp_path):
@@ -674,58 +665,6 @@ def test_a_warm_hit_answers_as_the_whole_catalog(case):
                                      (origin, "missing" if origin == "built" else None))
         parsed = {call.args[0].path for call in parse.call_args_list}
         event(f"warm: catalog parsed: {parsed != {str(root / 'req.adl')}}")
-
-
-# --- the syntax memo ----------------------------------------------------------------------
-
-def _memo_path(catalog_path: Path) -> Path:
-    return repo.syntax_memo_path(repo.default_cache_path(catalog_path))
-
-
-def test_the_syntax_memo_file_is_a_sealed_marshal_table_of_units(tmp_path):
-    catalog_path = copy_fixtures(tmp_path, "catalog_full.txt")
-    _load_index(catalog_path)  # writes the cache and the memo
-    header, _, body = _memo_path(catalog_path).read_bytes().partition(b"\n")
-    assert header.decode() == \
-        f"{repo.SYNTAX_MAGIC} {sys.implementation.cache_tag} {zlib.crc32(body):08x}"
-    texts = [(tmp_path / name).read_text() for name in ("types.adl", "document_manager.adl",
-                                                        "insurance.adl")]
-    assert list(marshal.loads(body)) == [hashlib.sha256(t.encode()).digest() for t in texts]
-
-
-def test_a_rewritten_syntax_memo_keeps_the_units_listed_and_reuses_their_bytes(tmp_path):
-    catalog_path = copy_fixtures(tmp_path, "catalog_full.txt")
-    _load_index(catalog_path)
-    first = repo.load_syntax(_memo_path(catalog_path)).stored
-    catalog_path.write_text("types.adl\ndocument_manager.adl\n")  # insurance.adl dropped
-    assert _load_index(catalog_path)[2].endswith(
-        ", 2 of 2 unit parses; full load: the catalog lists other units")
-    again = repo.load_syntax(_memo_path(catalog_path)).stored
-    assert list(again.items()) == list(first.items())[:2]
-
-
-def test_a_unit_with_a_diagnostic_is_parsed_and_not_kept():
-    memo = repo.SyntaxMemo()
-    tree, diagnostics = memo.parse(dsl.SourceUnit("bad.adl", "type ;"))
-    assert tree is None and diagnostics and memo.kept == {}
-    tree, diagnostics = memo.parse(dsl.SourceUnit("good.adl", "type T;"))
-    assert diagnostics == [] and len(memo.kept) == 1
-    again = repo.SyntaxMemo(memo.kept)
-    decoded, diagnostics = again.parse(dsl.SourceUnit("moved.adl", "type T;"))
-    assert (decoded, diagnostics) == (tree, []) and decoded.path == "moved.adl"
-    assert (again.reused, again.units) == (1, 1)
-
-
-def test_only_a_full_load_in_load_match_reads_the_syntax_memo(tmp_path, monkeypatch):
-    catalog_path = copy_fixtures(tmp_path, "catalog_full.txt")
-    _load_index(catalog_path)
-    _write_cache_later(catalog_path)
-    refuse = mock.Mock(side_effect=AssertionError("the syntax memo was read"))
-    monkeypatch.setattr(repo, "load_syntax", refuse)
-    monkeypatch.setattr(repo, "save_syntax", refuse)
-    assert _load_index(catalog_path)[1:] == ("cache", None)  # a warm hit
-    assert repo.load(catalog_path)[0] is not None  # as scan-query loads
-    assert refuse.call_count == 0
 
 
 def test_publication_check_keys_are_those_of_earlier_v9_caches():
