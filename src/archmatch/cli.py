@@ -62,11 +62,11 @@ class Session:
         if not self.quiet:
             print(message, file=sys.stderr)
 
-    def require_catalog(self, memo: repo.Memo | None = None) -> tuple[repo.Catalog, object]:
-        """The catalog and its model; with a `memo`, the catalog keeps what a cache records."""
+    def require_catalog(self, units: repo.Units | None = None) -> tuple[repo.Catalog, object]:
+        """The catalog and its model, loaded from its `units` if they are given."""
         if self.catalog_path is None:
             _input_error(NEEDS_CATALOG)
-        catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit, memo=memo)
+        catalog, model_, diagnostics = repo.load(self.catalog_path, self.state_limit, units)
         _print_diagnostics(diagnostics, self.base_dir)
         if catalog is None:
             sys.exit(2)
@@ -231,10 +231,22 @@ def link(session: Session, name: str) -> None:
     sys.exit(1)
 
 
+def _units(catalog_path: str | None) -> repo.Units | None:
+    """The units of the catalog at `catalog_path`, stat-ed, or None when there
+    is no catalog or it is no readable file (a FIFO is never opened)."""
+    if not catalog_path or not os.path.isfile(catalog_path):
+        return None
+    try:
+        return repo.Units(catalog_path, Path(catalog_path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
 def index_build(session: Session) -> None:
     """Compile all component protocols and write the cache file."""
-    catalog, model_ = session.require_catalog(repo.Memo())  # unit records
-    compiled = repo.build_index(catalog, model_, session.state_limit)
+    units = _units(session.catalog_path)  # stat-ed before they are read, for their records
+    catalog, model_ = session.require_catalog(units)
+    compiled = repo.build_index(catalog, model_, session.state_limit, units)
     path = (repo.default_cache_path(catalog.path) if session.cache_path is None
             else Path(session.cache_path))
     try:
@@ -255,11 +267,7 @@ def index_inspect(session: Session) -> None:
         path = repo.default_cache_path(session.catalog_path)
     else:
         _input_error("index inspect needs --cache PATH or --catalog PATH")
-    catalog = session.catalog_path
-    try:  # freshness is shown only when the catalog and its units can be read
-        units = repo.Units(catalog, Path(catalog).read_text(encoding="utf-8")) if catalog else None
-    except (OSError, UnicodeDecodeError):
-        units = None
+    units = _units(session.catalog_path)  # freshness is shown only when the units can be read
     try:
         compiled, fresh = repo.load_cache(path, units)  # as `match` judges it
         repo.reach(compiled)

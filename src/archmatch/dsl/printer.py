@@ -20,27 +20,19 @@ def _string(value: str) -> str:
 _BINARY = {Seq: (" ", 3, 2, 2), Alt: (" + ", 2, 1, 1), Shuffle: (" | ", 1, 0, 0)}
 
 
-def format_protocol(expr: ProtocolExpr, printed: dict | None = None) -> str:
+def format_protocol(expr: ProtocolExpr) -> str:
     """Render a protocol expression with minimal parentheses.
 
     Binary operators associate to the right, so a left-nested operand of the
     same operator is parenthesized to survive reparsing. The walk keeps its
     own stack, so an expression of any depth is printed without recursion.
-
-    `printed` maps the id of an expression printed before to the expression,
-    kept so that its id is not reused, and its text and precedence: such an
-    expression is not printed again where it occurs, and `expr` is added.
     """
-    known = {} if printed is None else printed
     values: list[tuple[str, int]] = []  # (text, precedence) of the operands printed
     stack = [(expr, False)]
     while stack:
         e, operands_printed = stack.pop()
-        held = known.get(id(e))
         kind = type(e)
-        if held is not None:
-            values.append(held[1])
-        elif kind is Ev:
+        if kind is Ev:
             values.append(("?" + e.name, 3))
         elif kind is Eps:
             values.append(("()", 3))
@@ -59,8 +51,6 @@ def format_protocol(expr: ProtocolExpr, printed: dict | None = None) -> str:
             left, left_own = values.pop()
             values.append(((f"({left})" if left_own < left_level else left) + op
                            + (f"({right})" if right_own < right_level else right), own))
-    if printed is not None:
-        printed[id(expr)] = expr, values[0]
     return values[0][0]
 
 

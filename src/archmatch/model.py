@@ -46,9 +46,6 @@ class MethodSig:
         """(parameter types, return type): all that a signature match compares."""
         return tuple(p.type for p in self.params), self.return_type
 
-    def param_types(self) -> tuple[str, ...]:
-        return self.types[0]
-
     def render(self) -> str:
         params = ", ".join(f"{p.name}: {p.type}" for p in self.params)
         ret = f": {self.return_type}" if self.return_type else ""
@@ -237,7 +234,8 @@ class _Resolver:
         # reject supertype cycles: each type's chain is walked until it meets a
         # type already settled, so every link is walked once
         cyclic: dict[str, bool] = {}  # settled type -> whether its chain cycles
-        first = {decl.name: decl for decl, _ in reversed(decls)}  # each name's first declaration
+        # each name's first declaration, and its unit
+        first = {decl.name: (decl, path) for decl, path in reversed(decls)}
         for name in self.model.types:
             chain: dict[str, None] = {}
             cursor: str | None = name
@@ -247,8 +245,9 @@ class _Resolver:
             verdict = cursor in chain or cyclic.get(cursor, False)
             cyclic.update(dict.fromkeys(chain, verdict))
             if cyclic[name]:
-                self.error(first[name].span, f"cyclic supertype chain through {name!r}",
-                           "cyclic-declaration")
+                decl, path = first[name]
+                self.error(decl.span, f"cyclic supertype chain through {name!r}",
+                           "cyclic-declaration", path)
 
     def _check_type_ref(self, type_name: str, span: Span, path: str) -> None:
         if type_name not in self.model.types:

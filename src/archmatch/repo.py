@@ -4,18 +4,18 @@ protocol index, and its cache file.
 Compiling every component's protocols is the one-time cost paid when the
 architecture changes; the cache file makes it pay once per change, with a
 content hash of the unit texts to detect staleness. The cache file is the magic
-line `ARCHMATCH-IDX v10` with a CRC-32 of the rest of the file, then one
+line `ARCHMATCH-IDX v11` with a CRC-32 of the rest of the file, then one
 sorted-key JSON document. Besides the compiled components, each with the
 printed protocol its DFA was built from and the shapes of its methods, it
 holds what a query needs of the catalog: its types, every non-type name it
 declares, and the state limit its load and build succeeded under; and one
 record per unit (`_unit_records`): its size and times, from a stat taken
 before it was read, the SHA-256 of its text, what it declares, whether it is
-self-contained, the first unit that needs it, and the keys of its publication
-checks that passed. A unit is self-contained when it declares no architecture
-or link and every interface or contract it names (by `extends`, `implements`,
-`provided contract`, `internal interface` or `required interface`) is its own;
-it is needed when another unit names one of its declarations so.
+self-contained, and the first unit that needs it. A unit is self-contained
+when it declares no architecture or link and every interface or contract it
+names (by `extends`, `implements`, `provided contract`, `internal interface`
+or `required interface`) is its own; it is needed when another unit names one
+of its declarations so.
 
 `load_cache` reads a cache one way: it checks the checksum and every top-level
 field, leaves every entry pending, and judges freshness from unit stats. It
@@ -27,7 +27,7 @@ rule). `reach` decodes the entries a caller needs: `index inspect` all, and
 `load_match` reads the catalog, the requirement and the cache once. A fresh
 cache answers `match` alone, without lexing, parsing or resolving a catalog
 unit or checking a publication. The catalog is loaded instead when the cache
-is missing, stale, corrupt, of another version (`v1` to `v9`) or built under a
+is missing, stale, corrupt, of another version (`v1` to `v10`) or built under a
 higher state limit (these three are rebuilt), when a file cannot be read, and
 when the requirement is a catalog unit, declares anything but types,
 interfaces and contracts, extends or implements an interface it does not
@@ -44,17 +44,13 @@ the state limit; and when the cached types answer the requirement. It parses
 only the changed units, and reads all it needs of the others from their unit
 records: declarations of other units read nothing of a changed unit but
 names, which stay, so what they derive stands. Otherwise the full load parses
-and resolves every unit, and the stale cache is its `Memo`: an entry whose
-printed protocol, alphabet, methods and shapes are unchanged is carried
-as its stale JSON, and a DFA or a passed publication check whose key, the
-printed expressions and alphabets it was computed from, is unchanged is taken
-from it instead of recomputed (the verifying traces of Mokhov, Mitchell and
-Peyton Jones, "Build Systems à la Carte", ICFP 2018). Both write the bytes a
-cold build writes; a copied or carried entry is trusted as a pending one is,
-behind the checksum, and `reach` checks it when it decodes it. `index build`
-builds from the units alone. A build writes the cache file and nothing else:
-a `<cache>.syntax` file that earlier versions wrote beside it is never read,
-rewritten or removed.
+and resolves every unit and builds as a cold build does, taking nothing from
+the stale cache. Both write the bytes a cold build writes; a copied entry is
+trusted as a pending one is, behind the checksum, and `reach` checks it when it
+decodes it. Only the two writers, this build and `index build`, record the
+units, from the stats they took before reading them. A build writes the cache
+file and nothing else: a `<cache>.syntax` file that earlier versions wrote
+beside it is never read, rewritten or removed.
 """
 
 from __future__ import annotations
@@ -83,8 +79,8 @@ if TYPE_CHECKING:  # `category` is imported by the commands that build architect
 # after a change to compile, determinize or minimize), or its recorded
 # state_limit, an entry's `protocol` or `shapes`, or a field of a unit record
 # could mean something else, so that older caches are rejected and rebuilt
-# without lending a rebuild their automata or checks.
-CACHE_MAGIC = "ARCHMATCH-IDX v10"
+# cold, none of their entries copied.
+CACHE_MAGIC = "ARCHMATCH-IDX v11"
 
 # the Model tables whose names a requirement may not redeclare
 _NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
@@ -111,7 +107,6 @@ class Catalog:
     architectures: dict[str, PseudoCategory] = field(default_factory=dict)
     links: dict[str, FunctorMapping] = field(default_factory=dict)
     source_hash: str = ""
-    records: list[list] = field(default_factory=list)  # given a memo to load: `_unit_records`
 
 
 @record(frozen=True)
@@ -142,55 +137,6 @@ class CompiledIndex:
     def size(self) -> int:
         """The number of components, decoded or not."""
         return len(self.entries) + len(self.pending)
-
-
-@record
-class Memo:
-    """Results a build takes instead of computing them, by content key, and
-    how many it took.
-
-    `stale` holds a stale cache's entries as JSON, undecoded: one whose
-    component keeps its printed protocol, alphabet, methods and shapes is
-    carried as it is, and `automaton` decodes another only for a DFA asked
-    for by its printed protocol and alphabet. `checked` holds the keys of
-    publication checks that passed (`_check_key`). Equal keys give equal
-    results: printing is injective, and minimal DFAs are canonically numbered.
-    Both hold for any state limit at least the one they were computed under: a
-    state limit only turns a result into ProtocolTooLarge. A build given a
-    memo, even an empty one, computes the keys a cache records; one given none
-    skips them.
-    """
-
-    stale: dict[str, dict] = field(default_factory=dict)  # by component
-    checked: frozenset[str] = frozenset()
-    # the key of each check this build passed, by publication or component
-    passed: dict[str, str] = field(default_factory=dict)
-    checks: int = 0  # publication checks this build asked for
-    reused_checks: int = 0
-    reused_automata: int = 0  # DFAs decoded or carried
-    # the expressions printed for keys, for `dsl.format_protocol`: components,
-    # contracts and publications share them, and none is printed twice
-    printed: dict = field(default_factory=dict)
-    # the stale component with each printed protocol and alphabet, on first use
-    by_key: dict | None = field(default=None, repr=False)
-
-    def automaton(self, text: str, alphabet: frozenset[str]) -> FiniteAutomaton | None:
-        """The minimal DFA of a stale entry printed as `text` over `alphabet`,
-        decoded now, or None when no such entry decodes."""
-        if self.by_key is None:
-            self.by_key = {}
-            for name, comp in self.stale.items():
-                try:
-                    self.by_key.setdefault(
-                        (comp["protocol"], frozenset(comp["dfa"]["alphabet"])), name)
-                except _DEFECTIVE:  # decoding it would fail too
-                    pass
-        name = self.by_key.get((text, alphabet))
-        try:
-            return None if name is None else \
-                _entry_from_json(name, self.stale[name], None).provided_automaton
-        except _DEFECTIVE:
-            return None
 
 
 def _zero_span() -> Span:
@@ -340,40 +286,15 @@ def _build_architectures(m: Model) -> tuple[dict[str, PseudoCategory],
     return architectures, links, diagnostics
 
 
-def _check_key(pub: model.Publication, printed: dict) -> str:
-    """The SHA-256 of all that `model.validate_publication` reads of `pub`,
-    printed (each expression once, see `Memo.printed`): the causal relation,
-    then each side's traces and sorted alphabet (hashed as `source_hash`
-    hashes unit texts, so distinct parts give distinct keys)."""
-    sides = []  # printed first: a default causal relation is made of their traces
-    for side in (pub.provided, pub.required):
-        if side is not None:
-            sides += [dsl.format_protocol(side.traces, printed),
-                      " ".join(sorted(side.iface.method_names()))]
-    return source_hash([dsl.format_protocol(pub.causal, printed), *sides])
-
-
-def _validate_publications(m: Model, state_limit: int,
-                           memo: Memo | None = None) -> list[Diagnostic]:
-    """The diagnostics of every publication check; with a `memo`, a check whose
-    key it holds is taken as passed, and each check that passes records its
-    key in `memo.passed`."""
+def _validate_publications(m: Model, state_limit: int) -> list[Diagnostic]:
+    """The diagnostics of every publication check."""
     diagnostics: list[Diagnostic] = []
 
     def report(kind: str, name: str, pub: model.Publication) -> None:
-        if memo is not None:
-            key = _check_key(pub, memo.printed)
-            memo.checks += 1
-            if key in memo.checked:
-                memo.reused_checks += 1
-                memo.passed[name] = key
-                return
         try:
             check = model.validate_publication(pub, state_limit)
         except protocol.ProtocolTooLarge as err:
             raise protocol.ProtocolTooLarge(f"{kind} {name!r}: {err}") from err
-        if check.ok and memo is not None:
-            memo.passed[name] = key
         for failure in check.failures:
             word = " ".join(failure.witness) if failure.witness else "(empty trace)"
             diagnostics.append(Diagnostic(
@@ -398,29 +319,26 @@ def _validate_publications(m: Model, state_limit: int,
     return diagnostics
 
 
-def analyze(trees, state_limit: int = protocol.DEFAULT_STATE_LIMIT, memo: Memo | None = None,
+def analyze(trees, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
             ) -> tuple[Model | None, dict[str, PseudoCategory], dict[str, FunctorMapping],
                        list[Diagnostic]]:
-    """Resolve trees, build architectures, validate publications (taking and
-    recording checks in `memo`, if given)."""
+    """Resolve trees, build architectures, validate publications."""
     m, diagnostics = model.resolve(list(trees))
     if m is None:
         return None, {}, {}, diagnostics
     architectures, links, diags = _build_architectures(m)
     diagnostics.extend(diags)
-    diagnostics.extend(_validate_publications(m, state_limit, memo))
+    diagnostics.extend(_validate_publications(m, state_limit))
     if has_errors(diagnostics):
         return None, {}, {}, diagnostics
     return m, architectures, links, diagnostics
 
 
 def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
-         units: Units | None = None, memo: Memo | None = None,
+         units: Units | None = None,
          ) -> tuple[Catalog | None, Model | None, list[Diagnostic]]:
     """Load a catalog file and everything it references. `units` are the
-    catalog's units, already stat-ed (and maybe read); a publication check
-    whose key is in `memo` is taken as passed. Only given a memo does the
-    catalog keep what a cache records of its units, their `records`.
+    catalog's units, already stat-ed (and maybe read).
 
     All units must parse and resolve, architectures must build, and every
     publication must satisfy the causal projection condition; otherwise the
@@ -439,15 +357,12 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
     parsed, trees, diagnostics = parse_units(resolved, texts)
     if has_errors(diagnostics):
         return None, None, diagnostics
-    m, architectures, links, diags = analyze(trees, state_limit, memo)
+    m, architectures, links, diags = analyze(trees, state_limit)
     diagnostics.extend(diags)
     if m is None:
         return None, None, diagnostics
-    catalog = Catalog(str(catalog_path), parsed, trees, architectures, links,
-                      source_hash(unit.text for unit in parsed))
-    if memo is not None:  # what a cache records of the catalog besides its index
-        catalog.records = _unit_records(units, trees, memo.passed)
-    return catalog, m, diagnostics
+    return Catalog(str(catalog_path), parsed, trees, architectures, links,
+                   source_hash(unit.text for unit in parsed)), m, diagnostics
 
 
 def _declares(tree: syntax.SyntaxTree) -> str:
@@ -470,13 +385,10 @@ def _self_contained(tree: syntax.SyntaxTree) -> bool:
         isinstance(d, (syntax.ArchitectureDecl, syntax.LinkDecl)) for d in tree.declarations)
 
 
-def _unit_records(units: Units, trees: tuple[syntax.SyntaxTree, ...],
-                  passed: dict[str, str]) -> list[list]:
-    """The record of each of the `units`, parsed into `trees`, whose checks
-    passed with the keys `passed`: `[path, size, mtime_ns, ctime_ns, sha256,
-    declares, self_contained, needed_by, checked]`, where `needed_by` is the
-    path of the first unit that needs it, or None, and `checked` the sorted
-    keys of its own publication checks."""
+def _unit_records(units: Units, trees: tuple[syntax.SyntaxTree, ...]) -> list[list]:
+    """The record of each of the `units`, parsed into `trees`: `[path, size,
+    mtime_ns, ctime_ns, sha256, declares, self_contained, needed_by]`, where
+    `needed_by` is the path of the first unit that needs it, or None."""
     owner = {d.name: i for i, tree in enumerate(trees) for d in tree.declarations
              if not isinstance(d, syntax.TypeDecl)}  # types may be declared twice
     needed_by: list[str | None] = [None] * len(trees)
@@ -485,40 +397,29 @@ def _unit_records(units: Units, trees: tuple[syntax.SyntaxTree, ...],
             j = owner.get(name, i)
             if j != i and needed_by[j] is None:
                 needed_by[j] = units.paths[i]
-    return [[*stat, units.digest(i), _declares(tree), _self_contained(tree), needed_by[i],
-             _checked(tree, passed)] for i, (stat, tree) in enumerate(zip(units.stats, trees))]
-
-
-def _checked(tree: syntax.SyntaxTree, passed: dict[str, str]) -> list[str]:
-    """The sorted keys of the passed checks of a unit's publications and components."""
-    return sorted({passed[d.name] for d in tree.declarations if d.name in passed})
+    return [[*stat, units.digest(i), _declares(tree), _self_contained(tree), needed_by[i]]
+            for i, (stat, tree) in enumerate(zip(units.stats, trees))]
 
 
 # --- compiled index -----------------------------------------------------------
 
 def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_STATE_LIMIT,
-                memo: Memo | None = None) -> CompiledIndex:
-    """Compile, determinize, and minimize every component's provided protocol,
-    or take its entry or minimal DFA from `memo` (see `_entries`). Only given
-    a memo are the protocols printed here; save_cache prints those it writes.
+                units: Units | None = None) -> CompiledIndex:
+    """Compile, determinize, and minimize every component's provided protocol.
+    Given `units`, the catalog's units as stat-ed before they were read, the
+    index holds their records, as a cache records them.
 
     Deterministic: entries are keyed and processed in component-name order,
     and minimized automata are canonically numbered.
     """
-    entries, carried = _entries(m, state_limit, memo)
-    return CompiledIndex(entries, catalog.source_hash, dict(m.types),
+    return CompiledIndex(_entries(m, state_limit), catalog.source_hash, dict(m.types),
                          tuple(sorted(name for kind in _NON_TYPES for name in vars(m)[kind])),
-                         state_limit, catalog.records, carried)
+                         state_limit, [] if units is None else _unit_records(units, catalog.trees))
 
 
-def _entries(m: Model, state_limit: int, memo: Memo | None,
-             ) -> tuple[dict[str, IndexEntry], dict[str, dict]]:
-    """The index entries of `m`'s components, and the stale JSON of those
-    `memo` carries: a component's stale entry is carried when its printed
-    protocol, alphabet, methods and shapes are those of the component."""
+def _entries(m: Model, state_limit: int) -> dict[str, IndexEntry]:
+    """The index entries of `m`'s components, each holding its protocol expression."""
     entries: dict[str, IndexEntry] = {}
-    carried: dict[str, dict] = {}
-    lattice = TypeLattice.from_types(m.types) if memo is not None and memo.stale else None
     for name in sorted(m.components):
         comp = m.components[name]
         iface = comp.provided_interface
@@ -526,62 +427,30 @@ def _entries(m: Model, state_limit: int, memo: Memo | None,
         expr = comp.provided_protocol
         if expr is None:
             expr = protocol.universal_expr(provided_alphabet)
-        text = None if memo is None else dsl.format_protocol(expr, memo.printed)
-        stale = None if lattice is None else memo.stale.get(name)
-        if stale is not None and _carries(stale, text, provided_alphabet, iface.all_methods(),
-                                          lattice):
-            memo.reused_automata += 1
-            carried[name] = stale
-            continue
-        provided = None if text is None else memo.automaton(text, provided_alphabet)
-        if provided is not None:
-            memo.reused_automata += 1
-        else:
-            try:
-                provided = protocol.minimize(protocol.determinize(
-                    protocol.compile(expr, alphabet=provided_alphabet), state_limit))
-            except protocol.ProtocolTooLarge as err:
-                raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
-        entries[name] = IndexEntry(name, iface.all_methods(), provided,
-                                   expr if text is None else text)
-    return entries, carried
-
-
-def _carries(stale, text: str, alphabet: frozenset[str], methods: tuple[MethodSig, ...],
-             lattice: TypeLattice) -> bool:
-    """Is `stale`, an entry's cache JSON, but for its DFA, that of a component
-    with the protocol printed as `text` over `alphabet` and `methods`?"""
-    try:
-        return stale["protocol"] == text and stale["dfa"]["alphabet"] == sorted(alphabet) \
-            and stale["methods"] == _methods_json(methods) \
-            and stale["shapes"] == _shapes(methods, lattice)
-    except _DEFECTIVE:  # decoding it would fail too
-        return False
+        try:
+            provided = protocol.minimize(protocol.determinize(
+                protocol.compile(expr, alphabet=provided_alphabet), state_limit))
+        except protocol.ProtocolTooLarge as err:
+            raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
+        entries[name] = IndexEntry(name, iface.all_methods(), provided, expr)
+    return entries
 
 
 # --- cache persistence ----------------------------------------------------------
 
-def _methods_json(methods: tuple[MethodSig, ...]) -> list:
-    return [[sig.name, [[p.name, p.type] for p in sig.params], sig.return_type]
-            for sig in methods]
-
-
-def _shapes(methods: tuple[MethodSig, ...], lattice: TypeLattice) -> list[str]:
-    # a requirement reaches the entry through these (see `reach`)
-    return sorted({shape(m, lattice) for m in methods})
-
-
 def _entry_json(entry: IndexEntry, lattice: TypeLattice | None) -> dict:
-    """The entry's cache JSON, its `shapes` on `lattice` (None without one)."""
+    """The entry's cache JSON, its `shapes` on `lattice` (None without one):
+    a requirement reaches the entry through them (see `reach`)."""
     auto = entry.provided_automaton  # minimized, so its states are 0..n-1
     text = entry.protocol
     return {
-        "methods": _methods_json(entry.methods),
+        "methods": [[sig.name, [[p.name, p.type] for p in sig.params], sig.return_type]
+                    for sig in entry.methods],
         "dfa": {"alphabet": sorted(auto.alphabet), "states": len(auto.states),
                 "start": auto.start, "accept": sorted(auto.accepting),
                 "transitions": [list(t) for t in sorted(auto.transitions)]},
         "protocol": text if isinstance(text, str) else dsl.format_protocol(text),
-        "shapes": None if lattice is None else _shapes(entry.methods, lattice),
+        "shapes": None if lattice is None else sorted({shape(m, lattice) for m in entry.methods}),
     }
 
 
@@ -658,13 +527,12 @@ def _entry_from_json(name: str, comp: dict, lattice: TypeLattice | None) -> Inde
     return entry
 
 
-def _record_from_json(path, size, mtime, ctime, digest, declares, contained, needed_by,
-                      checked) -> list:
+def _record_from_json(path, size, mtime, ctime, digest, declares, contained, needed_by) -> list:
     """A unit record as this version writes it (see `_unit_records`)."""
     if type(contained) is not bool:  # == would take a JSON 1 for true
         raise TypeError(f"expected a boolean, got {type(contained).__name__}")
     return [str(path), _int(size), _int(mtime), _int(ctime), str(digest), str(declares), contained,
-            None if needed_by is None else str(needed_by), sorted(set(map(str, checked)))]
+            None if needed_by is None else str(needed_by)]
 
 
 def _catalog_from_json(doc: dict) -> dict:
@@ -703,12 +571,6 @@ def reach(index: CompiledIndex, shapes: set[str] | None = None) -> CompiledIndex
     except _DEFECTIVE as err:
         raise _corrupt(err) from err
     return index
-
-
-def _memo(index: CompiledIndex) -> Memo:
-    """A stale index as a rebuild's memo: its entries, left pending, and the
-    keys of its passed publication checks."""
-    return Memo(index.pending, frozenset(key for record in index.units for key in record[8]))
 
 
 def load_cache(path: str | Path, units: Units | None = None) -> tuple[CompiledIndex, bool]:
@@ -817,16 +679,16 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     origin "cache" and reason None. A stale one is brought up to date by
     `_rederive` when it can, with the reason "stale; re-derived K of N units".
     Otherwise the catalog is loaded from the units already stat-ed and read,
-    and the requirement resolved on it; the index is built with the reason
-    "missing", "stale" (then what the stale cache lent the build, and why
-    `_rederive` could not take it), the CacheError message or that the cache
-    was built under a higher state limit. An index built or brought up to date
-    is saved, with origin "built" and the reason followed by "; cannot write
-    cache: ..." if the new cache could not be saved. The index holds, decoded,
-    at least the entries the requirement reaches: those with a method of the
-    shape of a requirement method (all of them when it has no methods). When
-    the catalog or the requirement fails to load, all but the diagnostics are
-    None.
+    and the requirement resolved on it; the index is built cold with the
+    reason "missing", "stale" (then "; full load: " and why `_rederive` could
+    not take it, if it was offered the cache), the CacheError message or that
+    the cache was built under a higher state limit. An index built or brought
+    up to date is saved, with origin "built" and the reason followed by
+    "; cannot write cache: ..." if the new cache could not be saved. The index
+    holds, decoded, at least the entries the requirement reaches: those with a
+    method of the shape of a requirement method (all of them when it has no
+    methods). When the catalog or the requirement fails to load, all but the
+    diagnostics are None.
     """
     catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
     texts: dict[Path, str] = {}
@@ -839,7 +701,7 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
         try:
             index, fresh = load_cache(path, units)
             limit = index.state_limit
-            if not fresh:  # its automata and checks hold at any limit at least theirs
+            if not fresh:  # its automata hold at any limit at least theirs
                 index, stale, reason = None, index if limit <= state_limit else None, "stale"
             elif limit > state_limit:
                 index, reason = None, f"cache built under a higher state limit ({limit})"
@@ -853,16 +715,15 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
         tree, diagnostics = dsl.parse_unit(SourceUnit(str(requirement_path), req_text))
         loaded = (None, None, diagnostics) if tree is None else \
             _cached_requirement(requirement_path, tree, cached)
-    memo, rule = Memo(), None  # a build here is saved
     if stale is not None:
         update = _rederive(stale, units, state_limit, loaded is not None)
-        if isinstance(update, str):  # the full load, lent the stale cache
-            memo, loaded, rule = _memo(stale), None, update
+        if isinstance(update, str):
+            loaded, reason = None, f"{reason}; full load: {update}"
         else:
             index, count = update
             reason += f"; re-derived {count} of {len(units.paths)} units"
     if loaded is None:  # the full load, on the units read
-        catalog, m, diagnostics = load(catalog_path, state_limit, units, memo)
+        catalog, m, diagnostics = load(catalog_path, state_limit, units)
         if catalog is None:  # else there are no diagnostics
             return None, None, None, None, None, diagnostics
         loaded = load_requirement(requirement_path, catalog, m, texts, tree)
@@ -880,18 +741,10 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
             index, reason = None, str(err)
     if index is None:
         if catalog is None:  # the requirement was resolved on the defective cache's types
-            catalog, m, load_diagnostics = load(catalog_path, state_limit, units, memo)
+            catalog, m, load_diagnostics = load(catalog_path, state_limit, units)
             if catalog is None:
                 return None, None, None, None, None, load_diagnostics
-        index = build_index(catalog, m, state_limit, memo)
-        if rule is not None:
-            reason += (f"; reused {memo.reused_automata} of {index.size()} automata, "
-                       f"{memo.reused_checks} of {memo.checks} publication checks; "
-                       f"full load: {rule}")
-        try:
-            reach(index, shapes)
-        except CacheError as err:  # an entry carried from the stale cache is defective
-            index, reason = build_index(catalog, m, state_limit), str(err)
+        index = build_index(catalog, m, state_limit, units)  # every entry decoded
     try:
         save_cache(index, path)
     except OSError as err:  # the index is built; only later queries lose it
@@ -932,7 +785,7 @@ def _rederive(stale: CompiledIndex, units: Units, state_limit: int,
         changed[i] = tree
     if not answered:
         return "the requirement needs the catalog"
-    memo, base = _memo(stale), Model(types=dict(stale.types))
+    base = Model(types=dict(stale.types))
     entries: dict[str, IndexEntry] = {}
     pending = dict(stale.pending)
     for i, tree in changed.items():
@@ -941,18 +794,16 @@ def _rederive(stale: CompiledIndex, units: Units, state_limit: int,
         if m is None or diagnostics:
             return f"{unit} does not resolve on the cached types"
         try:
-            if _validate_publications(m, state_limit, memo):
+            if _validate_publications(m, state_limit):
                 return f"{unit} fails a publication check"
-            built, carried = _entries(m, state_limit, memo)
+            built = _entries(m, state_limit)
         except protocol.ProtocolTooLarge:
             return f"{unit} exceeds the state limit"
         for name in m.components:
             pending.pop(name, None)
         entries.update(built)
-        pending.update(carried)
-    records = [[*stat, digests[i], *record[5:8],
-                _checked(changed[i], memo.passed) if i in changed else record[8]]
-               for i, (stat, record) in enumerate(zip(units.stats, records))]
+    records = [[*stat, digest, *record[5:]]
+               for stat, digest, record in zip(units.stats, digests, records)]
     index = CompiledIndex(entries, source_hash(texts), stale.types, stale.names, state_limit,
                           records, pending)
     return index, len(changed)

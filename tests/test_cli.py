@@ -84,6 +84,18 @@ def test_check_multiple_units(workdir):
     assert res.exit_code == 0
 
 
+def test_a_cyclic_supertype_error_names_its_unit(tmp_path, monkeypatch):
+    (tmp_path / "units").mkdir()
+    (tmp_path / "units" / "bad.adl").write_text("type U <: V;\ntype V <: U;\n")
+    (tmp_path / "cat.txt").write_text("units/bad.adl\n")
+    monkeypatch.chdir(tmp_path / "units")
+    error = "1:1: error: cyclic supertype chain through 'U' [cyclic-declaration]"
+    res = run("check", "bad.adl")
+    assert res.exit_code == 2 and res.stderr.splitlines()[0] == f"bad.adl:{error}"
+    res = run("--catalog", str(tmp_path / "cat.txt"), "arch")
+    assert res.exit_code == 2 and res.stderr.splitlines()[0] == f"units/bad.adl:{error}"
+
+
 # --- arch ------------------------------------------------------------------------
 
 def test_arch_lists_objects_and_morphisms(workdir):
@@ -381,15 +393,15 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: cache (1 component(s))"]
     shutil.copy(V2_CACHE, cache)
     assert note() == ["index: built (1 component(s); "
-                      "unsupported cache version (expected ARCHMATCH-IDX v10))"]
+                      "unsupported cache version (expected ARCHMATCH-IDX v11))"]
     cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
     assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
     unit = workdir / "document_manager.adl"
     unit.write_text(unit.read_text() + "\n// touched\n")
     assert note() == ["index: built (1 component(s); cache stale; re-derived 1 of 2 units)"]
     (workdir / "catalog.txt").write_text("document_manager.adl\ntypes.adl\n")
-    assert note() == ["index: built (1 component(s); cache stale; reused 1 of 1 automata, "
-                      "0 of 0 publication checks; full load: the catalog lists other units)"]
+    assert note() == ["index: built (1 component(s); cache stale; "
+                      "full load: the catalog lists other units)"]
 
 
 def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
@@ -411,7 +423,7 @@ def test_broken_cache_is_rebuilt_with_the_same_answer(workdir):
         assert cache.read_text() == text, name
 
 
-# --- the stale cache as the rebuild's memo -----------------------------------------
+# --- a stale cache rebuilt: re-derived, or by the full load ------------------------
 
 # a requirement whose answer depends on AccountService's automaton
 ACCOUNT_REQ = """\
@@ -486,9 +498,6 @@ def _catalog_lists(*units: str):
 _UNITS = ("types.adl", "document_manager.adl", "insurance.adl", "base.adl", "derived.adl",
           "solo.adl")
 _DOCUMENT_PROTOCOL = _edit("document_manager.adl", "(?searchDocuments + ?setPreference)* | ", "")
-# what the stale cache lends a full load after an edit of one unit that leaves
-# every entry and check as it was; the note then names why the load was full
-_LENT = "reused 7 of 7 automata, 5 of 5 publication checks; full load: "
 
 # an edit made after a `match` built the cache, the state limit of the next
 # match, and that match's note after "cache stale; ", or None when the rebuild
@@ -509,11 +518,9 @@ STALE_EDITS = {
     # taken by the full load
     "protocol text": (_edit("insurance.adl", "protocol { (?getBalance + ?listTransactions)* }",
                             "protocol { ?getBalance (?getBalance + ?listTransactions)* }"),
-                      None, "reused 6 of 7 automata, 4 of 5 publication checks; "
-                            "full load: insurance.adl is not self-contained"),
+                      None, "full load: insurance.adl is not self-contained"),
     "method added to a base interface": (
         _edit("base.adl", "a(x: String);", "a(x: String); c(x: String);"), None,
-        "reused 6 of 7 automata, 4 of 5 publication checks; "
         "full load: base.adl is needed by derived.adl"),
     "method added to a required interface": (_edit("base.adl", "f(x: String);",
                                                    "f(x: String); g(x: String);"), None, None),
@@ -521,37 +528,32 @@ STALE_EDITS = {
                                                       "?lookup (?inquire ?lookup)*"), None, None),
     "state limit below the cache's": (_touch, "2", None),
     "cache of another catalog": (_another_catalogs_cache, None,
-                                 "reused 1 of 7 automata, 0 of 5 publication checks; "
                                  "full load: the catalog lists other units"),
     "declaration renamed": (_edit("document_manager.adl", "DocInternal", "DocPlumbing"),
-                            None, _LENT + "document_manager.adl changes its declarations"),
+                            None, "full load: document_manager.adl changes its declarations"),
     "declaration added": (_edit("document_manager.adl", "interface DocInternal {",
                                 "interface Spare { }\ninterface DocInternal {"),
-                          None, _LENT + "document_manager.adl changes its declarations"),
+                          None, "full load: document_manager.adl changes its declarations"),
     "supertype changed": (_edit("types.adl", "type Document;", "type Document <: Party;"),
-                          None, _LENT + "types.adl changes its declarations"),  # and Lone's shape
+                          None, "full load: types.adl changes its declarations"),
     "needed unit edited": (_edit("base.adl", "interface Feed", "// edited\ninterface Feed"),
-                           None, _LENT + "base.adl is needed by derived.adl"),
+                           None, "full load: base.adl is needed by derived.adl"),
     "reference to another unit gained": (
         _edit("document_manager.adl", "required interface DocRepositoryServices",
               "required interface DirectoryFeed"),
-        None, _LENT + "document_manager.adl names a declaration of another unit"),
-    "architecture unit edited": (_touch, None, _LENT + "insurance.adl is not self-contained"),
+        None, "full load: document_manager.adl names a declaration of another unit"),
+    "architecture unit edited": (_touch, None, "full load: insurance.adl is not self-contained"),
     "unit added": (_edits(_catalog_lists(*_UNITS, "extra.adl"), _DOCUMENT_PROTOCOL), None,
-                   "reused 6 of 7 automata, 5 of 5 publication checks; "
                    "full load: the catalog lists other units"),
     "unit removed": (_edits(_catalog_lists(*_UNITS[:-1]), _DOCUMENT_PROTOCOL), None,
-                     "reused 5 of 6 automata, 3 of 3 publication checks; "
                      "full load: the catalog lists other units"),
     "units reordered": (_catalog_lists(*_UNITS[::-1]), None,
-                        "reused 7 of 7 automata, 5 of 5 publication checks; "
                         "full load: the catalog lists other units"),
     "check broken": (_edit("solo.adl", "(?s ?t)*", "?t (?s ?t)*"), None, None),
     "requirement that needs the catalog": (
         _edits(_DOCUMENT_PROTOCOL, lambda workdir: (workdir / "account_req.adl").write_text(
             "type String;\ninterface WantAccount extends AccountInquiry { }\n")),
-        None, "reused 6 of 7 automata, 5 of 5 publication checks; "
-              "full load: the requirement needs the catalog"),
+        None, "full load: the requirement needs the catalog"),
 }
 
 
@@ -608,21 +610,18 @@ def test_a_stale_cache_rebuild_equals_a_cold_build(workdir, monkeypatch, case):
     assert (workdir / "cold.idx").read_bytes() == built
 
 
-def test_a_full_load_decodes_only_the_stale_entries_it_asks_for(workdir, monkeypatch):
+def test_a_full_load_decodes_no_stale_entry(workdir, monkeypatch):
     match_args = _stale_catalog(workdir)
     STALE_EDITS["method added to a base interface"][0](workdir)
     decoded = []
 
     def entry_from_json(name, comp, lattice, _real=repo._entry_from_json):
-        decoded.append((name, lattice))
+        decoded.append(name)
         return _real(name, comp, lattice)
     monkeypatch.setattr(repo, "_entry_from_json", entry_from_json)
     res = run(*match_args)
     assert "full load: base.adl is needed by derived.adl" in res.stderr
-    # Kiosk's alphabet changed, so no stale DFA is asked for; every other entry
-    # is carried, and only `reach` decodes, once each, those the requirement reaches
-    names = [name for name, lattice in decoded if lattice is not None]
-    assert decoded and len(names) == len(decoded) == len(set(names)) and "Kiosk" not in names
+    assert decoded == []  # it builds every entry, as a cold build does
 
 
 # --- random edit sequences: every stale rebuild writes what a cold build does ---------------
@@ -735,7 +734,7 @@ def test_a_defective_stale_cache_lends_the_rebuild_nothing(workdir):
         cache.write_text(body)
         res = run(*match_args)
         assert (res.stdout, res.exit_code) == (clean.stdout, clean.exit_code), name
-        assert "index: built " in res.stderr and "reused" not in res.stderr, name
+        assert "index: built " in res.stderr, name
         assert cache.read_bytes() == rebuilt, name
 
 
@@ -754,9 +753,8 @@ def test_an_edit_that_breaks_an_unchanged_unit_gives_the_diagnostics_of_a_parse(
 
 # --- a syntax memo left beside the cache by an earlier version -----------------------
 
-# the cache and the syntax memo (`ARCHMATCH-SYNTAX v1`) that `index build` wrote for
+# the syntax memo (`ARCHMATCH-SYNTAX v1`) that `index build` wrote for
 # fixtures/catalog_full.txt before the memo was removed
-V10_CACHE = FIXTURES / "catalog_full_v10_cache.txt"
 V1_SYNTAX_MEMO = FIXTURES / "catalog_full_v1_syntax_memo.bin"
 # what an earlier version may have left at `<cache>.syntax`
 LEFTOVER_MEMOS = {
@@ -795,12 +793,12 @@ def test_a_syntax_memo_left_by_an_earlier_version_is_ignored(workdir, monkeypatc
     catalog = str(workdir / "catalog_full.txt")
     match_args = ["--catalog", catalog, "match", str(workdir / "manage_documents_req.adl")]
     cache, memo = workdir / "catalog_full.txt.idx", workdir / "catalog_full.txt.idx.syntax"
-    shutil.copy(V10_CACHE, cache)
+    assert run("--catalog", catalog, "index", "build").exit_code == 0
     LEFTOVER_MEMOS[leftover](memo)
     found = _as_found(memo)
     opened = _opened(monkeypatch)
     warm = run(*match_args)
-    assert warm.stderr == "index: cache (5 component(s))\n"  # fresh by its hash
+    assert warm.stderr == "index: cache (5 component(s))\n"
     inspect = run("--catalog", catalog, "index", "inspect")
     assert inspect.exit_code == 0 and "memo" not in inspect.stdout
     _DOCUMENT_PROTOCOL(workdir)
@@ -1015,12 +1013,11 @@ CACHE_LOADS = {
     "fresh": (lambda cache: None, "cache (5 component(s))"),
     "stale": (lambda cache: (cache.parent / "insurance.adl").write_text(
         (cache.parent / "insurance.adl").read_text() + "\n// touched\n"),
-        "built (5 component(s); cache stale; reused 5 of 5 automata, 2 of 2 publication checks; "
-        "full load: insurance.adl is not self-contained)"),
+        "built (5 component(s); cache stale; full load: insurance.adl is not self-contained)"),
     "corrupt": (lambda cache: cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n"),
                 "built (5 component(s); corrupt cache: KeyError: 'hash')"),
     "v6 cache": (lambda cache: shutil.copy(V6_CACHE, cache),
-                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v10))"),
+                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v11))"),
     "lowered limit": (lambda cache: None, "built (5 component(s); cache built under a higher "
                                           f"state limit ({protocol.DEFAULT_STATE_LIMIT}))"),
     "a catalog unit": (lambda cache: None, "cache (1 component(s))"),

@@ -335,7 +335,7 @@ def _catalogs(draw):
     wanted = tuple(draw(_METHODS))
 
     def near(m):
-        types = [draw(st.sampled_from([t, parents[t] or t])) for t in m.param_types()]
+        types = [draw(st.sampled_from([t, parents[t] or t])) for t in m.types[0]]
         params = tuple(model.Param(p.name, t) for p, t in zip(m.params, types))
         return model.MethodSig(draw(st.sampled_from(NAMES)), params, m.return_type)
 

@@ -77,8 +77,8 @@ def test_every_type_that_reaches_a_supertype_cycle_is_reported_once():
                             "type E <: A;\ntype F <: E;\ntype B <: C;")
     assert m is None
     assert [str(d) for d in diags] == [
-        f"{line}:1: error: cyclic supertype chain through {name!r} [cyclic-declaration]"
-        for line, name in ((1, "A"), (2, "B"), (3, "C"), (5, "E"), (6, "F"))]
+        f"unit0.adl:{line}:1: error: cyclic supertype chain through {name!r} "
+        "[cyclic-declaration]" for line, name in ((1, "A"), (2, "B"), (3, "C"), (5, "E"), (6, "F"))]
 
 
 def _load_unit(tmp_path, text):

@@ -102,7 +102,7 @@ def arguments(draw, twin):
 
 
 def test_every_record_class_has_a_twin():
-    assert len(PAIRS) >= 58
+    assert len(PAIRS) >= 57
     assert all(not dataclasses.is_dataclass(cls) for cls, _ in PAIRS)
 
 

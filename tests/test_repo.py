@@ -19,9 +19,16 @@ from archmatch import protocol as P
 from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
 from broken_caches import (DEFECTS, FIELD_DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE,
-                           V7_CACHE, V8_CACHE, V9_CACHE, resealed)
+                           V7_CACHE, V8_CACHE, V9_CACHE, V10_CACHE, resealed)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def built(catalog_path) -> repo.CompiledIndex:
+    """The index of the catalog as `index build` builds it: with its unit records."""
+    units = repo.Units(catalog_path, Path(catalog_path).read_text(encoding="utf-8"))
+    catalog, m, _ = repo.load(catalog_path, units=units)
+    return repo.build_index(catalog, m, units=units)
 
 
 def copy_fixtures(tmp_path, catalog_name="catalog.txt"):
@@ -196,7 +203,7 @@ def test_cache_header_shape(tmp_path):
     repo.save_cache(index, path)
     lines = path.read_text().split("\n")
     magic, seal = lines[0].rsplit(" ", 1)
-    assert magic == "ARCHMATCH-IDX v10"
+    assert magic == "ARCHMATCH-IDX v11"
     assert int(seal, 16) == zlib.crc32(path.read_bytes().partition(b"\n")[2])
     assert lines[2:] == [""]
     doc = json.loads(lines[1])
@@ -206,7 +213,7 @@ def test_cache_header_shape(tmp_path):
     entry = doc["components"]["DocumentManager"]
     assert sorted(entry) == ["dfa", "methods", "protocol", "shapes"]
     assert entry["shapes"] == ["(String)", "(String,String)"]
-    assert doc["units"] == []  # the catalog was loaded without a memo
+    assert doc["units"] == []  # the index was built without the units
     assert entry["protocol"] == \
         "(?searchDocuments + ?setPreference)* | (?searchDocuments + ?viewDocument ?setPreference)*"
     assert entry["methods"][2] == ["setPreference", [["documentType", "String"],
@@ -248,22 +255,19 @@ def test_a_stale_rebuild_computes_no_shape_to_decode_and_writes_the_cold_bytes(t
         return _real(name, comp, lattice)
     with mock.patch.object(repo, "_entry_from_json", entry_from_json):
         index, origin, reason = _load_index(catalog_path)
-    assert (origin, reason) == ("built", "stale; reused 5 of 5 automata, 2 of 2 publication checks; "
-                                         "full load: insurance.adl is not self-contained")
-    # every entry is carried as its stale JSON: only `reach` decodes those the requirement reaches
-    assert all(lattice is not None for _, lattice in decoded)
-    assert sorted(name for name, _ in decoded) == sorted(index.entries) and index.pending
-    catalog, m, _ = repo.load(catalog_path, memo=repo.Memo())  # as `index build` loads
-    repo.save_cache(repo.build_index(catalog, m), tmp_path / "cold.idx")
+    assert (origin, reason) == ("built", "stale; full load: insurance.adl is not self-contained")
+    # the full load builds every entry: none is taken from the stale cache
+    assert decoded == [] and not index.pending
+    repo.save_cache(built(catalog_path), tmp_path / "cold.idx")
     assert repo.default_cache_path(catalog_path).read_bytes() == (tmp_path / "cold.idx").read_bytes()
 
 
-# a resealed defect of a stale cache, and the reason of the rebuild, which
-# lends it no memo: a top-level field is checked before freshness is judged,
-# and an entry carried from the stale cache when the requirement reaches it
+# a resealed defect of a stale cache, and the reason of the rebuild: a
+# top-level field is checked before freshness is judged, and the full load
+# decodes no entry of the stale cache
 STALE_AND_DEFECTIVE = {
     "unit size as a string": "corrupt cache: TypeError: expected an integer, got str",
-    "string state count": "corrupt cache: TypeError: expected an integer, got str",
+    "string state count": "stale; full load: insurance.adl is not self-contained",
 }
 
 
@@ -280,9 +284,9 @@ def test_a_stale_cache_with_a_defect_is_rebuilt_without_a_memo(tmp_path, defect)
 
 def test_cache_of_another_hash_is_stale(tmp_path):
     catalog_path = FIXTURES / "catalog.txt"
-    catalog, m, _ = repo.load(catalog_path)  # without a memo: no unit stats are recorded
+    catalog, m, _ = repo.load(catalog_path)
     units = repo.Units(catalog_path, catalog_path.read_text())
-    index = repo.build_index(catalog, m)
+    index = repo.build_index(catalog, m)  # without the units: none is recorded
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
     loaded, fresh = repo.load_cache(path, units)  # from the hash of the unit texts
@@ -293,9 +297,8 @@ def test_cache_of_another_hash_is_stale(tmp_path):
 
 
 def _full_cache_text(tmp_path) -> str:
-    catalog, m, _ = repo.load(FIXTURES / "catalog_full.txt", memo=repo.Memo())  # keys `checked`
     path = tmp_path / "clean.idx"
-    repo.save_cache(repo.build_index(catalog, m), path)
+    repo.save_cache(built(FIXTURES / "catalog_full.txt"), path)
     return path.read_text()
 
 
@@ -337,12 +340,12 @@ def test_cache_rejects_wrong_version(tmp_path):
     for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2",
                   "ARCHMATCH-IDX v3"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v10"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v11"):
             repo.load_cache(path)
     # real caches of fixtures/catalog_full.txt
-    for cache in (V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE):
+    for cache in (V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE, V10_CACHE):
         shutil.copy(cache, path)
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v10"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v11"):
             repo.load_cache(path)
 
 
@@ -364,8 +367,7 @@ def test_load_index_reason_stale(tmp_path):
     def setup(cache, catalog, m):
         repo.save_cache(replace(repo.build_index(catalog, m), source_hash="old"), cache)
     assert _load_index_reason(tmp_path, setup) == \
-        ("built", "stale; reused 1 of 1 automata, 0 of 0 publication checks; "
-                  "full load: the catalog lists other units")  # loaded without a memo: no records
+        ("built", "stale; full load: the catalog lists other units")  # built without records
 
 
 def test_load_index_reason_corrupt(tmp_path):
@@ -375,11 +377,11 @@ def test_load_index_reason_corrupt(tmp_path):
 
 
 def test_load_index_reason_other_version(tmp_path):
-    for old in (V2_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE):
+    for old in (V2_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE, V10_CACHE):
         origin, reason = _load_index_reason(
             tmp_path, lambda cache, *_, old=old: shutil.copy(old, cache))
         assert (origin, reason) == (
-            "built", "unsupported cache version (expected ARCHMATCH-IDX v10)")
+            "built", "unsupported cache version (expected ARCHMATCH-IDX v11)")
 
 
 def test_load_index_rebuilds_a_cache_built_under_a_higher_state_limit(tmp_path):
@@ -504,7 +506,7 @@ def test_a_change_of_the_units_is_found_however_their_stats_read(tmp_path, chang
     assert _load_index(catalog_path)[1:] == ("built", "missing")
     edit(tmp_path)
     assert _load_index(catalog_path)[1:] == (
-        ("built", f"stale; reused 1 of 1 automata, 0 of 0 publication checks; full load: {rule}")
+        ("built", f"stale; full load: {rule}")
         if rule else ("cache", None))
 
 
@@ -666,11 +668,3 @@ def test_a_warm_hit_answers_as_the_whole_catalog(case):
         parsed = {call.args[0].path for call in parse.call_args_list}
         event(f"warm: catalog parsed: {parsed != {str(root / 'req.adl')}}")
 
-
-def test_publication_check_keys_are_those_of_earlier_v9_caches():
-    # printed once per load, each key keeps its value: a v9 cache written
-    # before that still lent a rebuild its checks, and the unit records keep them
-    catalog, _, _ = repo.load(FIXTURES / "catalog_full.txt", memo=repo.Memo())
-    assert [record[8] for record in catalog.records] == [[], [], [
-        "3d280569b5c2d380bb448c6cc43073448fe5fbaff6d00e6be4b251e2ab496573",
-        "d7711a4fe4c034ae2f7cf1ca0b07626739b5c4fb61c6d5896332fc516b801eca"]]
