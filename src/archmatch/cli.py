@@ -76,7 +76,7 @@ class Session:
 def _analyze_units(session: Session, paths: list[str], base: Path | None):
     """The model of the unit files at `paths`, analyzed; prints the
     diagnostics, paths relative to `base`, and exits 2 on an error."""
-    _, trees, diagnostics = repo.parse_units(paths)
+    _, trees, diagnostics = repo.parse_units(repo.Units("", paths))
     model_ = None
     if not has_errors(diagnostics):
         model_, _, _, analysis_diags = repo.analyze(trees, session.state_limit)
@@ -237,7 +237,7 @@ def _units(catalog_path: str | None) -> repo.Units | None:
     if not catalog_path or not os.path.isfile(catalog_path):
         return None
     try:
-        return repo.Units(catalog_path, Path(catalog_path).read_text(encoding="utf-8"))
+        return repo.Units.listed(catalog_path, Path(catalog_path).read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError):
         return None
 
@@ -278,8 +278,7 @@ def index_inspect(session: Session) -> None:
     if units is not None and units.stats is not None:  # every unit is a file
         print(f"freshness: {'fresh' if fresh else 'stale'}")
     for name, entry in sorted(compiled.entries.items()):
-        print(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s) "
-              f"from {entry.protocol}")
+        print(f"  {name}: provided dfa {len(entry.provided_automaton.states)} state(s)")
 
 
 def _parser(prog: str) -> argparse.ArgumentParser:

@@ -16,7 +16,7 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):  # the formatter, on first use: a warm `match` prints no protocol
+def __getattr__(name: str):  # the formatter, on first use: no command prints a protocol
     if name in ("format", "format_protocol"):
         from . import printer
         globals().update(format=printer.format, format_protocol=printer.format_protocol)

@@ -4,18 +4,17 @@ protocol index, and its cache file.
 Compiling every component's protocols is the one-time cost paid when the
 architecture changes; the cache file makes it pay once per change, with a
 content hash of the unit texts to detect staleness. The cache file is the magic
-line `ARCHMATCH-IDX v11` with a CRC-32 of the rest of the file, then one
+line `ARCHMATCH-IDX v12` with a CRC-32 of the rest of the file, then one
 sorted-key JSON document. Besides the compiled components, each with the
-printed protocol its DFA was built from and the shapes of its methods, it
-holds what a query needs of the catalog: its types, every non-type name it
-declares, and the state limit its load and build succeeded under; and one
-record per unit (`_unit_records`): its size and times, from a stat taken
-before it was read, the SHA-256 of its text, what it declares, whether it is
-self-contained, and the first unit that needs it. A unit is self-contained
-when it declares no architecture or link and every interface or contract it
-names (by `extends`, `implements`, `provided contract`, `internal interface`
-or `required interface`) is its own; it is needed when another unit names one
-of its declarations so.
+shapes of its methods, it holds what a query needs of the catalog: its types,
+every non-type name it declares, and the state limit its load and build
+succeeded under; and one record per unit (`_unit_records`): its size and
+times, from a stat taken before it was read, the SHA-256 of its text, what it
+declares, whether it is self-contained, and the first unit that needs it. A
+unit is self-contained when it declares no architecture or link and every
+interface or contract it names (by `extends`, `implements`, `provided
+contract`, `internal interface` or `required interface`) is its own; it is
+needed when another unit names one of its declarations so.
 
 `load_cache` reads a cache one way: it checks the checksum and every top-level
 field, leaves every entry pending, and judges freshness from unit stats. It
@@ -24,10 +23,15 @@ or a unit changed no earlier than the cache was written (git's racy-clean
 rule). `reach` decodes the entries a caller needs: `index inspect` all, and
 `match` those sharing a method shape (`sigmatch.shape`) with the requirement.
 
+`Units` is the one reader of unit files. Every command that reads units,
+and every step of one (the freshness check that hashes them, `_rederive`, the
+full load, `check` and `protocol --unit`), takes a unit's text and tree from
+it, so a unit is read at most once and parsed at most once per command.
+
 `load_match` reads the catalog, the requirement and the cache once. A fresh
 cache answers `match` alone, without lexing, parsing or resolving a catalog
 unit or checking a publication. The catalog is loaded instead when the cache
-is missing, stale, corrupt, of another version (`v1` to `v10`) or built under a
+is missing, stale, corrupt, of another version (`v1` to `v11`) or built under a
 higher state limit (these three are rebuilt), when a file cannot be read, and
 when the requirement is a catalog unit, declares anything but types,
 interfaces and contracts, extends or implements an interface it does not
@@ -45,12 +49,14 @@ only the changed units, and reads all it needs of the others from their unit
 records: declarations of other units read nothing of a changed unit but
 names, which stay, so what they derive stands. Otherwise the full load parses
 and resolves every unit and builds as a cold build does, taking nothing from
-the stale cache. Both write the bytes a cold build writes; a copied entry is
-trusted as a pending one is, behind the checksum, and `reach` checks it when it
-decodes it. Only the two writers, this build and `index build`, record the
-units, from the stats they took before reading them. A build writes the cache
-file and nothing else: a `<cache>.syntax` file that earlier versions wrote
-beside it is never read, rewritten or removed.
+the stale cache; a unit `_rederive` parsed before it refused is not parsed
+again, as both take their trees from one `Units`. Both write the bytes a cold
+build writes; a copied entry is trusted as a pending one is, behind the
+checksum, and `reach` checks it when it decodes it. Only the two writers,
+this build and `index build`, record the units, from the stats they took
+before reading them. A build writes the cache file and nothing else: a
+`<cache>.syntax` file that earlier versions wrote beside it is never read,
+rewritten or removed.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from .diagnostics import ERROR, Diagnostic, Span, has_errors
 from .dsl import SourceUnit, syntax
 from .matcher import Requirement
 from .model import MethodSig, Model, Param, TypeDecl
-from .protocol import FiniteAutomaton, ProtocolExpr
+from .protocol import FiniteAutomaton
 from .records import field, record
 from .sigmatch import TypeLattice, shape
 
@@ -77,10 +83,10 @@ if TYPE_CHECKING:  # `category` is imported by the commands that build architect
 # The first line of a cache file, before its checksum. Bump it whenever
 # build_index could give different output for the same source (for example
 # after a change to compile, determinize or minimize), or its recorded
-# state_limit, an entry's `protocol` or `shapes`, or a field of a unit record
+# state_limit, an entry's `shapes`, or a field of a unit record
 # could mean something else, so that older caches are rejected and rebuilt
 # cold, none of their entries copied.
-CACHE_MAGIC = "ARCHMATCH-IDX v11"
+CACHE_MAGIC = "ARCHMATCH-IDX v12"
 
 # the Model tables whose names a requirement may not redeclare
 _NON_TYPES = ("interfaces", "contracts", "components", "publications", "architectures", "links")
@@ -114,9 +120,6 @@ class IndexEntry:
     component: str
     methods: tuple[MethodSig, ...]
     provided_automaton: FiniteAutomaton
-    # the provided protocol the automaton was built from, printed, or its
-    # expression until a cache is written; it is not part of the entry's value
-    protocol: str | ProtocolExpr = field(default="", compare=False)
 
     def all_methods(self) -> tuple[MethodSig, ...]:
         """The methods, as `Interface.all_methods` lists them: sigmatch matches an entry."""
@@ -147,64 +150,71 @@ def _file_error(message: str, path: str, code: str = "missing-file") -> Diagnost
     return Diagnostic(ERROR, _zero_span(), message, code, path)
 
 
-def _read_text(path: Path, what: str, texts: dict[Path, str] | None = None,
-               ) -> tuple[str | None, list[Diagnostic]]:
-    """The text of a UTF-8 file, or None and one error naming it.  `texts`
-    keeps the texts read, by path, and answers a path it already holds."""
-    texts = {} if texts is None else texts
-    if path in texts:
-        return texts[path], []
+def _read_text(path: Path, what: str) -> tuple[str | None, list[Diagnostic]]:
+    """The text of a UTF-8 file, or None and one error naming it."""
     if not path.is_file():
         return None, [_file_error(f"no such {what}: {path}", str(path))]
     try:
-        texts[path] = path.read_text(encoding="utf-8")
-        return texts[path], []
+        return path.read_text(encoding="utf-8"), []
     except (OSError, UnicodeDecodeError) as err:
         reason = getattr(err, "strerror", None) or err
         return None, [_file_error(f"cannot read {what} {path}: {reason}", str(path),
                                   "unreadable-file")]
 
 
-def _unit_paths(catalog_text: str) -> list[str]:
-    # one unit path per line; blank lines and `#` comments are skipped
-    return [line for line in map(str.strip, catalog_text.splitlines())
-            if line and not line.startswith("#")]
-
-
 class Units:
-    """The unit files a catalog lists, as found on disk: each one's stat, all
-    taken first, and its text, read with plain `open` when first asked for.
+    """The unit files at `paths` in `directory`, and their one reader. It takes
+    the units' stats first, then reads a unit (`text`, by `_read_text`, which
+    opens no file that is not a regular file: it may be a FIFO) and parses it
+    (`parse`) when first asked, each at most once, as `Path(directory) / path`.
 
-    `stats` holds `[path, size, mtime_ns, ctime_ns]` per unit, the path as the
-    catalog lists it, or is None when a unit is missing or not a regular file.
+    `stats` holds `[path, size, mtime_ns, ctime_ns]` per unit, the path as
+    given, or is None when a unit is missing or not a regular file.
     """
 
-    def __init__(self, catalog_path: str | Path, catalog_text: str):
-        self.paths = _unit_paths(catalog_text)
-        directory = os.path.dirname(catalog_path)
-        self._files = [os.path.join(directory, p) for p in self.paths]
-        self._texts: dict[int, str | None] = {}  # by unit; None: it cannot be read
+    def __init__(self, directory: str | Path, paths: list[str]):
+        self.paths = paths
+        self._directory = directory
+        self._read: dict[int, tuple[str | None, list[Diagnostic]]] = {}  # by unit
+        self._parsed: dict[int, tuple] = {}
         self.stats: list[list] | None = []
-        for i, (unit, file) in enumerate(zip(self.paths, self._files)):
+        for unit in paths:
             try:
-                st = os.stat(file)
+                st = os.stat(os.path.join(directory, unit))
             except (OSError, ValueError):
                 st = None
-            if st is None or not stat.S_ISREG(st.st_mode):  # never opened: it may be a FIFO
-                self._texts[i] = None
+            if st is None or not stat.S_ISREG(st.st_mode):
                 self.stats = None
-            elif self.stats is not None:
-                self.stats.append([unit, st.st_size, st.st_mtime_ns, st.st_ctime_ns])
+                break
+            self.stats.append([unit, st.st_size, st.st_mtime_ns, st.st_ctime_ns])
+
+    @classmethod
+    def listed(cls, catalog_path: str | Path, catalog_text: str) -> Units:
+        """The units the catalog at `catalog_path` lists in `catalog_text`: one
+        path per line, relative to the catalog's directory; blank lines and `#`
+        comments are skipped."""
+        return cls(Path(catalog_path).parent, [line for line in map(
+            str.strip, catalog_text.splitlines()) if line and not line.startswith("#")])
+
+    def _path(self, i: int) -> Path:
+        return Path(self._directory) / self.paths[i]
 
     def text(self, i: int) -> str | None:
         """The text of unit `i`, or None when it cannot be read."""
-        if i not in self._texts:
-            try:
-                with open(self._files[i], encoding="utf-8") as file:
-                    self._texts[i] = file.read()
-            except (OSError, UnicodeDecodeError):
-                self._texts[i] = None
-        return self._texts[i]
+        if i not in self._read:
+            self._read[i] = _read_text(self._path(i), "unit file")
+        return self._read[i][0]
+
+    def parse(self, i: int) -> tuple[SourceUnit | None, syntax.SyntaxTree | None,
+                                     list[Diagnostic]]:
+        """Unit `i` and its tree (None when it cannot be read or does not
+        parse), and the diagnostics: why it cannot be read, or its parse's."""
+        if i not in self._parsed:
+            text = self.text(i)
+            unit = None if text is None else SourceUnit(str(self._path(i)), text)
+            self._parsed[i] = (None, None, self._read[i][1]) if unit is None else \
+                (unit, *dsl.parse_unit(unit))
+        return self._parsed[i]
 
     def unchanged_since(self, records: list[list], written_ns: int) -> bool:
         """Do the stats show the units a cache written at `written_ns` (its
@@ -244,26 +254,14 @@ def source_hash(texts) -> str:
     return digest.hexdigest()
 
 
-def parse_units(paths: list[str | Path], texts: dict[Path, str] | None = None,
-                ) -> tuple[tuple[SourceUnit, ...], tuple[syntax.SyntaxTree, ...],
-                           list[Diagnostic]]:
-    """The units at `paths` (read from `texts` where it has them), their trees
-    and the diagnostics."""
-    units: list[SourceUnit] = []
-    trees: list[syntax.SyntaxTree] = []
-    diagnostics: list[Diagnostic] = []
-    for path in map(Path, paths):
-        text, diags = _read_text(path, "unit file", texts)
-        diagnostics.extend(diags)
-        if text is None:
-            continue
-        unit = SourceUnit(str(path), text)
-        units.append(unit)
-        tree, diags = dsl.parse_unit(unit)
-        diagnostics.extend(diags)
-        if tree is not None:
-            trees.append(tree)
-    return tuple(units), tuple(trees), diagnostics
+def parse_units(units: Units) -> tuple[tuple[SourceUnit, ...], tuple[syntax.SyntaxTree, ...],
+                                       list[Diagnostic]]:
+    """The `units` that can be read, the trees of those that parse, and the
+    diagnostics, as `Units.parse` gives them."""
+    parsed = [units.parse(i) for i in range(len(units.paths))]
+    return (tuple(unit for unit, _, _ in parsed if unit is not None),
+            tuple(tree for _, tree, _ in parsed if tree is not None),
+            [d for _, _, diagnostics in parsed for d in diagnostics])
 
 
 def _build_architectures(m: Model) -> tuple[dict[str, PseudoCategory],
@@ -338,7 +336,7 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
          units: Units | None = None,
          ) -> tuple[Catalog | None, Model | None, list[Diagnostic]]:
     """Load a catalog file and everything it references. `units` are the
-    catalog's units, already stat-ed (and maybe read).
+    catalog's units, already stat-ed (and maybe read and parsed).
 
     All units must parse and resolve, architectures must build, and every
     publication must satisfy the causal projection condition; otherwise the
@@ -349,12 +347,8 @@ def load(catalog_path: str | Path, state_limit: int = protocol.DEFAULT_STATE_LIM
         text, diagnostics = _read_text(catalog_path, "catalog")
         if text is None:
             return None, None, diagnostics
-        units = Units(catalog_path, text)
-    resolved = [catalog_path.parent / p for p in units.paths]
-    # a unit that cannot be read is read again, for its diagnostic
-    texts = {path: text for i, path in enumerate(resolved)
-             if (text := units.text(i)) is not None}
-    parsed, trees, diagnostics = parse_units(resolved, texts)
+        units = Units.listed(catalog_path, text)
+    parsed, trees, diagnostics = parse_units(units)
     if has_errors(diagnostics):
         return None, None, diagnostics
     m, architectures, links, diags = analyze(trees, state_limit)
@@ -407,18 +401,20 @@ def build_index(catalog: Catalog, m: Model, state_limit: int = protocol.DEFAULT_
                 units: Units | None = None) -> CompiledIndex:
     """Compile, determinize, and minimize every component's provided protocol.
     Given `units`, the catalog's units as stat-ed before they were read, the
-    index holds their records, as a cache records them.
+    index holds their records, as a cache records them, unless a unit was no
+    regular file when stat-ed (as `u.adl/` is, which is read as `u.adl`).
 
     Deterministic: entries are keyed and processed in component-name order,
     and minimized automata are canonically numbered.
     """
     return CompiledIndex(_entries(m, state_limit), catalog.source_hash, dict(m.types),
                          tuple(sorted(name for kind in _NON_TYPES for name in vars(m)[kind])),
-                         state_limit, [] if units is None else _unit_records(units, catalog.trees))
+                         state_limit, [] if units is None or units.stats is None
+                         else _unit_records(units, catalog.trees))
 
 
 def _entries(m: Model, state_limit: int) -> dict[str, IndexEntry]:
-    """The index entries of `m`'s components, each holding its protocol expression."""
+    """The index entries of `m`'s components."""
     entries: dict[str, IndexEntry] = {}
     for name in sorted(m.components):
         comp = m.components[name]
@@ -432,7 +428,7 @@ def _entries(m: Model, state_limit: int) -> dict[str, IndexEntry]:
                 protocol.compile(expr, alphabet=provided_alphabet), state_limit))
         except protocol.ProtocolTooLarge as err:
             raise protocol.ProtocolTooLarge(f"component {name!r}: {err}") from err
-        entries[name] = IndexEntry(name, iface.all_methods(), provided, expr)
+        entries[name] = IndexEntry(name, iface.all_methods(), provided)
     return entries
 
 
@@ -442,14 +438,12 @@ def _entry_json(entry: IndexEntry, lattice: TypeLattice | None) -> dict:
     """The entry's cache JSON, its `shapes` on `lattice` (None without one):
     a requirement reaches the entry through them (see `reach`)."""
     auto = entry.provided_automaton  # minimized, so its states are 0..n-1
-    text = entry.protocol
     return {
         "methods": [[sig.name, [[p.name, p.type] for p in sig.params], sig.return_type]
                     for sig in entry.methods],
         "dfa": {"alphabet": sorted(auto.alphabet), "states": len(auto.states),
                 "start": auto.start, "accept": sorted(auto.accepting),
                 "transitions": [list(t) for t in sorted(auto.transitions)]},
-        "protocol": text if isinstance(text, str) else dsl.format_protocol(text),
         "shapes": None if lattice is None else sorted({shape(m, lattice) for m in entry.methods}),
     }
 
@@ -518,7 +512,7 @@ def _entry_from_json(name: str, comp: dict, lattice: TypeLattice | None) -> Inde
     methods = tuple(MethodSig(str(method), tuple(Param(str(p), str(t)) for p, t in params),
                               None if ret is None else str(ret))
                     for method, params, ret in comp["methods"])
-    entry = IndexEntry(name, methods, auto, str(comp["protocol"]))
+    entry = IndexEntry(name, methods, auto)
     if lattice is None:  # shapes left unread are not checked
         comp = {**comp, "shapes": None}
     # str() leaves a value of another type unequal, as are extra or reordered items
@@ -618,12 +612,11 @@ def default_cache_path(catalog_path: str | Path) -> Path:
 
 # --- requirement loading ---------------------------------------------------------
 
-def load_requirement(path: str | Path, catalog: Catalog, m: Model,
-                     texts: dict[Path, str] | None = None,
+def load_requirement(path: str | Path, catalog: Catalog, m: Model, text: str | None = None,
                      tree: syntax.SyntaxTree | None = None,
                      ) -> tuple[Requirement | None, Model | None, list[Diagnostic]]:
-    """Read a requirement unit (from `texts` if its path is there, already
-    parsed into `tree` if given) and resolve it on top of the catalog's model.
+    """Read a requirement unit (unless its `text` is given, already parsed
+    into `tree` if given) and resolve it on top of the catalog's model.
 
     The unit must declare exactly one interface; a contract in the same unit
     implementing it contributes the required protocol.  A unit already listed
@@ -631,7 +624,7 @@ def load_requirement(path: str | Path, catalog: Catalog, m: Model,
     double as requirement queries.
     """
     path = Path(path)
-    text, diagnostics = _read_text(path, "requirement file", texts)
+    text, diagnostics = (text, []) if text is not None else _read_text(path, "requirement file")
     if text is None:
         return None, None, diagnostics
     known = {unit.text: t for unit, t in zip(catalog.units, catalog.trees)}
@@ -673,17 +666,18 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
                           str | None, list[Diagnostic]]:
     """(requirement, merged model, index, origin, reason, diagnostics): what
     `match` loads, reading each file at most once and the cache through one
-    `load_cache`.
+    `load_cache`: a requirement that is also a catalog unit file is read once
+    in each role, as the requirement and by `Units`.
 
     A fresh cache answers alone when it can (see the module docstring), with
     origin "cache" and reason None. A stale one is brought up to date by
     `_rederive` when it can, with the reason "stale; re-derived K of N units".
-    Otherwise the catalog is loaded from the units already stat-ed and read,
-    and the requirement resolved on it; the index is built cold with the
-    reason "missing", "stale" (then "; full load: " and why `_rederive` could
-    not take it, if it was offered the cache), the CacheError message or that
-    the cache was built under a higher state limit. An index built or brought
-    up to date is saved, with origin "built" and the reason followed by
+    Otherwise the catalog is loaded from the units already stat-ed, read and
+    parsed, and the requirement resolved on it; the index is built cold with
+    the reason "missing", "stale" (then "; full load: " and why `_rederive`
+    could not take it, if it was offered the cache), the CacheError message or
+    that the cache was built under a higher state limit. An index built or
+    brought up to date is saved, with origin "built" and the reason followed by
     "; cannot write cache: ..." if the new cache could not be saved. The index
     holds, decoded, at least the entries the requirement reaches: those with a
     method of the shape of a requirement method (all of them when it has no
@@ -691,13 +685,14 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
     diagnostics are None.
     """
     catalog_path, requirement_path = Path(catalog_path), Path(requirement_path)
-    texts: dict[Path, str] = {}
-    catalog_text, _ = _read_text(catalog_path, "catalog", texts)
-    units = None if catalog_text is None else Units(catalog_path, catalog_text)
-    req_text, _ = _read_text(requirement_path, "requirement file", texts)
+    catalog_text, diagnostics = _read_text(catalog_path, "catalog")
+    if catalog_text is None:
+        return None, None, None, None, None, diagnostics
+    units = Units.listed(catalog_path, catalog_text)
+    req_text, req_diagnostics = _read_text(requirement_path, "requirement file")
     path = default_cache_path(catalog_path) if cache_path is None else Path(cache_path)
     index, stale, reason = None, None, "missing"
-    if units is not None and units.stats is not None and req_text is not None and path.exists():
+    if units.stats is not None and req_text is not None and path.exists():
         try:
             index, fresh = load_cache(path, units)
             limit = index.state_limit
@@ -726,7 +721,8 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
         catalog, m, diagnostics = load(catalog_path, state_limit, units)
         if catalog is None:  # else there are no diagnostics
             return None, None, None, None, None, diagnostics
-        loaded = load_requirement(requirement_path, catalog, m, texts, tree)
+        loaded = (None, None, req_diagnostics) if req_text is None else \
+            load_requirement(requirement_path, catalog, m, req_text, tree)
     req, merged, diagnostics = loaded
     if req is None:
         return None, None, None, None, None, diagnostics
@@ -755,15 +751,16 @@ def load_match(catalog_path: str | Path, requirement_path: str | Path,
 def _rederive(stale: CompiledIndex, units: Units, state_limit: int,
               answered: bool) -> tuple[CompiledIndex, int] | str:
     """The index that a cold build of `units` gives, with only the units whose
-    text changed since `stale` was built parsed and re-derived, and how many;
+    text changed since `stale` was built parsed (by `units`, so that the full
+    load parses none again) and re-derived, and how many;
     or the first reason why the full load must build them (see the module
     docstring). `answered` says whether the cached types answer the
     requirement. Every other unit's entries are copied as their stale JSON."""
     records = stale.units
     if [record[0] for record in records] != units.paths:
         return "the catalog lists other units"
-    texts = [units.text(i) for i in range(len(records))]
-    if None in texts:
+    hashed = units.hash()
+    if hashed is None:
         return "a unit cannot be read"
     digests = [units.digest(i) for i in range(len(records))]
     changed: dict[int, syntax.SyntaxTree] = {}
@@ -775,7 +772,7 @@ def _rederive(stale: CompiledIndex, units: Units, state_limit: int,
             return f"{unit} is needed by {needed_by}"
         if not contained:
             return f"{unit} is not self-contained"
-        tree, diagnostics = dsl.parse_unit(SourceUnit(unit, texts[i]))
+        _, tree, diagnostics = units.parse(i)
         if tree is None or diagnostics:
             return f"{unit} does not parse"
         if _declares(tree) != declares:
@@ -804,7 +801,7 @@ def _rederive(stale: CompiledIndex, units: Units, state_limit: int,
         entries.update(built)
     records = [[*stat, digest, *record[5:]]
                for stat, digest, record in zip(units.stats, digests, records)]
-    index = CompiledIndex(entries, source_hash(texts), stale.types, stale.names, state_limit,
+    index = CompiledIndex(entries, hashed, stale.types, stale.names, state_limit,
                           records, pending)
     return index, len(changed)
 

@@ -19,6 +19,7 @@ V7_CACHE = FIXTURES / "catalog_full_v7_cache.txt"
 V8_CACHE = FIXTURES / "catalog_full_v8_cache.txt"
 V9_CACHE = FIXTURES / "catalog_full_v9_cache.txt"
 V10_CACHE = FIXTURES / "catalog_full_v10_cache.txt"
+V11_CACHE = FIXTURES / "catalog_full_v11_cache.txt"
 
 _DELETE = object()
 _COMPONENT = ("components", "AccountService")
@@ -86,7 +87,6 @@ FIELD_DEFECTS = {
     "state limit as a string": _edited(("state_limit",), "100"),
     "unknown top-level field": _edited(("zzz",), [1, 2, 3]),
     "integer protocol": _edited(_COMPONENT + ("protocol",), 7),
-    "missing protocol": _edited(_COMPONENT + ("protocol",), _DELETE),
     "missing shapes": _edited(_COMPONENT + ("shapes",), _DELETE),
     "wrong shape": _edited(_COMPONENT + ("shapes",), ["()"]),
     "missing units": _edited(("units",), _DELETE),
@@ -118,5 +118,6 @@ DEFECTS = {
     "v8 cache": lambda text: V8_CACHE.read_text(encoding="utf-8"),
     "v9 cache": lambda text: V9_CACHE.read_text(encoding="utf-8"),
     "v10 cache": lambda text: V10_CACHE.read_text(encoding="utf-8"),
+    "v11 cache": lambda text: V11_CACHE.read_text(encoding="utf-8"),
 }
 

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import builtins
 import errno
+import functools
 import gc
 import json
 from collections import Counter
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import tempfile
@@ -393,7 +395,7 @@ def test_match_note_says_why_the_index_was_rebuilt(workdir):
     assert note() == ["index: cache (1 component(s))"]
     shutil.copy(V2_CACHE, cache)
     assert note() == ["index: built (1 component(s); "
-                      "unsupported cache version (expected ARCHMATCH-IDX v11))"]
+                      "unsupported cache version (expected ARCHMATCH-IDX v12))"]
     cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n")
     assert note() == ["index: built (1 component(s); corrupt cache: KeyError: 'hash')"]
     unit = workdir / "document_manager.adl"
@@ -572,12 +574,6 @@ def _stale_catalog(workdir: Path) -> list[str]:
     return args
 
 
-# the reasons `_rederive` finds after it parsed the changed units, which the full
-# load then parses again
-_PARSED_BEFORE_REFUSAL = ("changes its declarations", "names a declaration of another unit",
-                          "the requirement needs the catalog")
-
-
 @pytest.mark.parametrize("case", list(STALE_EDITS))
 def test_a_stale_cache_rebuild_equals_a_cold_build(workdir, monkeypatch, case):
     edit, limit, note = STALE_EDITS[case]
@@ -599,10 +595,10 @@ def test_a_stale_cache_rebuild_equals_a_cold_build(workdir, monkeypatch, case):
     # the requirement is no catalog unit, and is parsed once either way
     if note.startswith("re-derived "):
         assert parses == 1 + int(note.split()[1])  # the changed units
-    else:
-        units = repo.Units(workdir / "catalog_full.txt", (workdir / "catalog_full.txt").read_text())
-        again = note.endswith(_PARSED_BEFORE_REFUSAL)  # the one changed unit
-        assert parses == 1 + len(units.paths) + again  # every unit
+    else:  # every unit once, also the units `_rederive` parsed before it refused
+        units = repo.Units.listed(workdir / "catalog_full.txt",
+                                  (workdir / "catalog_full.txt").read_text())
+        assert parses == 1 + len(units.paths)
     build = run(*match_args[:2], "--cache", str(workdir / "built.idx"), "index", "build")
     assert build.exit_code == 0
     built = (workdir / "built.idx").read_bytes()
@@ -1017,7 +1013,7 @@ CACHE_LOADS = {
     "corrupt": (lambda cache: cache.write_text(f"{repo.CACHE_MAGIC}\n{{}}\n"),
                 "built (5 component(s); corrupt cache: KeyError: 'hash')"),
     "v6 cache": (lambda cache: shutil.copy(V6_CACHE, cache),
-                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v11))"),
+                 "built (5 component(s); unsupported cache version (expected ARCHMATCH-IDX v12))"),
     "lowered limit": (lambda cache: None, "built (5 component(s); cache built under a higher "
                                           f"state limit ({protocol.DEFAULT_STATE_LIMIT}))"),
     "a catalog unit": (lambda cache: None, "cache (1 component(s))"),
@@ -1356,6 +1352,96 @@ def test_a_file_that_is_not_utf8_is_an_input_error(workdir, monkeypatch, args, b
     [line] = res.stderr.splitlines()
     assert line.startswith(f"{bad}:1:1: error: cannot read ")
     assert "can't decode byte 0xff" in line and line.endswith("[unreadable-file]")
+
+
+_OPENS: list[Counter] = []  # the count being taken, if any
+
+
+def _count_open(event: str, args: tuple) -> None:
+    """An audit hook: count each file opened by its real path while a count is
+    taken. Opening a FIFO fails the command instead of blocking it."""
+    if event != "open" or not _OPENS or isinstance(args[0], int):
+        return
+    path = os.path.realpath(args[0])
+    try:
+        fifo = stat.S_ISFIFO(os.stat(path).st_mode)
+    except OSError:
+        fifo = False
+    if fifo:
+        raise AssertionError(f"opened the FIFO {path}")
+    _OPENS[-1][path] += 1
+
+
+@functools.cache
+def _add_open_hook() -> None:
+    sys.addaudithook(_count_open)  # it cannot be removed: it stays for the session
+
+
+@pytest.fixture()
+def opens():
+    """The files opened while the test runs, counted by real path."""
+    _add_open_hook()
+    _OPENS.append(Counter())
+    yield _OPENS[-1]
+    _OPENS.pop()
+
+
+@pytest.mark.parametrize("unreadable", [False, True], ids=["readable", "not UTF-8"])
+def test_no_command_opens_a_unit_file_twice(workdir, monkeypatch, opens, unreadable):
+    monkeypatch.chdir(workdir)
+    units = ("types.adl", "document_manager.adl", "insurance.adl")
+    if unreadable:
+        (workdir / units[1]).write_bytes((workdir / units[1]).read_bytes() + b"\n# \xff\n")
+    match = ["--catalog", "catalog_full.txt", "match", "manage_documents_req.adl"]
+    commands = {"check": (None, ["check", *units]), "cold match": (None, match),
+                "warm match": (None, match), "stale match": (_touch, match),
+                "index build": (None, ["--catalog", "catalog_full.txt", "index", "build"])}
+    for name, (edit, args) in commands.items():
+        if edit is not None:
+            edit(workdir)
+        opens.clear()
+        assert run(*args).exit_code == (2 if unreadable else 0), name
+        counts = [opens[str(workdir / unit)] for unit in units]
+        assert max(counts) <= 1, (name, counts)
+        if name in ("check", "cold match", "index build"):  # each unit must be read
+            assert counts == [1, 1, 1], (name, counts)
+
+
+_CANNOT_READ = {  # how the unit file `unit.adl` cannot be read, and the error that says so
+    "missing": (lambda unit: None, "no such unit file: unit.adl [missing-file]"),
+    "directory": (Path.mkdir, "no such unit file: unit.adl [missing-file]"),
+    "FIFO": (os.mkfifo, "no such unit file: unit.adl [missing-file]"),
+    "not UTF-8": (lambda unit: unit.write_bytes(b"type T;\n// \xff\n"),
+                  "cannot read unit file unit.adl: 'utf-8' codec can't decode byte 0xff in "
+                  "position 11: invalid start byte [unreadable-file]"),
+}
+
+
+@pytest.mark.parametrize("case", list(_CANNOT_READ))
+def test_a_unit_that_cannot_be_read_gets_one_error_from_every_command(workdir, monkeypatch,
+                                                                      opens, case):
+    make, error = _CANNOT_READ[case]
+    monkeypatch.chdir(workdir)
+    make(workdir / "unit.adl")
+    (workdir / "units.txt").write_text("types.adl\nunit.adl\n")
+    catalog = ["--catalog", "units.txt"]
+    for args in (["check", "types.adl", "unit.adl"], ["protocol", "--unit", "unit.adl", "C"],
+                 [*catalog, "arch"], [*catalog, "index", "build"],
+                 [*catalog, "match", "manage_documents_req.adl"]):
+        opens.clear()
+        res = run(*args)
+        assert (res.exit_code, res.stderr) == (2, f"unit.adl:1:1: error: {error}\n"), args
+        assert opens[str(workdir / "unit.adl")] == (case == "not UTF-8"), args
+
+
+def test_a_unit_listed_with_a_trailing_slash_loads_in_every_command(workdir, monkeypatch):
+    monkeypatch.chdir(workdir)
+    (workdir / "units.txt").write_text("types.adl\ndocument_manager.adl/\n")
+    for args in (["arch"], ["index", "build"], ["match", "manage_documents_req.adl"],
+                 ["match", "manage_documents_req.adl"]):
+        res = run("--catalog", "units.txt", *args)
+        assert (res.exit_code, "error" in res.stderr) == (0, False), (args, res.stderr)
+    assert res.stdout.startswith("USE DocumentManager\n")
 
 
 # --- determinism -------------------------------------------------------------------

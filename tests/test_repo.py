@@ -19,14 +19,15 @@ from archmatch import protocol as P
 from archmatch.records import replace
 from archmatch.sigmatch import TypeLattice
 from broken_caches import (DEFECTS, FIELD_DEFECTS, V2_CACHE, V4_CACHE, V5_CACHE, V6_CACHE,
-                           V7_CACHE, V8_CACHE, V9_CACHE, V10_CACHE, resealed)
+                           V7_CACHE, V8_CACHE, V9_CACHE, V10_CACHE, V11_CACHE,
+                           resealed)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def built(catalog_path) -> repo.CompiledIndex:
     """The index of the catalog as `index build` builds it: with its unit records."""
-    units = repo.Units(catalog_path, Path(catalog_path).read_text(encoding="utf-8"))
+    units = repo.Units.listed(catalog_path, Path(catalog_path).read_text(encoding="utf-8"))
     catalog, m, _ = repo.load(catalog_path, units=units)
     return repo.build_index(catalog, m, units=units)
 
@@ -203,7 +204,7 @@ def test_cache_header_shape(tmp_path):
     repo.save_cache(index, path)
     lines = path.read_text().split("\n")
     magic, seal = lines[0].rsplit(" ", 1)
-    assert magic == "ARCHMATCH-IDX v11"
+    assert magic == "ARCHMATCH-IDX v12"
     assert int(seal, 16) == zlib.crc32(path.read_bytes().partition(b"\n")[2])
     assert lines[2:] == [""]
     doc = json.loads(lines[1])
@@ -211,11 +212,9 @@ def test_cache_header_shape(tmp_path):
     assert lines[1] == json.dumps(doc, sort_keys=True, separators=(",", ":"))
     assert doc["hash"] == catalog.source_hash
     entry = doc["components"]["DocumentManager"]
-    assert sorted(entry) == ["dfa", "methods", "protocol", "shapes"]
+    assert sorted(entry) == ["dfa", "methods", "shapes"]
     assert entry["shapes"] == ["(String)", "(String,String)"]
     assert doc["units"] == []  # the index was built without the units
-    assert entry["protocol"] == \
-        "(?searchDocuments + ?setPreference)* | (?searchDocuments + ?viewDocument ?setPreference)*"
     assert entry["methods"][2] == ["setPreference", [["documentType", "String"],
                                                      ["preference", "String"]], None]
     assert sorted(entry["dfa"]) == ["accept", "alphabet", "start", "states", "transitions"]
@@ -285,7 +284,7 @@ def test_a_stale_cache_with_a_defect_is_rebuilt_without_a_memo(tmp_path, defect)
 def test_cache_of_another_hash_is_stale(tmp_path):
     catalog_path = FIXTURES / "catalog.txt"
     catalog, m, _ = repo.load(catalog_path)
-    units = repo.Units(catalog_path, catalog_path.read_text())
+    units = repo.Units.listed(catalog_path, catalog_path.read_text())
     index = repo.build_index(catalog, m)  # without the units: none is recorded
     path = tmp_path / "cache.idx"
     repo.save_cache(index, path)
@@ -340,12 +339,13 @@ def test_cache_rejects_wrong_version(tmp_path):
     for magic in ("ARCHMATCH-IDX v99", "ARCHMATCH-IDX v1", "ARCHMATCH-IDX v2",
                   "ARCHMATCH-IDX v3"):
         path.write_text(f"{magic}\nhash: x\ncomponents: 0\n")
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v11"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v12"):
             repo.load_cache(path)
     # real caches of fixtures/catalog_full.txt
-    for cache in (V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE, V10_CACHE):
+    for cache in (V4_CACHE, V5_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE, V10_CACHE,
+                  V11_CACHE):
         shutil.copy(cache, path)
-        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v11"):
+        with pytest.raises(repo.CacheError, match="expected ARCHMATCH-IDX v12"):
             repo.load_cache(path)
 
 
@@ -377,11 +377,11 @@ def test_load_index_reason_corrupt(tmp_path):
 
 
 def test_load_index_reason_other_version(tmp_path):
-    for old in (V2_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE, V10_CACHE):
+    for old in (V2_CACHE, V6_CACHE, V7_CACHE, V8_CACHE, V9_CACHE, V10_CACHE, V11_CACHE):
         origin, reason = _load_index_reason(
             tmp_path, lambda cache, *_, old=old: shutil.copy(old, cache))
         assert (origin, reason) == (
-            "built", "unsupported cache version (expected ARCHMATCH-IDX v11)")
+            "built", "unsupported cache version (expected ARCHMATCH-IDX v12)")
 
 
 def test_load_index_rebuilds_a_cache_built_under_a_higher_state_limit(tmp_path):
